@@ -13,6 +13,7 @@ from .exceptions import (
     EmbeddingClampWarning,
     EmbeddingFailureError,
     IllPosedRotationError,
+    InputError,
     RankDeficiencyError,
     RelkinError,
     UnsupportedCovarianceError,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .bounds import RangeNoiseCovariances, crb_trace, fim_position, fim_velocity
 from .embedding import position_at_time, solve_relative
-from .exceptions import RelkinError
+from .exceptions import ConfigError, RelkinError
 from .experiments import (
     ExperimentConfig,
     check_report,
@@ -33,15 +34,22 @@ from .kinematics import (
     load_trajectory,
     range_matrices,
 )
-from .ranging import build_design, crb_theta, pairwise_solve, wls_solve
+from .ranging import build_design, crb_theta, wls_solve
 from .twr import ExchangeConfig, NoiseModel, SPEED_OF_LIGHT, TimestampExchangeSet, simulate_exchanges
 
 
+def _pair_noise(sigma_meters: float) -> NoiseModel:
+    """Noise model for a per-pair delay std of --sigma-meters, which must be positive."""
+    if not (math.isfinite(sigma_meters) and sigma_meters > 0):
+        raise ConfigError(f"--sigma-meters must be positive and finite, got {sigma_meters}")
+    return NoiseModel.from_pair_sigma(sigma_meters, unit="m")
+
+
 def _cmd_estimate(args) -> int:
+    noise = _pair_noise(args.sigma_meters)
     exchanges = TimestampExchangeSet.from_csv(args.exchanges, c=args.c)
-    noise = NoiseModel.from_pair_sigma(args.sigma_meters, unit="m")
     design = build_design(exchanges, args.order, noise=noise)
-    coeffs = pairwise_solve(design) if args.pairwise else wls_solve(design)
+    coeffs = wls_solve(design)
     crb = crb_theta(design)
     rows = [("i", "j", "order", "theta", "rcrb")]
     phys = coeffs.physical
@@ -98,9 +106,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_crb(args) -> int:
+    noise = _pair_noise(args.sigma_meters)
     traj = load_trajectory(args.fixture)
     cfg = ExchangeConfig(K=args.messages, interval=tuple(args.interval), c=args.c)
-    noise = NoiseModel.from_pair_sigma(args.sigma_meters, unit="m")
     clean = simulate_exchanges(traj, cfg, NoiseModel(0.0), seed=0)
     design = build_design(clean, args.order, noise=noise)
     crb = crb_theta(design)
@@ -114,10 +122,12 @@ def _cmd_crb(args) -> int:
         rows.append((name, repr(float(crb.rcrb(ell)))))
     rows.append(("Xrel", repr(float(np.sqrt(crb_trace(fx))))))
     rows.append(("Yrel", repr(float(np.sqrt(crb_trace(fy))))))
-    writer = csv.writer(sys.stdout if args.out == "-" else open(args.out, "w", newline=""))
-    writer.writerows(rows)
-    if args.out != "-":
-        print(f"wrote {args.out}")
+    if args.out == "-":
+        csv.writer(sys.stdout).writerows(rows)
+        return 0
+    with open(args.out, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    print(f"wrote {args.out}")
     return 0
 
 
@@ -163,12 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--order", type=int, default=4, help="polynomial coefficient count L")
     p_est.add_argument("--sigma-meters", type=float, required=True,
                        help="per-pair delay noise std in meters (known covariance)")
-    mode = p_est.add_mutually_exclusive_group()
-    mode.add_argument("--global", dest="pairwise", action="store_false",
-                      help="solve the stacked network system (default)")
-    mode.add_argument("--pairwise", dest="pairwise", action="store_true",
-                      help="solve each pair independently")
-    p_est.set_defaults(pairwise=False)
     p_est.add_argument("--c", type=float, default=SPEED_OF_LIGHT)
     p_est.add_argument("--out", required=True)
     p_est.set_defaults(func=_cmd_estimate)

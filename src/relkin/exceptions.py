@@ -29,6 +29,10 @@ class ConfigError(RelkinError):
     """Invalid experiment or CLI configuration."""
 
 
+class InputError(RelkinError, ValueError):
+    """Malformed input data, such as an exchange CSV that breaks its format."""
+
+
 class EmbeddingClampWarning(UserWarning):
     """Negative eigenvalues were clamped to zero during an embedding."""
 

@@ -1,26 +1,25 @@
 """Polynomial range-coefficient estimation from timestamp exchanges.
 
 The measured delay of a pair is modeled as a degree-(L-1) polynomial in the
-transmit marker, so K messages give one Vandermonde block per pair and the
-network stacks into one block design.  Weighted least squares on that system
-recovers the scaled coefficients; a diagonal rescaling converts them to the
-physical range derivatives (meters, m/s, m/s^2, ...):
+transmit marker, so K messages give one K x L Vandermonde block per pair.
+Links are pairwise independent, so the delay covariance is block diagonal
+and the network-wide weighted least-squares problem splits into independent
+per-pair solves.  One batched kernel whitens the (Nbar, K, L) stack of
+blocks and QR-factors every pair at once; the WLS estimate, its Cramer-Rao
+bound and the order-recursive fit all read from it.  A diagonal rescaling
+converts the scaled coefficients to the physical range derivatives (meters,
+m/s, m/s^2, ...):
 
     theta_ell = c * ell! * theta_scaled_ell
-
-With independent pairwise links the covariance is block diagonal and the
-global solve decomposes into per-pair solves; both paths are implemented and
-must agree to solver precision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .exceptions import RankDeficiencyError
 from .kinematics import RangeMatrices, canonical_pairs
@@ -91,10 +90,6 @@ class RangeCoefficients:
         """(Nbar, L) physical coefficients: r (m), rdot (m/s), rddot (m/s^2), ..."""
         return rescale(self.scaled, self.c)
 
-    def stacked_scaled(self) -> np.ndarray:
-        """Global coefficient-major stacking [r_all_pairs, rdot_all_pairs, ...]."""
-        return self.scaled.T.ravel()
-
     def to_range_matrices(self) -> RangeMatrices:
         """Symmetric N x N range matrices from the first three coefficient orders.
 
@@ -108,7 +103,7 @@ class RangeCoefficients:
 
 @dataclass
 class DesignSystem:
-    """Stacked measurement system for the whole network.
+    """Per-pair measurement systems of the whole network.
 
     Attributes:
         markers: (Nbar, K) regressor markers per pair (lower-indexed node's).
@@ -144,11 +139,11 @@ class DesignSystem:
                 raise ValueError("pair_variances must have one entry per pair")
             if np.any(self.pair_variances <= 0):
                 raise ValueError("pair variances must be positive")
-        for p, (i, j) in enumerate(canonical_pairs(self.n_nodes)):
-            if np.unique(self.markers[p]).size < self.L:
-                raise RankDeficiencyError(
-                    f"pair ({i},{j}) has fewer than L={self.L} distinct markers"
-                )
+        distinct = 1 + np.count_nonzero(np.diff(np.sort(self.markers, axis=1), axis=1), axis=1)
+        short = np.flatnonzero(distinct < self.L)
+        if short.size:
+            i, j = canonical_pairs(self.n_nodes)[short[0]]
+            raise RankDeficiencyError(f"pair ({i},{j}) has fewer than L={self.L} distinct markers")
 
     @property
     def K(self) -> int:
@@ -158,35 +153,25 @@ class DesignSystem:
     def n_pairs(self) -> int:
         return self.markers.shape[0]
 
-    def pair_block(self, p: int) -> np.ndarray:
-        """K x L Vandermonde block [1, t, t^2, ...] of pair p."""
-        return np.vander(self.markers[p], self.L, increasing=True)
+    def vandermonde(self) -> np.ndarray:
+        """(Nbar, K, L) stack of the per-pair Vandermonde blocks [1, t, t^2, ...]."""
+        cols = np.empty((self.n_pairs, self.L, self.K))
+        cols[:, 0] = 1.0
+        for ell in range(1, self.L):
+            np.multiply(cols[:, ell - 1], self.markers, out=cols[:, ell])
+        return cols.transpose(0, 2, 1)
 
-    def global_matrix(self) -> np.ndarray:
-        """Dense (Nbar K) x (Nbar L) design; columns grouped by coefficient order."""
-        nbar, K, L = self.n_pairs, self.K, self.L
-        A = np.zeros((nbar * K, nbar * L))
-        for p in range(nbar):
-            block = self.pair_block(p)
-            rows = slice(p * K, (p + 1) * K)
-            for ell in range(L):
-                A[rows, ell * nbar + p] = block[:, ell]
-        return A
-
-    def stacked_tau(self) -> np.ndarray:
-        return self.tau.ravel()
-
-    def row_weights(self) -> np.ndarray:
-        """Whitening weights 1/sigma per stacked row (ones when unweighted)."""
+    def pair_weights(self) -> np.ndarray:
+        """(Nbar,) whitening weights 1/sigma_p (ones when unweighted)."""
         if self.pair_variances is None:
-            return np.ones(self.n_pairs * self.K)
-        return np.repeat(1.0 / np.sqrt(self.pair_variances), self.K)
+            return np.ones(self.n_pairs)
+        return 1.0 / np.sqrt(self.pair_variances)
 
 
 def build_design(exchanges: TimestampExchangeSet, L: int,
                  noise: Optional[NoiseModel] = None,
                  pair_variances=None) -> DesignSystem:
-    """Assemble the stacked design from an exchange set.
+    """Assemble the per-pair systems from an exchange set.
 
     The regressor markers are the lower-indexed node's recorded stamps, and
     the measurements are the signed marker differences.  Pass either a
@@ -212,103 +197,108 @@ def build_design(exchanges: TimestampExchangeSet, L: int,
     )
 
 
-def _rank_deficient_pairs(sys: DesignSystem) -> list[tuple[int, int]]:
-    bad = []
-    for p, pair in enumerate(canonical_pairs(sys.n_nodes)):
-        if np.linalg.matrix_rank(sys.pair_block(p)) < sys.L:
-            bad.append(pair)
-    return bad
+# A pair is rank deficient when a diagonal entry of its R factor falls below
+# this fraction of the pair's largest one.
+_RANK_RTOL = 1e-13
+
+
+class _PairFit(NamedTuple):
+    theta: np.ndarray  # (Nbar, L) scaled coefficients
+    cov: np.ndarray    # (Nbar, L, L) scaled-domain covariance, var_p (V_p^T V_p)^-1
+    rss: np.ndarray    # (Nbar,) whitened residual sum of squares
+
+
+def _fit_pairs(sys: DesignSystem, L: Optional[int] = None) -> _PairFit:
+    """Whitened least squares of every pair on its first L Vandermonde columns.
+
+    One batched QR factors the whole (Nbar, K, L+1) stack [V_p | tau_p] / sigma_p.
+    Its last column carries Q^T tau above the diagonal and the residual below,
+    so Q is never formed, and neither are the normal equations.  L defaults
+    to the system's order.
+
+    Raises:
+        RankDeficiencyError: naming every pair whose block loses column rank.
+    """
+    V = sys.vandermonde()[:, :, :L]
+    L = V.shape[-1]
+    stack = np.concatenate([V, sys.tau[..., None]], axis=-1)
+    stack *= sys.pair_weights()[:, None, None]
+    r = np.linalg.qr(stack, mode="r")
+    R = r[:, :L, :L]
+    diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+    bad = np.flatnonzero(np.any(diag < _RANK_RTOL * diag.max(axis=1, keepdims=True), axis=1))
+    if bad.size:
+        pairs = canonical_pairs(sys.n_nodes)
+        raise RankDeficiencyError(f"rank-deficient design; offending pairs {[pairs[p] for p in bad]}")
+    rinv = np.linalg.inv(R)
+    return _PairFit(theta=np.linalg.solve(R, r[:, :L, L:])[..., 0],
+                    cov=rinv @ rinv.transpose(0, 2, 1),
+                    rss=np.sum(r[:, L:, L] ** 2, axis=1))
 
 
 def wls_solve(sys: DesignSystem) -> RangeCoefficients:
-    """Weighted least squares over the stacked global system.
+    """Weighted least squares of every pair's K x L Vandermonde system.
 
-    Solves the whitened system with an orthogonal decomposition (never the
-    explicit normal equations); with a full-rank design and polynomial-
+    With block-diagonal covariance the network-wide WLS solution is the
+    stack of the per-pair solutions, so this one routine is both the global
+    and the distributed estimate.  With a full-rank design and polynomial-
     consistent noiseless measurements the recovery is exact to solver
     precision.  The solution is invariant to scaling all variances by a
     positive constant.
 
     Raises:
-        RankDeficiencyError: naming the offending pair(s) when the design
+        RankDeficiencyError: naming the offending pair(s) when a block
             loses column rank.
     """
-    A = sys.global_matrix() * sys.row_weights()[:, None]
-    b = sys.stacked_tau() * sys.row_weights()
-    theta, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-    if rank < sys.n_pairs * sys.L:
-        raise RankDeficiencyError(f"rank-deficient design; offending pairs {_rank_deficient_pairs(sys)}")
-    scaled = theta.reshape(sys.L, sys.n_pairs).T
-    return RangeCoefficients(scaled=scaled, n_nodes=sys.n_nodes, c=sys.c)
+    return RangeCoefficients(scaled=_fit_pairs(sys).theta, n_nodes=sys.n_nodes, c=sys.c)
 
 
-def pairwise_solve(sys: DesignSystem) -> RangeCoefficients:
-    """Distributed estimate: solve each pair's K x L system independently.
-
-    With block-diagonal covariance this equals the global WLS solution
-    exactly, so stacking the per-pair solutions reproduces
-    :func:`wls_solve` to solver tolerance.
-    """
-    scaled = np.empty((sys.n_pairs, sys.L))
-    for p, pair in enumerate(canonical_pairs(sys.n_nodes)):
-        A = sys.pair_block(p)
-        theta, _, rank, _ = np.linalg.lstsq(A, sys.tau[p], rcond=None)
-        if rank < sys.L:
-            raise RankDeficiencyError(f"rank-deficient design for pair {pair}")
-        scaled[p] = theta
-    return RangeCoefficients(scaled=scaled, n_nodes=sys.n_nodes, c=sys.c)
+pairwise_solve = wls_solve
 
 
 @dataclass
 class RangeCrb:
     """Lower bound on the covariance of unbiased range-coefficient estimates.
 
-    `cov` is the (Nbar L) x (Nbar L) bound on the physical coefficients in
-    coefficient-major order; `block(ell)` extracts the Nbar x Nbar diagonal
-    block of coefficient order ell.  The bound depends on the markers and
+    `cov` is the (Nbar, L, L) stack of per-pair bounds on the physical
+    coefficients; pairs are independent, so the network-wide bound is block
+    diagonal with these blocks.  `block(ell)` is the Nbar x Nbar (diagonal)
+    bound of coefficient order ell.  The bound depends on the markers and
     the noise covariance only, so it is unaffected by direction flags.
     """
 
     cov: np.ndarray
     n_nodes: int
-    L: int
+
+    @property
+    def L(self) -> int:
+        return self.cov.shape[-1]
 
     def block(self, ell: int) -> np.ndarray:
-        nbar = len(canonical_pairs(self.n_nodes))
-        sl = slice(ell * nbar, (ell + 1) * nbar)
-        return self.cov[sl, sl]
+        return np.diag(self.cov[:, ell, ell])
 
     def rcrb(self, ell: int) -> float:
         """Root bound on the vector RMSE of coefficient order ell."""
-        return float(np.sqrt(np.trace(self.block(ell))))
+        return float(np.sqrt(np.sum(self.cov[:, ell, ell])))
 
     def per_pair_rcrb(self, ell: int) -> np.ndarray:
-        return np.sqrt(np.diag(self.block(ell)))
+        return np.sqrt(self.cov[:, ell, ell])
 
 
 def crb_theta(sys: DesignSystem) -> RangeCrb:
     """Cramer-Rao bound on the physical range coefficients.
 
-    Computed from an orthogonal decomposition of the whitened design; the
+    Computed from the per-pair QR factors of the whitened design; the
     scaled-domain bound is conjugated by the diagonal rescaling map.
 
     Raises:
         ValueError: if the system declares no noise covariance.
-        RankDeficiencyError: if the whitened design is column rank deficient.
+        RankDeficiencyError: if a whitened block is column rank deficient.
     """
     if sys.pair_variances is None:
         raise ValueError("crb_theta requires pair_variances on the design system")
-    A = sys.global_matrix() * sys.row_weights()[:, None]
-    _, rtri = np.linalg.qr(A)
-    diag = np.abs(np.diag(rtri))
-    if np.any(diag < 1e-13 * diag.max()):
-        raise RankDeficiencyError(
-            f"rank-deficient design; offending pairs {_rank_deficient_pairs(sys)}"
-        )
-    rinv = solve_triangular(rtri, np.eye(rtri.shape[0]))
-    minv = rinv @ rinv.T
-    f = np.repeat(scale_factors(sys.L, sys.c), sys.n_pairs)
-    return RangeCrb(cov=minv * np.outer(f, f), n_nodes=sys.n_nodes, L=sys.L)
+    f = scale_factors(sys.L, sys.c)
+    return RangeCrb(cov=_fit_pairs(sys).cov * np.outer(f, f), n_nodes=sys.n_nodes)
 
 
 def order_select(exchanges: TimestampExchangeSet, L_max: int,
@@ -324,20 +314,11 @@ def order_select(exchanges: TimestampExchangeSet, L_max: int,
     if L_max < 1:
         raise ValueError("L_max must be >= 1")
     sys_max = build_design(exchanges, L_max, noise=noise)
-    A_max = sys_max.global_matrix() * sys_max.row_weights()[:, None]
-    b = sys_max.stacked_tau() * sys_max.row_weights()
-    nbar = sys_max.n_pairs
+    b = sys_max.tau * sys_max.pair_weights()[:, None]
     floor = (1e-12 * max(np.linalg.norm(b), 1e-300)) ** 2
-    rss = []
-    solutions = []
-    for L in range(1, L_max + 1):
-        # columns are grouped by coefficient order, so the order-L design is
-        # a prefix of the widest one
-        A = A_max[:, : nbar * L]
-        theta, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
-        rss.append(float(np.sum((A @ theta - b) ** 2)))
-        solutions.append(RangeCoefficients(scaled=theta.reshape(L, nbar).T,
-                                           n_nodes=sys_max.n_nodes, c=sys_max.c))
+    # the order-L design is the first L columns of the widest Vandermonde stack
+    fits = [_fit_pairs(sys_max, L) for L in range(1, L_max + 1)]
+    rss = [float(np.sum(fit.rss)) for fit in fits]
     chosen = L_max
     for idx in range(L_max):
         if rss[idx] <= floor:
@@ -346,4 +327,5 @@ def order_select(exchanges: TimestampExchangeSet, L_max: int,
         if idx + 1 < L_max and (rss[idx] - rss[idx + 1]) < rel_improvement * rss[idx]:
             chosen = idx + 1
             break
-    return chosen, solutions[chosen - 1]
+    return chosen, RangeCoefficients(scaled=fits[chosen - 1].theta,
+                                     n_nodes=sys_max.n_nodes, c=sys_max.c)

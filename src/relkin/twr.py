@@ -14,12 +14,13 @@ carries the sum of both endpoint variances.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-from .exceptions import UnsupportedCovarianceError
+from .exceptions import InputError, UnsupportedCovarianceError
 from .kinematics import TrajectorySet, canonical_pairs, range_derivatives, taylor_range
 from .rng import derive_rng
 
@@ -35,6 +36,8 @@ __all__ = [
 ]
 
 SPEED_OF_LIGHT = 3e8  # m/s, propagation speed used throughout unless overridden
+
+_CSV_COLUMNS = ("i", "j", "k", "E", "T_tx", "T_rx")
 
 
 @dataclass
@@ -137,8 +140,9 @@ class NoiseModel:
 class NoiseCovariance:
     """Block-diagonal covariance of the stacked delay measurements.
 
-    One scalar variance per pair; the full matrix is
-    bdiag(var_12 I_K, var_13 I_K, ...) over canonical pair order.
+    One scalar variance per pair; the covariance is
+    bdiag(var_12 I_K, var_13 I_K, ...) over canonical pair order, so only
+    the per-pair variances are stored.
     """
 
     pair_variances: np.ndarray
@@ -146,9 +150,6 @@ class NoiseCovariance:
 
     def __post_init__(self):
         self.pair_variances = np.asarray(self.pair_variances, float)
-
-    def full(self) -> np.ndarray:
-        return np.diag(np.repeat(self.pair_variances, self.K))
 
 
 def effective_noise_covariance(noise: NoiseModel, n_nodes: int, K: int,
@@ -219,7 +220,7 @@ class TimestampExchangeSet:
         """Write rows (i, j, k, E, T_tx, T_rx); floats keep full precision."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["i", "j", "k", "E", "T_tx", "T_rx"])
+            writer.writerow(_CSV_COLUMNS)
             for p, (i, j) in enumerate(self.pairs):
                 for k in range(self.K):
                     if self.e[p, k] == 1:
@@ -230,35 +231,90 @@ class TimestampExchangeSet:
 
     @classmethod
     def from_csv(cls, path, c: float = SPEED_OF_LIGHT) -> "TimestampExchangeSet":
-        rows = {}
+        """Read rows (i, j, k, E, T_tx, T_rx) as written by :meth:`to_csv`.
+
+        Every pair 0 <= i < j < N must appear with one common message count
+        K, and each message index k in 0..K-1 exactly once per pair.
+
+        Raises:
+            InputError: if the file is empty, lacks a column, holds a value
+                that is not a number, a non-integer or out-of-range index, a
+                direction flag other than +/-1 or a non-finite timestamp,
+                misses a pair, or repeats an (i, j, k) message.
+        """
         with open(path, newline="") as fh:
-            for rec in csv.DictReader(fh):
-                key = (int(rec["i"]), int(rec["j"]))
-                rows.setdefault(key, []).append(
-                    (int(rec["k"]), int(rec["E"]), float(rec["T_tx"]), float(rec["T_rx"]))
-                )
-        if not rows:
-            raise ValueError(f"no exchange rows found in {path}")
-        n_nodes = max(max(i, j) for i, j in rows) + 1
-        pairs = canonical_pairs(n_nodes)
-        if set(rows) != set(pairs):
-            missing = sorted(set(pairs) - set(rows))
-            raise ValueError(f"exchange file is missing pairs {missing}")
-        K = len(rows[pairs[0]])
-        t_i = np.zeros((len(pairs), K))
-        t_j = np.zeros((len(pairs), K))
-        e = np.zeros((len(pairs), K), int)
-        for p, pair in enumerate(pairs):
-            recs = sorted(rows[pair])
-            if len(recs) != K:
-                raise ValueError(f"pair {pair} has {len(recs)} messages, expected {K}")
-            for k, flag, tx, rx in recs:
-                e[p, k] = flag
-                if flag == 1:
-                    t_i[p, k], t_j[p, k] = tx, rx
-                else:
-                    t_i[p, k], t_j[p, k] = rx, tx
-        return cls(n_nodes=n_nodes, t_i=t_i, t_j=t_j, e=e, c=c)
+            header = next(csv.reader([fh.readline()]), [])
+            lines = fh.readlines()
+        if not header:
+            raise InputError(f"{path} is empty")
+        absent = [name for name in _CSV_COLUMNS if name not in header]
+        if absent:
+            raise InputError(f"{path} lacks the columns {absent}")
+        if not any(line.strip() for line in lines):
+            raise InputError(f"no exchange rows found in {path}")
+        try:
+            data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                              usecols=[header.index(name) for name in _CSV_COLUMNS])
+        except ValueError as exc:
+            raise InputError(f"{path}: {exc}") from None
+
+        idx = data[:, :4]
+        _reject_rows(path, data, ~np.all(np.isfinite(idx) & (idx == np.round(idx)), axis=1),
+                     "i, j, k and E must be integers")
+        i, j, k, flag = idx.T
+        _reject_rows(path, data, (i < 0) | (j <= i), "pair indices must satisfy 0 <= i < j")
+        _reject_rows(path, data, np.abs(flag) != 1, "direction flag E must be +1 or -1")
+        _reject_rows(path, data, ~np.all(np.isfinite(data[:, 4:]), axis=1), "non-finite timestamp")
+
+        n_nodes = int(j.max()) + 1
+        nbar = n_nodes * (n_nodes - 1) // 2
+        if nbar > len(data):  # some pair has no row; skip counting nbar slots
+            raise InputError(_missing_pairs(n_nodes, i, j))
+        p = (i * (2 * n_nodes - i - 1) // 2 + j - i - 1).astype(np.intp)
+        per_pair = np.bincount(p, minlength=nbar)
+        if not per_pair.all():
+            raise InputError(_missing_pairs(n_nodes, i, j))
+        # each pair holds K rows with distinct k in 0..K-1, so every slot is filled
+        K = int(per_pair[0])
+        uneven = np.flatnonzero(per_pair != K)
+        if uneven.size:
+            q = uneven[0]
+            raise InputError(f"pair {canonical_pairs(n_nodes)[q]} has {per_pair[q]} messages, "
+                             f"expected {K}")
+        _reject_rows(path, data, (k < 0) | (k >= K), f"message index k must lie in 0..{K - 1}")
+        slot = p * K + k.astype(np.intp)
+        seen = np.bincount(slot, minlength=nbar * K)
+        _reject_rows(path, data, seen[slot] > 1, "duplicate (i, j, k) message")
+
+        fwd = flag == 1
+        tx, rx = data[:, 4], data[:, 5]
+        t_i = np.empty(nbar * K)
+        t_j = np.empty(nbar * K)
+        e = np.empty(nbar * K, int)
+        t_i[slot] = np.where(fwd, tx, rx)
+        t_j[slot] = np.where(fwd, rx, tx)
+        e[slot] = flag
+        shape = (nbar, K)
+        return cls(n_nodes=n_nodes, t_i=t_i.reshape(shape), t_j=t_j.reshape(shape),
+                   e=e.reshape(shape), c=c)
+
+
+def _reject_rows(path, data: np.ndarray, bad: np.ndarray, reason: str) -> None:
+    """Raise InputError naming the first data row flagged in `bad`."""
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        r = rows[0]
+        raise InputError(f"{path}: data row {r + 1} {data[r].tolist()}: {reason}")
+
+
+def _missing_pairs(n_nodes: int, i: np.ndarray, j: np.ndarray) -> str:
+    """Message naming the first few pairs 0 <= i < j < n_nodes that have no row."""
+    present = set(zip(i.tolist(), j.tolist()))
+    n_missing = n_nodes * (n_nodes - 1) // 2 - len(present)
+    missing = itertools.islice((pair for pair in itertools.combinations(range(n_nodes), 2)
+                                if pair not in present), 5)
+    return (f"exchange file is missing pairs {list(missing)}"
+            + (f" and {n_missing - 5} more" if n_missing > 5 else ""))
 
 
 def generate_timestamps(cfg: ExchangeConfig, n_pairs: int = 1) -> np.ndarray:

@@ -1,7 +1,9 @@
 import csv
+import gc
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -49,14 +51,43 @@ class TestEstimate:
             assert got[(i, j)] == pytest.approx(r_true[p], rel=1e-8)
         assert all(float(r["rcrb"]) > 0 for r in rows)
 
-    def test_pairwise_flag_matches_global(self, exchange_csv, tmp_path):
-        out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
-        main(["estimate", "--exchanges", str(exchange_csv), "--sigma-meters", "0.1",
-              "--out", str(out_a)])
-        main(["estimate", "--exchanges", str(exchange_csv), "--sigma-meters", "0.1",
-              "--pairwise", "--out", str(out_b)])
-        for ra, rb in zip(read_rows(out_a), read_rows(out_b)):
-            assert float(ra["theta"]) == pytest.approx(float(rb["theta"]), abs=1e-9)
+    def test_solver_switch_removed(self, exchange_csv, tmp_path):
+        # one per-pair solver serves every caller, so there is no mode to pick
+        for flag in ("--pairwise", "--global"):
+            with pytest.raises(SystemExit) as exc:
+                main(["estimate", "--exchanges", str(exchange_csv), "--sigma-meters", "0.1",
+                      flag, "--out", str(tmp_path / "a.csv")])
+            assert exc.value.code == 2
+
+    @pytest.mark.parametrize("sigma", ["0", "-0.1", "nan", "inf"])
+    def test_nonpositive_sigma_is_clean_error(self, exchange_csv, tmp_path, sigma):
+        out = tmp_path / "theta.csv"
+        rc = main(["estimate", "--exchanges", str(exchange_csv), f"--sigma-meters={sigma}",
+                   "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit", ["duplicate", "k_out_of_range", "nan_timestamp",
+                                      "missing_pair", "empty"])
+    def test_malformed_exchanges_are_clean_errors(self, exchange_csv, tmp_path, edit):
+        lines = exchange_csv.read_text().splitlines()
+        fields = lines[2].split(",")  # i, j, k, E, T_tx, T_rx of pair (0,1), k=1
+        if edit == "duplicate":
+            lines[2] = lines[1]
+        elif edit == "k_out_of_range":
+            lines[2] = ",".join(fields[:2] + ["20"] + fields[3:])
+        elif edit == "nan_timestamp":
+            lines[2] = ",".join(fields[:5] + ["nan"])
+        elif edit == "missing_pair":
+            lines = [line for line in lines if not line.startswith("0,1,")]
+        else:
+            lines = []
+        exchange_csv.write_text("".join(line + "\n" for line in lines))
+        out = tmp_path / "theta.csv"
+        rc = main(["estimate", "--exchanges", str(exchange_csv), "--sigma-meters", "0.1",
+                   "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
 
     def test_missing_file_is_clean_error(self, tmp_path):
         rc = main(["estimate", "--exchanges", str(tmp_path / "nope.csv"),
@@ -96,6 +127,28 @@ class TestCrb:
         quantities = [r["quantity"] for r in rows]
         assert quantities == ["r", "rdot", "rddot", "order_3", "Xrel", "Yrel"]
         assert all(float(r["rcrb"]) > 0 for r in rows)
+
+    def test_output_file_closed(self, tmp_path, monkeypatch):
+        # a leaked handle warns from its finalizer, where the error surfaces
+        # through sys.unraisablehook instead of propagating
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        out = tmp_path / "crb.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            rc = main(["crb", "--messages", "20", "--sigma-meters", "0.1", "--out", str(out)])
+            gc.collect()
+        assert rc == 0
+        assert unraisable == []
+        assert [r["quantity"] for r in read_rows(out)] == [
+            "r", "rdot", "rddot", "order_3", "Xrel", "Yrel"]
+
+    @pytest.mark.parametrize("sigma", ["0", "-1", "nan"])
+    def test_nonpositive_sigma_is_clean_error(self, tmp_path, sigma):
+        out = tmp_path / "crb.csv"
+        rc = main(["crb", "--messages", "20", f"--sigma-meters={sigma}", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
 
 
 class TestExperiment:

@@ -21,6 +21,8 @@ from relkin import (
 )
 from relkin.kinematics import TrajectorySet, canonical_pairs
 
+import dense_oracle
+
 C = 3e8
 
 
@@ -38,17 +40,17 @@ def single_pair_system(markers, tau, L, var=None):
 class TestDesign:
     def test_vandermonde_block_order_two(self):
         sys = single_pair_system([0, 1, 2], [0, 0, 0], L=2)
-        assert np.array_equal(sys.pair_block(0), [[1, 0], [1, 1], [1, 2]])
+        assert np.array_equal(sys.vandermonde()[0], [[1, 0], [1, 1], [1, 2]])
 
     def test_vandermonde_third_column(self):
         sys = single_pair_system([0, 1, 2], [0, 0, 0], L=3)
-        assert np.array_equal(sys.pair_block(0)[:, 2], [0, 1, 4])
+        assert np.array_equal(sys.vandermonde()[0][:, 2], [0, 1, 4])
 
     def test_global_first_block_is_kron_identity_ones(self):
         markers = np.zeros((3, 2))
         markers[:] = [0.0, 1.0]
         sys = DesignSystem(markers=markers, tau=np.zeros((3, 2)), L=1, n_nodes=3, c=C)
-        assert np.array_equal(sys.global_matrix(), np.kron(np.eye(3), np.ones((2, 1))))
+        assert np.array_equal(dense_oracle.global_matrix(sys), np.kron(np.eye(3), np.ones((2, 1))))
 
     def test_repeated_markers_rejected_with_pair_name(self):
         markers = np.array([[0.0, 1.0, 2.0], [1.0, 1.0, 1.0], [0.0, 1.0, 2.0]])
@@ -117,12 +119,23 @@ class TestWls:
 
     def test_single_pair_matches_global(self):
         sys = single_pair_system([0.0, 0.5, 1.0, 1.5], [1.0, 1.2, 1.5, 1.9], L=3)
-        assert np.allclose(wls_solve(sys).scaled, pairwise_solve(sys).scaled, atol=1e-14)
+        assert np.allclose(wls_solve(sys).scaled, dense_oracle.wls(sys), atol=1e-14)
+
+    def test_near_coincident_markers_rejected_by_rank_rule(self):
+        # distinct in float64, so the design is accepted, but two markers one
+        # ulp apart leave the (0,2) block numerically rank 3 of 4
+        markers = np.array([[0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 1.0 + 2**-52, 2.0],
+                            [0.0, 1.0, 2.0, 3.0]])
+        sys = DesignSystem(markers=markers, tau=np.zeros((3, 4)), L=4, n_nodes=3, c=C,
+                           pair_variances=np.ones(3))
+        for solver in (wls_solve, crb_theta):
+            with pytest.raises(RankDeficiencyError, match=r"offending pairs \[\(0, 2\)\]"):
+                solver(sys)
 
     def test_interpolatory_pair_with_k_equals_l(self):
         sys = single_pair_system([0.0, 1.0, 2.0], [1.0, 2.0, 4.5], L=3)
         coeffs = pairwise_solve(sys)
-        fitted = sys.pair_block(0) @ coeffs.scaled[0]
+        fitted = sys.vandermonde()[0] @ coeffs.scaled[0]
         assert np.allclose(fitted, sys.tau[0], atol=1e-12)
 
 
@@ -179,8 +192,8 @@ class TestDistributedEquivalence:
         noise = NoiseModel(sigma=rng.uniform(1e-10, 1e-9, n), unit="s")
         ex = simulate_exchanges(traj, ExchangeConfig(K=k), noise, seed=seed)
         sys = build_design(ex, L=4, noise=noise)
-        a, b = wls_solve(sys), pairwise_solve(sys)
-        assert np.max(np.abs(a.scaled - b.scaled)) < 1e-12
+        a, b = pairwise_solve(sys).scaled, dense_oracle.wls(sys)
+        assert np.max(np.abs(a - b)) < 1e-12
 
 
 class TestRescale:
@@ -226,7 +239,8 @@ class TestCrbTheta:
         extra = np.concatenate([base, np.linspace(-2.7, 2.7, 9)])
         small = crb_theta(single_pair_system(base, np.zeros(10), L=4, var=sigma**2))
         large = crb_theta(single_pair_system(extra, np.zeros(19), L=4, var=sigma**2))
-        assert np.all(np.diag(large.cov) <= np.diag(small.cov) + 1e-30)
+        diag = lambda crb: np.diagonal(crb.cov, axis1=1, axis2=2)
+        assert np.all(diag(large) <= diag(small) + 1e-30)
 
     def test_block_layout_matches_network(self):
         traj = builtin_trajectory("cluster5")
@@ -234,7 +248,7 @@ class TestCrbTheta:
         ex = simulate_exchanges(traj, ExchangeConfig(K=20), NoiseModel(0.0), seed=0)
         sys = build_design(ex, L=4, noise=noise)
         crb = crb_theta(sys)
-        assert crb.cov.shape == (40, 40)
+        assert crb.cov.shape == (10, 4, 4)
         # identical grids and variances: every pair shares one per-pair bound
         for ell in range(4):
             d = np.diag(crb.block(ell))
@@ -247,18 +261,14 @@ class TestCrbTheta:
             crb_theta(sys)
 
     def test_qr_bound_matches_explicit_normal_inverse(self):
-        # independent route: invert A^T S^-1 A directly and conjugate by the
-        # rescaling map; the orthogonal-decomposition path must agree
+        # independent route: invert the dense network-wide A^T S^-1 A and
+        # conjugate by the rescaling map; the per-pair QR path must agree
         traj = builtin_trajectory("cluster5")
         noise = NoiseModel.from_pair_sigma(0.1, unit="m")
         ex = simulate_exchanges(traj, ExchangeConfig(K=25), NoiseModel(0.0), seed=0)
         sys = build_design(ex, L=4, noise=noise)
         crb = crb_theta(sys)
-        a = sys.global_matrix() * sys.row_weights()[:, None]
-        minv = np.linalg.inv(a.T @ a)
-        from relkin.ranging import scale_factors
-        f = np.repeat(scale_factors(4, sys.c), sys.n_pairs)
-        direct = minv * np.outer(f, f)
+        direct = dense_oracle.per_pair_blocks(dense_oracle.crb(sys), sys.n_pairs, 4)
         assert np.allclose(crb.cov, direct, rtol=1e-9)
 
     def test_bound_unaffected_by_direction_policy(self):

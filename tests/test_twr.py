@@ -3,7 +3,9 @@ import pytest
 
 from relkin import (
     ExchangeConfig,
+    InputError,
     NoiseModel,
+    RelkinError,
     TimestampExchangeSet,
     UnsupportedCovarianceError,
     builtin_trajectory,
@@ -15,6 +17,8 @@ from relkin import (
 )
 from relkin.kinematics import TrajectorySet, taylor_range
 from relkin.rng import derive_rng
+
+import dense_oracle
 
 C = 3e8
 
@@ -63,7 +67,7 @@ class TestNoiseModel:
         s = 0.5
         cov = effective_noise_covariance(NoiseModel(sigma=np.sqrt(s)), 3, 2, c=C)
         assert cov.pair_variances == pytest.approx([2 * s, 2 * s, 2 * s])
-        full = cov.full()
+        full = dense_oracle.noise_covariance(cov.pair_variances, cov.K)
         assert full.shape == (6, 6)
         assert np.allclose(full, np.diag([2 * s] * 6))
 
@@ -190,6 +194,64 @@ class TestSimulation:
         path.write_text("i,j,k,E,T_tx,T_rx\n0,2,0,1,0.0,1.0e-06\n")
         with pytest.raises(ValueError, match="missing pairs"):
             TimestampExchangeSet.from_csv(path)
+
+    @staticmethod
+    def edited_csv(tmp_path, row, **fields):
+        """Two-node, K=3 exchange file with data row `row` (0-based) edited."""
+        traj = TrajectorySet(X=[[0.0, 300.0], [0.0, 0.0]], Y=np.zeros((2, 2)))
+        ex = simulate_exchanges(traj, ExchangeConfig(K=3), NoiseModel(0.0), seed=0)
+        path = tmp_path / "edited.csv"
+        ex.to_csv(path)
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        values = lines[row + 1].split(",")
+        for name, value in fields.items():
+            values[header.index(name)] = value
+        lines[row + 1] = ",".join(values)
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_csv_duplicate_row_rejected(self, tmp_path):
+        # k=0 twice leaves slot k=1 unfilled; it must not enter the fit as 0.0
+        path = self.edited_csv(tmp_path, 1, k="0")
+        with pytest.raises(InputError, match=r"duplicate \(i, j, k\)"):
+            TimestampExchangeSet.from_csv(path)
+
+    def test_csv_out_of_range_k_rejected(self, tmp_path):
+        path = self.edited_csv(tmp_path, 2, k="3")
+        with pytest.raises(InputError, match=r"k must lie in 0\.\.2"):
+            TimestampExchangeSet.from_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_csv_non_finite_timestamp_rejected(self, tmp_path, value):
+        path = self.edited_csv(tmp_path, 1, T_rx=value)
+        with pytest.raises(InputError, match="non-finite timestamp"):
+            TimestampExchangeSet.from_csv(path)
+
+    @pytest.mark.parametrize("text", ["", "i,j,k,E,T_tx,T_rx\n", "i,j,k,E,T_tx,T_rx\n\n"])
+    def test_csv_empty_file_rejected(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(InputError):
+            TimestampExchangeSet.from_csv(path)
+
+    @pytest.mark.parametrize("fields", [{"E": "0"}, {"k": "1.5"}, {"T_tx": "abc"},
+                                        {"i": "1"}, {"i": "-1"}],
+                             ids=["flag_zero", "fractional_k", "non_numeric", "i_not_below_j",
+                                  "negative_i"])
+    def test_csv_malformed_value_rejected(self, tmp_path, fields):
+        path = self.edited_csv(tmp_path, 1, **fields)
+        with pytest.raises(InputError):
+            TimestampExchangeSet.from_csv(path)
+
+    def test_csv_missing_column_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("i,j,k,T_tx,T_rx\n0,1,0,0.0,1.0e-06\n")
+        with pytest.raises(InputError, match="lacks the columns"):
+            TimestampExchangeSet.from_csv(path)
+
+    def test_input_error_is_a_value_error(self):
+        assert issubclass(InputError, ValueError) and issubclass(InputError, RelkinError)
 
 
 def test_derive_rng_order_independent():
