@@ -1,15 +1,22 @@
 """Fisher information and Cramer-Rao bounds for relative positions and velocities.
 
-Both information matrices are built from pair-difference Jacobians against
-the distance-domain measurements: ranges for positions, and the squared
-velocity differences (r rddot + rdot^2) for velocities.  Relative geometry
-leaves translations and a global rotation unidentifiable, so for P = 2 both
-matrices are structurally rank deficient by exactly 3 and the bound is the
-trace of the rank-truncated pseudo-inverse.
+Links are independent, so each noise covariance is diagonal over pairs and
+is carried as an (Nbar,) vector of per-pair variances (a diagonal
+Nbar x Nbar matrix is reduced to its diagonal; a nonzero off-diagonal entry
+raises UnsupportedCovarianceError).  Each information matrix is then one
+weighted pair-difference Gram over the canonical pairs p = (i, j),
 
-The measurement vector follows the convention that lists each pair in both
-orderings (length 2 Nbar with block covariance bdiag(S, S)), which counts
-every symmetric measurement twice; pass duplicate_pairs=False for the
+    F = sum_p w_p a_p a_p^T,    a_p = (e_i - e_j) kron (z_i - z_j),
+
+from the ranges for positions (z = x) and from the squared velocity
+differences r rddot + rdot^2 for velocities (z = y), assembled in
+O(Nbar P^2): off-diagonal blocks -w_p g_p g_p^T, diagonal blocks minus the
+sum of their row.  Translations and a global rotation are unidentifiable,
+so for P = 2 both matrices are structurally rank deficient by exactly 3 and
+the bound is the trace of the rank-truncated pseudo-inverse.
+
+By default each pair is listed in both orderings (2 Nbar measurements),
+which doubles every weight; duplicate_pairs=False gives the
 Nbar-measurement variant (exactly half the information).
 """
 
@@ -19,12 +26,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .exceptions import (
     DegenerateGeometryError,
     DegenerateVelocityWarning,
     RegularizedInverseWarning,
+    UnsupportedCovarianceError,
 )
 from .kinematics import RangeMatrices, canonical_pairs
 
@@ -53,129 +60,126 @@ class FisherInfo:
         return self.matrix.shape[0]
 
 
+def _pair_variances(sigma, name: str) -> np.ndarray:
+    """(Nbar,) per-pair variances from a vector or a diagonal Nbar x Nbar matrix.
+
+    Raises:
+        UnsupportedCovarianceError: if a matrix has a nonzero off-diagonal entry.
+    """
+    sigma = np.asarray(sigma, float)
+    if sigma.ndim == 1:
+        return sigma
+    var = np.diag(sigma).copy()
+    if sigma.shape != (len(var),) * 2 or np.count_nonzero(sigma) != np.count_nonzero(var):
+        raise UnsupportedCovarianceError(f"{name} is not a diagonal pair covariance; "
+                                         "links must be independent")
+    return var
+
+
 @dataclass
 class RangeNoiseCovariances:
-    """Covariance blocks of the estimated range coefficients (pair-ordered)."""
+    """Per-pair variances of the estimated r, rdot and rddot coefficients.
+
+    Each field is an (Nbar,) vector in canonical pair order.  A diagonal
+    Nbar x Nbar covariance matrix is also accepted and reduced to its
+    diagonal; a nonzero off-diagonal entry raises UnsupportedCovarianceError.
+    """
 
     Sigma_r: np.ndarray
     Sigma_rdot: np.ndarray
     Sigma_rddot: np.ndarray
 
+    def __post_init__(self):
+        for name in ("Sigma_r", "Sigma_rdot", "Sigma_rddot"):
+            setattr(self, name, _pair_variances(getattr(self, name), name))
+
     @classmethod
     def from_theta_crb(cls, crb) -> "RangeNoiseCovariances":
-        """Extract the first three diagonal blocks of a range-coefficient bound."""
+        """Per-pair variances of the first three orders of a range-coefficient bound."""
         if crb.L < 3:
             raise ValueError("need coefficient orders r, rdot, rddot (L >= 3)")
-        return cls(Sigma_r=crb.block(0), Sigma_rdot=crb.block(1), Sigma_rddot=crb.block(2))
+        return cls(*(crb.cov[:, ell, ell] for ell in range(3)))
 
 
-def _structural_deficiency(P: int) -> int:
-    return P + P * (P - 1) // 2
+def _check_pair_count(var: np.ndarray, n: int) -> None:
+    if len(var) != n * (n - 1) // 2:
+        raise ValueError(f"{len(var)} pair variances for {n} nodes")
 
 
-def _pair_difference_jacobian(Z: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Nbar x (N P) Jacobian with row p holding +s_p g_p in node-i's block and
-    -s_p g_p in node-j's, where g_p = z_i - z_j."""
+def _pair_fisher(Z: np.ndarray, w: np.ndarray) -> FisherInfo:
+    """sum_p w_p a_p a_p^T with a_p = (e_i - e_j) kron (z_i - z_j), as an
+    (N P) x (N P) information matrix ordered like vec(Z)."""
     P, n = Z.shape
-    pairs = canonical_pairs(n)
-    J = np.zeros((len(pairs), n * P))
-    for p, (i, j) in enumerate(pairs):
-        g = scale[p] * (Z[:, i] - Z[:, j])
-        J[p, i * P:(i + 1) * P] = g
-        J[p, j * P:(j + 1) * P] = -g
-    return J
+    i, j = np.triu_indices(n, k=1)
+    g = Z[:, i] - Z[:, j]
+    off = np.moveaxis(g[:, None, :] * g[None, :, :] * -w, -1, 0)
+    F = np.zeros((n, n, P, P))
+    F[i, j] = off
+    F[j, i] = off
+    F[np.arange(n), np.arange(n)] = -F.sum(axis=1)
+    return FisherInfo(matrix=F.transpose(0, 2, 1, 3).reshape(n * P, n * P),
+                      structural_deficiency=P + P * (P - 1) // 2)
 
 
-def _assemble_fim(J_half: np.ndarray, Sigma_half: np.ndarray,
-                  duplicate_pairs: bool, ridge: float | None = None) -> np.ndarray:
-    if duplicate_pairs:
-        J = np.vstack([J_half, J_half])
-        Sigma = block_diag(Sigma_half, Sigma_half)
-    else:
-        J, Sigma = J_half, Sigma_half
-    try:
-        sol = np.linalg.solve(Sigma, J)
-    except np.linalg.LinAlgError:
-        if ridge is None:
-            raise
-        eps = ridge * max(np.trace(Sigma) / Sigma.shape[0], 1.0)
-        warnings.warn(
-            f"singular measurement covariance; inverting with ridge {eps:.3e}",
-            RegularizedInverseWarning,
-            stacklevel=3,
-        )
-        sol = np.linalg.solve(Sigma + eps * np.eye(Sigma.shape[0]), J)
-    F = J.T @ sol
-    return 0.5 * (F + F.T)
-
-
-def fim_position(Xrel: np.ndarray, Sigma_r: np.ndarray,
-                 duplicate_pairs: bool = True) -> FisherInfo:
+def fim_position(Xrel: np.ndarray, Sigma_r, duplicate_pairs: bool = True) -> FisherInfo:
     """Fisher information of the stacked relative positions vec(Xrel).
 
     The Jacobian row of pair (i, j) is the unit direction
-    (x_i - x_j)/d_ij placed in node i's block and negated in node j's.
-    Translating the whole configuration leaves the matrix unchanged.
+    (x_i - x_j)/d_ij placed in node i's block and negated in node j's, so
+    the pair weight is 1/(d_ij^2 var_r).  Translating the whole
+    configuration leaves the matrix unchanged.
 
     Raises:
         DegenerateGeometryError: if any two nodes coincide.
+        np.linalg.LinAlgError: if a pair's range variance is zero.
     """
     Xrel = np.asarray(Xrel, float)
     _, n = Xrel.shape
-    d = np.array([np.linalg.norm(Xrel[:, i] - Xrel[:, j]) for i, j in canonical_pairs(n)])
-    if np.any(d == 0.0):
-        p = int(np.argmax(d == 0.0))
-        raise DegenerateGeometryError(f"nodes {canonical_pairs(n)[p]} coincide")
-    J_half = _pair_difference_jacobian(Xrel, 1.0 / d)
-    F = _assemble_fim(J_half, np.asarray(Sigma_r, float), duplicate_pairs)
-    return FisherInfo(matrix=F, structural_deficiency=_structural_deficiency(Xrel.shape[0]))
+    var = _pair_variances(Sigma_r, "Sigma_r")
+    _check_pair_count(var, n)
+    i, j = np.triu_indices(n, k=1)
+    d2 = np.sum((Xrel[:, i] - Xrel[:, j]) ** 2, axis=0)
+    if not np.all(d2):
+        raise DegenerateGeometryError(f"nodes {canonical_pairs(n)[int(np.argmin(d2))]} coincide")
+    if not np.all(var):
+        raise np.linalg.LinAlgError("singular range covariance: a pair has zero variance")
+    w = (2.0 if duplicate_pairs else 1.0) / (d2 * var)
+    return _pair_fisher(Xrel, w)
 
 
 def fim_velocity(Yrel: np.ndarray, rm: RangeMatrices, covs: RangeNoiseCovariances,
-                 rddot_cross_term: bool = False, duplicate_pairs: bool = True,
-                 ridge: float = 1e-12) -> FisherInfo:
+                 duplicate_pairs: bool = True, ridge: float = 1e-12) -> FisherInfo:
     """Fisher information of the stacked relative velocities vec(Yrel).
 
     The measurement for pair (i, j) is the squared velocity difference
     r rddot + rdot^2, whose Jacobian row is 2 (y_i - y_j) with pair signs.
     Its noise, to first order in the coefficient errors, is
-    r q_rddot + rddot q_r + 2 rdot q_rdot, giving the per-block covariance
+    r q_rddot + rddot q_r + 2 rdot q_rdot, with per-pair variance
 
-        S = Dr Sigma_rddot Dr + Drddot Sigma_r Drddot + 4 Drdot M Drdot
+        s = r^2 var_rddot + rddot^2 var_r + 4 rdot^2 var_rdot,
 
-    with D* diagonal in the pair coefficient values and M = Sigma_rdot.
-    `rddot_cross_term` swaps M for Sigma_rddot, an alternative form of the
-    cross term that is inconsistent with the expansion above (kept for
-    comparison).
+    so the pair weight is 4/s.
 
-    A singular covariance is ridge-regularized with a warning (relative
-    ridge `ridge`).  When all velocity differences vanish the measurements
-    carry no information and a DegenerateVelocityWarning is issued.
+    A near-singular covariance (max|s| / min|s| above 1e14, or a zero s)
+    gets the ridge `ridge` * max(mean s, 1) with a warning.  When all
+    velocity differences vanish the measurements carry no information and
+    a DegenerateVelocityWarning is issued.
     """
     Yrel = np.asarray(Yrel, float)
     r, rdot, rddot = rm.pair_vectors()
-    dr, drdot, drddot = np.diag(r), np.diag(rdot), np.diag(rddot)
-    mid = covs.Sigma_rddot if rddot_cross_term else covs.Sigma_rdot
-    Sigma_half = dr @ covs.Sigma_rddot @ dr + drddot @ covs.Sigma_r @ drddot \
-        + 4.0 * drdot @ mid @ drdot
-    J_half = _pair_difference_jacobian(Yrel, 2.0 * np.ones(len(r)))
-    if not J_half.any():
-        warnings.warn(
-            "all relative velocities are equal; velocity information is degenerate",
-            DegenerateVelocityWarning,
-            stacklevel=2,
-        )
-    cond = np.linalg.cond(Sigma_half)
-    if not np.isfinite(cond) or cond > 1e14:
-        eps = ridge * max(np.trace(Sigma_half) / Sigma_half.shape[0], 1.0)
-        warnings.warn(
-            f"near-singular velocity noise covariance; adding ridge {eps:.3e}",
-            RegularizedInverseWarning,
-            stacklevel=2,
-        )
-        Sigma_half = Sigma_half + eps * np.eye(Sigma_half.shape[0])
-    F = _assemble_fim(J_half, Sigma_half, duplicate_pairs, ridge=ridge)
-    return FisherInfo(matrix=F, structural_deficiency=_structural_deficiency(Yrel.shape[0]))
+    _check_pair_count(covs.Sigma_r, Yrel.shape[1])
+    s = r**2 * covs.Sigma_rddot + rddot**2 * covs.Sigma_r + 4.0 * rdot**2 * covs.Sigma_rdot
+    if np.all(Yrel == Yrel[:, :1]):
+        warnings.warn("all relative velocities are equal; velocity information is degenerate",
+                      DegenerateVelocityWarning, stacklevel=2)
+    s_min, s_max = np.abs(s).min(initial=np.inf), np.abs(s).max(initial=0.0)
+    if not (s_min > 0.0 and s_max <= 1e14 * s_min):
+        eps = ridge * max(float(np.mean(s)), 1.0)
+        warnings.warn(f"near-singular velocity noise covariance; adding ridge {eps:.3e}",
+                      RegularizedInverseWarning, stacklevel=2)
+        s = s + eps
+    w = (8.0 if duplicate_pairs else 4.0) / s
+    return _pair_fisher(Yrel, w)
 
 
 def crb_trace(fi, rel_threshold: float = 1e-10) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bounds import RangeNoiseCovariances, crb_trace, fim_position, fim_velocity
 from .embedding import position_at_time, solve_relative
-from .exceptions import ConfigError, RelkinError
+from .exceptions import ConfigError, InputError, RelkinError
 from .experiments import (
     ExperimentConfig,
     check_report,
@@ -64,21 +64,43 @@ def _cmd_estimate(args) -> int:
 
 
 def _read_theta_csv(path):
+    """Network size and (r, rdot, rddot) range matrices from a coefficient CSV.
+
+    Raises:
+        InputError: on a missing column, a non-numeric field, a negative
+            order, a non-finite theta, a repeated (i, j, order) row, a node
+            pair left out, or a pair without its order 0, 1 and 2 rows.
+    """
     per_pair = {}
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            key = (int(rec["i"]), int(rec["j"]))
-            per_pair.setdefault(key, {})[int(rec["order"])] = float(rec["theta"])
+        reader = csv.DictReader(fh)
+        missing = {"i", "j", "order", "theta"} - set(reader.fieldnames or ())
+        if missing:
+            raise InputError(f"{path} lacks column(s) {', '.join(sorted(missing))}")
+        for rec in reader:
+            where = f"{path} line {reader.line_num}"
+            try:
+                i, j, ell = int(rec["i"]), int(rec["j"]), int(rec["order"])
+                theta = float(rec["theta"])
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"{where}: {exc}") from None
+            if ell < 0 or not math.isfinite(theta):
+                raise InputError(f"{where}: need order >= 0 and a finite theta")
+            coeffs = per_pair.setdefault((i, j), {})
+            if ell in coeffs:
+                raise InputError(f"{where}: repeated row for pair ({i}, {j}) order {ell}")
+            coeffs[ell] = theta
     if not per_pair:
-        raise RelkinError(f"no coefficient rows in {path}")
+        raise InputError(f"no coefficient rows in {path}")
     n = max(max(i, j) for i, j in per_pair) + 1
     pairs = canonical_pairs(n)
     if set(per_pair) != set(pairs):
-        raise RelkinError(f"{path} does not cover all {len(pairs)} node pairs")
-    cols = []
-    for ell in range(3):
-        cols.append([per_pair[pair].get(ell, 0.0) for pair in pairs])
-    return n, RangeMatrices.from_pair_vectors(n, *cols)
+        raise InputError(f"{path} does not cover all {len(pairs)} node pairs")
+    incomplete = [pair for pair in pairs if not {0, 1, 2} <= per_pair[pair].keys()]
+    if incomplete:
+        raise InputError(f"{path} lacks an order 0, 1 or 2 row for pair(s) {incomplete[:3]}")
+    return n, RangeMatrices.from_pair_vectors(
+        n, *([per_pair[pair][ell] for pair in pairs] for ell in range(3)))
 
 
 def _cmd_solve(args) -> int:

@@ -33,7 +33,6 @@ __all__ = [
     "grams_from_ranges",
     "spectral_embed",
     "classical_mds",
-    "commutation_matrix",
     "rotation_model",
     "estimate_rotation",
     "solve_relative",
@@ -117,15 +116,6 @@ def classical_mds(D: np.ndarray, P: int) -> np.ndarray:
     return spectral_embed(-0.5 * pc @ (D**2) @ pc, P)
 
 
-def commutation_matrix(n: int) -> np.ndarray:
-    """Permutation J with J vec(M) = vec(M^T) for n x n M (column-major vec)."""
-    J = np.zeros((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            J[i + j * n, j + i * n] = 1.0
-    return J
-
-
 def _vec(M: np.ndarray) -> np.ndarray:
     return np.asarray(M).reshape(-1, order="F")
 
@@ -143,17 +133,21 @@ def estimate_rotation(Xrel: np.ndarray, Yrel: np.ndarray, Bxy: np.ndarray,
 
         vec(Bxy) = (I + J)(Yrel^T kron Xrel^T) vec(H) = G vec(H)
 
-    solved in the least-squares sense.  The unconstrained solution does not
-    enforce orthogonality; with exact inputs its orthogonality defect is at
-    roundoff level.  Pass orthogonalize=True to project onto the orthogonal
-    group via the polar factor.
+    solved in the least-squares sense.  J, with J vec(M) = vec(M^T), only
+    permutes rows and is never formed: viewing K = Yrel^T kron Xrel^T as
+    (N, N, P^2), J K swaps the first two axes, which gives the dense G bit
+    for bit in O(N^2 P^2).  The unconstrained solution does not enforce
+    orthogonality; with exact inputs its orthogonality defect is at
+    roundoff level.  Pass orthogonalize=True to project onto the
+    orthogonal group via the polar factor.
 
     Raises:
         IllPosedRotationError: if G is column rank deficient (needs N >= P
             with full-row-rank configurations).
     """
     P, n = np.asarray(Xrel).shape
-    G = (np.eye(n * n) + commutation_matrix(n)) @ np.kron(Yrel.T, Xrel.T)
+    K = np.kron(Yrel.T, Xrel.T)
+    G = K + K.reshape(n, n, P * P).transpose(1, 0, 2).reshape(n * n, P * P)
     h, _, rank, _ = np.linalg.lstsq(G, _vec(Bxy), rcond=None)
     if rank < P * P:
         raise IllPosedRotationError(

@@ -1,14 +1,21 @@
-"""Dense network-wide WLS and theta-CRB, kept as a reference for the per-pair kernel.
+"""Dense network-wide forms, kept as references for the structured production code.
 
 The stacked design is the (Nbar K) x (Nbar L) matrix with columns grouped by
 coefficient order, [r_all_pairs, rdot_all_pairs, ...], and the noise
 covariance is the dense diagonal bdiag(var_p I_K).  Both are structurally
 block diagonal, so production code never forms them; the tests compare the
 batched per-pair solver against this direct route.
+
+Likewise the position/velocity information matrices are checked against
+J^T Sigma^-1 J from the dense Nbar x (N P) pair-difference Jacobian, and the
+rotation system against the dense (I + J)(Yrel^T kron Xrel^T) with the
+N^2 x N^2 commutation matrix J.
 """
 
 import numpy as np
+from scipy.linalg import block_diag
 
+from relkin.kinematics import canonical_pairs
 from relkin.ranging import scale_factors
 
 
@@ -54,3 +61,61 @@ def crb(sys) -> np.ndarray:
 def per_pair_blocks(dense: np.ndarray, nbar: int, L: int) -> np.ndarray:
     """(Nbar, L, L) per-pair blocks of a coefficient-major (Nbar L)^2 matrix."""
     return np.einsum("lpmp->plm", dense.reshape(L, nbar, L, nbar))
+
+
+def pair_difference_jacobian(Z: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Nbar x (N P) Jacobian with row p holding +s_p g_p in node-i's block and
+    -s_p g_p in node-j's, where g_p = z_i - z_j."""
+    P, n = Z.shape
+    pairs = canonical_pairs(n)
+    J = np.zeros((len(pairs), n * P))
+    for p, (i, j) in enumerate(pairs):
+        g = scale[p] * (Z[:, i] - Z[:, j])
+        J[p, i * P:(i + 1) * P] = g
+        J[p, j * P:(j + 1) * P] = -g
+    return J
+
+
+def fim(J: np.ndarray, Sigma: np.ndarray, duplicate_pairs: bool) -> np.ndarray:
+    """J^T Sigma^-1 J by a dense solve; duplicate_pairs stacks [J; J] against bdiag(Sigma, Sigma)."""
+    if duplicate_pairs:
+        J, Sigma = np.vstack([J, J]), block_diag(Sigma, Sigma)
+    F = J.T @ np.linalg.solve(Sigma, J)
+    return 0.5 * (F + F.T)
+
+
+def fim_position(Xrel: np.ndarray, var_r: np.ndarray, duplicate_pairs: bool) -> np.ndarray:
+    """Position information from unit-direction Jacobian rows and the dense diag(var_r)."""
+    i, j = np.triu_indices(Xrel.shape[1], k=1)
+    d = np.linalg.norm(Xrel[:, i] - Xrel[:, j], axis=0)
+    return fim(pair_difference_jacobian(Xrel, 1.0 / d), np.diag(var_r), duplicate_pairs)
+
+
+def velocity_covariance(rm, var_r, var_rdot, var_rddot) -> np.ndarray:
+    """Dense Dr S_rddot Dr + Drddot S_r Drddot + 4 Drdot S_rdot Drdot."""
+    dr, drdot, drddot = (np.diag(v) for v in rm.pair_vectors())
+    return (dr @ np.diag(var_rddot) @ dr + drddot @ np.diag(var_r) @ drddot
+            + 4.0 * drdot @ np.diag(var_rdot) @ drdot)
+
+
+def fim_velocity(Yrel: np.ndarray, Sigma: np.ndarray, duplicate_pairs: bool) -> np.ndarray:
+    """Velocity information from the Jacobian rows 2 g_p and a dense covariance."""
+    J = pair_difference_jacobian(Yrel, np.full(Sigma.shape[0], 2.0))
+    return fim(J, Sigma, duplicate_pairs)
+
+
+def commutation_matrix(n: int) -> np.ndarray:
+    """Permutation J with J vec(M) = vec(M^T) for n x n M (column-major vec)."""
+    J = np.zeros((n * n, n * n))
+    for i in range(n):
+        for j in range(n):
+            J[i + j * n, j + i * n] = 1.0
+    return J
+
+
+def rotation(Xrel: np.ndarray, Yrel: np.ndarray, Bxy: np.ndarray) -> np.ndarray:
+    """P x P rotation from lstsq on the dense (I + J)(Yrel^T kron Xrel^T) system."""
+    P, n = Xrel.shape
+    G = (np.eye(n * n) + commutation_matrix(n)) @ np.kron(Yrel.T, Xrel.T)
+    h = np.linalg.lstsq(G, Bxy.reshape(-1, order="F"), rcond=None)[0]
+    return h.reshape(P, P, order="F")

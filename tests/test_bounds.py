@@ -18,8 +18,14 @@ from relkin import (
     range_matrices,
     simulate_exchanges,
 )
-from relkin.exceptions import DegenerateVelocityWarning
+from relkin.exceptions import (
+    DegenerateVelocityWarning,
+    RegularizedInverseWarning,
+    UnsupportedCovarianceError,
+)
 from relkin.kinematics import TrajectorySet
+
+import dense_oracle
 
 
 def fixture_covariances(traj, k=100, sigma_m=0.1):
@@ -115,18 +121,7 @@ class TestFimVelocity:
             fy = fim_velocity(yc, range_matrices(traj), covs)
         assert np.allclose(fy.matrix, 0.0)
 
-    def test_rddot_cross_term_flag_changes_covariance(self):
-        traj = builtin_trajectory("cluster5")
-        covs = fixture_covariances(traj)
-        rm = range_matrices(traj)
-        yc = traj.Y @ centering_matrix(5)
-        a = fim_velocity(yc, rm, covs, rddot_cross_term=False).matrix
-        b = fim_velocity(yc, rm, covs, rddot_cross_term=True).matrix
-        assert not np.allclose(a, b)
-
     def test_singular_noise_covariance_regularized_with_warning(self):
-        from relkin.exceptions import RegularizedInverseWarning
-
         traj = builtin_trajectory("cluster5")
         zeros = np.zeros((10, 10))
         covs = RangeNoiseCovariances(Sigma_r=zeros, Sigma_rdot=zeros, Sigma_rddot=zeros)
@@ -147,6 +142,118 @@ class TestFimVelocity:
             fy = fim_velocity(traj.Y @ pc, range_matrices(traj), covs)
             assert n_small_eigs(fx) == 3
             assert n_small_eigs(fy) == 3
+
+
+def random_case(rng, n):
+    """Generic n-node trajectory with independent random per-pair variances."""
+    traj = TrajectorySet(X=rng.uniform(-400, 400, (2, n)), Y=rng.uniform(-10, 10, (2, n)))
+    nbar = n * (n - 1) // 2
+    covs = RangeNoiseCovariances(*(10.0 ** rng.uniform(-4, -1, nbar) for _ in range(3)))
+    return traj, covs
+
+
+def assert_matches(F, dense, rtol=1e-12):
+    assert np.max(np.abs(F - dense)) <= rtol * np.max(np.abs(dense))
+
+
+class TestDenseOracle:
+    """The pair-difference Grams equal J^T Sigma^-1 J from the dense Jacobian."""
+
+    @pytest.mark.parametrize("duplicate_pairs", [True, False])
+    def test_position_matches_dense_solve(self, duplicate_pairs):
+        rng = np.random.default_rng(11)
+        for _ in range(8):
+            n = int(rng.integers(4, 13))
+            traj, covs = random_case(rng, n)
+            xc = traj.X @ centering_matrix(n)
+            F = fim_position(xc, covs.Sigma_r, duplicate_pairs=duplicate_pairs).matrix
+            assert_matches(F, dense_oracle.fim_position(xc, covs.Sigma_r, duplicate_pairs))
+
+    @pytest.mark.parametrize("duplicate_pairs", [True, False])
+    def test_velocity_matches_dense_solve(self, duplicate_pairs):
+        rng = np.random.default_rng(12)
+        for _ in range(8):
+            n = int(rng.integers(4, 13))
+            traj, covs = random_case(rng, n)
+            yc = traj.Y @ centering_matrix(n)
+            rm = range_matrices(traj)
+            F = fim_velocity(yc, rm, covs, duplicate_pairs=duplicate_pairs).matrix
+            S = dense_oracle.velocity_covariance(rm, covs.Sigma_r, covs.Sigma_rdot,
+                                                 covs.Sigma_rddot)
+            assert_matches(F, dense_oracle.fim_velocity(yc, S, duplicate_pairs))
+
+    @pytest.mark.parametrize("duplicate_pairs", [True, False])
+    def test_zero_covariance_ridge_matches_dense_solve(self, duplicate_pairs):
+        traj = builtin_trajectory("cluster5")
+        zeros = np.zeros(10)
+        covs = RangeNoiseCovariances(Sigma_r=zeros, Sigma_rdot=zeros, Sigma_rddot=zeros)
+        yc = traj.Y @ centering_matrix(5)
+        with pytest.warns(RegularizedInverseWarning, match="1.000e-12"):
+            F = fim_velocity(yc, range_matrices(traj), covs, duplicate_pairs=duplicate_pairs)
+        # ridge rule: eps = 1e-12 * max(mean variance, 1)
+        assert_matches(F.matrix, dense_oracle.fim_velocity(yc, 1e-12 * np.eye(10), duplicate_pairs))
+
+    def test_diagonal_matrix_form_equals_vector_form(self):
+        traj, covs = random_case(np.random.default_rng(13), 6)
+        dense = RangeNoiseCovariances(np.diag(covs.Sigma_r), np.diag(covs.Sigma_rdot),
+                                      np.diag(covs.Sigma_rddot))
+        assert dense.Sigma_r.shape == (15,)
+        xc, yc = traj.X @ centering_matrix(6), traj.Y @ centering_matrix(6)
+        rm = range_matrices(traj)
+        assert np.array_equal(fim_position(xc, np.diag(covs.Sigma_r)).matrix,
+                              fim_position(xc, covs.Sigma_r).matrix)
+        assert np.array_equal(fim_velocity(yc, rm, dense).matrix,
+                              fim_velocity(yc, rm, covs).matrix)
+
+    def test_non_diagonal_covariance_rejected(self):
+        traj = builtin_trajectory("cluster5")
+        correlated = np.eye(10)
+        correlated[0, 3] = correlated[3, 0] = 0.5
+        with pytest.raises(UnsupportedCovarianceError):
+            RangeNoiseCovariances(np.eye(10), correlated, np.eye(10))
+        with pytest.raises(UnsupportedCovarianceError):
+            fim_position(traj.X, correlated)
+
+    def test_zero_range_variance_is_singular(self):
+        traj = builtin_trajectory("cluster5")
+        var = np.ones(10)
+        var[4] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            fim_position(traj.X, var)
+
+
+class TestScale:
+    def test_n100_bounds_and_solve_stay_small(self):
+        # the pair-difference Grams keep N=100 bounds in O(Nbar P^2) memory;
+        # dense N^2 x N^2 / Nbar x Nbar forms would need over 1 GB here
+        import tracemalloc
+
+        from relkin import solve_relative
+
+        n = 100
+        rng = np.random.default_rng(100)
+        traj = TrajectorySet(X=rng.uniform(-400, 400, (2, n)), Y=rng.uniform(-10, 10, (2, n)))
+        noise = NoiseModel.from_pair_sigma(0.1, unit="m")
+        ex = simulate_exchanges(traj, ExchangeConfig(K=20), NoiseModel(0.0), seed=0)
+        crb = crb_theta(build_design(ex, L=4, noise=noise))
+        rm = range_matrices(traj)
+        pc = centering_matrix(n)
+        tracemalloc.start()
+        try:
+            covs = RangeNoiseCovariances.from_theta_crb(crb)
+            fx = fim_position(traj.X @ pc, covs.Sigma_r)
+            fy = fim_velocity(traj.Y @ pc, rm, covs)
+            traces = crb_trace(fx), crb_trace(fy)
+            sol = solve_relative(rm, P=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+        assert all(np.isfinite(t) and t > 0 for t in traces)
+        assert sol.Hy.shape == (2, 2)
+        for fi in (fx, fy):
+            assert fi.size == 2 * n
+            assert fi.size - n_small_eigs(fi) == 2 * n - 3
 
 
 class TestCrbTrace:

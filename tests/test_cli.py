@@ -117,6 +117,33 @@ class TestSolve:
         assert times == {"-1.0", "0.0", "1.0"}
 
 
+    @pytest.mark.parametrize("edit", ["no_rddot", "duplicate", "non_numeric", "no_theta_column",
+                                      "nan_theta", "negative_order"])
+    def test_malformed_theta_is_clean_error(self, exchange_csv, tmp_path, edit):
+        theta = tmp_path / "theta.csv"
+        main(["estimate", "--exchanges", str(exchange_csv), "--sigma-meters", "0.1",
+              "--out", str(theta)])
+        lines = theta.read_text().splitlines()
+        fields = lines[1].split(",")  # i, j, order, theta, rcrb of pair (0,1), order 0
+        if edit == "no_rddot":
+            lines = [line for line in lines if line.split(",")[2] != "2"]
+        elif edit == "duplicate":
+            lines.append(lines[1])
+        elif edit == "non_numeric":
+            lines[1] = ",".join(fields[:3] + ["abc"] + fields[4:])
+        elif edit == "no_theta_column":
+            lines = [",".join(line.split(",")[:3] + line.split(",")[4:]) for line in lines]
+        elif edit == "nan_theta":
+            lines[1] = ",".join(fields[:3] + ["nan"] + fields[4:])
+        else:
+            lines[1] = ",".join(fields[:2] + ["-1"] + fields[3:])
+        theta.write_text("".join(line + "\n" for line in lines))
+        out = tmp_path / "solution.csv"
+        rc = main(["solve", "--theta", str(theta), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
+
 class TestCrb:
     def test_writes_quantities(self, tmp_path):
         out = tmp_path / "crb.csv"

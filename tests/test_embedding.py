@@ -20,8 +20,10 @@ from relkin import (
     solve_relative,
     spectral_embed,
 )
-from relkin.embedding import commutation_matrix, rotation_model
+from relkin.embedding import rotation_model
 from relkin.kinematics import TrajectorySet
+
+import dense_oracle
 
 
 def truth_grams(traj):
@@ -171,7 +173,7 @@ class TestRotation:
     def test_commutation_matrix_transposes_vec(self):
         rng = np.random.default_rng(0)
         m = rng.normal(size=(4, 4))
-        J = commutation_matrix(4)
+        J = dense_oracle.commutation_matrix(4)
         assert np.allclose(J @ m.reshape(-1, order="F"), m.T.reshape(-1, order="F"))
         assert np.allclose(J @ J, np.eye(16))
 
@@ -232,6 +234,16 @@ class TestRotation:
         res = minimize(cost, np.zeros(4), method="Nelder-Mead",
                        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20000})
         assert np.allclose(h_ls, res.x.reshape(2, 2), atol=5e-6)
+
+    @pytest.mark.parametrize("n", [3, 5, 12, 30])
+    def test_matches_dense_commutation_system(self, n):
+        # the permuted rows equal the dense (I + J) K product bit for bit,
+        # so lstsq returns the identical solution
+        rng = np.random.default_rng(n)
+        xr, yr = rng.normal(size=(2, n)), rng.normal(size=(2, n))
+        bxy = rng.normal(size=(n, n))
+        bxy = bxy + bxy.T
+        assert np.array_equal(estimate_rotation(xr, yr, bxy), dense_oracle.rotation(xr, yr, bxy))
 
 
 class TestPositionAtTime:
