@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,7 +47,8 @@ class KinematicGrams:
     """Doubly centered Gram matrices of the relative kinematics.
 
     All three satisfy B 1 = 0.  Bxx and Byy are PSD with rank <= P when
-    built from exact ranges; Bxy is symmetric but indefinite.
+    built from exact ranges; Bxy is symmetric but indefinite.  Batched range
+    matrices give (..., N, N) Grams.
     """
 
     Bxx: np.ndarray
@@ -55,16 +57,57 @@ class KinematicGrams:
 
     @property
     def n(self) -> int:
-        return self.Bxx.shape[0]
+        return self.Bxx.shape[-1]
+
+
+def _centered(M: np.ndarray, scale: float) -> np.ndarray:
+    """scale * P M P over the last two axes, with P the centering projector."""
+    pc = centering_matrix(M.shape[-1])
+    return scale * pc @ M @ pc
 
 
 def grams_from_ranges(rm: RangeMatrices) -> KinematicGrams:
     """Kinematic Grams from the range matrices via double centering."""
-    pc = centering_matrix(rm.n)
-    bxx = -0.5 * pc @ (rm.R**2) @ pc
-    bxy = -pc @ (rm.R * rm.Rdot) @ pc
-    byy = -0.5 * pc @ (rm.R * rm.Rddot + rm.Rdot**2) @ pc
-    return KinematicGrams(Bxx=bxx, Bxy=bxy, Byy=byy)
+    return KinematicGrams(Bxx=_centered(rm.R**2, -0.5),
+                          Bxy=_centered(rm.R * rm.Rdot, -1.0),
+                          Byy=_centered(rm.R * rm.Rddot + rm.Rdot**2, -0.5))
+
+
+def _mds_gram(D: np.ndarray) -> np.ndarray:
+    """Gram -0.5 P D^o2 P of (..., N, N) Euclidean distance matrices."""
+    return _centered(np.asarray(D, float) ** 2, -0.5)
+
+
+class _Embedding(NamedTuple):
+    config: np.ndarray  # (..., P, N) sqrt(max(lambda, 0)) U^T, rows sign-canonicalized
+    top: np.ndarray     # (..., P) the P algebraically largest eigenvalues, descending
+
+    @property
+    def failed(self) -> np.ndarray:
+        """(...,) True where no eigenvalue is positive; config is then zero."""
+        return self.top[..., 0] <= 0.0
+
+    @property
+    def n_clamped(self) -> np.ndarray:
+        """(...,) negative eigenvalues among the top P, clamped to zero in config."""
+        return np.count_nonzero(self.top < 0.0, axis=-1)
+
+
+def _embed(B: np.ndarray, P: int) -> _Embedding:
+    """Rank-P spectral embedding of every matrix in a (..., N, N) stack by one
+    batched eigh; failures and clamps are reported, not raised or warned."""
+    B = np.asarray(B, float)
+    n = B.shape[-1]
+    if not 1 <= P <= n:
+        raise ValueError(f"need 1 <= P <= N, got P={P}, N={n}")
+    lam, vec = np.linalg.eigh(B)
+    top = lam[..., ::-1][..., :P]
+    rows = vec[..., ::-1][..., :P].swapaxes(-1, -2)
+    config = np.sqrt(np.where(top < 0.0, 0.0, top))[..., None] * rows
+    peak = np.take_along_axis(config, np.argmax(np.abs(config), axis=-1)[..., None], axis=-1)
+    signs = np.sign(peak)
+    signs[signs == 0] = 1.0
+    return _Embedding(config * signs, top)
 
 
 def spectral_embed(B: np.ndarray, P: int) -> np.ndarray:
@@ -80,29 +123,18 @@ def spectral_embed(B: np.ndarray, P: int) -> np.ndarray:
         EmbeddingFailureError: if no positive eigenvalue exists, i.e. the
             matrix admits no nonzero embedding.
     """
-    B = np.asarray(B, float)
-    n = B.shape[0]
-    if not 1 <= P <= n:
-        raise ValueError(f"need 1 <= P <= N, got P={P}, N={n}")
-    lam, vec = np.linalg.eigh(B)
-    lam, vec = lam[::-1], vec[:, ::-1]
-    lam_top = lam[:P].copy()
-    if lam_top[0] <= 0.0:
+    emb = _embed(B, P)
+    if emb.failed:
         raise EmbeddingFailureError(
-            f"no positive eigenvalue (largest {lam_top[0]:.3e}); cannot embed in {P} dimensions"
+            f"no positive eigenvalue (largest {emb.top[0]:.3e}); cannot embed in {P} dimensions"
         )
-    n_neg = int(np.sum(lam_top < 0.0))
-    if n_neg:
+    if emb.n_clamped:
         warnings.warn(
-            f"clamped {n_neg} negative eigenvalue(s) in a rank-{P} embedding",
+            f"clamped {emb.n_clamped} negative eigenvalue(s) in a rank-{P} embedding",
             EmbeddingClampWarning,
             stacklevel=2,
         )
-        lam_top = np.clip(lam_top, 0.0, None)
-    config = np.sqrt(lam_top)[:, None] * vec[:, :P].T
-    signs = np.sign(config[np.arange(P), np.argmax(np.abs(config), axis=1)])
-    signs[signs == 0] = 1.0
-    return config * signs[:, None]
+    return emb.config
 
 
 def classical_mds(D: np.ndarray, P: int) -> np.ndarray:
@@ -111,13 +143,7 @@ def classical_mds(D: np.ndarray, P: int) -> np.ndarray:
     The result is a valid configuration up to an arbitrary rotation,
     reflection and translation.
     """
-    D = np.asarray(D, float)
-    pc = centering_matrix(D.shape[0])
-    return spectral_embed(-0.5 * pc @ (D**2) @ pc, P)
-
-
-def _vec(M: np.ndarray) -> np.ndarray:
-    return np.asarray(M).reshape(-1, order="F")
+    return spectral_embed(_mds_gram(D), P)
 
 
 def rotation_model(Xrel: np.ndarray, Yrel: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -145,19 +171,41 @@ def estimate_rotation(Xrel: np.ndarray, Yrel: np.ndarray, Bxy: np.ndarray,
         IllPosedRotationError: if G is column rank deficient (needs N >= P
             with full-row-rank configurations).
     """
-    P, n = np.asarray(Xrel).shape
-    K = np.kron(Yrel.T, Xrel.T)
-    G = K + K.reshape(n, n, P * P).transpose(1, 0, 2).reshape(n * n, P * P)
-    h, _, rank, _ = np.linalg.lstsq(G, _vec(Bxy), rcond=None)
+    P = np.asarray(Xrel).shape[0]
+    H, rank = _rotation_stack(Xrel, Yrel, Bxy, orthogonalize)
     if rank < P * P:
         raise IllPosedRotationError(
             f"rotation system rank {rank} < {P * P}; configurations too degenerate"
         )
-    H = h.reshape(P, P, order="F")
+    return H
+
+
+def _rotation_stack(Xrel, Yrel, Bxy, orthogonalize: bool = False,
+                    where=None) -> tuple[np.ndarray, np.ndarray]:
+    """Rotations of a (..., P, N) batch, one lstsq per item (numpy has no stacked lstsq).
+
+    Returns the (..., P, P) rotations and the (...,) rank of each system;
+    a solution is valid only at full rank P^2.  Items outside the boolean
+    `where` are not solved and read H = 0, rank 0.
+    """
+    Xrel, Yrel, Bxy = (np.asarray(m, float) for m in (Xrel, Yrel, Bxy))
+    P, n = Xrel.shape[-2:]
+    batch = Xrel.shape[:-2]
+    A, B = Yrel.swapaxes(-1, -2), Xrel.swapaxes(-1, -2)
+    K = (A[..., :, None, :, None] * B[..., None, :, None, :]).reshape(batch + (n, n, P * P))
+    G = (K + K.swapaxes(-3, -2)).reshape(batch + (n * n, P * P))
+    b = Bxy.swapaxes(-1, -2).reshape(batch + (n * n,))
+    h = np.zeros(batch + (P * P,))
+    rank = np.zeros(batch, int)
+    todo = np.ones(batch, bool) if where is None else np.asarray(where)
+    for idx in np.ndindex(batch):
+        if todo[idx]:
+            h[idx], _, rank[idx], _ = np.linalg.lstsq(G[idx], b[idx], rcond=None)
+    H = h.reshape(batch + (P, P)).swapaxes(-1, -2)
     if orthogonalize:
         u, _, vt = np.linalg.svd(H)
         H = u @ vt
-    return H
+    return H, rank
 
 
 @dataclass
@@ -201,13 +249,17 @@ def procrustes_align(Z: np.ndarray, Zhat: np.ndarray) -> tuple[np.ndarray, np.nd
 
     Returns (H, H @ Zhat, ||Z - H Zhat||_F) where H minimizes the residual
     over the orthogonal group (reflections included): H = V U^T from the
-    SVD U S V^T = Zhat Z^T.
+    SVD U S V^T = Zhat Z^T.  Leading axes of Z and Zhat broadcast, giving
+    one alignment per item (one batched SVD) and an array of residuals.
     """
     Z = np.asarray(Z, float)
     Zhat = np.asarray(Zhat, float)
-    if Z.shape != Zhat.shape:
+    if Z.shape[-2:] != Zhat.shape[-2:]:
         raise ValueError(f"shape mismatch: {Z.shape} vs {Zhat.shape}")
-    u, _, vt = np.linalg.svd(Zhat @ Z.T)
-    H = vt.T @ u.T
+    u, _, vt = np.linalg.svd(Zhat @ Z.swapaxes(-1, -2))
+    H = vt.swapaxes(-1, -2) @ u.swapaxes(-1, -2)
     aligned = H @ Zhat
-    return H, aligned, float(np.linalg.norm(Z - aligned))
+    d = (Z - aligned).reshape(aligned.shape[:-2] + (1, -1))
+    # a stacked (1 x PN)(PN x 1) product is the BLAS dot that np.linalg.norm takes
+    resid = np.sqrt((d @ d.swapaxes(-1, -2))[..., 0, 0])
+    return H, aligned, float(resid) if resid.ndim == 0 else resid

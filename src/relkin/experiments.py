@@ -11,45 +11,56 @@ Three experiment kinds mirror the standard evaluation of the estimator:
     interval, comparing the dynamic-ranging propagation Xrel + t H Yrel
     against per-instant classical MDS snapshots from the same exchanges.
 
+One engine runs the trials of a sweep point: it takes contiguous chunks of
+trials, sized so the largest stacked array stays near _CHUNK_DOUBLES, and
+runs every pipeline stage once per chunk, batched over its trials (one QR
+for all pair fits, one eigh for all embeddings including the time grid's
+classical-MDS snapshots, one SVD for all Procrustes alignments; only the
+rotation's least squares loops over trials).  A trial that would raise in
+the single-trial pipeline is masked out and counted under its exception
+type; trials whose embedding clamped a negative eigenvalue are counted too.
+
 Trials are seeded through derived streams keyed by (sweep point, trial,
-pair), so reports are reproducible bit-for-bit regardless of execution
-order.  Matrix-valued quantities are compared after centering both truth
-and estimate and removing the optimal orthogonal alignment, since only
-relative geometry is identifiable.
+pair), so reports are reproducible bit-for-bit and do not depend on how the
+trials are batched or chunked.  Matrix-valued quantities are compared after
+centering both truth and estimate and removing the optimal orthogonal
+alignment, since only relative geometry is identifiable.
 """
 
 from __future__ import annotations
 
 import json
 import time
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__ as _version
 from .bounds import RangeNoiseCovariances, crb_trace, fim_position, fim_velocity
 from .embedding import (
-    classical_mds,
+    _embed,
+    _mds_gram,
+    _rotation_stack,
+    grams_from_ranges,
     procrustes_align,
     solve_relative,
 )
 from .exceptions import (
     ConfigError,
-    DegenerateGeometryError,
-    EmbeddingClampWarning,
     EmbeddingFailureError,
     IllPosedRotationError,
     RankDeficiencyError,
 )
-from .kinematics import centering_matrix, load_trajectory, range_matrices
-from .ranging import build_design, crb_theta, wls_solve
+from .kinematics import TrajectorySet, centering_matrix, load_trajectory, range_matrices
+from .ranging import RangeCoefficients, _fit_pairs, build_design, crb_theta, wls_solve
 from .twr import (
     ExchangeConfig,
     NoiseModel,
     SPEED_OF_LIGHT,
+    _clean_delays,
+    _draw_exchanges,
     effective_noise_covariance,
     generate_timestamps,
     simulate_exchanges,
@@ -69,11 +80,12 @@ __all__ = [
 ]
 
 KINDS = ("k_sweep", "sigma_sweep", "time_grid")
+# What ends a trial, in pipeline order: the ranging fit, the spectral
+# embeddings, the rotation solve.
 _TRIAL_ERRORS = (
-    DegenerateGeometryError,
+    RankDeficiencyError,
     EmbeddingFailureError,
     IllPosedRotationError,
-    RankDeficiencyError,
 )
 
 
@@ -158,11 +170,20 @@ class ExperimentConfig:
 
 @dataclass
 class ReportRow:
+    """One (sweep value, quantity) result over the trials of a sweep point.
+
+    `failures` splits the `n_fail` failed trials by exception type name;
+    `clamped` counts the trials whose spectral embedding clamped a negative
+    eigenvalue to zero (for ``Xk_cmds``, the snapshot's embedding).
+    """
+
     sweep_value: float
     quantity: str
     rmse: float
     rcrb: Optional[float]
     n_fail: int
+    failures: dict[str, int] = field(default_factory=dict)
+    clamped: int = 0
 
 
 @dataclass
@@ -173,8 +194,12 @@ class RmseReport:
     wall_seconds: float = 0.0
 
     def value(self, sweep_value, quantity) -> ReportRow:
+        """The row of `quantity` whose sweep value passes np.isclose's default
+        test against `sweep_value`: |a - b| <= 1e-8 + 1e-5 |b|."""
+        tol = 1e-8 + 1e-5 * abs(sweep_value)
         for row in self.rows:
-            if row.quantity == quantity and np.isclose(row.sweep_value, sweep_value):
+            if row.quantity == quantity and (row.sweep_value == sweep_value
+                                             or abs(row.sweep_value - sweep_value) <= tol):
                 return row
         raise KeyError(f"no row for ({sweep_value}, {quantity})")
 
@@ -196,28 +221,10 @@ def rmse_matrix_aligned(estimates, truth) -> float:
     centered by construction; truth must match), then each trial estimate is
     rotated onto the truth before the residual enters the mean.
     """
-    truth = np.asarray(truth, float)
-    pc = centering_matrix(truth.shape[1])
-    truth_c = truth @ pc
-    sq = []
-    for est in estimates:
-        _, _, resid = procrustes_align(truth_c, np.asarray(est, float) @ pc)
-        sq.append(resid**2)
-    return float(np.sqrt(np.mean(sq)))
-
-
-def _aligned_sq_error(truth_c: np.ndarray, est: np.ndarray, pc: np.ndarray) -> float:
-    _, _, resid = procrustes_align(truth_c, est @ pc)
-    return resid**2
-
-
-def _estimate_once(traj, exch_cfg, noise, L, seed, stream, orthogonalize):
-    """One pipeline pass: simulate, fit coefficients, solve relative kinematics."""
-    exchanges = simulate_exchanges(traj, exch_cfg, noise, seed, stream=stream)
-    design = build_design(exchanges, L, noise=noise)
-    coeffs = wls_solve(design)
-    sol = solve_relative(coeffs.to_range_matrices(), traj.P, orthogonalize=orthogonalize)
-    return exchanges, coeffs, sol
+    pc = centering_matrix(np.shape(truth)[-1])
+    _, _, resid = procrustes_align(np.asarray(truth, float) @ pc,
+                                   np.asarray(estimates, float) @ pc)
+    return float(np.sqrt(np.mean(resid**2)))
 
 
 def _point_rcrbs(traj, exch_cfg, noise, L, pc):
@@ -241,6 +248,106 @@ def _point_rcrbs(traj, exch_cfg, noise, L, pc):
     }
 
 
+class _Point(NamedTuple):
+    """What every trial of one sweep point shares."""
+
+    traj: TrajectorySet
+    exch_cfg: ExchangeConfig
+    noise: NoiseModel
+    cfg: ExperimentConfig
+    stream: tuple[int, ...]  # trial t of the point simulates stream (*stream, t)
+    markers: np.ndarray      # (M,) marker indices of the classical-MDS snapshots
+    times: np.ndarray        # (M,) their instants, where the dynamic estimate is also taken
+    delays: np.ndarray       # (Nbar, K) noise-free delays
+
+
+class _Trials(NamedTuple):
+    """Per-trial outcomes of a run of trials; every array leads with the trial axis."""
+
+    cause: np.ndarray          # 0 on success, else 1 + the index into _TRIAL_ERRORS
+    clamped: np.ndarray        # a top-P eigenvalue of Bxx or Byy was clamped to zero
+    coeff_sq: np.ndarray       # (T, 3) squared errors of the r, rdot, rddot vectors
+    hy: np.ndarray             # (T, P, P) rotation estimates
+    aligned_sq: np.ndarray     # (T, 2 + 2M) aligned squared errors: Xrel, Yrel,
+                               # M dynamic positions, M snapshot embeddings
+    snap_failed: np.ndarray    # (T, M) snapshot Gram without a positive eigenvalue
+    snap_clamped: np.ndarray   # (T, M) snapshot embedding clamped an eigenvalue
+
+
+def _trial_chunk(pt: _Point, trials: range) -> _Trials:
+    """The whole pipeline for a contiguous run of trials, each stage batched over them.
+
+    A trial fails at the first stage that would raise in the single-trial
+    pipeline (the ranging fit, either spectral embedding, the rotation); the
+    stages after it still run on its finite placeholder values and are
+    masked out.
+    """
+    traj, cfg, n, P = pt.traj, pt.cfg, pt.traj.N, pt.traj.P
+    ex = _draw_exchanges(traj, pt.exch_cfg, pt.noise, pt.delays, cfg.seed,
+                         [pt.stream + (t,) for t in trials])
+    fit = _fit_pairs(build_design(ex, cfg.L, noise=pt.noise))
+    coeffs = RangeCoefficients(scaled=fit.theta, n_nodes=n, c=cfg.c)
+    grams = grams_from_ranges(coeffs.to_range_matrices())
+    snaps = np.zeros((len(trials), len(pt.markers), n, n))
+    i, j = np.triu_indices(n, k=1)
+    snaps[..., i, j] = cfg.c * ex.tau()[..., pt.markers].swapaxes(-1, -2)
+    snaps = snaps + snaps.swapaxes(-1, -2)
+    emb = _embed(np.concatenate([grams.Bxx[:, None], grams.Byy[:, None], _mds_gram(snaps)],
+                                axis=1), P)
+    xrel, yrel = emb.config[:, 0], emb.config[:, 1]
+    # as in spectral_embed, an embedding that failed has not clamped
+    failed = emb.failed
+    clamped = (emb.n_clamped > 0) & ~failed
+    rank_bad = fit.bad.any(axis=-1)
+    embed_bad = failed[:, 0] | failed[:, 1]
+    ok = ~rank_bad & ~embed_bad
+    hy, rank = _rotation_stack(xrel, yrel, grams.Bxy, cfg.orthogonalize, where=ok)
+    dynamic = xrel[:, None] + pt.times[:, None, None] * (hy @ yrel)[:, None]
+    pc = centering_matrix(n)
+    truth = np.array([traj.X, traj.Y] + [traj.position_at(t) for t in pt.times] * 2) @ pc
+    estimates = np.concatenate([emb.config[:, :2], dynamic, emb.config[:, 2:]], axis=1) @ pc
+    _, _, resid = procrustes_align(truth, estimates)
+    phys = coeffs.physical
+    coeff_true = range_matrices(traj).pair_vectors()
+    return _Trials(
+        cause=np.select([rank_bad, embed_bad, ok & (rank < P * P)], [1, 2, 3], 0),
+        clamped=~rank_bad & (clamped[:, 0] | (~failed[:, 0] & clamped[:, 1])),
+        coeff_sq=np.stack([np.sum((phys[..., ell] - coeff_true[ell]) ** 2, axis=-1)
+                           for ell in range(3)], axis=-1),
+        hy=hy,
+        aligned_sq=resid**2,
+        snap_failed=failed[:, 2:],
+        snap_clamped=clamped[:, 2:],
+    )
+
+
+# Bound, in doubles, on the largest array stacked over one chunk of trials
+# (about 256 KB): the whitened QR stack of every pair, or the time grid's
+# snapshot matrices.  Chunks keep the working set small whatever the trial
+# count; they do not change any result.
+_CHUNK_DOUBLES = 2**15
+
+
+def _run_trials(pt: _Point) -> _Trials:
+    """Every trial of one sweep point, in chunks of contiguous trials."""
+    n, K, L = pt.traj.N, pt.exch_cfg.K, pt.cfg.L
+    per_trial = max(n * (n - 1) // 2 * K * (L + 1), len(pt.markers) * n * n)
+    step = max(1, _CHUNK_DOUBLES // per_trial)
+    chunks = [_trial_chunk(pt, range(lo, min(lo + step, pt.cfg.trials)))
+              for lo in range(0, pt.cfg.trials, step)]
+    return _Trials(*(np.concatenate(parts) for parts in zip(*chunks)))
+
+
+def _failures(cause: np.ndarray) -> dict[str, int]:
+    """Failed trials per exception type name."""
+    counts = np.bincount(cause, minlength=len(_TRIAL_ERRORS) + 1)[1:]
+    return {err.__name__: int(k) for err, k in zip(_TRIAL_ERRORS, counts) if k}
+
+
+def _rmse(sq: np.ndarray) -> float:
+    return float(np.sqrt(np.mean(sq))) if sq.size else float("nan")
+
+
 def _run_sweep_point(traj, cfg, s_idx, value):
     if cfg.kind == "k_sweep":
         K, sigma_m = int(value), cfg.sigma_m
@@ -249,88 +356,53 @@ def _run_sweep_point(traj, cfg, s_idx, value):
     exch_cfg = ExchangeConfig(K=K, interval=cfg.interval, c=cfg.c,
                               delay_model=cfg.delay_model, model_order=cfg.L)
     noise = NoiseModel.from_pair_sigma(sigma_m, unit="m")
-    pc = centering_matrix(traj.N)
-    rm_true = range_matrices(traj)
-    r_true, rdot_true, rddot_true = rm_true.pair_vectors()
-    xc_true, yc_true = traj.X @ pc, traj.Y @ pc
     if sigma_m > 0:
-        rcrbs = _point_rcrbs(traj, exch_cfg, noise, cfg.L, pc)
+        rcrbs = _point_rcrbs(traj, exch_cfg, noise, cfg.L, centering_matrix(traj.N))
     else:
         rcrbs = dict.fromkeys(("r", "rdot", "rddot", "Xrel", "Yrel", "Hy"), None)
 
     # deterministic noiseless run fixes the reference frame for the rotation
-    _, _, ref_sol = _estimate_once(traj, exch_cfg, NoiseModel(0.0), cfg.L, cfg.seed,
-                                   (s_idx, 0), cfg.orthogonalize)
-    hy_ref = ref_sol.Hy
+    ref = simulate_exchanges(traj, exch_cfg, NoiseModel(0.0), cfg.seed, stream=(s_idx, 0))
+    hy_ref = solve_relative(wls_solve(build_design(ref, cfg.L)).to_range_matrices(), traj.P,
+                            orthogonalize=cfg.orthogonalize).Hy
 
-    sq = {q: [] for q in ("r", "rdot", "rddot", "Xrel", "Yrel", "Hy")}
-    n_fail = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmbeddingClampWarning)
-        for trial in range(cfg.trials):
-            try:
-                _, coeffs, sol = _estimate_once(traj, exch_cfg, noise, cfg.L, cfg.seed,
-                                                (s_idx, trial), cfg.orthogonalize)
-            except _TRIAL_ERRORS:
-                n_fail += 1
-                continue
-            phys = coeffs.physical
-            sq["r"].append(np.sum((phys[:, 0] - r_true) ** 2))
-            sq["rdot"].append(np.sum((phys[:, 1] - rdot_true) ** 2))
-            sq["rddot"].append(np.sum((phys[:, 2] - rddot_true) ** 2))
-            sq["Xrel"].append(_aligned_sq_error(xc_true, sol.Xrel, pc))
-            sq["Yrel"].append(_aligned_sq_error(yc_true, sol.Yrel, pc))
-            sq["Hy"].append(np.sum((sol.Hy - hy_ref) ** 2))
-
-    rows = []
-    for q in ("r", "rdot", "rddot", "Xrel", "Yrel", "Hy"):
-        rmse = float(np.sqrt(np.mean(sq[q]))) if sq[q] else float("nan")
-        rows.append(ReportRow(float(value), q, rmse, rcrbs[q], n_fail))
-    return rows
+    res = _run_trials(_Point(traj, exch_cfg, noise, cfg, (s_idx,), markers=np.zeros(0, np.intp),
+                             times=np.zeros(0), delays=_clean_delays(traj, exch_cfg)))
+    ok = res.cause == 0
+    sq = {"r": res.coeff_sq[:, 0], "rdot": res.coeff_sq[:, 1], "rddot": res.coeff_sq[:, 2],
+          "Xrel": res.aligned_sq[:, 0], "Yrel": res.aligned_sq[:, 1],
+          "Hy": np.sum((res.hy - hy_ref) ** 2, axis=(-2, -1))}
+    n_fail, clamped = int(np.count_nonzero(~ok)), int(res.clamped.sum())
+    return [ReportRow(float(value), q, _rmse(sq[q][ok]), rcrbs[q], n_fail, _failures(res.cause),
+                      clamped)
+            for q in ("r", "rdot", "rddot", "Xrel", "Yrel", "Hy")]
 
 
 def _run_time_grid(traj, cfg):
     exch_cfg = ExchangeConfig(K=cfg.K, interval=cfg.interval, c=cfg.c,
                               delay_model=cfg.delay_model, model_order=cfg.L)
     noise = NoiseModel.from_pair_sigma(cfg.sigma_m, unit="m")
-    pc = centering_matrix(traj.N)
-    markers = generate_timestamps(exch_cfg, 1)[0]
-    idxs = [int(np.argmin(np.abs(markers - float(t)))) for t in cfg.sweep]
-    times = markers[idxs]
-    truth_c = [traj.position_at(t) @ pc for t in times]
-
-    dr_sq = [[] for _ in idxs]
-    cmds_sq = [[] for _ in idxs]
-    dr_fail = 0
-    cmds_fail = [0] * len(idxs)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmbeddingClampWarning)
-        for trial in range(cfg.trials):
-            try:
-                exchanges, _, sol = _estimate_once(traj, exch_cfg, noise, cfg.L, cfg.seed,
-                                                   (0, trial), cfg.orthogonalize)
-            except _TRIAL_ERRORS:
-                dr_fail += 1
-                continue
-            tau = exchanges.tau()
-            for m, (idx, t) in enumerate(zip(idxs, times)):
-                dr_sq[m].append(_aligned_sq_error(truth_c[m], sol.position_at(t), pc))
-                d_snap = np.zeros((traj.N, traj.N))
-                d_snap[np.triu_indices(traj.N, k=1)] = cfg.c * tau[:, idx]
-                d_snap = d_snap + d_snap.T
-                try:
-                    xk = classical_mds(d_snap, traj.P)
-                except EmbeddingFailureError:
-                    cmds_fail[m] += 1
-                    continue
-                cmds_sq[m].append(_aligned_sq_error(truth_c[m], xk, pc))
-
+    grid = generate_timestamps(exch_cfg, 1)[0]
+    idxs = np.array([int(np.argmin(np.abs(grid - float(t)))) for t in cfg.sweep], np.intp)
+    times = grid[idxs]
+    res = _run_trials(_Point(traj, exch_cfg, noise, cfg, (0,), markers=idxs, times=times,
+                             delays=_clean_delays(traj, exch_cfg)))
+    ok = res.cause == 0
+    dr_fail, failures = int(np.count_nonzero(~ok)), _failures(res.cause)
+    dr_sq, cmds_sq = np.split(res.aligned_sq[:, 2:], 2, axis=1)
     rows = []
     for m, t in enumerate(times):
-        rmse_dr = float(np.sqrt(np.mean(dr_sq[m]))) if dr_sq[m] else float("nan")
-        rmse_cm = float(np.sqrt(np.mean(cmds_sq[m]))) if cmds_sq[m] else float("nan")
-        rows.append(ReportRow(float(t), "Xk_dynamic", rmse_dr, None, dr_fail))
-        rows.append(ReportRow(float(t), "Xk_cmds", rmse_cm, None, dr_fail + cmds_fail[m]))
+        snap_ok = ok & ~res.snap_failed[:, m]
+        snap_fail = int(np.count_nonzero(ok & res.snap_failed[:, m]))
+        cmds_failures = dict(failures)
+        if snap_fail:
+            name = EmbeddingFailureError.__name__
+            cmds_failures[name] = cmds_failures.get(name, 0) + snap_fail
+        rows.append(ReportRow(float(t), "Xk_dynamic", _rmse(dr_sq[ok, m]), None, dr_fail,
+                              dict(failures), int(res.clamped.sum())))
+        rows.append(ReportRow(float(t), "Xk_cmds", _rmse(cmds_sq[snap_ok, m]), None,
+                              dr_fail + snap_fail, cmds_failures,
+                              int(np.count_nonzero(ok & res.snap_clamped[:, m]))))
     return rows
 
 
@@ -429,14 +501,31 @@ _PLOT_LAYOUT = {
 }
 
 
+def _trial_outcomes(report: RmseReport) -> list[dict]:
+    """Failed trials by exception type name and the count of trials that
+    clamped an eigenvalue, one entry per sweep value and run of consecutive
+    quantities sharing them (all six at a k/sigma sweep point)."""
+    out = []
+    for row in report.rows:
+        last = out[-1] if out else None
+        if last and (last["sweep_value"], last["failures"], last["clamped"]) == \
+                (row.sweep_value, row.failures, row.clamped):
+            last["quantities"].append(row.quantity)
+        else:
+            out.append({"sweep_value": row.sweep_value, "quantities": [row.quantity],
+                        "failures": row.failures, "clamped": row.clamped})
+    return out
+
+
 def emit_outputs(reports, out_dir) -> list[Path]:
     """Write result CSVs, per-figure plot data, and the run manifest.
 
     One ``experiment_<kind>.csv`` per report with columns
     (sweep_value, quantity, rmse, rcrb, n_fail), one ``plot_<kind>.csv``
     with the same data in wide columns, and ``manifest.json`` recording the
-    full configuration and seed.  Reruns with the same seed produce
-    byte-identical CSVs.
+    full configuration and seed and, per experiment, the trial outcomes of
+    every sweep point (see :func:`_trial_outcomes`).  Reruns with the same
+    seed produce byte-identical CSVs.
     """
     if isinstance(reports, RmseReport):
         reports = [reports]
@@ -477,6 +566,7 @@ def emit_outputs(reports, out_dir) -> list[Path]:
     manifest = {
         "package_version": _version,
         "experiments": [r.config.to_dict() for r in reports],
+        "trial_outcomes": [_trial_outcomes(r) for r in reports],
         "wall_seconds": [r.wall_seconds for r in reports],
         "outputs": [p.name for p in written],
     }

@@ -202,7 +202,8 @@ class RangeMatrices:
 
     R and Rddot have nonnegative entries (rddot >= 0 follows from
     Cauchy-Schwarz: r rddot + rdot^2 = ||y_i - y_j||^2 >= rdot^2), while
-    Rdot is symmetric but sign-indefinite.  Diagonals are zero.
+    Rdot is symmetric but sign-indefinite.  Diagonals are zero.  Leading
+    batch axes, (..., N, N), hold the range sets of several networks.
     """
 
     R: np.ndarray
@@ -213,29 +214,30 @@ class RangeMatrices:
         self.R = np.asarray(self.R, float)
         self.Rdot = np.asarray(self.Rdot, float)
         self.Rddot = np.asarray(self.Rddot, float)
-        n = self.R.shape[0]
+        n = self.R.shape[-1]
         for name, m in (("R", self.R), ("Rdot", self.Rdot), ("Rddot", self.Rddot)):
-            if m.shape != (n, n):
-                raise ValueError(f"{name} must be {n}x{n}, got {m.shape}")
+            if m.ndim < 2 or m.shape != self.R.shape[:-2] + (n, n):
+                raise ValueError(f"{name} must be {self.R.shape[:-2] + (n, n)}, got {m.shape}")
 
     @property
     def n(self) -> int:
-        return self.R.shape[0]
+        return self.R.shape[-1]
 
     def pair_vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(r, rdot, rddot) stacked over canonical pairs, each of length N(N-1)/2."""
-        idx = np.triu_indices(self.n, k=1)
-        return self.R[idx], self.Rdot[idx], self.Rddot[idx]
+        """(r, rdot, rddot) stacked over canonical pairs, each (..., N(N-1)/2)."""
+        i, j = np.triu_indices(self.n, k=1)
+        return self.R[..., i, j], self.Rdot[..., i, j], self.Rddot[..., i, j]
 
     @classmethod
     def from_pair_vectors(cls, n: int, r, rdot, rddot) -> "RangeMatrices":
-        """Assemble symmetric matrices from canonical pair-ordered vectors."""
+        """Assemble symmetric matrices from canonical pair-ordered (..., Nbar) vectors."""
+        i, j = np.triu_indices(n, k=1)
         out = []
         for vec in (r, rdot, rddot):
-            m = np.zeros((n, n))
-            idx = np.triu_indices(n, k=1)
-            m[idx] = np.asarray(vec, float)
-            out.append(m + m.T)
+            vec = np.asarray(vec, float)
+            m = np.zeros(vec.shape[:-1] + (n, n))
+            m[..., i, j] = vec
+            out.append(m + m.swapaxes(-1, -2))
         return cls(*out)
 
 

@@ -62,7 +62,8 @@ class RangeCoefficients:
     """Estimated range polynomial coefficients for every pair.
 
     Attributes:
-        scaled: (Nbar, L) scaled coefficients (seconds-domain polynomial).
+        scaled: (Nbar, L) scaled coefficients (seconds-domain polynomial),
+            or (..., Nbar, L) for a batch of networks.
         n_nodes: number of nodes (pairs follow canonical order).
         c: propagation speed used for rescaling.
     """
@@ -74,12 +75,12 @@ class RangeCoefficients:
     def __post_init__(self):
         self.scaled = np.atleast_2d(np.asarray(self.scaled, float))
         nbar = len(canonical_pairs(self.n_nodes))
-        if self.scaled.shape[0] != nbar:
-            raise ValueError(f"expected {nbar} pair rows, got {self.scaled.shape[0]}")
+        if self.scaled.shape[-2] != nbar:
+            raise ValueError(f"expected {nbar} pair rows, got {self.scaled.shape[-2]}")
 
     @property
     def L(self) -> int:
-        return self.scaled.shape[1]
+        return self.scaled.shape[-1]
 
     @property
     def pairs(self) -> list[tuple[int, int]]:
@@ -87,7 +88,7 @@ class RangeCoefficients:
 
     @property
     def physical(self) -> np.ndarray:
-        """(Nbar, L) physical coefficients: r (m), rdot (m/s), rddot (m/s^2), ..."""
+        """(..., Nbar, L) physical coefficients: r (m), rdot (m/s), rddot (m/s^2), ..."""
         return rescale(self.scaled, self.c)
 
     def to_range_matrices(self) -> RangeMatrices:
@@ -97,7 +98,7 @@ class RangeCoefficients:
         range model).
         """
         phys = self.physical
-        cols = [phys[:, ell] if ell < self.L else np.zeros(phys.shape[0]) for ell in range(3)]
+        cols = [phys[..., ell] if ell < self.L else np.zeros(phys.shape[:-1]) for ell in range(3)]
         return RangeMatrices.from_pair_vectors(self.n_nodes, *cols)
 
 
@@ -114,6 +115,9 @@ class DesignSystem:
         pair_variances: (Nbar,) delay variances (seconds^2), or None for
             unit weights.  Block-diagonal covariance bdiag(var_p I_K) is the
             only structure supported.
+
+    markers and tau may carry leading batch axes, (..., Nbar, K), for
+    independent measurements of one network under the same variances.
     """
 
     markers: np.ndarray
@@ -129,8 +133,8 @@ class DesignSystem:
         if self.markers.shape != self.tau.shape:
             raise ValueError("markers and tau must share one shape")
         nbar = len(canonical_pairs(self.n_nodes))
-        if self.markers.shape[0] != nbar:
-            raise ValueError(f"expected {nbar} pairs, got {self.markers.shape[0]}")
+        if self.markers.shape[-2] != nbar:
+            raise ValueError(f"expected {nbar} pairs, got {self.markers.shape[-2]}")
         if self.L < 1:
             raise ValueError("polynomial order count L must be >= 1")
         if self.pair_variances is not None:
@@ -139,27 +143,27 @@ class DesignSystem:
                 raise ValueError("pair_variances must have one entry per pair")
             if np.any(self.pair_variances <= 0):
                 raise ValueError("pair variances must be positive")
-        distinct = 1 + np.count_nonzero(np.diff(np.sort(self.markers, axis=1), axis=1), axis=1)
-        short = np.flatnonzero(distinct < self.L)
+        distinct = 1 + np.count_nonzero(np.diff(np.sort(self.markers, axis=-1), axis=-1), axis=-1)
+        short = np.flatnonzero(np.any(distinct < self.L, axis=tuple(range(distinct.ndim - 1))))
         if short.size:
             i, j = canonical_pairs(self.n_nodes)[short[0]]
             raise RankDeficiencyError(f"pair ({i},{j}) has fewer than L={self.L} distinct markers")
 
     @property
     def K(self) -> int:
-        return self.markers.shape[1]
+        return self.markers.shape[-1]
 
     @property
     def n_pairs(self) -> int:
-        return self.markers.shape[0]
+        return self.markers.shape[-2]
 
     def vandermonde(self) -> np.ndarray:
-        """(Nbar, K, L) stack of the per-pair Vandermonde blocks [1, t, t^2, ...]."""
-        cols = np.empty((self.n_pairs, self.L, self.K))
-        cols[:, 0] = 1.0
+        """(..., Nbar, K, L) stack of the per-pair Vandermonde blocks [1, t, t^2, ...]."""
+        cols = np.empty(self.markers.shape[:-1] + (self.L, self.K))
+        cols[..., 0, :] = 1.0
         for ell in range(1, self.L):
-            np.multiply(cols[:, ell - 1], self.markers, out=cols[:, ell])
-        return cols.transpose(0, 2, 1)
+            np.multiply(cols[..., ell - 1, :], self.markers, out=cols[..., ell, :])
+        return cols.swapaxes(-1, -2)
 
     def pair_weights(self) -> np.ndarray:
         """(Nbar,) whitening weights 1/sigma_p (ones when unweighted)."""
@@ -203,37 +207,53 @@ _RANK_RTOL = 1e-13
 
 
 class _PairFit(NamedTuple):
-    theta: np.ndarray  # (Nbar, L) scaled coefficients
-    cov: np.ndarray    # (Nbar, L, L) scaled-domain covariance, var_p (V_p^T V_p)^-1
-    rss: np.ndarray    # (Nbar,) whitened residual sum of squares
+    theta: np.ndarray  # (..., Nbar, L) scaled coefficients
+    cov: np.ndarray    # (..., Nbar, L, L) scaled-domain covariance, var_p (V_p^T V_p)^-1
+    rss: np.ndarray    # (..., Nbar) whitened residual sum of squares
+    bad: np.ndarray    # (..., Nbar) True where the block loses column rank
 
 
 def _fit_pairs(sys: DesignSystem, L: Optional[int] = None) -> _PairFit:
     """Whitened least squares of every pair on its first L Vandermonde columns.
 
-    One batched QR factors the whole (Nbar, K, L+1) stack [V_p | tau_p] / sigma_p.
-    Its last column carries Q^T tau above the diagonal and the residual below,
-    so Q is never formed, and neither are the normal equations.  L defaults
-    to the system's order.
-
-    Raises:
-        RankDeficiencyError: naming every pair whose block loses column rank.
+    One batched QR factors the whole (..., Nbar, K, L+1) stack
+    [V_p | tau_p] / sigma_p.  Its last column carries Q^T tau above the
+    diagonal and the residual below, so Q is never formed, and neither are
+    the normal equations.  L defaults to the system's order.  A pair whose
+    block loses column rank is flagged in `bad` and solved against an
+    identity R instead, so its theta and cov are finite but meaningless.
     """
-    V = sys.vandermonde()[:, :, :L]
+    V = sys.vandermonde()[..., :L]
     L = V.shape[-1]
     stack = np.concatenate([V, sys.tau[..., None]], axis=-1)
     stack *= sys.pair_weights()[:, None, None]
     r = np.linalg.qr(stack, mode="r")
-    R = r[:, :L, :L]
-    diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
-    bad = np.flatnonzero(np.any(diag < _RANK_RTOL * diag.max(axis=1, keepdims=True), axis=1))
+    R = r[..., :L, :L]
+    diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+    bad = np.any(diag < _RANK_RTOL * diag.max(axis=-1, keepdims=True), axis=-1)
+    if bad.any():
+        R = np.where(bad[..., None, None], np.eye(L), R)
+    rinv = np.linalg.inv(R)
+    return _PairFit(theta=np.linalg.solve(R, r[..., :L, L:])[..., 0],
+                    cov=rinv @ rinv.swapaxes(-1, -2),
+                    rss=np.sum(r[..., L:, L] ** 2, axis=-1),
+                    bad=bad)
+
+
+def _full_rank_fit(sys: DesignSystem, L: Optional[int] = None) -> _PairFit:
+    """:func:`_fit_pairs`, raising where it flags a pair.
+
+    Raises:
+        RankDeficiencyError: naming every pair whose block loses column rank
+            (in any network of a batch).
+    """
+    fit = _fit_pairs(sys, L)
+    bad = np.flatnonzero(fit.bad.reshape(-1, sys.n_pairs).any(axis=0))
     if bad.size:
         pairs = canonical_pairs(sys.n_nodes)
-        raise RankDeficiencyError(f"rank-deficient design; offending pairs {[pairs[p] for p in bad]}")
-    rinv = np.linalg.inv(R)
-    return _PairFit(theta=np.linalg.solve(R, r[:, :L, L:])[..., 0],
-                    cov=rinv @ rinv.transpose(0, 2, 1),
-                    rss=np.sum(r[:, L:, L] ** 2, axis=1))
+        raise RankDeficiencyError(
+            f"rank-deficient design; offending pairs {[pairs[p] for p in bad]}")
+    return fit
 
 
 def wls_solve(sys: DesignSystem) -> RangeCoefficients:
@@ -250,7 +270,7 @@ def wls_solve(sys: DesignSystem) -> RangeCoefficients:
         RankDeficiencyError: naming the offending pair(s) when a block
             loses column rank.
     """
-    return RangeCoefficients(scaled=_fit_pairs(sys).theta, n_nodes=sys.n_nodes, c=sys.c)
+    return RangeCoefficients(scaled=_full_rank_fit(sys).theta, n_nodes=sys.n_nodes, c=sys.c)
 
 
 pairwise_solve = wls_solve
@@ -298,7 +318,7 @@ def crb_theta(sys: DesignSystem) -> RangeCrb:
     if sys.pair_variances is None:
         raise ValueError("crb_theta requires pair_variances on the design system")
     f = scale_factors(sys.L, sys.c)
-    return RangeCrb(cov=_fit_pairs(sys).cov * np.outer(f, f), n_nodes=sys.n_nodes)
+    return RangeCrb(cov=_full_rank_fit(sys).cov * np.outer(f, f), n_nodes=sys.n_nodes)
 
 
 def order_select(exchanges: TimestampExchangeSet, L_max: int,
@@ -317,7 +337,7 @@ def order_select(exchanges: TimestampExchangeSet, L_max: int,
     b = sys_max.tau * sys_max.pair_weights()[:, None]
     floor = (1e-12 * max(np.linalg.norm(b), 1e-300)) ** 2
     # the order-L design is the first L columns of the widest Vandermonde stack
-    fits = [_fit_pairs(sys_max, L) for L in range(1, L_max + 1)]
+    fits = [_full_rank_fit(sys_max, L) for L in range(1, L_max + 1)]
     rss = [float(np.sum(fit.rss)) for fit in fits]
     chosen = L_max
     for idx in range(L_max):

@@ -21,7 +21,13 @@ from typing import Sequence, Union
 import numpy as np
 
 from .exceptions import InputError, UnsupportedCovarianceError
-from .kinematics import TrajectorySet, canonical_pairs, range_derivatives, taylor_range
+from .kinematics import (
+    RangeDerivatives,
+    TrajectorySet,
+    canonical_pairs,
+    range_matrices,
+    taylor_range,
+)
 from .rng import derive_rng
 
 __all__ = [
@@ -181,6 +187,9 @@ class TimestampExchangeSet:
         t_j: (Nbar, K) markers recorded at the higher-indexed node.
         e: (Nbar, K) direction flags, +1 when the lower-indexed node transmitted.
         c: propagation speed (m/s).
+
+    Leading batch axes, (..., Nbar, K), hold independent simulations of one
+    network; file I/O handles a single set only.
     """
 
     n_nodes: int
@@ -195,14 +204,14 @@ class TimestampExchangeSet:
         self.e = np.asarray(self.e, int)
         nbar = len(canonical_pairs(self.n_nodes))
         for name, m in (("t_i", self.t_i), ("t_j", self.t_j), ("e", self.e)):
-            if m.ndim != 2 or m.shape[0] != nbar:
-                raise ValueError(f"{name} must be ({nbar}, K), got {m.shape}")
+            if m.ndim < 2 or m.shape[-2] != nbar:
+                raise ValueError(f"{name} must be (..., {nbar}, K), got {m.shape}")
         if not (self.t_i.shape == self.t_j.shape == self.e.shape):
             raise ValueError("t_i, t_j and e must share one shape")
 
     @property
     def K(self) -> int:
-        return self.t_i.shape[1]
+        return self.t_i.shape[-1]
 
     @property
     def pairs(self) -> list[tuple[int, int]]:
@@ -210,7 +219,7 @@ class TimestampExchangeSet:
 
     @property
     def n_pairs(self) -> int:
-        return self.t_i.shape[0]
+        return self.t_i.shape[-2]
 
     def tau(self) -> np.ndarray:
         """Measured propagation delays e o (t_j - t_i), shape (Nbar, K)."""
@@ -328,15 +337,39 @@ def generate_timestamps(cfg: ExchangeConfig, n_pairs: int = 1) -> np.ndarray:
     return np.tile(grid, (n_pairs, 1))
 
 
-def _pair_delays(traj: TrajectorySet, i: int, j: int, t: np.ndarray,
-                 cfg: ExchangeConfig) -> np.ndarray:
+def _clean_delays(traj: TrajectorySet, cfg: ExchangeConfig) -> np.ndarray:
+    """(Nbar, K) noise-free propagation delays on the transmit grid, canonical pair order."""
+    grid = generate_timestamps(cfg, 1)[0]
+    i, j = np.triu_indices(traj.N, k=1)
     if cfg.delay_model == "exact":
-        dx = (traj.X[:, i] - traj.X[:, j])[:, None] + t[None, :] * (
-            traj.Y[:, i] - traj.Y[:, j]
-        )[:, None]
+        dy = (traj.Y[:, i] - traj.Y[:, j])[..., None]
+        dx = (traj.X[:, i] - traj.X[:, j])[..., None] + grid * dy
         return np.sqrt((dx**2).sum(axis=0)) / cfg.c
-    rd = range_derivatives(traj.X[:, i], traj.X[:, j], traj.Y[:, i], traj.Y[:, j])
-    return taylor_range(rd, t, order=cfg.model_order) / cfg.c
+    r, rdot, rddot = (v[:, None] for v in range_matrices(traj).pair_vectors())
+    rd = RangeDerivatives(r, rdot, rddot, -3.0 * rdot * rddot / r)
+    return taylor_range(rd, grid, order=cfg.model_order) / cfg.c
+
+
+def _draw_exchanges(traj: TrajectorySet, cfg: ExchangeConfig, noise: NoiseModel,
+                    delays: np.ndarray, seed, streams) -> TimestampExchangeSet:
+    """Noisy exchanges of a batch of simulations sharing the noise-free `delays`.
+
+    Simulation b draws pair p from the derived stream (seed, *streams[b], p),
+    so the result, with (len(streams), Nbar, K) arrays, holds exactly what
+    one :func:`simulate_exchanges` call per stream would.
+    """
+    grid = generate_timestamps(cfg, 1)[0]
+    e_flags = cfg.directions()
+    sig = noise.node_std_seconds(traj.N, cfg.c)
+    i, j = np.triu_indices(traj.N, k=1)
+    q = np.empty((len(streams), len(i), 2, cfg.K))
+    for b, stream in enumerate(streams):
+        for p in range(len(i)):
+            derive_rng(seed, *stream, p).standard_normal(out=q[b, p])
+    t_i = grid + sig[i, None] * q[:, :, 0]
+    t_j = grid + e_flags * delays + sig[j, None] * q[:, :, 1]
+    e = np.broadcast_to(e_flags, t_i.shape).copy()
+    return TimestampExchangeSet(n_nodes=traj.N, t_i=t_i, t_j=t_j, e=e, c=cfg.c)
 
 
 def simulate_exchanges(traj: TrajectorySet, cfg: ExchangeConfig, noise: NoiseModel,
@@ -358,19 +391,6 @@ def simulate_exchanges(traj: TrajectorySet, cfg: ExchangeConfig, noise: NoiseMod
         stream: optional integer path prefix separating independent
             simulations (e.g. (sweep_index, trial_index)) under one seed.
     """
-    n = traj.N
-    pairs = canonical_pairs(n)
-    grid = generate_timestamps(cfg, 1)[0]
-    e_flags = cfg.directions()
-    sig = noise.node_std_seconds(n, cfg.c)
-    t_i = np.empty((len(pairs), cfg.K))
-    t_j = np.empty((len(pairs), cfg.K))
-    e = np.empty((len(pairs), cfg.K), int)
-    for p, (i, j) in enumerate(pairs):
-        delay = _pair_delays(traj, i, j, grid, cfg)
-        rng = derive_rng(seed, *stream, p)
-        q = rng.standard_normal((2, cfg.K))
-        t_i[p] = grid + sig[i] * q[0]
-        t_j[p] = grid + e_flags * delay + sig[j] * q[1]
-        e[p] = e_flags
-    return TimestampExchangeSet(n_nodes=n, t_i=t_i, t_j=t_j, e=e, c=cfg.c)
+    batch = _draw_exchanges(traj, cfg, noise, _clean_delays(traj, cfg), seed, [stream])
+    return TimestampExchangeSet(n_nodes=batch.n_nodes, t_i=batch.t_i[0], t_j=batch.t_j[0],
+                                e=batch.e[0], c=batch.c)

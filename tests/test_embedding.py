@@ -20,7 +20,7 @@ from relkin import (
     solve_relative,
     spectral_embed,
 )
-from relkin.embedding import rotation_model
+from relkin.embedding import _embed, _mds_gram, _rotation_stack, rotation_model
 from relkin.kinematics import TrajectorySet
 
 import dense_oracle
@@ -321,3 +321,91 @@ class TestProcrustes:
         h, _, resid = procrustes_align(z, flip @ z)
         assert resid < 1e-12
         assert np.linalg.det(h) == pytest.approx(-1.0, abs=1e-9)
+
+
+def noisy_range_stack(n_items, seed, scale=5.0):
+    """Range matrices of the fixture with symmetric noise, one set per item."""
+    rm = range_matrices(builtin_trajectory("cluster5"))
+    rng = np.random.default_rng(seed)
+    out = []
+    for m in (rm.R, rm.Rdot, rm.Rddot):
+        noise = rng.normal(size=(n_items, 5, 5)) * scale * np.abs(m).mean() / 100
+        noise = np.triu(noise, 1)
+        out.append(m + noise + noise.swapaxes(-1, -2))
+    return RangeMatrices(*out)
+
+
+class TestBatchedKernels:
+    """Every batched kernel equals the single-item public function bit for bit."""
+
+    def test_grams_stack_equals_per_item(self):
+        rm = noisy_range_stack(4, 0)
+        g = grams_from_ranges(rm)
+        assert g.Bxx.shape == (4, 5, 5) and g.n == 5
+        for b in range(4):
+            one = grams_from_ranges(RangeMatrices(rm.R[b], rm.Rdot[b], rm.Rddot[b]))
+            for name in ("Bxx", "Bxy", "Byy"):
+                assert np.array_equal(getattr(g, name)[b], getattr(one, name))
+
+    def test_embed_stack_equals_spectral_embed_with_failures_and_clamps(self):
+        gram = grams_from_ranges(range_matrices(builtin_trajectory("cluster5"))).Bxx
+        stack = np.stack([gram, np.diag([4.0, -1.0, -2.0, -0.5, -3.0]),
+                          -np.eye(5), np.zeros((5, 5))])
+        emb = _embed(stack, 2)
+        assert emb.failed.tolist() == [False, False, True, True]
+        assert emb.n_clamped.tolist() == [0, 1, 2, 0]
+        for b, B in enumerate(stack):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", EmbeddingClampWarning)
+                try:
+                    config = spectral_embed(B, P=2)
+                except EmbeddingFailureError:
+                    assert emb.failed[b]
+                    assert np.array_equal(emb.config[b], np.zeros((2, 5)))
+                    continue
+            assert not emb.failed[b]
+            assert np.array_equal(emb.config[b], config)
+            assert len(caught) == int(emb.n_clamped[b] > 0)
+
+    def test_mds_stack_equals_classical_mds(self):
+        traj = builtin_trajectory("cluster5")
+        d = np.stack([edm_at_time(traj, t) for t in (-3.0, 0.0, 1.5)])
+        emb = _embed(_mds_gram(d), 2)
+        for b in range(3):
+            assert np.array_equal(emb.config[b], classical_mds(d[b], P=2))
+
+    @pytest.mark.parametrize("orthogonalize", [False, True])
+    def test_rotation_stack_equals_estimate_rotation(self, orthogonalize):
+        rng = np.random.default_rng(1)
+        xr, yr = rng.normal(size=(4, 2, 5)), rng.normal(size=(4, 2, 5))
+        bxy = rng.normal(size=(4, 5, 5))
+        bxy = bxy + bxy.swapaxes(-1, -2)
+        xr[2] = yr[2] = 0.0
+        xr[2, 0] = yr[2, 0] = [-2, -1, 0, 1, 2]  # rank-one configurations: ill posed
+        H, rank = _rotation_stack(xr, yr, bxy, orthogonalize)
+        assert rank.tolist() == [4, 4, 1, 4]
+        for b in (0, 1, 3):
+            assert np.array_equal(H[b], estimate_rotation(xr[b], yr[b], bxy[b], orthogonalize))
+        with pytest.raises(IllPosedRotationError):
+            estimate_rotation(xr[2], yr[2], bxy[2], orthogonalize)
+        skip, skip_rank = _rotation_stack(xr, yr, bxy, orthogonalize,
+                                          where=np.array([True, False, True, True]))
+        assert skip_rank[1] == 0 and np.array_equal(skip[[0, 3]], H[[0, 3]])
+
+    def test_procrustes_stack_equals_per_item(self):
+        rng = np.random.default_rng(2)
+        truth = rng.normal(size=(2, 6))
+        ests = np.stack([rotation(a) @ truth + 0.1 * rng.normal(size=(2, 6)) for a in range(5)])
+        for z in (truth, np.stack([truth + k for k in range(5)])):
+            H, aligned, resid = procrustes_align(z, ests)
+            assert resid.shape == (5,)
+            for b in range(5):
+                h1, a1, r1 = procrustes_align(z if z.ndim == 2 else z[b], ests[b])
+                assert np.array_equal(H[b], h1) and np.array_equal(aligned[b], a1)
+                assert resid[b] == r1
+
+    def test_procrustes_residual_is_the_frobenius_norm(self):
+        rng = np.random.default_rng(3)
+        z, zhat = rng.normal(size=(2, 7)), rng.normal(size=(2, 7))
+        _, aligned, resid = procrustes_align(z, zhat)
+        assert resid == np.linalg.norm(z - aligned)

@@ -1,17 +1,29 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import relkin.experiments as exp_mod
 from relkin import (
     ConfigError,
     ExperimentConfig,
+    RmseReport,
     check_report,
     emit_outputs,
     rmse_matrix_aligned,
     rmse_vector,
     run_experiment,
 )
+from relkin.experiments import ReportRow
+
+import trial_oracle
+
+# the failing configs fail at the parent of the batched engine too, with
+# these counts; the engine must reproduce them from its masks
+SIGMA_FAILING = dict(kind="sigma_sweep", sweep=[10.0], K=10, trials=60, seed=3)
+TIME_GRID_FAILING = dict(kind="time_grid", sweep=[-3.0, 0.0, 3.0], K=10, sigma_m=10.0,
+                         trials=60, seed=4)
 
 
 def rotation(angle):
@@ -139,24 +151,144 @@ class TestRunExperiment:
 
 class TestFailureAccounting:
     def test_failed_trials_counted_not_dropped_silently(self, monkeypatch):
-        import relkin.experiments as exp_mod
+        real = exp_mod._trial_chunk
+        embed_failure = 1 + exp_mod._TRIAL_ERRORS.index(exp_mod.EmbeddingFailureError)
 
-        real = exp_mod._estimate_once
-        calls = {"n": 0}
+        def flaky(pt, trials):
+            # fail two of the trials as a failed spectral embedding would
+            res = real(pt, trials)
+            cause = res.cause.copy()
+            cause[np.isin(np.asarray(trials), (1, 3))] = embed_failure
+            return res._replace(cause=cause)
 
-        def flaky(*args, **kwargs):
-            calls["n"] += 1
-            # first call is the noiseless reference; fail two of the trials
-            if calls["n"] in (3, 5):
-                raise exp_mod.EmbeddingFailureError("synthetic failure")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(exp_mod, "_estimate_once", flaky)
+        monkeypatch.setattr(exp_mod, "_trial_chunk", flaky)
         cfg = ExperimentConfig(kind="k_sweep", sweep=[12], trials=6, seed=0)
         report = run_experiment(cfg)
         for row in report.rows:
             assert row.n_fail == 2
             assert np.isfinite(row.rmse)
+            assert row.failures == {"EmbeddingFailureError": 2}
+
+    def test_manifest_splits_failures_by_cause(self, tmp_path):
+        report = run_experiment(ExperimentConfig(**SIGMA_FAILING))
+        emit_outputs(report, tmp_path)
+        csv_rows = (tmp_path / "experiment_sigma_sweep.csv").read_text().splitlines()[1:]
+        assert {line.rsplit(",", 1)[1] for line in csv_rows} == {"1"}
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        (point,) = manifest["trial_outcomes"][0]
+        assert point["sweep_value"] == 10.0
+        assert point["quantities"] == ["r", "rdot", "rddot", "Xrel", "Yrel", "Hy"]
+        assert sum(point["failures"].values()) == 1
+        assert point["clamped"] >= 1
+
+    def test_time_grid_outcomes_cover_every_row(self, tmp_path):
+        report = run_experiment(ExperimentConfig(**TIME_GRID_FAILING))
+        emit_outputs(report, tmp_path)
+        outcomes = json.loads((tmp_path / "manifest.json").read_text())["trial_outcomes"][0]
+        rows = iter(report.rows)
+        for point in outcomes:
+            for q in point["quantities"]:
+                row = next(rows)
+                assert (row.sweep_value, row.quantity) == (point["sweep_value"], q)
+                assert sum(point["failures"].values()) == row.n_fail == 4
+        assert next(rows, None) is None
+
+
+def _assert_rows_match(got, want, rtol=1e-12):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.sweep_value, a.quantity) == (b.sweep_value, b.quantity)
+        assert (a.n_fail, a.failures, a.clamped) == (b.n_fail, b.failures, b.clamped)
+        assert a.rmse == pytest.approx(b.rmse, rel=rtol, abs=0)
+        assert (a.rcrb is None) == (b.rcrb is None)
+        if a.rcrb is not None:
+            assert a.rcrb == pytest.approx(b.rcrb, rel=rtol, abs=0)
+
+
+class TestEngineMatchesOracle:
+    """The batched engine against the per-trial loops of `trial_oracle`."""
+
+    @pytest.mark.parametrize("config, n_fail", [
+        (dict(kind="k_sweep", sweep=[10, 40], trials=40, seed=1), 0),
+        (SIGMA_FAILING, 1),
+        (TIME_GRID_FAILING, 4),
+    ])
+    def test_rows_match_per_trial_oracle(self, config, n_fail):
+        cfg = ExperimentConfig(**config)
+        want = trial_oracle.run_experiment(cfg)
+        assert {row.n_fail for row in want if row.quantity != "Xk_cmds"} == {n_fail}
+        _assert_rows_match(run_experiment(cfg).rows, want)
+
+    def test_failed_and_clamped_embeddings_match_oracle(self, monkeypatch):
+        # real runs practically never fail an embedding, so the Grams of some
+        # trials are shifted, picked by their content so that both routes
+        # pick the same trials: Bxx far below zero fails its embedding (its
+        # negative eigenvalues are then no clamp, and Byy is never reached),
+        # and Byy shifted between its top two eigenvalues clamps one
+        import relkin.embedding as emb_mod
+        real = emb_mod.grams_from_ranges
+
+        def shifted(rm):
+            g = real(rm)
+            eye = np.eye(g.n)
+            fail_x = (np.floor(1e4 * g.Bxy[..., 0, 1]) % 2 == 0)[..., None, None]
+            clamp_y = (np.floor(1e4 * g.Bxy[..., 0, 2]) % 2 == 0)[..., None, None]
+            trace_x, trace_y = (np.trace(b, axis1=-2, axis2=-1)[..., None, None]
+                                for b in (g.Bxx, g.Byy))
+            return emb_mod.KinematicGrams(Bxx=np.where(fail_x, -g.Bxx - trace_x * eye, g.Bxx),
+                                          Bxy=g.Bxy,
+                                          Byy=np.where(clamp_y, g.Byy - trace_y / 2 * eye, g.Byy))
+
+        monkeypatch.setattr(emb_mod, "grams_from_ranges", shifted)
+        monkeypatch.setattr(exp_mod, "grams_from_ranges", shifted)
+        cfg = ExperimentConfig(kind="time_grid", sweep=[0.0], K=20, trials=30, seed=0)
+        want = trial_oracle.run_experiment(cfg)
+        dynamic = want[0]
+        assert dynamic.failures["EmbeddingFailureError"] > 0 and dynamic.clamped > 0
+        assert dynamic.failures["IllPosedRotationError"] > 0
+        _assert_rows_match(run_experiment(cfg).rows, want)
+
+    def test_orthogonalized_rotation_matches_oracle(self):
+        cfg = ExperimentConfig(kind="sigma_sweep", sweep=[-10.0, 0.0], K=30, trials=25,
+                               seed=7, orthogonalize=True)
+        _assert_rows_match(run_experiment(cfg).rows, trial_oracle.run_experiment(cfg))
+
+
+class TestChunking:
+    @pytest.mark.parametrize("config", [
+        dict(kind="k_sweep", sweep=[10, 30], trials=23, seed=5),
+        dict(TIME_GRID_FAILING, trials=23),
+    ])
+    def test_rows_independent_of_chunk_size(self, monkeypatch, config):
+        cfg = ExperimentConfig(**config)
+        monkeypatch.setattr(exp_mod, "_CHUNK_DOUBLES", 1)  # one trial per chunk
+        single = run_experiment(cfg).rows
+        monkeypatch.setattr(exp_mod, "_CHUNK_DOUBLES", 2**40)  # every trial in one chunk
+        whole = run_experiment(cfg).rows
+        assert single == whole
+
+    def test_traced_peak_stays_small_at_many_trials(self):
+        # 1000 trials of K=100: one chunk of them all traces about 140 MB
+        cfg = ExperimentConfig(kind="k_sweep", sweep=[100], trials=1000, seed=0)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+class TestReportLookup:
+    def test_value_uses_isclose_tolerance(self):
+        rows = [ReportRow(float(v), q, 1.0, None, 0) for v in (0.1, 0.2) for q in ("r", "rdot")]
+        report = RmseReport(kind="k_sweep", rows=rows, config=None)
+        assert report.value(0.2 + 1e-12, "rdot") is rows[3]
+        assert report.value(0.1, "r") is rows[0]
+        with pytest.raises(KeyError):
+            report.value(0.15, "r")
+        with pytest.raises(KeyError):
+            report.value(0.1, "Hy")
 
 
 class TestChecks:

@@ -172,6 +172,22 @@ class TestRangeMatrices:
             TrajectorySet(X=[[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]], Y=np.zeros((2, 3)))
 
 
+class TestBatchedRangeMatrices:
+    def test_stack_equals_per_item_assembly(self):
+        vecs = np.random.default_rng(0).normal(size=(3, 4, 10))  # (quantity, item, pair)
+        rm = RangeMatrices.from_pair_vectors(5, *vecs)
+        assert rm.R.shape == (4, 5, 5) and rm.n == 5
+        for b in range(4):
+            one = RangeMatrices.from_pair_vectors(5, *vecs[:, b])
+            for name in ("R", "Rdot", "Rddot"):
+                assert np.array_equal(getattr(rm, name)[b], getattr(one, name))
+        assert np.array_equal(np.stack(rm.pair_vectors()), vecs)
+
+    def test_mismatched_batch_shapes_rejected(self):
+        with pytest.raises(ValueError):
+            RangeMatrices(R=np.zeros((2, 3, 3)), Rdot=np.zeros((3, 3)), Rddot=np.zeros((2, 3, 3)))
+
+
 class TestEdmAtTime:
     def test_t0_equals_range_matrix(self):
         traj = builtin_trajectory("cluster5")

@@ -20,6 +20,7 @@ from relkin import (
     wls_solve,
 )
 from relkin.kinematics import TrajectorySet, canonical_pairs
+from relkin.ranging import _fit_pairs, scale_factors
 
 import dense_oracle
 
@@ -137,6 +138,42 @@ class TestWls:
         coeffs = pairwise_solve(sys)
         fitted = sys.vandermonde()[0] @ coeffs.scaled[0]
         assert np.allclose(fitted, sys.tau[0], atol=1e-12)
+
+
+class TestBatchedFit:
+    def test_stack_equals_per_design_fits(self):
+        traj = builtin_trajectory("cluster5")
+        noise = NoiseModel.from_pair_sigma(0.5, unit="m")
+        singles = [build_design(simulate_exchanges(traj, ExchangeConfig(K=12), noise, 3,
+                                                   stream=(t,)), 4, noise=noise)
+                   for t in range(3)]
+        stack = DesignSystem(markers=np.stack([d.markers for d in singles]),
+                             tau=np.stack([d.tau for d in singles]), L=4, n_nodes=5, c=C,
+                             pair_variances=singles[0].pair_variances)
+        fit = _fit_pairs(stack)
+        assert fit.theta.shape == (3, 10, 4) and not fit.bad.any()
+        f = scale_factors(4, C)
+        for t, single in enumerate(singles):
+            assert np.array_equal(fit.theta[t], wls_solve(single).scaled)
+            assert np.array_equal(fit.cov[t] * np.outer(f, f), crb_theta(single).cov)
+            assert np.array_equal(fit.rss[t], _fit_pairs(single).rss)
+
+    def test_rank_mask_flags_only_the_deficient_block(self):
+        good = np.array([[0.0, 1.0, 2.0, 3.0]] * 3)
+        near = good.copy()
+        near[1] = [0.0, 1.0, 1.0 + 2**-52, 2.0]  # pair (0,2): numerically rank 3 of 4
+        tau = np.random.default_rng(0).normal(size=(2, 3, 4))
+        design = lambda markers, tau: DesignSystem(markers=markers, tau=tau, L=4, n_nodes=3,
+                                                   c=C, pair_variances=np.ones(3))
+        stack = design(np.stack([good, near]), tau)
+        fit = _fit_pairs(stack)
+        assert fit.bad.tolist() == [[False, False, False], [False, True, False]]
+        assert np.all(np.isfinite(fit.theta)) and np.all(np.isfinite(fit.cov))
+        assert np.array_equal(fit.theta[0], wls_solve(design(good, tau[0])).scaled)
+        assert np.array_equal(fit.theta[1][[0, 2]], _fit_pairs(design(near, tau[1])).theta[[0, 2]])
+        for sys in (design(near, tau[1]), stack):
+            with pytest.raises(RankDeficiencyError, match=r"offending pairs \[\(0, 2\)\]"):
+                wls_solve(sys)
 
 
 class TestEfficiency:

@@ -17,6 +17,7 @@ from relkin import (
 )
 from relkin.kinematics import TrajectorySet, taylor_range
 from relkin.rng import derive_rng
+from relkin.twr import _clean_delays, _draw_exchanges
 
 import dense_oracle
 
@@ -135,6 +136,35 @@ class TestSimulation:
         assert np.array_equal(a.t_j, b.t_j)
         c = simulate_exchanges(traj, cfg, noise, seed=42, stream=(3, 8))
         assert not np.array_equal(a.t_i, c.t_i)
+
+    def test_stream_addresses_and_draw_order(self):
+        # pair p draws one (2, K) block from stream (seed, *stream, p): row 0
+        # perturbs the lower node's marker, row 1 the higher node's
+        traj = builtin_trajectory("cluster5")
+        cfg = ExchangeConfig(K=8)
+        noise = NoiseModel(sigma=[1e-9, 2e-9, 3e-9, 4e-9, 5e-9])
+        ex = simulate_exchanges(traj, cfg, noise, seed=42, stream=(3, 7))
+        clean = simulate_exchanges(traj, cfg, NoiseModel(0.0), seed=0)
+        grid = generate_timestamps(cfg)[0]
+        for p, (i, j) in enumerate(canonical_pairs(traj.N)):
+            q = derive_rng(42, 3, 7, p).standard_normal((2, cfg.K))
+            assert np.array_equal(ex.t_i[p], grid + noise.sigma[i] * q[0])
+            assert np.array_equal(ex.t_j[p], clean.t_j[p] + noise.sigma[j] * q[1])
+
+    @pytest.mark.parametrize("cfg", [ExchangeConfig(K=7, direction_policy="alternating"),
+                                     ExchangeConfig(K=7, delay_model="taylor", model_order=3)],
+                             ids=["exact", "taylor"])
+    def test_batched_draws_equal_per_stream_simulations(self, cfg):
+        traj = builtin_trajectory("cluster5")
+        noise = NoiseModel.from_pair_sigma(0.3, unit="m")
+        streams = [(2, t) for t in range(4)]
+        batch = _draw_exchanges(traj, cfg, noise, _clean_delays(traj, cfg), 11, streams)
+        assert batch.t_i.shape == (4, 10, 7) and (batch.n_pairs, batch.K) == (10, 7)
+        for b, stream in enumerate(streams):
+            one = simulate_exchanges(traj, cfg, noise, 11, stream=stream)
+            for name in ("t_i", "t_j", "e"):
+                assert np.array_equal(getattr(batch, name)[b], getattr(one, name))
+            assert np.array_equal(batch.tau()[b], one.tau())
 
     def test_direction_flip_keeps_delays_and_markers(self):
         traj = builtin_trajectory("cluster5")
