@@ -81,4 +81,4 @@ from .experiments import (
     run_default_suite,
     run_experiment,
 )
-from .rng import derive_rng
+from .rng import derive_normals, derive_rng

@@ -13,6 +13,7 @@ import argparse
 import csv
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -153,11 +154,12 @@ def _cmd_crb(args) -> int:
     return 0
 
 
+_CI_TRIALS = 200
+
+
 def _cmd_experiment(args) -> int:
     overrides = {}
-    if args.ci:
-        overrides["trials"] = 200
-    elif args.trials is not None:
+    if args.trials is not None:
         overrides["trials"] = args.trials
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -165,6 +167,8 @@ def _cmd_experiment(args) -> int:
         configs = [ExperimentConfig.from_json(args.config, **overrides)]
     else:
         configs = default_suite(**{"trials": 1000, **overrides})
+    if args.ci:
+        configs = [replace(cfg, trials=min(cfg.trials, _CI_TRIALS)) for cfg in configs]
     reports = [run_experiment(cfg) for cfg in configs]
     written = emit_outputs(reports, args.out)
     for path in written:
@@ -224,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--config", help="experiment JSON; omit to run the default suite")
     p_exp.add_argument("--trials", type=int, default=None,
                        help="override the trial count (config or 1000 otherwise)")
-    p_exp.add_argument("--ci", action="store_true", help="fast mode: 200 trials")
+    p_exp.add_argument("--ci", action="store_true",
+                       help=f"fast mode: at most {_CI_TRIALS} trials per experiment")
     p_exp.add_argument("--seed", type=int, default=None)
     p_exp.add_argument("--out", default="results", help="output directory")
     p_exp.add_argument("--check", action="store_true",

@@ -30,6 +30,7 @@ alignment, since only relative geometry is identifiable.
 from __future__ import annotations
 
 import json
+import platform
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -89,6 +90,11 @@ _TRIAL_ERRORS = (
 )
 
 
+def _is_int(x) -> bool:
+    """An integer other than a bool (JSON true/false must not pass as 1/0)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass
 class ExperimentConfig:
     """One Monte Carlo experiment.
@@ -117,8 +123,11 @@ class ExperimentConfig:
         self.sweep = list(self.sweep)
         if not self.sweep:
             raise ConfigError("sweep must be a nonempty list")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        if not _is_int(self.trials) or self.trials < 1:
+            raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        self.trials, self.seed = int(self.trials), int(self.seed)
         if self.L < 1:
             raise ConfigError("L must be >= 1")
         self.interval = (float(self.interval[0]), float(self.interval[1]))
@@ -523,9 +532,10 @@ def emit_outputs(reports, out_dir) -> list[Path]:
     One ``experiment_<kind>.csv`` per report with columns
     (sweep_value, quantity, rmse, rcrb, n_fail), one ``plot_<kind>.csv``
     with the same data in wide columns, and ``manifest.json`` recording the
-    full configuration and seed and, per experiment, the trial outcomes of
-    every sweep point (see :func:`_trial_outcomes`).  Reruns with the same
-    seed produce byte-identical CSVs.
+    full configuration and seed, per experiment the trial outcomes of every
+    sweep point (see :func:`_trial_outcomes`), and the Python, numpy and
+    platform versions that produced the run.  Reruns with the same seed
+    produce byte-identical CSVs.
     """
     if isinstance(reports, RmseReport):
         reports = [reports]
@@ -565,6 +575,9 @@ def emit_outputs(reports, out_dir) -> list[Path]:
 
     manifest = {
         "package_version": _version,
+        # derived noise streams follow numpy's SeedSequence/PCG64 seeding
+        "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                        "platform": platform.platform()},
         "experiments": [r.config.to_dict() for r in reports],
         "trial_outcomes": [_trial_outcomes(r) for r in reports],
         "wall_seconds": [r.wall_seconds for r in reports],

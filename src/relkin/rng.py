@@ -7,9 +7,119 @@ def derive_rng(seed, *path: int) -> np.random.Generator:
     """Generator for the stream addressed by an integer path under a master seed.
 
     The stream for path (a, b, ...) is ``SeedSequence(seed, spawn_key=(a, b, ...))``,
-    so distinct paths yield independent streams and the draws do not depend on
-    creation order.  Serial and concurrent runs that address streams by the same
-    paths therefore see identical noise.
+    so distinct paths yield independent streams and a stream's draws depend on
+    its address alone, not on which other streams were drawn, in what order or
+    in what batches.  :func:`derive_normals` draws many such streams at once.
     """
     key = tuple(int(p) for p in path)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+# numpy's SeedSequence hash constants (pool of four uint32 words) and the
+# PCG64 128-bit LCG multiplier.
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words(x) -> list[int]:
+    """The uint32 words SeedSequence reads from an int (little-endian) or a sequence of ints."""
+    if isinstance(x, (int, np.integer)):
+        x = int(x)
+        words = [x & _MASK32]
+        while x > _MASK32:
+            x >>= 32
+            words.append(x & _MASK32)
+        return words
+    return [w for v in x for w in _words(v)]
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two uint32 words (Python ints or uint32 arrays)."""
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ (r >> 16)
+
+
+def derive_normals(seed, paths, shape) -> np.ndarray:
+    """Standard normal draws of many derived streams, shape (S, *shape).
+
+    Row s is bit-identical to ``derive_rng(seed, *paths[s]).standard_normal(shape)``.
+    `paths` is an (S, D) array of integers in [0, 2**32).  SeedSequence's
+    entropy pool is hashed from the seed once, the path words are mixed in as
+    uint32 column operations over all S streams, and each stream's PCG64
+    state is set on one reused generator before its draw.
+
+    Raises:
+        ValueError: for a negative seed or path entry (as SeedSequence does),
+            or a path entry of 2**32 or more.
+        TypeError: for a seed SeedSequence rejects or non-integer paths.
+    """
+    paths = np.asarray(paths)
+    if paths.ndim != 2:
+        raise ValueError(f"paths must be an (S, D) array, got shape {paths.shape}")
+    if paths.size and paths.dtype.kind not in "iu":
+        raise TypeError(f"paths must hold integers, got {paths.dtype}")
+    if paths.size and paths.min() < 0:
+        raise ValueError("expected non-negative integer")
+    if paths.size and paths.max() > _MASK32:
+        raise ValueError("path entries must be below 2**32")
+    n_streams = paths.shape[0]
+
+    # SeedSequence(seed, spawn_key=path) hashes the seed's words, zero-padded
+    # to the pool size, followed by the path words.  The hash constant steps
+    # once per hashed word whatever its value, so everything before the first
+    # path word depends on the seed alone.
+    entropy = _words(np.random.SeedSequence(seed).entropy)
+    entropy += [0] * (_POOL - len(entropy))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ (value >> 16)
+
+    pool = [hashmix(w) for w in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(w))
+
+    pool = [np.full(n_streams, w, np.uint32) for w in pool]
+    for column in paths.T.astype(np.uint32):
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(column))
+
+    # generate_state(4, uint64): eight hashed uint32 words read as four
+    # little-endian uint64 words (a, b, c, d); PCG64 seeds its LCG with
+    # initstate = a * 2**64 + b and initseq = c * 2**64 + d, stepping it as
+    # pcg_setseq_128_srandom_r does.
+    hash_const = _INIT_B
+    state_words = np.empty((n_streams, 2 * _POOL), np.uint32)
+    for k in range(2 * _POOL):
+        value = pool[k % _POOL] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state_words[:, k] = value ^ (value >> 16)
+    seeds = state_words.astype("<u4").view("<u8").tolist()
+
+    out = np.empty((n_streams, *shape))
+    bit_gen = np.random.PCG64(0)
+    gen = np.random.Generator(bit_gen)
+    lcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": lcg, "has_uint32": 0, "uinteger": 0}
+    for row, (a, b, c, d) in zip(out.reshape(n_streams, int(np.prod(shape))), seeds):
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        lcg["state"] = ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128
+        lcg["inc"] = inc
+        bit_gen.state = state
+        gen.standard_normal(out=row)
+    return out

@@ -28,7 +28,7 @@ from .kinematics import (
     range_matrices,
     taylor_range,
 )
-from .rng import derive_rng
+from .rng import derive_normals
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -356,16 +356,15 @@ def _draw_exchanges(traj: TrajectorySet, cfg: ExchangeConfig, noise: NoiseModel,
 
     Simulation b draws pair p from the derived stream (seed, *streams[b], p),
     so the result, with (len(streams), Nbar, K) arrays, holds exactly what
-    one :func:`simulate_exchanges` call per stream would.
+    one :func:`simulate_exchanges` call per stream would.  All streams share
+    one length.
     """
     grid = generate_timestamps(cfg, 1)[0]
     e_flags = cfg.directions()
     sig = noise.node_std_seconds(traj.N, cfg.c)
     i, j = np.triu_indices(traj.N, k=1)
-    q = np.empty((len(streams), len(i), 2, cfg.K))
-    for b, stream in enumerate(streams):
-        for p in range(len(i)):
-            derive_rng(seed, *stream, p).standard_normal(out=q[b, p])
+    paths = np.array([(*stream, p) for stream in streams for p in range(len(i))])
+    q = derive_normals(seed, paths, (2, cfg.K)).reshape(len(streams), len(i), 2, cfg.K)
     t_i = grid + sig[i, None] * q[:, :, 0]
     t_j = grid + e_flags * delays + sig[j, None] * q[:, :, 1]
     e = np.broadcast_to(e_flags, t_i.shape).copy()
@@ -389,7 +388,8 @@ def simulate_exchanges(traj: TrajectorySet, cfg: ExchangeConfig, noise: NoiseMod
 
     Args:
         stream: optional integer path prefix separating independent
-            simulations (e.g. (sweep_index, trial_index)) under one seed.
+            simulations (e.g. (sweep_index, trial_index)) under one seed;
+            entries lie in [0, 2**32).
     """
     batch = _draw_exchanges(traj, cfg, noise, _clean_delays(traj, cfg), seed, [stream])
     return TimestampExchangeSet(n_nodes=batch.n_nodes, t_i=batch.t_i[0], t_j=batch.t_j[0],

@@ -208,6 +208,38 @@ class TestExperiment:
         assert read(out_a) != read(out_c)
 
 
+    @pytest.mark.parametrize("argv, config", [
+        (["--ci", "--seed", "-1"], {}),
+        ([], {"seed": 1.5}),
+        ([], {"seed": "7"}),
+        ([], {"seed": True}),
+        ([], {"trials": 2.5}),
+        ([], {"trials": "200"}),
+    ], ids=["negative-seed-flag", "float-seed", "string-seed", "bool-seed", "float-trials",
+            "string-trials"])
+    def test_bad_seed_or_trials_is_clean_error(self, tmp_path, capsys, argv, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": {"K": [10]}, "trials": 2, **config}))
+        rc = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r"), *argv])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("argv, config_trials, expected", [
+        (["--ci"], 50, 50),
+        (["--ci", "--trials", "30"], 50, 30),
+        (["--ci", "--trials", "300"], 50, 200),
+        (["--ci"], 300, 200),
+    ])
+    def test_ci_caps_trials(self, tmp_path, argv, config_trials, expected):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": {"K": [10]}, "K": 10, "trials": config_trials}))
+        out = tmp_path / "r"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out), *argv]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [e["trials"] for e in manifest["experiments"]] == [expected]
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "relkin", "crb", "--messages", "20", "--sigma-meters", "0.1"],

@@ -318,6 +318,13 @@ class TestEmit:
         header = (tmp_path / "experiment_k_sweep.csv").read_text().splitlines()[0]
         assert header == "sweep_value,quantity,rmse,rcrb,n_fail"
 
+    def test_manifest_records_environment(self, tmp_path):
+        emit_outputs(run_experiment(ExperimentConfig(kind="k_sweep", sweep=[10], trials=2)),
+                     tmp_path)
+        env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+        assert env["numpy"] == np.__version__
+        assert env["python"] and env["platform"]
+
     def test_byte_identical_rerun(self, tmp_path):
         def produce(where):
             cfg = ExperimentConfig(kind="k_sweep", sweep=[12, 24], trials=10, seed=33)
