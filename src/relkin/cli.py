@@ -35,8 +35,8 @@ from .kinematics import (
     load_trajectory,
     range_matrices,
 )
-from .ranging import build_design, crb_theta, wls_solve
-from .twr import ExchangeConfig, NoiseModel, SPEED_OF_LIGHT, TimestampExchangeSet, simulate_exchanges
+from .ranging import _solve_with_crb, build_design, crb_theta
+from .twr import ExchangeConfig, NoiseModel, SPEED_OF_LIGHT, TimestampExchangeSet, _clean_exchanges
 
 
 def _pair_noise(sigma_meters: float) -> NoiseModel:
@@ -49,9 +49,7 @@ def _pair_noise(sigma_meters: float) -> NoiseModel:
 def _cmd_estimate(args) -> int:
     noise = _pair_noise(args.sigma_meters)
     exchanges = TimestampExchangeSet.from_csv(args.exchanges, c=args.c)
-    design = build_design(exchanges, args.order, noise=noise)
-    coeffs = wls_solve(design)
-    crb = crb_theta(design)
+    coeffs, crb = _solve_with_crb(build_design(exchanges, args.order, noise=noise))
     rows = [("i", "j", "order", "theta", "rcrb")]
     phys = coeffs.physical
     per_pair = np.column_stack([crb.per_pair_rcrb(ell) for ell in range(args.order)])
@@ -132,8 +130,7 @@ def _cmd_crb(args) -> int:
     noise = _pair_noise(args.sigma_meters)
     traj = load_trajectory(args.fixture)
     cfg = ExchangeConfig(K=args.messages, interval=tuple(args.interval), c=args.c)
-    clean = simulate_exchanges(traj, cfg, NoiseModel(0.0), seed=0)
-    design = build_design(clean, args.order, noise=noise)
+    design = build_design(_clean_exchanges(traj, cfg), args.order, noise=noise)
     crb = crb_theta(design)
     covs = RangeNoiseCovariances.from_theta_crb(crb)
     pc = centering_matrix(traj.N)

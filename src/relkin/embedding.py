@@ -123,7 +123,12 @@ def spectral_embed(B: np.ndarray, P: int) -> np.ndarray:
         EmbeddingFailureError: if no positive eigenvalue exists, i.e. the
             matrix admits no nonzero embedding.
     """
-    emb = _embed(B, P)
+    return _checked(_embed(B, P))
+
+
+def _checked(emb: _Embedding) -> np.ndarray:
+    """The configuration of one embedding, as :func:`spectral_embed` returns it."""
+    P = emb.top.shape[-1]
     if emb.failed:
         raise EmbeddingFailureError(
             f"no positive eigenvalue (largest {emb.top[0]:.3e}); cannot embed in {P} dimensions"
@@ -132,7 +137,7 @@ def spectral_embed(B: np.ndarray, P: int) -> np.ndarray:
         warnings.warn(
             f"clamped {emb.n_clamped} negative eigenvalue(s) in a rank-{P} embedding",
             EmbeddingClampWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return emb.config
 
@@ -229,8 +234,8 @@ class RelativeSolution:
 def solve_relative(rm: RangeMatrices, P: int, orthogonalize: bool = False) -> RelativeSolution:
     """Full relative-kinematics solve from range matrices."""
     grams = grams_from_ranges(rm)
-    xrel = spectral_embed(grams.Bxx, P)
-    yrel = spectral_embed(grams.Byy, P)
+    emb = _embed(np.stack([grams.Bxx, grams.Byy]), P)  # one eigh for both, each as spectral_embed
+    xrel, yrel = (_checked(_Embedding(emb.config[k], emb.top[k])) for k in range(2))
     hy = estimate_rotation(xrel, yrel, grams.Bxy, orthogonalize=orthogonalize)
     return RelativeSolution(Xrel=xrel, Yrel=yrel, Hy=hy)
 

@@ -11,13 +11,19 @@ Three experiment kinds mirror the standard evaluation of the estimator:
     interval, comparing the dynamic-ranging propagation Xrel + t H Yrel
     against per-instant classical MDS snapshots from the same exchanges.
 
-One engine runs the trials of a sweep point: it takes contiguous chunks of
-trials, sized so the largest stacked array stays near _CHUNK_DOUBLES, and
-runs every pipeline stage once per chunk, batched over its trials (one QR
-for all pair fits, one eigh for all embeddings including the time grid's
-classical-MDS snapshots, one SVD for all Procrustes alignments; only the
-rotation's least squares loops over trials).  A trial that would raise in
-the single-trial pipeline is masked out and counted under its exception
+One engine runs the trials of a sweep point, on two levels of contiguous
+trial chunks, each sized so its largest stacked array stays near
+_CHUNK_DOUBLES.  An outer chunk is bounded by what a trial keeps after its
+fit (theta, the three Grams, the time grid's snapshot matrices); at N=5 it
+holds 436 trials at a k/sigma sweep point, and 13 on the default time grid
+of 100 instants.  It derives the seed words of every (trial, pair) noise
+stream once, then draws and fits its trials in sub-chunks bounded by the
+whitened (Nbar, K, L+1) QR stack, keeping only theta, the rank flags and
+the snapshot delays of each.  Every later stage runs once per outer chunk,
+batched over its trials: one eigh for all embeddings including the time
+grid's classical-MDS snapshots, one SVD for all Procrustes alignments; only
+the rotation's least squares loops over trials.  A trial that would raise
+in the single-trial pipeline is masked out and counted under its exception
 type; trials whose embedding clamped a negative eigenvalue are counted too.
 
 Trials are seeded through derived streams keyed by (sweep point, trial,
@@ -30,6 +36,7 @@ alignment, since only relative geometry is identifiable.
 from __future__ import annotations
 
 import json
+import math
 import platform
 import time
 from dataclasses import dataclass, field
@@ -60,11 +67,12 @@ from .twr import (
     ExchangeConfig,
     NoiseModel,
     SPEED_OF_LIGHT,
-    _clean_delays,
+    TimestampExchangeSet,
+    _clean_exchanges,
     _draw_exchanges,
+    _exchange_states,
     effective_noise_covariance,
     generate_timestamps,
-    simulate_exchanges,
 )
 
 __all__ = [
@@ -93,6 +101,29 @@ _TRIAL_ERRORS = (
 def _is_int(x) -> bool:
     """An integer other than a bool (JSON true/false must not pass as 1/0)."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_finite(x) -> bool:
+    """A finite real number other than a bool."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool) \
+        and math.isfinite(x)
+
+
+def _db_meters(value) -> float:
+    """sigma_m of a sigma-sweep value in dB-meters, 10**(value/10); inf where that overflows."""
+    try:
+        return 10.0 ** (float(value) / 10.0)
+    except OverflowError:
+        return math.inf
+
+
+# per kind, which sweep values are valid and how the error names them
+_SWEEP_VALUES = {
+    "k_sweep": (lambda v: _is_int(v) and v >= 1, "integers >= 1"),
+    "sigma_sweep": (lambda v: _is_finite(v) and math.isfinite(_db_meters(v)),
+                    "finite dB-meter levels"),
+    "time_grid": (_is_finite, "finite times"),
+}
 
 
 @dataclass
@@ -128,9 +159,22 @@ class ExperimentConfig:
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         self.trials, self.seed = int(self.trials), int(self.seed)
-        if self.L < 1:
-            raise ConfigError("L must be >= 1")
-        self.interval = (float(self.interval[0]), float(self.interval[1]))
+        for name, value in (("L", self.L), ("K", self.K)):
+            if not _is_int(value) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        self.L, self.K = int(self.L), int(self.K)
+        if not (_is_finite(self.sigma_m) and self.sigma_m >= 0):
+            raise ConfigError(f"sigma_m must be a finite number >= 0, got {self.sigma_m!r}")
+        valid, what = _SWEEP_VALUES[self.kind]
+        for value in self.sweep:
+            if not valid(value):
+                raise ConfigError(f"{self.kind} values must be {what}, got {value!r}")
+        interval = tuple(self.interval) if isinstance(self.interval, (tuple, list)) else ()
+        if not (len(interval) == 2 and all(map(_is_finite, interval))
+                and interval[0] < interval[1]):
+            raise ConfigError(f"interval must be two finite, increasing numbers, "
+                              f"got {self.interval!r}")
+        self.interval = (float(interval[0]), float(interval[1]))
 
     @classmethod
     def from_json(cls, path, **overrides) -> "ExperimentConfig":
@@ -151,8 +195,6 @@ class ExperimentConfig:
         kind = {"K": "k_sweep", "sigma_db_m": "sigma_sweep", "time_grid": "time_grid"}.get(key)
         if kind is None:
             raise ConfigError(f"{path}: unknown sweep key {key!r}")
-        if "interval" in data:
-            data["interval"] = tuple(data["interval"])
         known = set(cls.__dataclass_fields__) - {"kind", "sweep"}
         unknown = set(data) - known
         if unknown:
@@ -236,10 +278,9 @@ def rmse_matrix_aligned(estimates, truth) -> float:
     return float(np.sqrt(np.mean(resid**2)))
 
 
-def _point_rcrbs(traj, exch_cfg, noise, L, pc):
-    """Root-CRBs at one sweep point, from the clean marker grid."""
-    clean = simulate_exchanges(traj, exch_cfg, NoiseModel(0.0), seed=0)
-    cov = effective_noise_covariance(noise, traj.N, exch_cfg.K, exch_cfg.c)
+def _point_rcrbs(traj, clean, noise, L, pc):
+    """Root-CRBs at one sweep point, from its noise-free exchanges."""
+    cov = effective_noise_covariance(noise, traj.N, clean.K, clean.c)
     design = build_design(clean, L, pair_variances=cov.pair_variances)
     theta_crb = crb_theta(design)
     covs = RangeNoiseCovariances.from_theta_crb(theta_crb)
@@ -261,13 +302,12 @@ class _Point(NamedTuple):
     """What every trial of one sweep point shares."""
 
     traj: TrajectorySet
-    exch_cfg: ExchangeConfig
     noise: NoiseModel
     cfg: ExperimentConfig
-    stream: tuple[int, ...]  # trial t of the point simulates stream (*stream, t)
-    markers: np.ndarray      # (M,) marker indices of the classical-MDS snapshots
-    times: np.ndarray        # (M,) their instants, where the dynamic estimate is also taken
-    delays: np.ndarray       # (Nbar, K) noise-free delays
+    stream: tuple[int, ...]        # trial t of the point simulates stream (*stream, t)
+    markers: np.ndarray            # (M,) marker indices of the classical-MDS snapshots
+    times: np.ndarray              # (M,) their instants, where the dynamic estimate is also taken
+    clean: TimestampExchangeSet    # (Nbar, K) noise-free exchanges
 
 
 class _Trials(NamedTuple):
@@ -283,23 +323,49 @@ class _Trials(NamedTuple):
     snap_clamped: np.ndarray   # (T, M) snapshot embedding clamped an eigenvalue
 
 
+# Bound, in doubles, on the largest array stacked over the trials of one
+# chunk (about 256 KB).  Each level of the engine sizes its own chunks by it:
+# an outer chunk by what a trial keeps after its fit (theta, the three Grams
+# and the time grid's snapshot matrices), a sub-chunk of it by the whitened
+# (Nbar, K, L + 1) QR stack of the draw and the fit.  Chunks keep the working
+# set small whatever the trial count; they do not change any result.
+_CHUNK_DOUBLES = 2**15
+
+
+def _trials_per_chunk(doubles_per_trial: int) -> int:
+    return max(1, _CHUNK_DOUBLES // doubles_per_trial)
+
+
 def _trial_chunk(pt: _Point, trials: range) -> _Trials:
     """The whole pipeline for a contiguous run of trials, each stage batched over them.
 
-    A trial fails at the first stage that would raise in the single-trial
-    pipeline (the ranging fit, either spectral embedding, the rotation); the
-    stages after it still run on its finite placeholder values and are
-    masked out.
+    The seed words of every (trial, pair) noise stream are derived once.  The
+    draw and the fit run over sub-chunks, each keeping only theta, the rank
+    flags and the snapshot delays; every later stage runs once over all the
+    trials.  A trial fails at the first stage that would raise in the
+    single-trial pipeline (the ranging fit, either spectral embedding, the
+    rotation); the stages after it still run on its finite placeholder
+    values and are masked out.
     """
     traj, cfg, n, P = pt.traj, pt.cfg, pt.traj.N, pt.traj.P
-    ex = _draw_exchanges(traj, pt.exch_cfg, pt.noise, pt.delays, cfg.seed,
-                         [pt.stream + (t,) for t in trials])
-    fit = _fit_pairs(build_design(ex, cfg.L, noise=pt.noise))
-    coeffs = RangeCoefficients(scaled=fit.theta, n_nodes=n, c=cfg.c)
+    n_trials, n_pairs = len(trials), pt.clean.n_pairs
+    states = _exchange_states(cfg.seed, [pt.stream + (t,) for t in trials], n_pairs)
+    theta = np.empty((n_trials, n_pairs, cfg.L))
+    rank_bad = np.empty(n_trials, bool)
+    snap_tau = np.empty((n_trials, n_pairs, len(pt.markers)))
+    step = _trials_per_chunk(n_pairs * pt.clean.K * (cfg.L + 1))
+    for lo in range(0, n_trials, step):
+        sub = slice(lo, lo + step)
+        ex = _draw_exchanges(pt.clean, pt.noise, states[sub])
+        fit = _fit_pairs(build_design(ex, cfg.L, noise=pt.noise))
+        theta[sub], rank_bad[sub] = fit.theta, fit.bad.any(axis=-1)
+        snap_tau[sub] = ex.tau()[..., pt.markers]
+
+    coeffs = RangeCoefficients(scaled=theta, n_nodes=n, c=cfg.c)
     grams = grams_from_ranges(coeffs.to_range_matrices())
-    snaps = np.zeros((len(trials), len(pt.markers), n, n))
+    snaps = np.zeros((n_trials, len(pt.markers), n, n))
     i, j = np.triu_indices(n, k=1)
-    snaps[..., i, j] = cfg.c * ex.tau()[..., pt.markers].swapaxes(-1, -2)
+    snaps[..., i, j] = cfg.c * snap_tau.swapaxes(-1, -2)
     snaps = snaps + snaps.swapaxes(-1, -2)
     emb = _embed(np.concatenate([grams.Bxx[:, None], grams.Byy[:, None], _mds_gram(snaps)],
                                 axis=1), P)
@@ -307,7 +373,6 @@ def _trial_chunk(pt: _Point, trials: range) -> _Trials:
     # as in spectral_embed, an embedding that failed has not clamped
     failed = emb.failed
     clamped = (emb.n_clamped > 0) & ~failed
-    rank_bad = fit.bad.any(axis=-1)
     embed_bad = failed[:, 0] | failed[:, 1]
     ok = ~rank_bad & ~embed_bad
     hy, rank = _rotation_stack(xrel, yrel, grams.Bxy, cfg.orthogonalize, where=ok)
@@ -330,18 +395,10 @@ def _trial_chunk(pt: _Point, trials: range) -> _Trials:
     )
 
 
-# Bound, in doubles, on the largest array stacked over one chunk of trials
-# (about 256 KB): the whitened QR stack of every pair, or the time grid's
-# snapshot matrices.  Chunks keep the working set small whatever the trial
-# count; they do not change any result.
-_CHUNK_DOUBLES = 2**15
-
-
 def _run_trials(pt: _Point) -> _Trials:
-    """Every trial of one sweep point, in chunks of contiguous trials."""
-    n, K, L = pt.traj.N, pt.exch_cfg.K, pt.cfg.L
-    per_trial = max(n * (n - 1) // 2 * K * (L + 1), len(pt.markers) * n * n)
-    step = max(1, _CHUNK_DOUBLES // per_trial)
+    """Every trial of one sweep point, in outer chunks of contiguous trials."""
+    n, n_snaps = pt.traj.N, len(pt.markers)
+    step = _trials_per_chunk(max(pt.clean.n_pairs * pt.cfg.L, 3 * n * n, n_snaps * n * n))
     chunks = [_trial_chunk(pt, range(lo, min(lo + step, pt.cfg.trials)))
               for lo in range(0, pt.cfg.trials, step)]
     return _Trials(*(np.concatenate(parts) for parts in zip(*chunks)))
@@ -361,22 +418,22 @@ def _run_sweep_point(traj, cfg, s_idx, value):
     if cfg.kind == "k_sweep":
         K, sigma_m = int(value), cfg.sigma_m
     else:
-        K, sigma_m = cfg.K, 10.0 ** (float(value) / 10.0)
+        K, sigma_m = cfg.K, _db_meters(value)
     exch_cfg = ExchangeConfig(K=K, interval=cfg.interval, c=cfg.c,
                               delay_model=cfg.delay_model, model_order=cfg.L)
     noise = NoiseModel.from_pair_sigma(sigma_m, unit="m")
+    clean = _clean_exchanges(traj, exch_cfg)
     if sigma_m > 0:
-        rcrbs = _point_rcrbs(traj, exch_cfg, noise, cfg.L, centering_matrix(traj.N))
+        rcrbs = _point_rcrbs(traj, clean, noise, cfg.L, centering_matrix(traj.N))
     else:
         rcrbs = dict.fromkeys(("r", "rdot", "rddot", "Xrel", "Yrel", "Hy"), None)
 
-    # deterministic noiseless run fixes the reference frame for the rotation
-    ref = simulate_exchanges(traj, exch_cfg, NoiseModel(0.0), cfg.seed, stream=(s_idx, 0))
-    hy_ref = solve_relative(wls_solve(build_design(ref, cfg.L)).to_range_matrices(), traj.P,
+    # the noiseless solution fixes the reference frame for the rotation
+    hy_ref = solve_relative(wls_solve(build_design(clean, cfg.L)).to_range_matrices(), traj.P,
                             orthogonalize=cfg.orthogonalize).Hy
 
-    res = _run_trials(_Point(traj, exch_cfg, noise, cfg, (s_idx,), markers=np.zeros(0, np.intp),
-                             times=np.zeros(0), delays=_clean_delays(traj, exch_cfg)))
+    res = _run_trials(_Point(traj, noise, cfg, (s_idx,), markers=np.zeros(0, np.intp),
+                             times=np.zeros(0), clean=clean))
     ok = res.cause == 0
     sq = {"r": res.coeff_sq[:, 0], "rdot": res.coeff_sq[:, 1], "rddot": res.coeff_sq[:, 2],
           "Xrel": res.aligned_sq[:, 0], "Yrel": res.aligned_sq[:, 1],
@@ -394,8 +451,8 @@ def _run_time_grid(traj, cfg):
     grid = generate_timestamps(exch_cfg, 1)[0]
     idxs = np.array([int(np.argmin(np.abs(grid - float(t)))) for t in cfg.sweep], np.intp)
     times = grid[idxs]
-    res = _run_trials(_Point(traj, exch_cfg, noise, cfg, (0,), markers=idxs, times=times,
-                             delays=_clean_delays(traj, exch_cfg)))
+    res = _run_trials(_Point(traj, noise, cfg, (0,), markers=idxs, times=times,
+                             clean=_clean_exchanges(traj, exch_cfg)))
     ok = res.cause == 0
     dr_fail, failures = int(np.count_nonzero(~ok)), _failures(res.cause)
     dr_sq, cmds_sq = np.split(res.aligned_sq[:, 2:], 2, axis=1)

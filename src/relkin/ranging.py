@@ -315,10 +315,20 @@ def crb_theta(sys: DesignSystem) -> RangeCrb:
         ValueError: if the system declares no noise covariance.
         RankDeficiencyError: if a whitened block is column rank deficient.
     """
+    return _solve_with_crb(sys)[1]
+
+
+def _solve_with_crb(sys: DesignSystem) -> tuple[RangeCoefficients, RangeCrb]:
+    """:func:`wls_solve` and :func:`crb_theta` of one system from a single fit.
+
+    Raises as :func:`crb_theta` does.
+    """
     if sys.pair_variances is None:
         raise ValueError("crb_theta requires pair_variances on the design system")
+    fit = _full_rank_fit(sys)
     f = scale_factors(sys.L, sys.c)
-    return RangeCrb(cov=_full_rank_fit(sys).cov * np.outer(f, f), n_nodes=sys.n_nodes)
+    return (RangeCoefficients(scaled=fit.theta, n_nodes=sys.n_nodes, c=sys.c),
+            RangeCrb(cov=fit.cov * np.outer(f, f), n_nodes=sys.n_nodes))
 
 
 def order_select(exchanges: TimestampExchangeSet, L_max: int,

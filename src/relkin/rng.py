@@ -58,6 +58,16 @@ def derive_normals(seed, paths, shape) -> np.ndarray:
             or a path entry of 2**32 or more.
         TypeError: for a seed SeedSequence rejects or non-integer paths.
     """
+    return _draw_normals(_stream_states(seed, paths), shape)
+
+
+def _stream_states(seed, paths) -> np.ndarray:
+    """(S, 4) uint64 PCG64 seed words of the streams (seed, *paths[s]).
+
+    The words (a, b, c, d) are what ``SeedSequence(seed, spawn_key=paths[s])
+    .generate_state(4, np.uint64)`` returns; :func:`_draw_normals` turns them
+    into PCG64 states.  Validates as :func:`derive_normals` documents.
+    """
     paths = np.asarray(paths)
     if paths.ndim != 2:
         raise ValueError(f"paths must be an (S, D) array, got shape {paths.shape}")
@@ -99,9 +109,7 @@ def derive_normals(seed, paths, shape) -> np.ndarray:
             pool[dst] = _mix(pool[dst], hashmix(column))
 
     # generate_state(4, uint64): eight hashed uint32 words read as four
-    # little-endian uint64 words (a, b, c, d); PCG64 seeds its LCG with
-    # initstate = a * 2**64 + b and initseq = c * 2**64 + d, stepping it as
-    # pcg_setseq_128_srandom_r does.
+    # little-endian uint64 words
     hash_const = _INIT_B
     state_words = np.empty((n_streams, 2 * _POOL), np.uint32)
     for k in range(2 * _POOL):
@@ -109,14 +117,23 @@ def derive_normals(seed, paths, shape) -> np.ndarray:
         hash_const = hash_const * _MULT_B & _MASK32
         value = value * hash_const
         state_words[:, k] = value ^ (value >> 16)
-    seeds = state_words.astype("<u4").view("<u8").tolist()
+    return state_words.astype("<u4").view("<u8")
 
+
+def _draw_normals(states: np.ndarray, shape) -> np.ndarray:
+    """(S, *shape) standard normals, row s drawn from the stream of seed words states[s].
+
+    PCG64 seeds its LCG from the words (a, b, c, d) of :func:`_stream_states`
+    with initstate = a * 2**64 + b and initseq = c * 2**64 + d, stepping it as
+    pcg_setseq_128_srandom_r does.
+    """
+    n_streams = len(states)
     out = np.empty((n_streams, *shape))
     bit_gen = np.random.PCG64(0)
     gen = np.random.Generator(bit_gen)
     lcg = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": lcg, "has_uint32": 0, "uinteger": 0}
-    for row, (a, b, c, d) in zip(out.reshape(n_streams, int(np.prod(shape))), seeds):
+    for row, (a, b, c, d) in zip(out.reshape(n_streams, int(np.prod(shape))), states.tolist()):
         inc = ((c << 64 | d) << 1 | 1) & _MASK128
         lcg["state"] = ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128
         lcg["inc"] = inc

@@ -28,7 +28,7 @@ from .kinematics import (
     range_matrices,
     taylor_range,
 )
-from .rng import derive_normals
+from .rng import _draw_normals, _stream_states
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -350,25 +350,51 @@ def _clean_delays(traj: TrajectorySet, cfg: ExchangeConfig) -> np.ndarray:
     return taylor_range(rd, grid, order=cfg.model_order) / cfg.c
 
 
-def _draw_exchanges(traj: TrajectorySet, cfg: ExchangeConfig, noise: NoiseModel,
-                    delays: np.ndarray, seed, streams) -> TimestampExchangeSet:
-    """Noisy exchanges of a batch of simulations sharing the noise-free `delays`.
+def _clean_exchanges(traj: TrajectorySet, cfg: ExchangeConfig) -> TimestampExchangeSet:
+    """The noise-free exchanges: what :func:`simulate_exchanges` gives under zero
+    noise (a zero draw adds only +/-0.0), with no normals drawn."""
+    delays = _clean_delays(traj, cfg)
+    grid = generate_timestamps(cfg, len(delays))
+    e = np.tile(cfg.directions(), (len(delays), 1))
+    return TimestampExchangeSet(n_nodes=traj.N, t_i=grid, t_j=grid + e * delays, e=e, c=cfg.c)
 
-    Simulation b draws pair p from the derived stream (seed, *streams[b], p),
-    so the result, with (len(streams), Nbar, K) arrays, holds exactly what
-    one :func:`simulate_exchanges` call per stream would.  All streams share
-    one length.
+
+def _exchange_states(seed, streams, n_pairs: int) -> np.ndarray:
+    """(B, Nbar, 4) stream seed words of a batch of simulations: simulation b
+    draws pair p from the derived stream (seed, *streams[b], p).
+
+    `streams` is a (B, D) integer array (or a list of B equal-length tuples).
     """
-    grid = generate_timestamps(cfg, 1)[0]
-    e_flags = cfg.directions()
-    sig = noise.node_std_seconds(traj.N, cfg.c)
-    i, j = np.triu_indices(traj.N, k=1)
-    paths = np.array([(*stream, p) for stream in streams for p in range(len(i))])
-    q = derive_normals(seed, paths, (2, cfg.K)).reshape(len(streams), len(i), 2, cfg.K)
-    t_i = grid + sig[i, None] * q[:, :, 0]
-    t_j = grid + e_flags * delays + sig[j, None] * q[:, :, 1]
-    e = np.broadcast_to(e_flags, t_i.shape).copy()
-    return TimestampExchangeSet(n_nodes=traj.N, t_i=t_i, t_j=t_j, e=e, c=cfg.c)
+    streams = np.asarray(streams)
+    if streams.size and streams.dtype.kind not in "iu":
+        raise TypeError(f"stream entries must be integers, got {streams.dtype}")
+    n_sims, depth = streams.shape
+    paths = np.empty((n_sims, n_pairs, depth + 1), np.int64)
+    paths[..., :-1] = streams[:, None]
+    paths[..., -1] = np.arange(n_pairs)
+    return _stream_states(seed, paths.reshape(-1, depth + 1)).reshape(n_sims, n_pairs, -1)
+
+
+def _draw_exchanges(clean: TimestampExchangeSet, noise: NoiseModel,
+                    states: np.ndarray) -> TimestampExchangeSet:
+    """Noisy exchanges of a batch of simulations of the noise-free set `clean`.
+
+    Each simulation perturbs every marker of `clean` by one Gaussian draw, for
+    pair p of simulation b from the stream of seed words states[b, p] (see
+    :func:`_exchange_states`): row 0 of its (2, K) draw perturbs the lower
+    node's markers, row 1 the higher node's.  The result holds
+    (len(states), Nbar, K) arrays, exactly what one :func:`simulate_exchanges`
+    call per simulation would give.
+    """
+    n_sims, n_pairs = states.shape[:2]
+    sig = noise.node_std_seconds(clean.n_nodes, clean.c)
+    i, j = np.triu_indices(clean.n_nodes, k=1)
+    q = _draw_normals(states.reshape(n_sims * n_pairs, -1), (2, clean.K))
+    q = q.reshape(n_sims, n_pairs, 2, clean.K)
+    t_i = clean.t_i + sig[i, None] * q[:, :, 0]
+    t_j = clean.t_j + sig[j, None] * q[:, :, 1]
+    e = np.broadcast_to(clean.e, t_i.shape).copy()
+    return TimestampExchangeSet(n_nodes=clean.n_nodes, t_i=t_i, t_j=t_j, e=e, c=clean.c)
 
 
 def simulate_exchanges(traj: TrajectorySet, cfg: ExchangeConfig, noise: NoiseModel,
@@ -391,6 +417,7 @@ def simulate_exchanges(traj: TrajectorySet, cfg: ExchangeConfig, noise: NoiseMod
             simulations (e.g. (sweep_index, trial_index)) under one seed;
             entries lie in [0, 2**32).
     """
-    batch = _draw_exchanges(traj, cfg, noise, _clean_delays(traj, cfg), seed, [stream])
+    clean = _clean_exchanges(traj, cfg)
+    batch = _draw_exchanges(clean, noise, _exchange_states(seed, [stream], clean.n_pairs))
     return TimestampExchangeSet(n_nodes=batch.n_nodes, t_i=batch.t_i[0], t_j=batch.t_j[0],
                                 e=batch.e[0], c=batch.c)

@@ -11,11 +11,16 @@ import pytest
 from relkin import (
     ExchangeConfig,
     NoiseModel,
+    TimestampExchangeSet,
+    build_design,
     builtin_trajectory,
+    canonical_pairs,
     centering_matrix,
+    crb_theta,
     procrustes_align,
     range_matrices,
     simulate_exchanges,
+    wls_solve,
 )
 from relkin.cli import main
 
@@ -50,6 +55,23 @@ class TestEstimate:
         for p, (i, j) in enumerate([(a, b) for a in range(5) for b in range(a + 1, 5)]):
             assert got[(i, j)] == pytest.approx(r_true[p], rel=1e-8)
         assert all(float(r["rcrb"]) > 0 for r in rows)
+
+    def test_one_fit_matches_separate_solve_and_bound(self, exchange_csv, tmp_path):
+        # theta and the rcrb come from one fit; the file must be what the
+        # separate wls_solve and crb_theta calls give, byte for byte
+        out = tmp_path / "theta.csv"
+        assert main(["estimate", "--exchanges", str(exchange_csv), "--order", "3",
+                     "--sigma-meters", "0.2", "--out", str(out)]) == 0
+        design = build_design(TimestampExchangeSet.from_csv(exchange_csv), 3,
+                              noise=NoiseModel.from_pair_sigma(0.2, unit="m"))
+        phys, crb = wls_solve(design).physical, crb_theta(design)
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as fh:
+            csv.writer(fh).writerows(
+                [("i", "j", "order", "theta", "rcrb")]
+                + [(i, j, ell, repr(float(phys[p, ell])), repr(float(crb.per_pair_rcrb(ell)[p])))
+                   for p, (i, j) in enumerate(canonical_pairs(5)) for ell in range(3)])
+        assert out.read_bytes() == want.read_bytes()
 
     def test_solver_switch_removed(self, exchange_csv, tmp_path):
         # one per-pair solver serves every caller, so there is no mode to pick
@@ -221,6 +243,35 @@ class TestExperiment:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sweep": {"K": [10]}, "trials": 2, **config}))
         rc = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r"), *argv])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("config", [
+        {"L": "4"},
+        {"L": 0},
+        {"K": 2.5},
+        {"K": 0},
+        {"sweep": {"K": [10.5]}},
+        {"sweep": {"K": [0]}},
+        {"sigma_m": -1},
+        {"sigma_m": float("nan")},
+        {"sigma_m": "0.1"},
+        {"sweep": {"sigma_db_m": [float("inf")]}},
+        {"sweep": {"sigma_db_m": [4000]}},
+        {"sweep": {"time_grid": ["0"]}},
+        {"interval": [3, -3]},
+        {"interval": [0, float("inf")]},
+        {"interval": [1]},
+        {"interval": 3},
+    ], ids=["string-L", "zero-L", "float-K", "zero-K", "float-K-sweep", "zero-K-sweep",
+            "negative-sigma", "nan-sigma", "string-sigma", "inf-sigma-sweep",
+            "overflowing-sigma-sweep", "string-time-grid", "reversed-interval",
+            "infinite-interval", "short-interval", "scalar-interval"])
+    def test_bad_config_value_is_clean_error(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": {"K": [10]}, "trials": 2, **config}))
+        rc = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "r").exists()

@@ -10,6 +10,7 @@ from relkin import (
     ExperimentConfig,
     RmseReport,
     check_report,
+    default_suite,
     emit_outputs,
     rmse_matrix_aligned,
     rmse_vector,
@@ -267,6 +268,31 @@ class TestChunking:
         whole = run_experiment(cfg).rows
         assert single == whole
 
+    def test_outer_chunk_spans_ragged_sub_chunks(self, monkeypatch):
+        cfg = ExperimentConfig(kind="k_sweep", sweep=[10, 30], trials=23, seed=5)
+        outer, inner = [], []
+        real_chunk, real_draw = exp_mod._trial_chunk, exp_mod._draw_exchanges
+
+        def chunk(pt, trials):
+            outer.append(len(trials))
+            return real_chunk(pt, trials)
+
+        def draw(clean, noise, states):
+            inner.append(len(states))
+            return real_draw(clean, noise, states)
+
+        monkeypatch.setattr(exp_mod, "_trial_chunk", chunk)
+        monkeypatch.setattr(exp_mod, "_draw_exchanges", draw)
+        monkeypatch.setattr(exp_mod, "_CHUNK_DOUBLES", 2**12)
+        middle = run_experiment(cfg).rows
+        # each sweep point is one outer chunk; its draw and fit run in
+        # sub-chunks of 2**12 // (Nbar K (L + 1)) trials: 8 at K=10, 2 at K=30
+        assert outer == [23, 23]
+        assert inner == [8, 8, 7] + [2] * 11 + [1]
+        for doubles in (1, 2**40):  # one trial per chunk, every trial in one chunk
+            monkeypatch.setattr(exp_mod, "_CHUNK_DOUBLES", doubles)
+            assert run_experiment(cfg).rows == middle
+
     def test_traced_peak_stays_small_at_many_trials(self):
         # 1000 trials of K=100: one chunk of them all traces about 140 MB
         cfg = ExperimentConfig(kind="k_sweep", sweep=[100], trials=1000, seed=0)
@@ -277,6 +303,17 @@ class TestChunking:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    def test_time_grid_traced_peak_stays_small_at_many_trials(self):
+        # the default time grid embeds 100 snapshot matrices per trial
+        cfg = default_suite(trials=1000)[2]
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 class TestReportLookup:

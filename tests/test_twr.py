@@ -17,7 +17,7 @@ from relkin import (
 )
 from relkin.kinematics import TrajectorySet, taylor_range
 from relkin.rng import derive_rng
-from relkin.twr import _clean_delays, _draw_exchanges
+from relkin.twr import _clean_exchanges, _draw_exchanges, _exchange_states
 
 import dense_oracle
 
@@ -158,13 +158,31 @@ class TestSimulation:
         traj = builtin_trajectory("cluster5")
         noise = NoiseModel.from_pair_sigma(0.3, unit="m")
         streams = [(2, t) for t in range(4)]
-        batch = _draw_exchanges(traj, cfg, noise, _clean_delays(traj, cfg), 11, streams)
+        batch = _draw_exchanges(_clean_exchanges(traj, cfg), noise, _exchange_states(11, streams, 10))
         assert batch.t_i.shape == (4, 10, 7) and (batch.n_pairs, batch.K) == (10, 7)
         for b, stream in enumerate(streams):
             one = simulate_exchanges(traj, cfg, noise, 11, stream=stream)
             for name in ("t_i", "t_j", "e"):
                 assert np.array_equal(getattr(batch, name)[b], getattr(one, name))
             assert np.array_equal(batch.tau()[b], one.tau())
+
+    @pytest.mark.parametrize("cfg", [ExchangeConfig(K=9, direction_policy="alternating"),
+                                     ExchangeConfig(K=9, delay_model="taylor", model_order=3)],
+                             ids=["exact", "taylor"])
+    def test_clean_set_equals_zero_noise_simulation(self, cfg):
+        # a zero draw adds only +/-0.0, so no normals are needed for the clean set
+        traj = builtin_trajectory("cluster5")
+        clean = _clean_exchanges(traj, cfg)
+        sim = simulate_exchanges(traj, cfg, NoiseModel(0.0), seed=5, stream=(1, 2))
+        for name in ("t_i", "t_j", "e"):
+            got, want = getattr(clean, name), getattr(sim, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_non_integer_stream_rejected(self):
+        traj = builtin_trajectory("cluster5")
+        with pytest.raises(TypeError):
+            simulate_exchanges(traj, ExchangeConfig(K=4), NoiseModel(0.0), seed=0, stream=(1.5,))
 
     def test_direction_flip_keeps_delays_and_markers(self):
         traj = builtin_trajectory("cluster5")
