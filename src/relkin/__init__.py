@@ -25,7 +25,6 @@ from .kinematics import (
     builtin_trajectory,
     canonical_pairs,
     centering_matrix,
-    edm_at_time,
     load_trajectory,
     range_derivatives,
     range_matrices,
@@ -48,8 +47,6 @@ from .ranging import (
     crb_theta,
     order_select,
     pairwise_solve,
-    rescale,
-    unscale,
     wls_solve,
 )
 from .embedding import (
@@ -58,7 +55,6 @@ from .embedding import (
     classical_mds,
     estimate_rotation,
     grams_from_ranges,
-    position_at_time,
     procrustes_align,
     solve_relative,
     spectral_embed,
@@ -76,8 +72,6 @@ from .experiments import (
     check_report,
     default_suite,
     emit_outputs,
-    rmse_matrix_aligned,
-    rmse_vector,
     run_default_suite,
     run_experiment,
 )

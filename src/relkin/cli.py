@@ -14,29 +14,30 @@ import csv
 import math
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
-from .bounds import RangeNoiseCovariances, crb_trace, fim_position, fim_velocity
-from .embedding import position_at_time, solve_relative
+from .embedding import solve_relative
 from .exceptions import ConfigError, InputError, RelkinError
 from .experiments import (
     ExperimentConfig,
+    _root_crbs,
     check_report,
     default_suite,
     emit_outputs,
     run_experiment,
 )
-from .kinematics import (
-    RangeMatrices,
-    canonical_pairs,
-    centering_matrix,
-    load_trajectory,
-    range_matrices,
+from .kinematics import RangeMatrices, canonical_pairs, load_trajectory
+from .ranging import _solve_with_crb, build_design
+from .twr import (
+    ExchangeConfig,
+    NoiseModel,
+    SPEED_OF_LIGHT,
+    TimestampExchangeSet,
+    _clean_exchanges,
+    _read_pair_table,
+    _reject_rows,
 )
-from .ranging import _solve_with_crb, build_design, crb_theta
-from .twr import ExchangeConfig, NoiseModel, SPEED_OF_LIGHT, TimestampExchangeSet, _clean_exchanges
 
 
 def _pair_noise(sigma_meters: float) -> NoiseModel:
@@ -66,40 +67,28 @@ def _read_theta_csv(path):
     """Network size and (r, rdot, rddot) range matrices from a coefficient CSV.
 
     Raises:
-        InputError: on a missing column, a non-numeric field, a negative
-            order, a non-finite theta, a repeated (i, j, order) row, a node
-            pair left out, or a pair without its order 0, 1 and 2 rows.
+        InputError: on a missing column, a non-numeric field, a negative or
+            fractional order, a non-finite theta, a repeated (i, j, order)
+            row, a node pair left out, or a pair without its order 0, 1 and
+            2 rows.
     """
-    per_pair = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = {"i", "j", "order", "theta"} - set(reader.fieldnames or ())
-        if missing:
-            raise InputError(f"{path} lacks column(s) {', '.join(sorted(missing))}")
-        for rec in reader:
-            where = f"{path} line {reader.line_num}"
-            try:
-                i, j, ell = int(rec["i"]), int(rec["j"]), int(rec["order"])
-                theta = float(rec["theta"])
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"{where}: {exc}") from None
-            if ell < 0 or not math.isfinite(theta):
-                raise InputError(f"{where}: need order >= 0 and a finite theta")
-            coeffs = per_pair.setdefault((i, j), {})
-            if ell in coeffs:
-                raise InputError(f"{where}: repeated row for pair ({i}, {j}) order {ell}")
-            coeffs[ell] = theta
-    if not per_pair:
-        raise InputError(f"no coefficient rows in {path}")
-    n = max(max(i, j) for i, j in per_pair) + 1
-    pairs = canonical_pairs(n)
-    if set(per_pair) != set(pairs):
-        raise InputError(f"{path} does not cover all {len(pairs)} node pairs")
-    incomplete = [pair for pair in pairs if not {0, 1, 2} <= per_pair[pair].keys()]
-    if incomplete:
-        raise InputError(f"{path} lacks an order 0, 1 or 2 row for pair(s) {incomplete[:3]}")
-    return n, RangeMatrices.from_pair_vectors(
-        n, *([per_pair[pair][ell] for pair in pairs] for ell in range(3)))
+    data, n, p = _read_pair_table(path, ("i", "j", "order", "theta"), n_int=3)
+    order, theta = data[:, 2], data[:, 3]
+    _reject_rows(path, data, order < 0, "order must be >= 0")
+    _reject_rows(path, data, ~np.isfinite(theta), "theta must be finite")
+    key = np.lexsort((order, p))  # stable, so a repeat sorts after the row it repeats
+    repeat = np.zeros(len(data), bool)
+    repeat[key[1:][(np.diff(p[key]) == 0) & (np.diff(order[key]) == 0)]] = True
+    _reject_rows(path, data, repeat, "repeated (i, j, order) row")
+    low = order < 3
+    coeffs = np.full((n * (n - 1) // 2, 3), np.nan)  # theta is finite, so NaN marks a gap
+    coeffs[p[low], order[low].astype(np.intp)] = theta[low]
+    lacking = np.flatnonzero(np.isnan(coeffs).any(axis=1))
+    if lacking.size:
+        pairs = canonical_pairs(n)
+        raise InputError(f"{path} lacks an order 0, 1 or 2 row for pair(s) "
+                         f"{[pairs[q] for q in lacking[:3]]}")
+    return n, RangeMatrices.from_pair_vectors(n, *coeffs.T)
 
 
 def _cmd_solve(args) -> int:
@@ -116,7 +105,7 @@ def _cmd_solve(args) -> int:
             for c_ in range(mat.shape[1]):
                 rows.append((name, "", r, c_, repr(float(mat[r, c_]))))
     for t in times:
-        xk = position_at_time(sol, t)
+        xk = sol.position_at(t)
         for r in range(xk.shape[0]):
             for c_ in range(xk.shape[1]):
                 rows.append(("Xk", repr(float(t)), r, c_, repr(float(xk[r, c_]))))
@@ -130,18 +119,13 @@ def _cmd_crb(args) -> int:
     noise = _pair_noise(args.sigma_meters)
     traj = load_trajectory(args.fixture)
     cfg = ExchangeConfig(K=args.messages, interval=tuple(args.interval), c=args.c)
-    design = build_design(_clean_exchanges(traj, cfg), args.order, noise=noise)
-    crb = crb_theta(design)
-    covs = RangeNoiseCovariances.from_theta_crb(crb)
-    pc = centering_matrix(traj.N)
-    fx = fim_position(traj.X @ pc, covs.Sigma_r)
-    fy = fim_velocity(traj.Y @ pc, range_matrices(traj), covs)
+    crb, x_rcrb, y_rcrb = _root_crbs(traj, _clean_exchanges(traj, cfg), noise, args.order)
     names = ["r", "rdot", "rddot"] + [f"order_{ell}" for ell in range(3, args.order)]
     rows = [("quantity", "rcrb")]
     for ell, name in enumerate(names):
         rows.append((name, repr(float(crb.rcrb(ell)))))
-    rows.append(("Xrel", repr(float(np.sqrt(crb_trace(fx))))))
-    rows.append(("Yrel", repr(float(np.sqrt(crb_trace(fy))))))
+    rows.append(("Xrel", repr(x_rcrb)))
+    rows.append(("Yrel", repr(y_rcrb)))
     if args.out == "-":
         csv.writer(sys.stdout).writerows(rows)
         return 0

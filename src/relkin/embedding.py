@@ -37,7 +37,6 @@ __all__ = [
     "rotation_model",
     "estimate_rotation",
     "solve_relative",
-    "position_at_time",
     "procrustes_align",
 ]
 
@@ -228,7 +227,12 @@ class RelativeSolution:
     Hy: np.ndarray
 
     def position_at(self, dt: float) -> np.ndarray:
-        return position_at_time(self, dt)
+        """Relative positions dt seconds after t0: Xrel + dt * Hy Yrel.
+
+        Valid up to one global translation; the rotation ambiguity is shared
+        by all time instants, unlike per-instant classical MDS.
+        """
+        return self.Xrel + dt * (self.Hy @ self.Yrel)
 
 
 def solve_relative(rm: RangeMatrices, P: int, orthogonalize: bool = False) -> RelativeSolution:
@@ -238,15 +242,6 @@ def solve_relative(rm: RangeMatrices, P: int, orthogonalize: bool = False) -> Re
     xrel, yrel = (_checked(_Embedding(emb.config[k], emb.top[k])) for k in range(2))
     hy = estimate_rotation(xrel, yrel, grams.Bxy, orthogonalize=orthogonalize)
     return RelativeSolution(Xrel=xrel, Yrel=yrel, Hy=hy)
-
-
-def position_at_time(sol: RelativeSolution, dt: float) -> np.ndarray:
-    """Relative positions dt seconds after t0: Xrel + dt * Hy Yrel.
-
-    Valid up to one global translation; the rotation ambiguity is shared by
-    all time instants, unlike per-instant classical MDS.
-    """
-    return sol.Xrel + dt * (sol.Hy @ sol.Yrel)
 
 
 def procrustes_align(Z: np.ndarray, Zhat: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:

@@ -62,7 +62,7 @@ from .exceptions import (
     RankDeficiencyError,
 )
 from .kinematics import TrajectorySet, centering_matrix, load_trajectory, range_matrices
-from .ranging import RangeCoefficients, _fit_pairs, build_design, crb_theta, wls_solve
+from .ranging import RangeCoefficients, RangeCrb, _fit_pairs, build_design, crb_theta, wls_solve
 from .twr import (
     ExchangeConfig,
     NoiseModel,
@@ -71,7 +71,6 @@ from .twr import (
     _clean_exchanges,
     _draw_exchanges,
     _exchange_states,
-    effective_noise_covariance,
     generate_timestamps,
 )
 
@@ -79,8 +78,6 @@ __all__ = [
     "ExperimentConfig",
     "RmseReport",
     "ReportRow",
-    "rmse_vector",
-    "rmse_matrix_aligned",
     "run_experiment",
     "default_suite",
     "run_default_suite",
@@ -175,6 +172,15 @@ class ExperimentConfig:
             raise ConfigError(f"interval must be two finite, increasing numbers, "
                               f"got {self.interval!r}")
         self.interval = (float(interval[0]), float(interval[1]))
+        if not (_is_finite(self.c) and self.c > 0):
+            raise ConfigError(f"c must be a finite number > 0, got {self.c!r}")
+        self.c = float(self.c)
+        if self.delay_model not in ("exact", "taylor"):
+            raise ConfigError(f"delay_model must be 'exact' or 'taylor', got {self.delay_model!r}")
+        if self.delay_model == "taylor" and self.L > 4:
+            raise ConfigError(f"the taylor delay model has at most 4 coefficients, got L={self.L}")
+        if not isinstance(self.orthogonalize, (bool, np.bool_)):
+            raise ConfigError(f"orthogonalize must be true or false, got {self.orthogonalize!r}")
 
     @classmethod
     def from_json(cls, path, **overrides) -> "ExperimentConfig":
@@ -258,44 +264,16 @@ class RmseReport:
         return [r for r in self.rows if r.quantity == quantity]
 
 
-def rmse_vector(estimates, truth) -> float:
-    """sqrt(mean over trials of the squared error norm) for vector quantities."""
-    estimates = np.atleast_2d(np.asarray(estimates, float))
-    err = estimates - np.asarray(truth, float)[None, :]
-    return float(np.sqrt(np.mean(np.sum(err**2, axis=1))))
-
-
-def rmse_matrix_aligned(estimates, truth) -> float:
-    """Matrix RMSE after centering and optimal orthogonal alignment per trial.
-
-    Truth and estimates are both column-centered (the spectral estimates are
-    centered by construction; truth must match), then each trial estimate is
-    rotated onto the truth before the residual enters the mean.
-    """
-    pc = centering_matrix(np.shape(truth)[-1])
-    _, _, resid = procrustes_align(np.asarray(truth, float) @ pc,
-                                   np.asarray(estimates, float) @ pc)
-    return float(np.sqrt(np.mean(resid**2)))
-
-
-def _point_rcrbs(traj, clean, noise, L, pc):
-    """Root-CRBs at one sweep point, from its noise-free exchanges."""
-    cov = effective_noise_covariance(noise, traj.N, clean.K, clean.c)
-    design = build_design(clean, L, pair_variances=cov.pair_variances)
-    theta_crb = crb_theta(design)
+def _root_crbs(traj: TrajectorySet, clean: TimestampExchangeSet, noise: NoiseModel,
+               L: int) -> tuple[RangeCrb, float, float]:
+    """The range-coefficient bound and the Xrel and Yrel root-CRBs at the truth,
+    from the noise-free exchanges of one setup."""
+    theta_crb = crb_theta(build_design(clean, L, noise=noise))
     covs = RangeNoiseCovariances.from_theta_crb(theta_crb)
-    xc, yc = traj.X @ pc, traj.Y @ pc
-    rm_true = range_matrices(traj)
-    fx = fim_position(xc, covs.Sigma_r)
-    fy = fim_velocity(yc, rm_true, covs)
-    return {
-        "r": theta_crb.rcrb(0),
-        "rdot": theta_crb.rcrb(1),
-        "rddot": theta_crb.rcrb(2),
-        "Xrel": float(np.sqrt(crb_trace(fx))),
-        "Yrel": float(np.sqrt(crb_trace(fy))),
-        "Hy": None,
-    }
+    pc = centering_matrix(traj.N)
+    fx = fim_position(traj.X @ pc, covs.Sigma_r)
+    fy = fim_velocity(traj.Y @ pc, range_matrices(traj), covs)
+    return theta_crb, float(np.sqrt(crb_trace(fx))), float(np.sqrt(crb_trace(fy)))
 
 
 class _Point(NamedTuple):
@@ -414,19 +392,23 @@ def _rmse(sq: np.ndarray) -> float:
     return float(np.sqrt(np.mean(sq))) if sq.size else float("nan")
 
 
+def _exchange_config(cfg: ExperimentConfig, K: int) -> ExchangeConfig:
+    """The message schedule of a sweep point with K messages per pair."""
+    return ExchangeConfig(K=K, interval=cfg.interval, c=cfg.c, delay_model=cfg.delay_model,
+                          model_order=cfg.L)
+
+
 def _run_sweep_point(traj, cfg, s_idx, value):
     if cfg.kind == "k_sweep":
         K, sigma_m = int(value), cfg.sigma_m
     else:
         K, sigma_m = cfg.K, _db_meters(value)
-    exch_cfg = ExchangeConfig(K=K, interval=cfg.interval, c=cfg.c,
-                              delay_model=cfg.delay_model, model_order=cfg.L)
     noise = NoiseModel.from_pair_sigma(sigma_m, unit="m")
-    clean = _clean_exchanges(traj, exch_cfg)
+    clean = _clean_exchanges(traj, _exchange_config(cfg, K))
+    rcrbs = dict.fromkeys(("r", "rdot", "rddot", "Xrel", "Yrel", "Hy"))
     if sigma_m > 0:
-        rcrbs = _point_rcrbs(traj, clean, noise, cfg.L, centering_matrix(traj.N))
-    else:
-        rcrbs = dict.fromkeys(("r", "rdot", "rddot", "Xrel", "Yrel", "Hy"), None)
+        theta_crb, rcrbs["Xrel"], rcrbs["Yrel"] = _root_crbs(traj, clean, noise, cfg.L)
+        rcrbs.update(r=theta_crb.rcrb(0), rdot=theta_crb.rcrb(1), rddot=theta_crb.rcrb(2))
 
     # the noiseless solution fixes the reference frame for the rotation
     hy_ref = solve_relative(wls_solve(build_design(clean, cfg.L)).to_range_matrices(), traj.P,
@@ -445,8 +427,7 @@ def _run_sweep_point(traj, cfg, s_idx, value):
 
 
 def _run_time_grid(traj, cfg):
-    exch_cfg = ExchangeConfig(K=cfg.K, interval=cfg.interval, c=cfg.c,
-                              delay_model=cfg.delay_model, model_order=cfg.L)
+    exch_cfg = _exchange_config(cfg, cfg.K)
     noise = NoiseModel.from_pair_sigma(cfg.sigma_m, unit="m")
     grid = generate_timestamps(exch_cfg, 1)[0]
     idxs = np.array([int(np.argmin(np.abs(grid - float(t)))) for t in cfg.sweep], np.intp)

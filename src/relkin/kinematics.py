@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DegenerateGeometryError
+from .exceptions import DegenerateGeometryError, InputError
 
 __all__ = [
     "TrajectorySet",
@@ -35,7 +35,6 @@ __all__ = [
     "centering_matrix",
     "range_derivatives",
     "range_matrices",
-    "edm_at_time",
     "taylor_range",
     "third_derivative_gram_check",
     "load_trajectory",
@@ -116,7 +115,16 @@ class TrajectorySet:
 
     @classmethod
     def load(cls, path) -> "TrajectorySet":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        """Read a fixture JSON file as written by :meth:`save`.
+
+        Raises:
+            InputError: if the file is not JSON, lacks X or Y, or holds
+                arrays that do not form a P x N trajectory.
+        """
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text()))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"{path} is not a trajectory fixture: {exc!r}") from None
 
 
 # Built-in 5-node planar fixture used by the demo experiments: arbitrary
@@ -259,13 +267,6 @@ def range_matrices(traj: TrajectorySet) -> RangeMatrices:
     rdot = inv * (dx * dv).sum(axis=0)
     rddot = inv * ((dv**2).sum(axis=0) - rdot**2)
     return RangeMatrices(R=r, Rdot=rdot, Rddot=rddot)
-
-
-def edm_at_time(traj: TrajectorySet, t: float) -> np.ndarray:
-    """Euclidean distance matrix of the configuration at time t."""
-    pos = traj.position_at(t)
-    diff = pos[:, :, None] - pos[:, None, :]
-    return np.sqrt((diff**2).sum(axis=0))
 
 
 def third_derivative_gram_check(rm: RangeMatrices) -> np.ndarray:

@@ -30,8 +30,6 @@ __all__ = [
     "DesignSystem",
     "RangeCrb",
     "scale_factors",
-    "rescale",
-    "unscale",
     "build_design",
     "wls_solve",
     "pairwise_solve",
@@ -43,18 +41,6 @@ __all__ = [
 def scale_factors(L: int, c: float) -> np.ndarray:
     """Diagonal factors f mapping scaled to physical coefficients: f_ell = c * ell!."""
     return c * np.array([math.factorial(ell) for ell in range(L)], dtype=float)
-
-
-def rescale(theta_scaled: np.ndarray, c: float) -> np.ndarray:
-    """Physical coefficients from scaled ones; last axis indexes the order."""
-    theta_scaled = np.asarray(theta_scaled, float)
-    return theta_scaled * scale_factors(theta_scaled.shape[-1], c)
-
-
-def unscale(theta: np.ndarray, c: float) -> np.ndarray:
-    """Inverse of :func:`rescale` (the map is an invertible diagonal)."""
-    theta = np.asarray(theta, float)
-    return theta / scale_factors(theta.shape[-1], c)
 
 
 @dataclass
@@ -89,7 +75,7 @@ class RangeCoefficients:
     @property
     def physical(self) -> np.ndarray:
         """(..., Nbar, L) physical coefficients: r (m), rdot (m/s), rddot (m/s^2), ..."""
-        return rescale(self.scaled, self.c)
+        return self.scaled * scale_factors(self.L, self.c)
 
     def to_range_matrices(self) -> RangeMatrices:
         """Symmetric N x N range matrices from the first three coefficient orders.
@@ -185,8 +171,7 @@ def build_design(exchanges: TimestampExchangeSet, L: int,
     if noise is not None and pair_variances is not None:
         raise ValueError("pass a NoiseModel or pair_variances, not both")
     if noise is not None:
-        cov = effective_noise_covariance(noise, exchanges.n_nodes, exchanges.K, exchanges.c)
-        pair_variances = cov.pair_variances
+        pair_variances = effective_noise_covariance(noise, exchanges.n_nodes, exchanges.c)
         if np.all(pair_variances == 0):
             pair_variances = None  # noiseless: unit weights
         elif np.any(pair_variances == 0):

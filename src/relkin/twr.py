@@ -20,7 +20,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .exceptions import InputError, UnsupportedCovarianceError
+from .exceptions import InputError
 from .kinematics import (
     RangeDerivatives,
     TrajectorySet,
@@ -34,7 +34,6 @@ __all__ = [
     "SPEED_OF_LIGHT",
     "ExchangeConfig",
     "NoiseModel",
-    "NoiseCovariance",
     "TimestampExchangeSet",
     "generate_timestamps",
     "simulate_exchanges",
@@ -110,14 +109,12 @@ class NoiseModel:
             node, or an array gives one value per node.
         unit: "s" for seconds, or "m" for the distance-equivalent (divided
             by the propagation speed at simulation time).
-        pairwise_independent: True for independent pairwise links, the only
-            covariance structure supported here (broadcast/passive-listening
-            protocols correlate links and are out of scope).
+
+    Markers of different nodes are independent, so the links are too.
     """
 
     sigma: Union[float, np.ndarray] = 0.0
     unit: str = "s"
-    pairwise_independent: bool = True
 
     def __post_init__(self):
         if self.unit not in ("s", "m"):
@@ -142,39 +139,17 @@ class NoiseModel:
         return sig
 
 
-@dataclass
-class NoiseCovariance:
-    """Block-diagonal covariance of the stacked delay measurements.
+def effective_noise_covariance(noise: NoiseModel, n_nodes: int,
+                               c: float = SPEED_OF_LIGHT) -> np.ndarray:
+    """(Nbar,) delay variances (seconds squared) of the pairs, in canonical order.
 
-    One scalar variance per pair; the covariance is
-    bdiag(var_12 I_K, var_13 I_K, ...) over canonical pair order, so only
-    the per-pair variances are stored.
+    Links are independent and each delay mixes one marker from each
+    endpoint, so the pair variance is the sum of the two node variances;
+    the delay covariance is bdiag(var_12 I_K, var_13 I_K, ...).
     """
-
-    pair_variances: np.ndarray
-    K: int
-
-    def __post_init__(self):
-        self.pair_variances = np.asarray(self.pair_variances, float)
-
-
-def effective_noise_covariance(noise: NoiseModel, n_nodes: int, K: int,
-                               c: float = SPEED_OF_LIGHT) -> NoiseCovariance:
-    """Covariance of the measured delays under independent pairwise links.
-
-    Each delay mixes one marker from each endpoint, so the pair variance is
-    the sum of the two node variances (in seconds squared).
-
-    Raises:
-        UnsupportedCovarianceError: if the model declares correlated links.
-    """
-    if not noise.pairwise_independent:
-        raise UnsupportedCovarianceError(
-            "correlated (broadcast/passive) noise structures are not supported"
-        )
-    sig = noise.node_std_seconds(n_nodes, c)
-    var = np.array([sig[i] ** 2 + sig[j] ** 2 for i, j in canonical_pairs(n_nodes)])
-    return NoiseCovariance(pair_variances=var, K=K)
+    var = noise.node_std_seconds(n_nodes, c) ** 2
+    i, j = np.triu_indices(n_nodes, k=1)
+    return var[i] + var[j]
 
 
 @dataclass
@@ -227,16 +202,16 @@ class TimestampExchangeSet:
 
     def to_csv(self, path) -> None:
         """Write rows (i, j, k, E, T_tx, T_rx); floats keep full precision."""
+        i, j = np.triu_indices(self.n_nodes, k=1)
+        fwd = self.e == 1
+        tx = np.where(fwd, self.t_i, self.t_j).ravel().tolist()
+        rx = np.where(fwd, self.t_j, self.t_i).ravel().tolist()
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(_CSV_COLUMNS)
-            for p, (i, j) in enumerate(self.pairs):
-                for k in range(self.K):
-                    if self.e[p, k] == 1:
-                        tx, rx = self.t_i[p, k], self.t_j[p, k]
-                    else:
-                        tx, rx = self.t_j[p, k], self.t_i[p, k]
-                    writer.writerow([i, j, k, self.e[p, k], repr(float(tx)), repr(float(rx))])
+            writer.writerows(zip(np.repeat(i, self.K).tolist(), np.repeat(j, self.K).tolist(),
+                                 np.tile(np.arange(self.K), len(i)).tolist(),
+                                 self.e.ravel().tolist(), map(repr, tx), map(repr, rx)))
 
     @classmethod
     def from_csv(cls, path, c: float = SPEED_OF_LIGHT) -> "TimestampExchangeSet":
@@ -251,38 +226,13 @@ class TimestampExchangeSet:
                 direction flag other than +/-1 or a non-finite timestamp,
                 misses a pair, or repeats an (i, j, k) message.
         """
-        with open(path, newline="") as fh:
-            header = next(csv.reader([fh.readline()]), [])
-            lines = fh.readlines()
-        if not header:
-            raise InputError(f"{path} is empty")
-        absent = [name for name in _CSV_COLUMNS if name not in header]
-        if absent:
-            raise InputError(f"{path} lacks the columns {absent}")
-        if not any(line.strip() for line in lines):
-            raise InputError(f"no exchange rows found in {path}")
-        try:
-            data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
-                              usecols=[header.index(name) for name in _CSV_COLUMNS])
-        except ValueError as exc:
-            raise InputError(f"{path}: {exc}") from None
-
-        idx = data[:, :4]
-        _reject_rows(path, data, ~np.all(np.isfinite(idx) & (idx == np.round(idx)), axis=1),
-                     "i, j, k and E must be integers")
-        i, j, k, flag = idx.T
-        _reject_rows(path, data, (i < 0) | (j <= i), "pair indices must satisfy 0 <= i < j")
+        data, n_nodes, p = _read_pair_table(path, _CSV_COLUMNS, n_int=4)
+        k, flag = data[:, 2], data[:, 3]
         _reject_rows(path, data, np.abs(flag) != 1, "direction flag E must be +1 or -1")
         _reject_rows(path, data, ~np.all(np.isfinite(data[:, 4:]), axis=1), "non-finite timestamp")
 
-        n_nodes = int(j.max()) + 1
         nbar = n_nodes * (n_nodes - 1) // 2
-        if nbar > len(data):  # some pair has no row; skip counting nbar slots
-            raise InputError(_missing_pairs(n_nodes, i, j))
-        p = (i * (2 * n_nodes - i - 1) // 2 + j - i - 1).astype(np.intp)
         per_pair = np.bincount(p, minlength=nbar)
-        if not per_pair.all():
-            raise InputError(_missing_pairs(n_nodes, i, j))
         # each pair holds K rows with distinct k in 0..K-1, so every slot is filled
         K = int(per_pair[0])
         uneven = np.flatnonzero(per_pair != K)
@@ -308,6 +258,55 @@ class TimestampExchangeSet:
                    e=e.reshape(shape), c=c)
 
 
+def _read_pair_table(path, columns: Sequence[str],
+                     n_int: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """The rows of a CSV keyed by node pair: an exchange or a coefficient file.
+
+    Columns i and j name the pair and come first in `columns`; the first
+    `n_int` columns must hold integers.  Every pair 0 <= i < j < N, with N
+    one more than the largest j, needs at least one row; the header may
+    order the columns freely and carry others.
+
+    Returns:
+        (rows, N, p): the (rows, len(columns)) values of the named columns,
+        the node count and each row's canonical pair index.
+
+    Raises:
+        InputError: if the file is empty, lacks a column, holds a value that
+            is not a number, a non-integer where `n_int` asks for one, or a
+            pair outside 0 <= i < j, or misses a pair.
+    """
+    with open(path, newline="") as fh:
+        header = next(csv.reader([fh.readline()]), [])
+        lines = fh.readlines()
+    if not header:
+        raise InputError(f"{path} is empty")
+    absent = [name for name in columns if name not in header]
+    if absent:
+        raise InputError(f"{path} lacks the columns {absent}")
+    if not any(line.strip() for line in lines):
+        raise InputError(f"no rows found in {path}")
+    try:
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                          usecols=[header.index(name) for name in columns])
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+    idx = data[:, :n_int]
+    _reject_rows(path, data, ~np.all(np.isfinite(idx) & (idx == np.round(idx)), axis=1),
+                 f"{', '.join(columns[:n_int - 1])} and {columns[n_int - 1]} must be integers")
+    i, j = data[:, 0], data[:, 1]
+    _reject_rows(path, data, (i < 0) | (j <= i), "pair indices must satisfy 0 <= i < j")
+    n_nodes = int(j.max()) + 1
+    nbar = n_nodes * (n_nodes - 1) // 2
+    if nbar > len(data):  # some pair has no row; skip counting nbar slots
+        raise InputError(_missing_pairs(path, n_nodes, i, j))
+    p = (i * (2 * n_nodes - i - 1) // 2 + j - i - 1).astype(np.intp)
+    if not np.bincount(p, minlength=nbar).all():
+        raise InputError(_missing_pairs(path, n_nodes, i, j))
+    return data, n_nodes, p
+
+
 def _reject_rows(path, data: np.ndarray, bad: np.ndarray, reason: str) -> None:
     """Raise InputError naming the first data row flagged in `bad`."""
     rows = np.flatnonzero(bad)
@@ -316,13 +315,13 @@ def _reject_rows(path, data: np.ndarray, bad: np.ndarray, reason: str) -> None:
         raise InputError(f"{path}: data row {r + 1} {data[r].tolist()}: {reason}")
 
 
-def _missing_pairs(n_nodes: int, i: np.ndarray, j: np.ndarray) -> str:
+def _missing_pairs(path, n_nodes: int, i: np.ndarray, j: np.ndarray) -> str:
     """Message naming the first few pairs 0 <= i < j < n_nodes that have no row."""
     present = set(zip(i.tolist(), j.tolist()))
     n_missing = n_nodes * (n_nodes - 1) // 2 - len(present)
     missing = itertools.islice((pair for pair in itertools.combinations(range(n_nodes), 2)
                                 if pair not in present), 5)
-    return (f"exchange file is missing pairs {list(missing)}"
+    return (f"{path} is missing pairs {list(missing)}"
             + (f" and {n_missing - 5} more" if n_missing > 5 else ""))
 
 

@@ -11,6 +11,7 @@ import pytest
 from relkin import (
     ExchangeConfig,
     NoiseModel,
+    RangeMatrices,
     TimestampExchangeSet,
     build_design,
     builtin_trajectory,
@@ -22,6 +23,7 @@ from relkin import (
     simulate_exchanges,
     wls_solve,
 )
+from relkin import cli
 from relkin.cli import main
 
 
@@ -38,6 +40,17 @@ def exchange_csv(tmp_path):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def read_theta_per_row(path):
+    """Reference coefficient-CSV parse, one row at a time: (N, range matrices)."""
+    per_pair = {}
+    for rec in read_rows(path):
+        per_pair.setdefault((int(rec["i"]), int(rec["j"])), {})[int(rec["order"])] = \
+            float(rec["theta"])
+    n = max(j for _, j in per_pair) + 1
+    return n, RangeMatrices.from_pair_vectors(
+        n, *([per_pair[pair][ell] for pair in canonical_pairs(n)] for ell in range(3)))
 
 
 class TestEstimate:
@@ -139,8 +152,25 @@ class TestSolve:
         assert times == {"-1.0", "0.0", "1.0"}
 
 
+    @pytest.mark.parametrize("direction_policy", ["one_way", "alternating"])
+    def test_matches_per_row_parse(self, tmp_path, monkeypatch, direction_policy):
+        # the array reader must hand solve exactly what a per-row parse gives
+        traj = builtin_trajectory("cluster5")
+        ex = simulate_exchanges(traj, ExchangeConfig(K=30, direction_policy=direction_policy),
+                                NoiseModel.from_pair_sigma(0.1), seed=4)
+        ex.to_csv(tmp_path / "exchanges.csv")
+        theta = tmp_path / "theta.csv"
+        assert main(["estimate", "--exchanges", str(tmp_path / "exchanges.csv"),
+                     "--sigma-meters", "0.1", "--out", str(theta)]) == 0
+        argv = ["solve", "--theta", str(theta), "--times=-2.5,0.5,3"]
+        assert main(argv + ["--out", str(tmp_path / "got.csv")]) == 0
+        monkeypatch.setattr(cli, "_read_theta_csv", read_theta_per_row)
+        assert main(argv + ["--out", str(tmp_path / "want.csv")]) == 0
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
     @pytest.mark.parametrize("edit", ["no_rddot", "duplicate", "non_numeric", "no_theta_column",
-                                      "nan_theta", "negative_order"])
+                                      "nan_theta", "negative_order", "fractional_order",
+                                      "swapped_pair"])
     def test_malformed_theta_is_clean_error(self, exchange_csv, tmp_path, edit):
         theta = tmp_path / "theta.csv"
         main(["estimate", "--exchanges", str(exchange_csv), "--sigma-meters", "0.1",
@@ -157,8 +187,12 @@ class TestSolve:
             lines = [",".join(line.split(",")[:3] + line.split(",")[4:]) for line in lines]
         elif edit == "nan_theta":
             lines[1] = ",".join(fields[:3] + ["nan"] + fields[4:])
-        else:
+        elif edit == "negative_order":
             lines[1] = ",".join(fields[:2] + ["-1"] + fields[3:])
+        elif edit == "fractional_order":
+            lines[1] = ",".join(fields[:2] + ["1.5"] + fields[3:])
+        else:
+            lines[1] = ",".join([fields[1], fields[0]] + fields[2:])
         theta.write_text("".join(line + "\n" for line in lines))
         out = tmp_path / "solution.csv"
         rc = main(["solve", "--theta", str(theta), "--out", str(out)])
@@ -197,6 +231,21 @@ class TestCrb:
         out = tmp_path / "crb.csv"
         rc = main(["crb", "--messages", "20", f"--sigma-meters={sigma}", "--out", str(out)])
         assert rc == 2
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("text", [
+        json.dumps({"X": [[0.0, 300.0, 0.0], [0.0, 0.0, 400.0]]}),
+        json.dumps({"X": [[0.0, 300.0, 0.0], [0.0, 0.0, 400.0]], "Y": [[1.0, 2.0], [0.0, 1.0]]}),
+        "{",
+    ], ids=["no_Y", "shape_mismatch", "not_json"])
+    def test_malformed_fixture_is_clean_error(self, tmp_path, capsys, text):
+        path = tmp_path / "fixture.json"
+        path.write_text(text)
+        out = tmp_path / "crb.csv"
+        rc = main(["crb", "--fixture", str(path), "--messages", "20", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
 
@@ -264,10 +313,19 @@ class TestExperiment:
         {"interval": [0, float("inf")]},
         {"interval": [1]},
         {"interval": 3},
+        {"delay_model": "bogus"},
+        {"delay_model": "taylor", "L": 5},
+        {"c": -1},
+        {"c": 0},
+        {"c": "3e8"},
+        {"orthogonalize": "no"},
+        {"orthogonalize": 1},
     ], ids=["string-L", "zero-L", "float-K", "zero-K", "float-K-sweep", "zero-K-sweep",
             "negative-sigma", "nan-sigma", "string-sigma", "inf-sigma-sweep",
             "overflowing-sigma-sweep", "string-time-grid", "reversed-interval",
-            "infinite-interval", "short-interval", "scalar-interval"])
+            "infinite-interval", "short-interval", "scalar-interval", "bogus-delay-model",
+            "taylor-beyond-order-4", "negative-c", "zero-c", "string-c", "string-orthogonalize",
+            "int-orthogonalize"])
     def test_bad_config_value_is_clean_error(self, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sweep": {"K": [10]}, "trials": 2, **config}))

@@ -11,10 +11,8 @@ from relkin import (
     builtin_trajectory,
     centering_matrix,
     classical_mds,
-    edm_at_time,
     estimate_rotation,
     grams_from_ranges,
-    position_at_time,
     procrustes_align,
     range_matrices,
     solve_relative,
@@ -24,6 +22,12 @@ from relkin.embedding import _embed, _mds_gram, _rotation_stack, rotation_model
 from relkin.kinematics import TrajectorySet
 
 import dense_oracle
+
+
+def edm(traj, t):
+    """Euclidean distance matrix of the configuration at time t."""
+    pos = traj.position_at(t)
+    return np.linalg.norm(pos[:, :, None] - pos[:, None, :], axis=0)
 
 
 def truth_grams(traj):
@@ -150,7 +154,7 @@ class TestClassicalMds:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(2, 4)) * 10
         traj = TrajectorySet(X=x, Y=np.zeros((2, 4)))
-        d = edm_at_time(traj, 0.0)
+        d = edm(traj, 0.0)
         config = classical_mds(d, P=2)
         _, _, resid = procrustes_align(x @ centering_matrix(4), config)
         assert resid < 1e-9
@@ -163,7 +167,7 @@ class TestClassicalMds:
     def test_scale_homogeneity(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(2, 5)) * 3
-        d = edm_at_time(TrajectorySet(X=x, Y=np.zeros((2, 5))), 0.0)
+        d = edm(TrajectorySet(X=x, Y=np.zeros((2, 5))), 0.0)
         a = classical_mds(d, P=2)
         b = classical_mds(2.5 * d, P=2)
         assert np.allclose(b, 2.5 * a, rtol=1e-9, atol=1e-12)
@@ -249,7 +253,7 @@ class TestRotation:
 class TestPositionAtTime:
     def test_zero_offset_returns_positions(self):
         sol = solve_relative(range_matrices(builtin_trajectory("cluster5")), P=2)
-        assert np.array_equal(position_at_time(sol, 0.0), sol.Xrel)
+        assert np.array_equal(sol.position_at(0.0), sol.Xrel)
 
     def test_static_network_constant(self):
         # an all-zero velocity Gram has no spectral embedding; the static
@@ -264,7 +268,7 @@ class TestPositionAtTime:
         sol = RelativeSolution(Xrel=spectral_embed(g.Bxx, P=2),
                                Yrel=np.zeros((2, 3)), Hy=np.eye(2))
         for dt in (-2.0, 0.0, 4.0):
-            assert np.array_equal(position_at_time(sol, dt), sol.Xrel)
+            assert np.array_equal(sol.position_at(dt), sol.Xrel)
 
     def test_fixture_propagation_matches_truth(self):
         traj = builtin_trajectory("cluster5")
@@ -272,7 +276,7 @@ class TestPositionAtTime:
         sol = solve_relative(range_matrices(traj), P=2)
         for dt in (-3.0, 1.0, 3.0):
             truth = traj.position_at(dt) @ pc
-            _, _, resid = procrustes_align(truth, position_at_time(sol, dt) @ pc)
+            _, _, resid = procrustes_align(truth, sol.position_at(dt) @ pc)
             assert resid < 1e-7
 
     def test_shared_frame_across_instants(self):
@@ -283,7 +287,7 @@ class TestPositionAtTime:
         h, _, _ = procrustes_align(traj.X @ pc, sol.Xrel)
         for dt in (-2.0, 0.5, 2.5):
             truth = traj.position_at(dt) @ pc
-            assert np.linalg.norm(h @ position_at_time(sol, dt) - truth) < 1e-6
+            assert np.linalg.norm(h @ sol.position_at(dt) - truth) < 1e-6
 
 
 class TestProcrustes:
@@ -369,7 +373,7 @@ class TestBatchedKernels:
 
     def test_mds_stack_equals_classical_mds(self):
         traj = builtin_trajectory("cluster5")
-        d = np.stack([edm_at_time(traj, t) for t in (-3.0, 0.0, 1.5)])
+        d = np.stack([edm(traj, t) for t in (-3.0, 0.0, 1.5)])
         emb = _embed(_mds_gram(d), 2)
         for b in range(3):
             assert np.array_equal(emb.config[b], classical_mds(d[b], P=2))

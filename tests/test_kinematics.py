@@ -10,7 +10,6 @@ from relkin import (
     builtin_trajectory,
     canonical_pairs,
     centering_matrix,
-    edm_at_time,
     load_trajectory,
     range_derivatives,
     range_matrices,
@@ -186,20 +185,6 @@ class TestBatchedRangeMatrices:
     def test_mismatched_batch_shapes_rejected(self):
         with pytest.raises(ValueError):
             RangeMatrices(R=np.zeros((2, 3, 3)), Rdot=np.zeros((3, 3)), Rddot=np.zeros((2, 3, 3)))
-
-
-class TestEdmAtTime:
-    def test_t0_equals_range_matrix(self):
-        traj = builtin_trajectory("cluster5")
-        assert np.allclose(edm_at_time(traj, 0.0), range_matrices(traj).R)
-
-    def test_static_nodes_time_invariant(self):
-        traj = TrajectorySet(X=[[0.0, 1.0, 3.0], [0.0, 2.0, 1.0]], Y=np.zeros((2, 3)))
-        assert np.allclose(edm_at_time(traj, 5.0), edm_at_time(traj, 0.0))
-
-    def test_two_node_hand_value(self):
-        traj = TrajectorySet(X=[[0.0, 1.0], [0.0, 0.0]], Y=[[0.0, 0.0], [1.0, 0.0]])
-        assert edm_at_time(traj, 1.0)[0, 1] == pytest.approx(np.sqrt(2.0), rel=1e-15)
 
 
 class TestThirdDerivativeCheck:

@@ -14,9 +14,7 @@ from relkin import (
     order_select,
     pairwise_solve,
     range_matrices,
-    rescale,
     simulate_exchanges,
-    unscale,
     wls_solve,
 )
 from relkin.kinematics import TrajectorySet, canonical_pairs
@@ -235,17 +233,12 @@ class TestDistributedEquivalence:
 
 class TestRescale:
     def test_identity_speed(self):
-        assert rescale(np.array([7.0]), c=1.0) == pytest.approx([7.0])
+        coeffs = RangeCoefficients(scaled=np.array([[7.0]]), n_nodes=2, c=1.0)
+        assert coeffs.physical[0] == pytest.approx([7.0])
 
     def test_factorial_diagonal_map(self):
-        theta = rescale(np.array([1e-6, 1e-9, 1e-12]), c=3e8)
-        assert theta == pytest.approx([300.0, 0.3, 6e-4], rel=1e-15)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(0)
-        scaled = rng.normal(size=(4, 5))
-        back = unscale(rescale(scaled, c=3e8), c=3e8)
-        assert np.allclose(back, scaled, rtol=1e-15)
+        coeffs = RangeCoefficients(scaled=np.array([[1e-6, 1e-9, 1e-12]]), n_nodes=2, c=3e8)
+        assert coeffs.physical[0] == pytest.approx([300.0, 0.3, 6e-4], rel=1e-15)
 
     def test_coefficients_physical_property(self):
         coeffs = RangeCoefficients(scaled=np.array([[1e-6, 2e-9, 3e-12]]), n_nodes=2, c=C)

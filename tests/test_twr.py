@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from relkin import (
     NoiseModel,
     RelkinError,
     TimestampExchangeSet,
-    UnsupportedCovarianceError,
     builtin_trajectory,
     canonical_pairs,
     effective_noise_covariance,
@@ -22,6 +23,20 @@ from relkin.twr import _clean_exchanges, _draw_exchanges, _exchange_states
 import dense_oracle
 
 C = 3e8
+
+
+def write_csv_per_row(ex, path):
+    """Reference exchange-CSV writer, one message at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("i", "j", "k", "E", "T_tx", "T_rx"))
+        for p, (i, j) in enumerate(ex.pairs):
+            for k in range(ex.K):
+                if ex.e[p, k] == 1:
+                    tx, rx = ex.t_i[p, k], ex.t_j[p, k]
+                else:
+                    tx, rx = ex.t_j[p, k], ex.t_i[p, k]
+                writer.writerow([i, j, k, ex.e[p, k], repr(float(tx)), repr(float(rx))])
 
 
 class TestConfig:
@@ -61,26 +76,22 @@ class TestConfig:
 
 class TestNoiseModel:
     def test_pair_variances_sum_node_variances(self):
-        cov = effective_noise_covariance(NoiseModel(sigma=np.array([1.0, np.sqrt(3.0)])), 2, 4, c=C)
-        assert cov.pair_variances == pytest.approx([4.0])
+        var = effective_noise_covariance(NoiseModel(sigma=np.array([1.0, np.sqrt(3.0)])), 2, c=C)
+        assert var == pytest.approx([4.0])
 
     def test_equal_nodes_blocks(self):
         s = 0.5
-        cov = effective_noise_covariance(NoiseModel(sigma=np.sqrt(s)), 3, 2, c=C)
-        assert cov.pair_variances == pytest.approx([2 * s, 2 * s, 2 * s])
-        full = dense_oracle.noise_covariance(cov.pair_variances, cov.K)
+        var = effective_noise_covariance(NoiseModel(sigma=np.sqrt(s)), 3, c=C)
+        assert var == pytest.approx([2 * s, 2 * s, 2 * s])
+        full = dense_oracle.noise_covariance(var, 2)
         assert full.shape == (6, 6)
         assert np.allclose(full, np.diag([2 * s] * 6))
 
     def test_pair_sigma_constructor(self):
         noise = NoiseModel.from_pair_sigma(0.1, unit="m")
-        cov = effective_noise_covariance(noise, 5, 100, c=C)
+        var = effective_noise_covariance(noise, 5, c=C)
         # per-pair delay std equals 0.1 m / c for every pair
-        assert np.allclose(np.sqrt(cov.pair_variances), 0.1 / C)
-
-    def test_correlated_mode_unsupported(self):
-        with pytest.raises(UnsupportedCovarianceError):
-            effective_noise_covariance(NoiseModel(0.1, pairwise_independent=False), 3, 2)
+        assert np.allclose(np.sqrt(var), 0.1 / C)
 
     def test_meter_unit_scaling(self):
         assert NoiseModel(sigma=3.0, unit="m").node_std_seconds(2, c=C) == pytest.approx([1e-8, 1e-8])
@@ -236,6 +247,15 @@ class TestSimulation:
         assert np.array_equal(back.t_i, ex.t_i)
         assert np.array_equal(back.t_j, ex.t_j)
         assert np.array_equal(back.e, ex.e)
+
+    @pytest.mark.parametrize("direction_policy", ["alternating", [1, -1, -1, 1, -1, 1, 1]])
+    def test_csv_bytes_match_per_row_writer(self, tmp_path, direction_policy):
+        traj = builtin_trajectory("cluster5")
+        cfg = ExchangeConfig(K=7, direction_policy=direction_policy)
+        ex = simulate_exchanges(traj, cfg, NoiseModel.from_pair_sigma(0.1), seed=5)
+        ex.to_csv(tmp_path / "got.csv")
+        write_csv_per_row(ex, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_csv_missing_pair_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

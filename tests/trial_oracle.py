@@ -5,7 +5,9 @@ build_design, wls_solve, solve_relative, classical_mds, procrustes_align)
 and is counted as failed by the exception it raises, in pipeline order.
 A trial counts as clamped when the pipeline warned EmbeddingClampWarning.
 The rows carry the same fields as `run_experiment`'s, so the tests compare
-the engine against this direct route row by row.
+the engine against this direct route row by row.  The engine's aligned
+RMSE goes through procrustes_align inline; `rmse_vector` and
+`rmse_matrix_aligned` state it per trial.
 """
 
 import warnings
@@ -43,11 +45,31 @@ TRIAL_ERRORS = (RankDeficiencyError, EmbeddingFailureError, IllPosedRotationErro
 QUANTITIES = ("r", "rdot", "rddot", "Xrel", "Yrel", "Hy")
 
 
+def rmse_vector(estimates, truth) -> float:
+    """sqrt(mean over trials of the squared error norm) for vector quantities."""
+    estimates = np.atleast_2d(np.asarray(estimates, float))
+    err = estimates - np.asarray(truth, float)[None, :]
+    return float(np.sqrt(np.mean(np.sum(err**2, axis=1))))
+
+
+def rmse_matrix_aligned(estimates, truth) -> float:
+    """Matrix RMSE after centering and optimal orthogonal alignment per trial.
+
+    Truth and estimates are both column-centered (the spectral estimates are
+    centered by construction; truth must match), then each trial estimate is
+    rotated onto the truth before the residual enters the mean.
+    """
+    pc = centering_matrix(np.shape(truth)[-1])
+    _, _, resid = procrustes_align(np.asarray(truth, float) @ pc,
+                                   np.asarray(estimates, float) @ pc)
+    return float(np.sqrt(np.mean(resid**2)))
+
+
 def _point_rcrbs(traj, exch_cfg, noise, L, pc):
     """Root-CRBs at one sweep point, from the clean marker grid."""
     clean = simulate_exchanges(traj, exch_cfg, NoiseModel(0.0), seed=0)
-    cov = effective_noise_covariance(noise, traj.N, exch_cfg.K, exch_cfg.c)
-    theta_crb = crb_theta(build_design(clean, L, pair_variances=cov.pair_variances))
+    var = effective_noise_covariance(noise, traj.N, exch_cfg.c)
+    theta_crb = crb_theta(build_design(clean, L, pair_variances=var))
     covs = RangeNoiseCovariances.from_theta_crb(theta_crb)
     fx = fim_position(traj.X @ pc, covs.Sigma_r)
     fy = fim_velocity(traj.Y @ pc, range_matrices(traj), covs)
