@@ -40,15 +40,26 @@ from .twr import (
 )
 
 
+def _require(ok: bool, flag: str, what: str, value) -> None:
+    """Raise ConfigError for a command-line flag value outside its range."""
+    if not ok:
+        raise ConfigError(f"{flag} must be {what}, got {value}")
+
+
+def _positive(flag: str, value: float) -> float:
+    _require(math.isfinite(value) and value > 0, flag, "positive and finite", value)
+    return value
+
+
 def _pair_noise(sigma_meters: float) -> NoiseModel:
     """Noise model for a per-pair delay std of --sigma-meters, which must be positive."""
-    if not (math.isfinite(sigma_meters) and sigma_meters > 0):
-        raise ConfigError(f"--sigma-meters must be positive and finite, got {sigma_meters}")
-    return NoiseModel.from_pair_sigma(sigma_meters, unit="m")
+    return NoiseModel.from_pair_sigma(_positive("--sigma-meters", sigma_meters), unit="m")
 
 
 def _cmd_estimate(args) -> int:
     noise = _pair_noise(args.sigma_meters)
+    _require(args.order >= 1, "--order", "at least 1", args.order)
+    _positive("--c", args.c)
     exchanges = TimestampExchangeSet.from_csv(args.exchanges, c=args.c)
     coeffs, crb = _solve_with_crb(build_design(exchanges, args.order, noise=noise))
     rows = [("i", "j", "order", "theta", "rcrb")]
@@ -93,12 +104,20 @@ def _read_theta_csv(path):
 
 def _cmd_solve(args) -> int:
     n, rm = _read_theta_csv(args.theta)
-    sol = solve_relative(rm, args.dim, orthogonalize=args.orthogonalize)
+    _require(1 <= args.dim <= n, "--dim", f"between 1 and the node count {n}", args.dim)
     if args.times:
-        times = [float(t) for t in args.times.split(",")]
+        try:
+            times = [float(t) for t in args.times.split(",")]
+        except ValueError:
+            times = [math.nan]  # rejected just below
+        _require(all(map(math.isfinite, times)), "--times", "comma-separated finite numbers",
+                 repr(args.times))
     else:
         start, stop, num = args.grid
+        _require(math.isfinite(start) and math.isfinite(stop) and num >= 1 and num == int(num),
+                 "--grid", "finite START and STOP and an integer NUM >= 1", args.grid)
         times = list(np.linspace(start, stop, int(num)))
+    sol = solve_relative(rm, args.dim, orthogonalize=args.orthogonalize)
     rows = [("quantity", "time", "row", "col", "value")]
     for name, mat in (("Xrel", sol.Xrel), ("Yrel", sol.Yrel), ("Hy", sol.Hy)):
         for r in range(mat.shape[0]):
@@ -117,8 +136,13 @@ def _cmd_solve(args) -> int:
 
 def _cmd_crb(args) -> int:
     noise = _pair_noise(args.sigma_meters)
+    _require(args.messages >= 1, "--messages", "at least 1", args.messages)
+    _require(args.order >= 3, "--order", "at least 3 (r, rdot and rddot)", args.order)
+    start, stop = args.interval
+    _require(math.isfinite(start) and math.isfinite(stop) and start < stop, "--interval",
+             "two finite, increasing times", args.interval)
     traj = load_trajectory(args.fixture)
-    cfg = ExchangeConfig(K=args.messages, interval=tuple(args.interval), c=args.c)
+    cfg = ExchangeConfig(K=args.messages, interval=(start, stop), c=_positive("--c", args.c))
     crb, x_rcrb, y_rcrb = _root_crbs(traj, _clean_exchanges(traj, cfg), noise, args.order)
     names = ["r", "rdot", "rddot"] + [f"order_{ell}" for ell in range(3, args.order)]
     rows = [("quantity", "rcrb")]

@@ -11,35 +11,45 @@ Three experiment kinds mirror the standard evaluation of the estimator:
     interval, comparing the dynamic-ranging propagation Xrel + t H Yrel
     against per-instant classical MDS snapshots from the same exchanges.
 
-One engine runs the trials of a sweep point, on two levels of contiguous
-trial chunks, each sized so its largest stacked array stays near
-_CHUNK_DOUBLES.  An outer chunk is bounded by what a trial keeps after its
-fit (theta, the three Grams, the time grid's snapshot matrices); at N=5 it
-holds 436 trials at a k/sigma sweep point, and 13 on the default time grid
-of 100 instants.  It derives the seed words of every (trial, pair) noise
-stream once, then draws and fits its trials in sub-chunks bounded by the
-whitened (Nbar, K, L+1) QR stack, keeping only theta, the rank flags and
-the snapshot delays of each.  Every later stage runs once per outer chunk,
-batched over its trials: one eigh for all embeddings including the time
-grid's classical-MDS snapshots, one SVD for all Procrustes alignments; only
-the rotation's least squares loops over trials.  A trial that would raise
-in the single-trial pipeline is masked out and counted under its exception
-type; trials whose embedding clamped a negative eigenvalue are counted too.
+One engine runs the trials, on three levels.  The top level is a pool of
+processes: every sweep point of an experiment is set up first, with its
+bounds, and the outer trial chunks of all of them form one ordered task
+list, which a fork pool of min(chunks, CPUs in the affinity mask) workers
+maps (serially when that is one, where fork is missing, and inside a
+daemonic process).  The parent joins each point's chunks in trial order, so
+every reduction sees the same arrays in the same order whatever the process
+count.  Below it are two levels of contiguous trial chunks, each sized so
+its largest stacked array stays near _CHUNK_DOUBLES.  An outer chunk is
+bounded by what a trial keeps after its fit (theta, the three Grams, the
+time grid's snapshot matrices); at N=5 it holds 436 trials at a k/sigma
+sweep point, and 13 on the default time grid of 100 instants.  It derives
+the seed words of every (trial, pair) noise stream once, then draws and
+fits its trials in sub-chunks bounded by the whitened (Nbar, K, L+1) QR
+stack, keeping only theta, the rank flags and the snapshot delays of each.
+Every later stage runs once per outer chunk, batched over its trials: one
+eigh for all embeddings including the time grid's classical-MDS snapshots,
+one SVD for all Procrustes alignments; only the rotation's least squares
+loops over trials.  A trial that would raise in the single-trial pipeline is
+masked out and counted under its exception type; trials whose embedding
+clamped a negative eigenvalue are counted too.
 
 Trials are seeded through derived streams keyed by (sweep point, trial,
 pair), so reports are reproducible bit-for-bit and do not depend on how the
-trials are batched or chunked.  Matrix-valued quantities are compared after
-centering both truth and estimate and removing the optimal orthogonal
-alignment, since only relative geometry is identifiable.
+trials are batched or chunked, or on how many processes run them.
+Matrix-valued quantities are compared after centering both truth and
+estimate and removing the optimal orthogonal alignment, since only relative
+geometry is identifiable.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import platform
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -249,6 +259,7 @@ class RmseReport:
     rows: list[ReportRow]
     config: ExperimentConfig
     wall_seconds: float = 0.0
+    workers: int = 1  # processes that ran the trials
 
     def value(self, sweep_value, quantity) -> ReportRow:
         """The row of `quantity` whose sweep value passes np.isclose's default
@@ -286,6 +297,8 @@ class _Point(NamedTuple):
     markers: np.ndarray            # (M,) marker indices of the classical-MDS snapshots
     times: np.ndarray              # (M,) their instants, where the dynamic estimate is also taken
     clean: TimestampExchangeSet    # (Nbar, K) noise-free exchanges
+    hy_ref: np.ndarray             # (P, P) reference of the Hy error: the noiseless
+                                   # rotation at a k/sigma point, zero on the time grid
 
 
 class _Trials(NamedTuple):
@@ -294,7 +307,7 @@ class _Trials(NamedTuple):
     cause: np.ndarray          # 0 on success, else 1 + the index into _TRIAL_ERRORS
     clamped: np.ndarray        # a top-P eigenvalue of Bxx or Byy was clamped to zero
     coeff_sq: np.ndarray       # (T, 3) squared errors of the r, rdot, rddot vectors
-    hy: np.ndarray             # (T, P, P) rotation estimates
+    hy_sq: np.ndarray          # (T,) squared error of the rotation estimate
     aligned_sq: np.ndarray     # (T, 2 + 2M) aligned squared errors: Xrel, Yrel,
                                # M dynamic positions, M snapshot embeddings
     snap_failed: np.ndarray    # (T, M) snapshot Gram without a positive eigenvalue
@@ -366,20 +379,79 @@ def _trial_chunk(pt: _Point, trials: range) -> _Trials:
         clamped=~rank_bad & (clamped[:, 0] | (~failed[:, 0] & clamped[:, 1])),
         coeff_sq=np.stack([np.sum((phys[..., ell] - coeff_true[ell]) ** 2, axis=-1)
                            for ell in range(3)], axis=-1),
-        hy=hy,
+        # summed here, where hy keeps the memory order its rounding follows (a
+        # worker's hy would come back C-ordered)
+        hy_sq=np.sum((hy - pt.hy_ref) ** 2, axis=(-2, -1)),
         aligned_sq=resid**2,
         snap_failed=failed[:, 2:],
         snap_clamped=clamped[:, 2:],
     )
 
 
-def _run_trials(pt: _Point) -> _Trials:
-    """Every trial of one sweep point, in outer chunks of contiguous trials."""
+def _outer_chunks(pt: _Point) -> list[range]:
+    """The contiguous trial ranges of one sweep point's outer chunks."""
     n, n_snaps = pt.traj.N, len(pt.markers)
     step = _trials_per_chunk(max(pt.clean.n_pairs * pt.cfg.L, 3 * n * n, n_snaps * n * n))
-    chunks = [_trial_chunk(pt, range(lo, min(lo + step, pt.cfg.trials)))
-              for lo in range(0, pt.cfg.trials, step)]
-    return _Trials(*(np.concatenate(parts) for parts in zip(*chunks)))
+    return [range(lo, min(lo + step, pt.cfg.trials)) for lo in range(0, pt.cfg.trials, step)]
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# the (point, trials) tasks of the pool this process works in, set by the pool's
+# initializer in each worker, never in the parent
+_TASKS: list[tuple[_Point, range]] = []
+
+
+def _adopt_tasks(tasks: list[tuple[_Point, range]]) -> None:
+    global _TASKS
+    _TASKS = tasks
+
+
+def _pooled_chunk(i: int) -> _Trials:
+    # looked up at call time, so a module attribute patched before the fork holds
+    return _trial_chunk(*_TASKS[i])
+
+
+def _map_chunks(tasks: list[tuple[_Point, range]]) -> tuple[list[_Trials], int]:
+    """`_trial_chunk` of every (point, trials) task, in task order, and the
+    number of processes that ran them.
+
+    The tasks go to a fork pool of min(tasks, CPUs) workers, which inherit
+    them rather than receive them pickled; only the results travel back.
+    They run here instead when that is one worker, where fork is missing,
+    and inside a daemonic process, which may not have children.  An
+    exception in a worker is raised here with its type and message, and a
+    worker that dies (say, killed for memory) raises BrokenProcessPool
+    rather than leaving the map waiting, as a multiprocessing.Pool would.
+    """
+    workers = min(len(tasks), _cpus())
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods() \
+                and not multiprocessing.current_process().daemon:
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_adopt_tasks, initargs=(tasks,)) as pool:
+                return list(pool.map(_pooled_chunk, range(len(tasks)))), workers
+    return [_trial_chunk(pt, trials) for pt, trials in tasks], 1
+
+
+def _run_points(points: list[_Point]) -> tuple[list[_Trials], int]:
+    """Every trial of every sweep point, each point's outer chunks joined in
+    trial order, and the number of processes that ran them."""
+    spans = [_outer_chunks(pt) for pt in points]
+    chunks, workers = _map_chunks([(pt, trials) for pt, span in zip(points, spans)
+                                   for trials in span])
+    parts = iter(chunks)
+    joined = [_Trials(*map(np.concatenate, zip(*islice(parts, len(span))))) for span in spans]
+    return joined, workers
 
 
 def _failures(cause: np.ndarray) -> dict[str, int]:
@@ -398,7 +470,8 @@ def _exchange_config(cfg: ExperimentConfig, K: int) -> ExchangeConfig:
                           model_order=cfg.L)
 
 
-def _run_sweep_point(traj, cfg, s_idx, value):
+def _sweep_point(traj, cfg, s_idx, value):
+    """A k/sigma sweep point, and the reduction of its trials to its report rows."""
     if cfg.kind == "k_sweep":
         K, sigma_m = int(value), cfg.sigma_m
     else:
@@ -410,61 +483,69 @@ def _run_sweep_point(traj, cfg, s_idx, value):
         theta_crb, rcrbs["Xrel"], rcrbs["Yrel"] = _root_crbs(traj, clean, noise, cfg.L)
         rcrbs.update(r=theta_crb.rcrb(0), rdot=theta_crb.rcrb(1), rddot=theta_crb.rcrb(2))
 
+    def rows(res: _Trials) -> list[ReportRow]:
+        ok = res.cause == 0
+        sq = {"r": res.coeff_sq[:, 0], "rdot": res.coeff_sq[:, 1], "rddot": res.coeff_sq[:, 2],
+              "Xrel": res.aligned_sq[:, 0], "Yrel": res.aligned_sq[:, 1], "Hy": res.hy_sq}
+        n_fail, clamped = int(np.count_nonzero(~ok)), int(res.clamped.sum())
+        return [ReportRow(float(value), q, _rmse(sq[q][ok]), rcrbs[q], n_fail,
+                          _failures(res.cause), clamped)
+                for q in ("r", "rdot", "rddot", "Xrel", "Yrel", "Hy")]
+
     # the noiseless solution fixes the reference frame for the rotation
     hy_ref = solve_relative(wls_solve(build_design(clean, cfg.L)).to_range_matrices(), traj.P,
                             orthogonalize=cfg.orthogonalize).Hy
-
-    res = _run_trials(_Point(traj, noise, cfg, (s_idx,), markers=np.zeros(0, np.intp),
-                             times=np.zeros(0), clean=clean))
-    ok = res.cause == 0
-    sq = {"r": res.coeff_sq[:, 0], "rdot": res.coeff_sq[:, 1], "rddot": res.coeff_sq[:, 2],
-          "Xrel": res.aligned_sq[:, 0], "Yrel": res.aligned_sq[:, 1],
-          "Hy": np.sum((res.hy - hy_ref) ** 2, axis=(-2, -1))}
-    n_fail, clamped = int(np.count_nonzero(~ok)), int(res.clamped.sum())
-    return [ReportRow(float(value), q, _rmse(sq[q][ok]), rcrbs[q], n_fail, _failures(res.cause),
-                      clamped)
-            for q in ("r", "rdot", "rddot", "Xrel", "Yrel", "Hy")]
+    return _Point(traj, noise, cfg, (s_idx,), markers=np.zeros(0, np.intp), times=np.zeros(0),
+                  clean=clean, hy_ref=hy_ref), rows
 
 
-def _run_time_grid(traj, cfg):
+def _time_grid_point(traj, cfg):
+    """The one point of a time grid, and the reduction of its trials to its report rows."""
     exch_cfg = _exchange_config(cfg, cfg.K)
     noise = NoiseModel.from_pair_sigma(cfg.sigma_m, unit="m")
     grid = generate_timestamps(exch_cfg, 1)[0]
     idxs = np.array([int(np.argmin(np.abs(grid - float(t)))) for t in cfg.sweep], np.intp)
     times = grid[idxs]
-    res = _run_trials(_Point(traj, noise, cfg, (0,), markers=idxs, times=times,
-                             clean=_clean_exchanges(traj, exch_cfg)))
-    ok = res.cause == 0
-    dr_fail, failures = int(np.count_nonzero(~ok)), _failures(res.cause)
-    dr_sq, cmds_sq = np.split(res.aligned_sq[:, 2:], 2, axis=1)
-    rows = []
-    for m, t in enumerate(times):
-        snap_ok = ok & ~res.snap_failed[:, m]
-        snap_fail = int(np.count_nonzero(ok & res.snap_failed[:, m]))
-        cmds_failures = dict(failures)
-        if snap_fail:
-            name = EmbeddingFailureError.__name__
-            cmds_failures[name] = cmds_failures.get(name, 0) + snap_fail
-        rows.append(ReportRow(float(t), "Xk_dynamic", _rmse(dr_sq[ok, m]), None, dr_fail,
-                              dict(failures), int(res.clamped.sum())))
-        rows.append(ReportRow(float(t), "Xk_cmds", _rmse(cmds_sq[snap_ok, m]), None,
-                              dr_fail + snap_fail, cmds_failures,
-                              int(np.count_nonzero(ok & res.snap_clamped[:, m]))))
-    return rows
+
+    def rows(res: _Trials) -> list[ReportRow]:
+        ok = res.cause == 0
+        dr_fail, failures = int(np.count_nonzero(~ok)), _failures(res.cause)
+        dr_sq, cmds_sq = np.split(res.aligned_sq[:, 2:], 2, axis=1)
+        out = []
+        for m, t in enumerate(times):
+            snap_ok = ok & ~res.snap_failed[:, m]
+            snap_fail = int(np.count_nonzero(ok & res.snap_failed[:, m]))
+            cmds_failures = dict(failures)
+            if snap_fail:
+                name = EmbeddingFailureError.__name__
+                cmds_failures[name] = cmds_failures.get(name, 0) + snap_fail
+            out.append(ReportRow(float(t), "Xk_dynamic", _rmse(dr_sq[ok, m]), None, dr_fail,
+                                 dict(failures), int(res.clamped.sum())))
+            out.append(ReportRow(float(t), "Xk_cmds", _rmse(cmds_sq[snap_ok, m]), None,
+                                 dr_fail + snap_fail, cmds_failures,
+                                 int(np.count_nonzero(ok & res.snap_clamped[:, m]))))
+        return out
+
+    return _Point(traj, noise, cfg, (0,), markers=idxs, times=times,
+                  clean=_clean_exchanges(traj, exch_cfg), hy_ref=np.zeros((traj.P, traj.P))), rows
 
 
 def run_experiment(cfg: ExperimentConfig) -> RmseReport:
-    """Run one experiment; deterministic given (config, seed)."""
+    """Run one experiment; deterministic given (config, seed).
+
+    Every sweep point is set up first, with its bounds; the outer trial
+    chunks of all of them then run as one task list (see `_map_chunks`).
+    """
     start = time.perf_counter()
     traj = load_trajectory(cfg.fixture)
     if cfg.kind == "time_grid":
-        rows = _run_time_grid(traj, cfg)
+        points = [_time_grid_point(traj, cfg)]
     else:
-        rows = []
-        for s_idx, value in enumerate(cfg.sweep):
-            rows.extend(_run_sweep_point(traj, cfg, s_idx, value))
+        points = [_sweep_point(traj, cfg, s_idx, value) for s_idx, value in enumerate(cfg.sweep)]
+    results, workers = _run_points([pt for pt, _ in points])
+    rows = [row for (_, reduce), res in zip(points, results) for row in reduce(res)]
     return RmseReport(kind=cfg.kind, rows=rows, config=cfg,
-                      wall_seconds=time.perf_counter() - start)
+                      wall_seconds=time.perf_counter() - start, workers=workers)
 
 
 def default_suite(trials: int = 1000, seed: int = 0, fixture: str = "cluster5",
@@ -572,8 +653,9 @@ def emit_outputs(reports, out_dir) -> list[Path]:
     with the same data in wide columns, and ``manifest.json`` recording the
     full configuration and seed, per experiment the trial outcomes of every
     sweep point (see :func:`_trial_outcomes`), and the Python, numpy and
-    platform versions that produced the run.  Reruns with the same seed
-    produce byte-identical CSVs.
+    platform versions, the CPUs in the affinity mask and, per experiment, the
+    number of processes that ran its trials.  Reruns with the same seed
+    produce byte-identical CSVs, whatever the process count.
     """
     if isinstance(reports, RmseReport):
         reports = [reports]
@@ -615,7 +697,8 @@ def emit_outputs(reports, out_dir) -> list[Path]:
         "package_version": _version,
         # derived noise streams follow numpy's SeedSequence/PCG64 seeding
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
-                        "platform": platform.platform()},
+                        "platform": platform.platform(), "cpus": _cpus(),
+                        "workers": [r.workers for r in reports]},
         "experiments": [r.config.to_dict() for r in reports],
         "trial_outcomes": [_trial_outcomes(r) for r in reports],
         "wall_seconds": [r.wall_seconds for r in reports],

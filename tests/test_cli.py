@@ -349,6 +349,34 @@ class TestExperiment:
         assert [e["trials"] for e in manifest["experiments"]] == [expected]
 
 
+@pytest.mark.parametrize("argv", [
+    ["crb", "--messages", "0"],
+    ["crb", "--order", "2"],
+    ["crb", "--c", "-1"],
+    ["crb", "--interval", "3", "-3"],
+    ["solve", "--dim", "0"],
+    ["solve", "--dim", "6"],
+    ["solve", "--times=a"],
+    ["solve", "--grid", "0", "1", "2.5"],
+    ["estimate", "--order", "0"],
+    ["estimate", "--c", "nan"],
+], ids=["crb-zero-messages", "crb-order-2", "crb-negative-c", "crb-reversed-interval",
+        "solve-zero-dim", "solve-dim-above-n", "solve-nonnumeric-times", "solve-fractional-grid",
+        "estimate-zero-order", "estimate-nan-c"])
+def test_bad_flag_value_is_clean_error(exchange_csv, tmp_path, capsys, argv):
+    theta = tmp_path / "theta.csv"
+    assert main(["estimate", "--exchanges", str(exchange_csv), "--sigma-meters", "0.1",
+                 "--out", str(theta)]) == 0
+    before = {"estimate": ["--exchanges", str(exchange_csv), "--sigma-meters", "0.1"],
+              "solve": ["--theta", str(theta)], "crb": []}[argv[0]]
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert main([argv[0], *before, *argv[1:], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {argv[1].partition('=')[0]} must be ")
+    assert not out.exists()
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "relkin", "crb", "--messages", "20", "--sigma-meters", "0.1"],

@@ -1,19 +1,28 @@
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relkin
 import relkin.experiments as exp_mod
 from relkin import (
     ConfigError,
     ExperimentConfig,
+    RankDeficiencyError,
     RmseReport,
     check_report,
     default_suite,
     emit_outputs,
     run_experiment,
 )
+from relkin.cli import main
 from relkin.experiments import ReportRow
 
 import trial_oracle
@@ -283,6 +292,7 @@ class TestChunking:
         monkeypatch.setattr(exp_mod, "_trial_chunk", chunk)
         monkeypatch.setattr(exp_mod, "_draw_exchanges", draw)
         monkeypatch.setattr(exp_mod, "_CHUNK_DOUBLES", 2**12)
+        monkeypatch.setattr(exp_mod, "_cpus", lambda: 1)  # the calls are recorded here
         middle = run_experiment(cfg).rows
         # each sweep point is one outer chunk; its draw and fit run in
         # sub-chunks of 2**12 // (Nbar K (L + 1)) trials: 8 at K=10, 2 at K=30
@@ -292,9 +302,10 @@ class TestChunking:
             monkeypatch.setattr(exp_mod, "_CHUNK_DOUBLES", doubles)
             assert run_experiment(cfg).rows == middle
 
-    def test_traced_peak_stays_small_at_many_trials(self):
+    def test_traced_peak_stays_small_at_many_trials(self, monkeypatch):
         # 1000 trials of K=100: one chunk of them all traces about 140 MB
         cfg = ExperimentConfig(kind="k_sweep", sweep=[100], trials=1000, seed=0)
+        monkeypatch.setattr(exp_mod, "_cpus", lambda: 1)  # tracemalloc sees this process only
         tracemalloc.start()
         try:
             run_experiment(cfg)
@@ -303,9 +314,10 @@ class TestChunking:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
-    def test_time_grid_traced_peak_stays_small_at_many_trials(self):
+    def test_time_grid_traced_peak_stays_small_at_many_trials(self, monkeypatch):
         # the default time grid embeds 100 snapshot matrices per trial
         cfg = default_suite(trials=1000)[2]
+        monkeypatch.setattr(exp_mod, "_cpus", lambda: 1)  # tracemalloc sees this process only
         tracemalloc.start()
         try:
             run_experiment(cfg)
@@ -313,6 +325,115 @@ class TestChunking:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 2**20
+
+
+FORK = "fork" in multiprocessing.get_all_start_methods()
+needs_fork = pytest.mark.skipif(not FORK, reason="no fork start method")
+
+
+def _workers_and_rows(cfg):
+    report = run_experiment(cfg)
+    return report.workers, report.rows
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports this relkin, within two minutes."""
+    src = str(Path(relkin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+class TestPool:
+    """The outer chunks of an experiment run in a fork pool of min(chunks, CPUs) workers."""
+
+    @pytest.mark.parametrize("config, chunk_doubles", [
+        (dict(kind="k_sweep", sweep=[10, 30, 60], trials=23, seed=5), None),
+        (dict(SIGMA_FAILING, sweep=[10.0, -10.0]), None),
+        (TIME_GRID_FAILING, 2**10),  # 13 trials an outer chunk: five chunks
+    ], ids=["k_sweep", "sigma_sweep_failing", "time_grid_failing"])
+    def test_rows_independent_of_worker_count(self, monkeypatch, config, chunk_doubles):
+        if chunk_doubles:
+            monkeypatch.setattr(exp_mod, "_CHUNK_DOUBLES", chunk_doubles)
+        cfg = ExperimentConfig(**config)
+        reports = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(exp_mod, "_cpus", lambda n=cpus: n)
+            reports[cpus] = run_experiment(cfg)
+        assert (reports[1].workers, reports[2].workers) == (1, 2 if FORK else 1)
+        assert reports[1].rows == reports[2].rows
+        if cfg.kind != "k_sweep":  # failed and clamped trials included
+            assert any(row.n_fail for row in reports[1].rows)
+            assert any(row.clamped for row in reports[1].rows)
+
+    def test_one_chunk_runs_here(self, monkeypatch):
+        monkeypatch.setattr(exp_mod, "_cpus", lambda: 2)
+        assert run_experiment(ExperimentConfig(kind="k_sweep", sweep=[10], trials=3)).workers == 1
+
+    @needs_fork
+    def test_worker_error_reaches_caller(self, monkeypatch, tmp_path, capsys):
+        real, parent = exp_mod._trial_chunk, os.getpid()
+        message = "pair (0, 1) lost rank in the chunk of sweep point 1"
+
+        def failing(pt, trials):
+            # raises only in a worker, so a serial run would pass
+            if pt.stream == (1,) and os.getpid() != parent:
+                raise RankDeficiencyError(message)
+            return real(pt, trials)
+
+        monkeypatch.setattr(exp_mod, "_trial_chunk", failing)
+        monkeypatch.setattr(exp_mod, "_cpus", lambda: 2)
+        cfg = ExperimentConfig(kind="k_sweep", sweep=[10, 20, 30], trials=4)
+        with pytest.raises(RankDeficiencyError) as info:
+            run_experiment(cfg)
+        assert type(info.value) is RankDeficiencyError
+        assert str(info.value) == message
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg.to_dict()))
+        capsys.readouterr()
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r").exists()
+
+    @needs_fork
+    def test_daemonic_caller_runs_serially(self, monkeypatch):
+        monkeypatch.setattr(exp_mod, "_cpus", lambda: 2)
+        cfg = ExperimentConfig(kind="k_sweep", sweep=[10, 20], trials=3)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            workers, rows = pool.apply_async(_workers_and_rows, (cfg,)).get(timeout=120)
+        assert workers == 1
+        assert rows == run_experiment(cfg).rows
+
+    @needs_fork
+    def test_dead_worker_raises_instead_of_waiting(self):
+        # a worker killed mid-chunk, as for memory, ends the run with an error
+        proc = _python(textwrap.dedent("""
+            import os, signal
+            import relkin.experiments as exp_mod
+            from relkin import ExperimentConfig, run_experiment
+
+            real, parent = exp_mod._trial_chunk, os.getpid()
+
+            def dying(pt, trials):
+                if pt.stream == (1,) and os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return real(pt, trials)
+
+            exp_mod._trial_chunk, exp_mod._cpus = dying, lambda: 2
+            try:
+                run_experiment(ExperimentConfig(kind="k_sweep", sweep=[10, 20, 30], trials=4))
+            except Exception as exc:
+                print(type(exc).__name__)
+        """))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "BrokenProcessPool"
+
+    def test_import_leaves_multiprocessing_out(self):
+        proc = _python("import sys, relkin.cli; print('multiprocessing' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestReportLookup:
@@ -360,6 +481,15 @@ class TestEmit:
         env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
         assert env["numpy"] == np.__version__
         assert env["python"] and env["platform"]
+
+    def test_manifest_records_processes(self, tmp_path):
+        reports = [run_experiment(ExperimentConfig(kind="k_sweep", sweep=[10, 20], trials=2)),
+                   run_experiment(ExperimentConfig(kind="time_grid", sweep=[0.0], trials=2))]
+        emit_outputs(reports, tmp_path)
+        env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+        assert env["cpus"] == exp_mod._cpus() >= 1
+        assert env["workers"] == [r.workers for r in reports]
+        assert all(w >= 1 for w in env["workers"])
 
     def test_byte_identical_rerun(self, tmp_path):
         def produce(where):
