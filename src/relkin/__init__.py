@@ -45,7 +45,6 @@ from .ranging import (
     RangeCrb,
     build_design,
     crb_theta,
-    order_select,
     pairwise_solve,
     wls_solve,
 )
@@ -72,7 +71,5 @@ from .experiments import (
     check_report,
     default_suite,
     emit_outputs,
-    run_default_suite,
     run_experiment,
 )
-from .rng import derive_normals, derive_rng

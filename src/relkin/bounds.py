@@ -33,7 +33,7 @@ from .exceptions import (
     RegularizedInverseWarning,
     UnsupportedCovarianceError,
 )
-from .kinematics import RangeMatrices, canonical_pairs
+from .kinematics import RangeMatrices, pair_count, pair_index
 
 __all__ = [
     "FisherInfo",
@@ -102,7 +102,7 @@ class RangeNoiseCovariances:
 
 
 def _check_pair_count(var: np.ndarray, n: int) -> None:
-    if len(var) != n * (n - 1) // 2:
+    if len(var) != pair_count(n):
         raise ValueError(f"{len(var)} pair variances for {n} nodes")
 
 
@@ -110,7 +110,7 @@ def _pair_fisher(Z: np.ndarray, w: np.ndarray) -> FisherInfo:
     """sum_p w_p a_p a_p^T with a_p = (e_i - e_j) kron (z_i - z_j), as an
     (N P) x (N P) information matrix ordered like vec(Z)."""
     P, n = Z.shape
-    i, j = np.triu_indices(n, k=1)
+    i, j = pair_index(n)
     g = Z[:, i] - Z[:, j]
     off = np.moveaxis(g[:, None, :] * g[None, :, :] * -w, -1, 0)
     F = np.zeros((n, n, P, P))
@@ -137,10 +137,11 @@ def fim_position(Xrel: np.ndarray, Sigma_r, duplicate_pairs: bool = True) -> Fis
     _, n = Xrel.shape
     var = _pair_variances(Sigma_r, "Sigma_r")
     _check_pair_count(var, n)
-    i, j = np.triu_indices(n, k=1)
+    i, j = pair_index(n)
     d2 = np.sum((Xrel[:, i] - Xrel[:, j]) ** 2, axis=0)
     if not np.all(d2):
-        raise DegenerateGeometryError(f"nodes {canonical_pairs(n)[int(np.argmin(d2))]} coincide")
+        p = int(np.argmin(d2))
+        raise DegenerateGeometryError(f"nodes {(int(i[p]), int(j[p]))} coincide")
     if not np.all(var):
         raise np.linalg.LinAlgError("singular range covariance: a pair has zero variance")
     w = (2.0 if duplicate_pairs else 1.0) / (d2 * var)

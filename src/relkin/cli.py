@@ -27,7 +27,7 @@ from .experiments import (
     emit_outputs,
     run_experiment,
 )
-from .kinematics import RangeMatrices, canonical_pairs, load_trajectory
+from .kinematics import RangeMatrices, canonical_pairs, load_trajectory, pair_count
 from .ranging import _solve_with_crb, build_design
 from .twr import (
     ExchangeConfig,
@@ -92,7 +92,7 @@ def _read_theta_csv(path):
     repeat[key[1:][(np.diff(p[key]) == 0) & (np.diff(order[key]) == 0)]] = True
     _reject_rows(path, data, repeat, "repeated (i, j, order) row")
     low = order < 3
-    coeffs = np.full((n * (n - 1) // 2, 3), np.nan)  # theta is finite, so NaN marks a gap
+    coeffs = np.full((pair_count(n), 3), np.nan)  # theta is finite, so NaN marks a gap
     coeffs[p[low], order[low].astype(np.intp)] = theta[low]
     lacking = np.flatnonzero(np.isnan(coeffs).any(axis=1))
     if lacking.size:

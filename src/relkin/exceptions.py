@@ -25,8 +25,9 @@ class UnsupportedCovarianceError(RelkinError):
     """Noise structure outside the pairwise-independent model."""
 
 
-class ConfigError(RelkinError):
-    """Invalid experiment or CLI configuration."""
+class ConfigError(RelkinError, ValueError):
+    """Invalid configuration: an experiment, a message schedule, a noise model
+    or a CLI flag value out of range."""
 
 
 class InputError(RelkinError, ValueError):

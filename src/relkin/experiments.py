@@ -71,7 +71,13 @@ from .exceptions import (
     IllPosedRotationError,
     RankDeficiencyError,
 )
-from .kinematics import TrajectorySet, centering_matrix, load_trajectory, range_matrices
+from .kinematics import (
+    TrajectorySet,
+    centering_matrix,
+    load_trajectory,
+    pair_index,
+    range_matrices,
+)
 from .ranging import RangeCoefficients, RangeCrb, _fit_pairs, build_design, crb_theta, wls_solve
 from .twr import (
     ExchangeConfig,
@@ -81,6 +87,8 @@ from .twr import (
     _clean_exchanges,
     _draw_exchanges,
     _exchange_states,
+    _is_finite,
+    _is_int,
     generate_timestamps,
 )
 
@@ -90,12 +98,10 @@ __all__ = [
     "ReportRow",
     "run_experiment",
     "default_suite",
-    "run_default_suite",
     "check_report",
     "emit_outputs",
 ]
 
-KINDS = ("k_sweep", "sigma_sweep", "time_grid")
 # What ends a trial, in pipeline order: the ranging fit, the spectral
 # embeddings, the rotation solve.
 _TRIAL_ERRORS = (
@@ -103,17 +109,6 @@ _TRIAL_ERRORS = (
     EmbeddingFailureError,
     IllPosedRotationError,
 )
-
-
-def _is_int(x) -> bool:
-    """An integer other than a bool (JSON true/false must not pass as 1/0)."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _is_finite(x) -> bool:
-    """A finite real number other than a bool."""
-    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool) \
-        and math.isfinite(x)
 
 
 def _db_meters(value) -> float:
@@ -124,12 +119,16 @@ def _db_meters(value) -> float:
         return math.inf
 
 
-# per kind, which sweep values are valid and how the error names them
-_SWEEP_VALUES = {
-    "k_sweep": (lambda v: _is_int(v) and v >= 1, "integers >= 1"),
-    "sigma_sweep": (lambda v: _is_finite(v) and math.isfinite(_db_meters(v)),
-                    "finite dB-meter levels"),
-    "time_grid": (_is_finite, "finite times"),
+class _Kind(NamedTuple):
+    sweep_key: str                # the key of the JSON "sweep" object that selects the kind
+    quantities: tuple[str, ...]   # the report's quantities, in plot column order
+
+
+_SWEEP_QUANTITIES = ("r", "rdot", "rddot", "Xrel", "Yrel", "Hy")
+_KINDS = {
+    "k_sweep": _Kind("K", _SWEEP_QUANTITIES),
+    "sigma_sweep": _Kind("sigma_db_m", _SWEEP_QUANTITIES),
+    "time_grid": _Kind("time_grid", ("Xk_dynamic", "Xk_cmds")),
 }
 
 
@@ -139,7 +138,10 @@ class ExperimentConfig:
 
     The sweep list is interpreted per kind: message counts for ``k_sweep``,
     dB-meter noise levels for ``sigma_sweep``, and report times (snapped to
-    the nearest transmit marker) for ``time_grid``.
+    the nearest transmit marker) for ``time_grid``.  The message schedule
+    and noise values are validated by building the ExchangeConfig of every
+    sweep point and the NoiseModel of sigma_m and of every noise level, so
+    a bad value raises their ConfigError.
     """
 
     kind: str
@@ -156,8 +158,8 @@ class ExperimentConfig:
     orthogonalize: bool = False
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        if self.kind not in _KINDS:
+            raise ConfigError(f"kind must be one of {tuple(_KINDS)}, got {self.kind!r}")
         self.sweep = list(self.sweep)
         if not self.sweep:
             raise ConfigError("sweep must be a nonempty list")
@@ -166,31 +168,20 @@ class ExperimentConfig:
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         self.trials, self.seed = int(self.trials), int(self.seed)
-        for name, value in (("L", self.L), ("K", self.K)):
-            if not _is_int(value) or value < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-        self.L, self.K = int(self.L), int(self.K)
-        if not (_is_finite(self.sigma_m) and self.sigma_m >= 0):
-            raise ConfigError(f"sigma_m must be a finite number >= 0, got {self.sigma_m!r}")
-        valid, what = _SWEEP_VALUES[self.kind]
         for value in self.sweep:
-            if not valid(value):
-                raise ConfigError(f"{self.kind} values must be {what}, got {value!r}")
-        interval = tuple(self.interval) if isinstance(self.interval, (tuple, list)) else ()
-        if not (len(interval) == 2 and all(map(_is_finite, interval))
-                and interval[0] < interval[1]):
-            raise ConfigError(f"interval must be two finite, increasing numbers, "
-                              f"got {self.interval!r}")
-        self.interval = (float(interval[0]), float(interval[1]))
-        if not (_is_finite(self.c) and self.c > 0):
-            raise ConfigError(f"c must be a finite number > 0, got {self.c!r}")
-        self.c = float(self.c)
-        if self.delay_model not in ("exact", "taylor"):
-            raise ConfigError(f"delay_model must be 'exact' or 'taylor', got {self.delay_model!r}")
-        if self.delay_model == "taylor" and self.L > 4:
-            raise ConfigError(f"the taylor delay model has at most 4 coefficients, got L={self.L}")
+            if not _is_finite(value):
+                raise ConfigError(f"{self.kind} values must be finite numbers, got {value!r}")
         if not isinstance(self.orthogonalize, (bool, np.bool_)):
             raise ConfigError(f"orthogonalize must be true or false, got {self.orthogonalize!r}")
+        exch = _exchange_config(self, self.K)
+        self.K, self.L, self.interval, self.c = exch.K, exch.model_order, exch.interval, exch.c
+        if self.kind == "k_sweep":
+            for K in self.sweep:
+                _exchange_config(self, K)
+        NoiseModel.from_pair_sigma(self.sigma_m)
+        if self.kind == "sigma_sweep":
+            for level in self.sweep:
+                NoiseModel.from_pair_sigma(_db_meters(level))
 
     @classmethod
     def from_json(cls, path, **overrides) -> "ExperimentConfig":
@@ -205,10 +196,11 @@ class ExperimentConfig:
             sweep_obj = data.pop("sweep")
         except KeyError:
             raise ConfigError(f"{path}: missing required key 'sweep'")
+        keys = "/".join(spec.sweep_key for spec in _KINDS.values())
         if not isinstance(sweep_obj, dict) or len(sweep_obj) != 1:
-            raise ConfigError(f"{path}: sweep must hold exactly one of K/sigma_db_m/time_grid")
+            raise ConfigError(f"{path}: sweep must hold exactly one of {keys}")
         key, values = next(iter(sweep_obj.items()))
-        kind = {"K": "k_sweep", "sigma_db_m": "sigma_sweep", "time_grid": "time_grid"}.get(key)
+        kind = next((kind for kind, spec in _KINDS.items() if spec.sweep_key == key), None)
         if kind is None:
             raise ConfigError(f"{path}: unknown sweep key {key!r}")
         known = set(cls.__dataclass_fields__) - {"kind", "sweep"}
@@ -219,10 +211,9 @@ class ExperimentConfig:
         return cls(kind=kind, sweep=list(values), **data)
 
     def to_dict(self) -> dict:
-        sweep_key = {"k_sweep": "K", "sigma_sweep": "sigma_db_m", "time_grid": "time_grid"}[self.kind]
         return {
             "fixture": self.fixture,
-            "sweep": {sweep_key: list(self.sweep)},
+            "sweep": {_KINDS[self.kind].sweep_key: list(self.sweep)},
             "K": self.K,
             "sigma_m": self.sigma_m,
             "interval": list(self.interval),
@@ -355,7 +346,7 @@ def _trial_chunk(pt: _Point, trials: range) -> _Trials:
     coeffs = RangeCoefficients(scaled=theta, n_nodes=n, c=cfg.c)
     grams = grams_from_ranges(coeffs.to_range_matrices())
     snaps = np.zeros((n_trials, len(pt.markers), n, n))
-    i, j = np.triu_indices(n, k=1)
+    i, j = pair_index(n)
     snaps[..., i, j] = cfg.c * snap_tau.swapaxes(-1, -2)
     snaps = snaps + snaps.swapaxes(-1, -2)
     emb = _embed(np.concatenate([grams.Bxx[:, None], grams.Byy[:, None], _mds_gram(snaps)],
@@ -478,7 +469,7 @@ def _sweep_point(traj, cfg, s_idx, value):
         K, sigma_m = cfg.K, _db_meters(value)
     noise = NoiseModel.from_pair_sigma(sigma_m, unit="m")
     clean = _clean_exchanges(traj, _exchange_config(cfg, K))
-    rcrbs = dict.fromkeys(("r", "rdot", "rddot", "Xrel", "Yrel", "Hy"))
+    rcrbs = dict.fromkeys(_SWEEP_QUANTITIES)
     if sigma_m > 0:
         theta_crb, rcrbs["Xrel"], rcrbs["Yrel"] = _root_crbs(traj, clean, noise, cfg.L)
         rcrbs.update(r=theta_crb.rcrb(0), rdot=theta_crb.rcrb(1), rddot=theta_crb.rcrb(2))
@@ -490,7 +481,7 @@ def _sweep_point(traj, cfg, s_idx, value):
         n_fail, clamped = int(np.count_nonzero(~ok)), int(res.clamped.sum())
         return [ReportRow(float(value), q, _rmse(sq[q][ok]), rcrbs[q], n_fail,
                           _failures(res.cause), clamped)
-                for q in ("r", "rdot", "rddot", "Xrel", "Yrel", "Hy")]
+                for q in _SWEEP_QUANTITIES]
 
     # the noiseless solution fixes the reference frame for the rotation
     hy_ref = solve_relative(wls_solve(build_design(clean, cfg.L)).to_range_matrices(), traj.P,
@@ -554,18 +545,9 @@ def default_suite(trials: int = 1000, seed: int = 0, fixture: str = "cluster5",
     base = dict(fixture=fixture, trials=trials, seed=seed, **overrides)
     k_cfg = ExperimentConfig(kind="k_sweep", sweep=list(range(10, 101, 10)), **base)
     s_cfg = ExperimentConfig(kind="sigma_sweep", sweep=list(range(-10, 1, 2)), **base)
-    t_cfg = ExperimentConfig(
-        kind="time_grid",
-        sweep=list(np.linspace(base.get("interval", (-3.0, 3.0))[0],
-                               base.get("interval", (-3.0, 3.0))[1],
-                               base.get("K", 100))),
-        **base,
-    )
+    t_cfg = ExperimentConfig(kind="time_grid", sweep=list(np.linspace(*k_cfg.interval, k_cfg.K)),
+                             **base)
     return [k_cfg, s_cfg, t_cfg]
-
-
-def run_default_suite(trials: int = 1000, seed: int = 0, **overrides) -> list[RmseReport]:
-    return [run_experiment(cfg) for cfg in default_suite(trials=trials, seed=seed, **overrides)]
 
 
 def check_report(report: RmseReport, ratio_band: tuple[float, float] = (0.97, 1.15),
@@ -622,13 +604,6 @@ def _fmt(x) -> str:
     return f"{x:.17g}"
 
 
-_PLOT_LAYOUT = {
-    "k_sweep": ("r", "rdot", "rddot", "Xrel", "Yrel", "Hy"),
-    "sigma_sweep": ("r", "rdot", "rddot", "Xrel", "Yrel", "Hy"),
-    "time_grid": ("Xk_dynamic", "Xk_cmds"),
-}
-
-
 def _trial_outcomes(report: RmseReport) -> list[dict]:
     """Failed trials by exception type name and the count of trials that
     clamped an eigenvalue, one entry per sweep value and run of consecutive
@@ -673,7 +648,7 @@ def emit_outputs(reports, out_dir) -> list[Path]:
         path.write_text("\n".join(lines) + "\n")
         written.append(path)
 
-        quantities = _PLOT_LAYOUT[report.kind]
+        quantities = _KINDS[report.kind].quantities
         plot_path = out / f"plot_{report.kind}.csv"
         header = ["sweep_value"]
         for q in quantities:

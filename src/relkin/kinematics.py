@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -33,6 +34,8 @@ __all__ = [
     "RangeMatrices",
     "canonical_pairs",
     "centering_matrix",
+    "pair_count",
+    "pair_index",
     "range_derivatives",
     "range_matrices",
     "taylor_range",
@@ -43,10 +46,28 @@ __all__ = [
 ]
 
 
+def pair_count(n: int) -> int:
+    """Number of unique node pairs of n nodes, N(N-1)/2, computed without allocating."""
+    return n * (n - 1) // 2
+
+
+@lru_cache(maxsize=64)
+def pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) index arrays of the unique node pairs i < j, in the stacking order
+    used everywhere in this package: (0,1), (0,2), ..., (0,n-1), (1,2), ...
+
+    The arrays are cached per n and shared by every caller, so they are
+    read-only.
+    """
+    i, j = np.triu_indices(n, k=1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def canonical_pairs(n: int) -> list[tuple[int, int]]:
-    """Unique node pairs (i, j) with i < j, in the stacking order used
-    everywhere in this package: (0,1), (0,2), ..., (0,n-1), (1,2), ..."""
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+    """The pairs of :func:`pair_index` as a list of (i, j) tuples."""
+    i, j = pair_index(n)
+    return list(zip(i.tolist(), j.tolist()))
 
 
 def centering_matrix(n: int) -> np.ndarray:
@@ -80,11 +101,10 @@ class TrajectorySet:
         p, n = self.X.shape
         if n < p:
             raise ValueError(f"need at least as many nodes as dimensions, got N={n} < P={p}")
-        diff = self.X[:, :, None] - self.X[:, None, :]
-        dist = np.sqrt((diff**2).sum(axis=0))
-        for i, j in canonical_pairs(n):
-            if dist[i, j] == 0.0:
-                raise DegenerateGeometryError(f"nodes {i} and {j} coincide at t0")
+        i, j = pair_index(n)
+        hit = np.flatnonzero(np.sqrt(((self.X[:, i] - self.X[:, j]) ** 2).sum(axis=0)) == 0.0)
+        if hit.size:
+            raise DegenerateGeometryError(f"nodes {i[hit[0]]} and {j[hit[0]]} coincide at t0")
 
     @property
     def P(self) -> int:
@@ -233,13 +253,13 @@ class RangeMatrices:
 
     def pair_vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(r, rdot, rddot) stacked over canonical pairs, each (..., N(N-1)/2)."""
-        i, j = np.triu_indices(self.n, k=1)
+        i, j = pair_index(self.n)
         return self.R[..., i, j], self.Rdot[..., i, j], self.Rddot[..., i, j]
 
     @classmethod
     def from_pair_vectors(cls, n: int, r, rdot, rddot) -> "RangeMatrices":
         """Assemble symmetric matrices from canonical pair-ordered (..., Nbar) vectors."""
-        i, j = np.triu_indices(n, k=1)
+        i, j = pair_index(n)
         out = []
         for vec in (r, rdot, rddot):
             vec = np.asarray(vec, float)

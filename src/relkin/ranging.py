@@ -5,8 +5,8 @@ transmit marker, so K messages give one K x L Vandermonde block per pair.
 Links are pairwise independent, so the delay covariance is block diagonal
 and the network-wide weighted least-squares problem splits into independent
 per-pair solves.  One batched kernel whitens the (Nbar, K, L) stack of
-blocks and QR-factors every pair at once; the WLS estimate, its Cramer-Rao
-bound and the order-recursive fit all read from it.  A diagonal rescaling
+blocks and QR-factors every pair at once; the WLS estimate and its
+Cramer-Rao bound both read from it.  A diagonal rescaling
 converts the scaled coefficients to the physical range derivatives (meters,
 m/s, m/s^2, ...):
 
@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .exceptions import RankDeficiencyError
-from .kinematics import RangeMatrices, canonical_pairs
+from .kinematics import RangeMatrices, canonical_pairs, pair_count
 from .twr import NoiseModel, TimestampExchangeSet, effective_noise_covariance
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "wls_solve",
     "pairwise_solve",
     "crb_theta",
-    "order_select",
 ]
 
 
@@ -60,7 +59,7 @@ class RangeCoefficients:
 
     def __post_init__(self):
         self.scaled = np.atleast_2d(np.asarray(self.scaled, float))
-        nbar = len(canonical_pairs(self.n_nodes))
+        nbar = pair_count(self.n_nodes)
         if self.scaled.shape[-2] != nbar:
             raise ValueError(f"expected {nbar} pair rows, got {self.scaled.shape[-2]}")
 
@@ -118,7 +117,7 @@ class DesignSystem:
         self.tau = np.atleast_2d(np.asarray(self.tau, float))
         if self.markers.shape != self.tau.shape:
             raise ValueError("markers and tau must share one shape")
-        nbar = len(canonical_pairs(self.n_nodes))
+        nbar = pair_count(self.n_nodes)
         if self.markers.shape[-2] != nbar:
             raise ValueError(f"expected {nbar} pairs, got {self.markers.shape[-2]}")
         if self.L < 1:
@@ -129,11 +128,6 @@ class DesignSystem:
                 raise ValueError("pair_variances must have one entry per pair")
             if np.any(self.pair_variances <= 0):
                 raise ValueError("pair variances must be positive")
-        distinct = 1 + np.count_nonzero(np.diff(np.sort(self.markers, axis=-1), axis=-1), axis=-1)
-        short = np.flatnonzero(np.any(distinct < self.L, axis=tuple(range(distinct.ndim - 1))))
-        if short.size:
-            i, j = canonical_pairs(self.n_nodes)[short[0]]
-            raise RankDeficiencyError(f"pair ({i},{j}) has fewer than L={self.L} distinct markers")
 
     @property
     def K(self) -> int:
@@ -198,21 +192,23 @@ class _PairFit(NamedTuple):
     bad: np.ndarray    # (..., Nbar) True where the block loses column rank
 
 
-def _fit_pairs(sys: DesignSystem, L: Optional[int] = None) -> _PairFit:
-    """Whitened least squares of every pair on its first L Vandermonde columns.
+def _fit_pairs(sys: DesignSystem) -> _PairFit:
+    """Whitened least squares of every pair on its Vandermonde block.
 
     One batched QR factors the whole (..., Nbar, K, L+1) stack
     [V_p | tau_p] / sigma_p.  Its last column carries Q^T tau above the
     diagonal and the residual below, so Q is never formed, and neither are
-    the normal equations.  L defaults to the system's order.  A pair whose
-    block loses column rank is flagged in `bad` and solved against an
-    identity R instead, so its theta and cov are finite but meaningless.
+    the normal equations.  This is the package's one rank test: a pair whose
+    block loses column rank (repeated markers, or fewer than L messages) is
+    flagged in `bad` and solved against an identity R instead, so its theta
+    and cov are finite but meaningless.
     """
-    V = sys.vandermonde()[..., :L]
-    L = V.shape[-1]
-    stack = np.concatenate([V, sys.tau[..., None]], axis=-1)
+    L = sys.L
+    stack = np.concatenate([sys.vandermonde(), sys.tau[..., None]], axis=-1)
     stack *= sys.pair_weights()[:, None, None]
     r = np.linalg.qr(stack, mode="r")
+    if sys.K < L:  # R has only K rows; the missing diagonal entries are zero
+        r = np.concatenate([r, np.zeros(r.shape[:-2] + (L - sys.K, L + 1))], axis=-2)
     R = r[..., :L, :L]
     diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
     bad = np.any(diag < _RANK_RTOL * diag.max(axis=-1, keepdims=True), axis=-1)
@@ -225,14 +221,14 @@ def _fit_pairs(sys: DesignSystem, L: Optional[int] = None) -> _PairFit:
                     bad=bad)
 
 
-def _full_rank_fit(sys: DesignSystem, L: Optional[int] = None) -> _PairFit:
+def _full_rank_fit(sys: DesignSystem) -> _PairFit:
     """:func:`_fit_pairs`, raising where it flags a pair.
 
     Raises:
         RankDeficiencyError: naming every pair whose block loses column rank
             (in any network of a batch).
     """
-    fit = _fit_pairs(sys, L)
+    fit = _fit_pairs(sys)
     bad = np.flatnonzero(fit.bad.reshape(-1, sys.n_pairs).any(axis=0))
     if bad.size:
         pairs = canonical_pairs(sys.n_nodes)
@@ -314,33 +310,3 @@ def _solve_with_crb(sys: DesignSystem) -> tuple[RangeCoefficients, RangeCrb]:
     f = scale_factors(sys.L, sys.c)
     return (RangeCoefficients(scaled=fit.theta, n_nodes=sys.n_nodes, c=sys.c),
             RangeCrb(cov=fit.cov * np.outer(f, f), n_nodes=sys.n_nodes))
-
-
-def order_select(exchanges: TimestampExchangeSet, L_max: int,
-                 noise: Optional[NoiseModel] = None,
-                 rel_improvement: float = 0.01) -> tuple[int, RangeCoefficients]:
-    """Order-recursive fit: grow L until the residual stops improving.
-
-    Fits L = 1..L_max and selects the smallest L whose residual sum of
-    squares either reaches solver noise or improves by less than
-    `rel_improvement` when one more order is added.  The default pipeline
-    bypasses this selection with a fixed order.
-    """
-    if L_max < 1:
-        raise ValueError("L_max must be >= 1")
-    sys_max = build_design(exchanges, L_max, noise=noise)
-    b = sys_max.tau * sys_max.pair_weights()[:, None]
-    floor = (1e-12 * max(np.linalg.norm(b), 1e-300)) ** 2
-    # the order-L design is the first L columns of the widest Vandermonde stack
-    fits = [_full_rank_fit(sys_max, L) for L in range(1, L_max + 1)]
-    rss = [float(np.sum(fit.rss)) for fit in fits]
-    chosen = L_max
-    for idx in range(L_max):
-        if rss[idx] <= floor:
-            chosen = idx + 1
-            break
-        if idx + 1 < L_max and (rss[idx] - rss[idx + 1]) < rel_improvement * rss[idx]:
-            chosen = idx + 1
-            break
-    return chosen, RangeCoefficients(scaled=fits[chosen - 1].theta,
-                                     n_nodes=sys_max.n_nodes, c=sys_max.c)

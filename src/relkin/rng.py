@@ -1,18 +1,14 @@
-"""Deterministic derivation of independent random streams from one master seed."""
+"""Deterministic derivation of independent random streams from one master seed.
+
+The stream addressed by an integer path (a, b, ...) under a master seed is
+``np.random.default_rng(SeedSequence(seed, spawn_key=(a, b, ...)))``, so
+distinct paths yield independent streams and a stream's draws depend on its
+address alone, not on which other streams were drawn, in what order or in
+what batches.  :func:`_stream_states` and :func:`_draw_normals` reproduce
+that seeding bit for bit for many streams at once.
+"""
 
 import numpy as np
-
-
-def derive_rng(seed, *path: int) -> np.random.Generator:
-    """Generator for the stream addressed by an integer path under a master seed.
-
-    The stream for path (a, b, ...) is ``SeedSequence(seed, spawn_key=(a, b, ...))``,
-    so distinct paths yield independent streams and a stream's draws depend on
-    its address alone, not on which other streams were drawn, in what order or
-    in what batches.  :func:`derive_normals` draws many such streams at once.
-    """
-    key = tuple(int(p) for p in path)
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 # numpy's SeedSequence hash constants (pool of four uint32 words) and the
@@ -44,29 +40,19 @@ def _mix(x, y):
     return r ^ (r >> 16)
 
 
-def derive_normals(seed, paths, shape) -> np.ndarray:
-    """Standard normal draws of many derived streams, shape (S, *shape).
-
-    Row s is bit-identical to ``derive_rng(seed, *paths[s]).standard_normal(shape)``.
-    `paths` is an (S, D) array of integers in [0, 2**32).  SeedSequence's
-    entropy pool is hashed from the seed once, the path words are mixed in as
-    uint32 column operations over all S streams, and each stream's PCG64
-    state is set on one reused generator before its draw.
-
-    Raises:
-        ValueError: for a negative seed or path entry (as SeedSequence does),
-            or a path entry of 2**32 or more.
-        TypeError: for a seed SeedSequence rejects or non-integer paths.
-    """
-    return _draw_normals(_stream_states(seed, paths), shape)
-
-
 def _stream_states(seed, paths) -> np.ndarray:
     """(S, 4) uint64 PCG64 seed words of the streams (seed, *paths[s]).
 
     The words (a, b, c, d) are what ``SeedSequence(seed, spawn_key=paths[s])
     .generate_state(4, np.uint64)`` returns; :func:`_draw_normals` turns them
-    into PCG64 states.  Validates as :func:`derive_normals` documents.
+    into PCG64 states.  `paths` is an (S, D) array of integers in [0, 2**32).
+    SeedSequence's entropy pool is hashed from the seed once, and the path
+    words are mixed in as uint32 column operations over all S streams.
+
+    Raises:
+        ValueError: for a negative seed or path entry (as SeedSequence does),
+            or a path entry of 2**32 or more.
+        TypeError: for a seed SeedSequence rejects or non-integer paths.
     """
     paths = np.asarray(paths)
     if paths.ndim != 2:
@@ -123,6 +109,9 @@ def _stream_states(seed, paths) -> np.ndarray:
 def _draw_normals(states: np.ndarray, shape) -> np.ndarray:
     """(S, *shape) standard normals, row s drawn from the stream of seed words states[s].
 
+    For the states of ``_stream_states(seed, paths)``, row s is bit-identical
+    to the ``standard_normal(shape)`` draw of stream (seed, *paths[s]); each
+    stream's PCG64 state is set on one reused generator before its draw.
     PCG64 seeds its LCG from the words (a, b, c, d) of :func:`_stream_states`
     with initstate = a * 2**64 + b and initseq = c * 2**64 + d, stepping it as
     pcg_setseq_128_srandom_r does.

@@ -15,16 +15,19 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-from .exceptions import InputError
+from .exceptions import ConfigError, InputError
 from .kinematics import (
     RangeDerivatives,
     TrajectorySet,
     canonical_pairs,
+    pair_count,
+    pair_index,
     range_matrices,
     taylor_range,
 )
@@ -45,6 +48,17 @@ SPEED_OF_LIGHT = 3e8  # m/s, propagation speed used throughout unless overridden
 _CSV_COLUMNS = ("i", "j", "k", "E", "T_tx", "T_rx")
 
 
+def _is_int(x) -> bool:
+    """An integer other than a bool (JSON true/false must not pass as 1/0)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_finite(x) -> bool:
+    """A finite real number other than a bool."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool) \
+        and math.isfinite(x)
+
+
 @dataclass
 class ExchangeConfig:
     """Message schedule for every node pair.
@@ -61,6 +75,12 @@ class ExchangeConfig:
             `model_order` coefficients instead, producing delays that are
             exactly consistent with the estimator's model class.
         model_order: coefficients kept by the "taylor" delay model (<= 4).
+
+    Raises:
+        ConfigError: unless K is an integer >= 1, the interval two finite,
+            increasing numbers, c finite and > 0, the delay model and
+            direction policy known, and model_order an integer >= 1 (at most
+            4 under "taylor").
     """
 
     K: int
@@ -71,22 +91,32 @@ class ExchangeConfig:
     model_order: int = 4
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
-        t0, t1 = self.interval
-        if not t0 < t1:
-            raise ValueError(f"interval must satisfy t_start < t_end, got {self.interval}")
-        if self.c <= 0:
-            raise ValueError("propagation speed must be positive")
+        if not _is_int(self.K) or self.K < 1:
+            raise ConfigError(f"K must be an integer >= 1, got {self.K!r}")
+        interval = tuple(self.interval) \
+            if isinstance(self.interval, (tuple, list, np.ndarray)) else ()
+        if not (len(interval) == 2 and all(map(_is_finite, interval))
+                and interval[0] < interval[1]):
+            raise ConfigError(f"interval must be two finite, increasing numbers, "
+                              f"got {self.interval!r}")
+        if not (_is_finite(self.c) and self.c > 0):
+            raise ConfigError(f"c must be a finite number > 0, got {self.c!r}")
         if self.delay_model not in ("exact", "taylor"):
-            raise ValueError(f"delay_model must be 'exact' or 'taylor', got {self.delay_model!r}")
+            raise ConfigError(f"delay_model must be 'exact' or 'taylor', got {self.delay_model!r}")
+        if not _is_int(self.model_order) or self.model_order < 1:
+            raise ConfigError(f"model_order must be an integer >= 1, got {self.model_order!r}")
+        if self.delay_model == "taylor" and self.model_order > 4:
+            raise ConfigError(f"the taylor delay model keeps at most 4 coefficients, "
+                              f"got model_order={self.model_order}")
+        self.K, self.model_order = int(self.K), int(self.model_order)
+        self.interval, self.c = (float(interval[0]), float(interval[1])), float(self.c)
         if isinstance(self.direction_policy, str):
             if self.direction_policy not in ("one_way", "alternating"):
-                raise ValueError(f"unknown direction policy {self.direction_policy!r}")
+                raise ConfigError(f"unknown direction policy {self.direction_policy!r}")
         else:
             flags = np.asarray(self.direction_policy, int)
             if flags.shape != (self.K,) or not np.all(np.abs(flags) == 1):
-                raise ValueError("custom direction vector must hold K entries of +/-1")
+                raise ConfigError("custom direction vector must hold K entries of +/-1")
             self.direction_policy = flags
 
     def directions(self) -> np.ndarray:
@@ -111,6 +141,10 @@ class NoiseModel:
             by the propagation speed at simulation time).
 
     Markers of different nodes are independent, so the links are too.
+
+    Raises:
+        ConfigError: unless every sigma is a finite number >= 0 and the unit
+            is known.
     """
 
     sigma: Union[float, np.ndarray] = 0.0
@@ -118,18 +152,20 @@ class NoiseModel:
 
     def __post_init__(self):
         if self.unit not in ("s", "m"):
-            raise ValueError(f"unit must be 's' or 'm', got {self.unit!r}")
-        sig = np.asarray(self.sigma, float)
-        if np.any(sig < 0):
-            raise ValueError("sigma must be nonnegative")
+            raise ConfigError(f"unit must be 's' or 'm', got {self.unit!r}")
+        sig = np.asarray(self.sigma)
+        if sig.dtype.kind not in "iuf" or not np.all(np.isfinite(sig)) or np.any(sig < 0):
+            raise ConfigError(f"sigma must be finite numbers >= 0, got {self.sigma!r}")
+        sig = sig.astype(float)
         self.sigma = float(sig) if sig.ndim == 0 else sig
 
     @classmethod
     def from_pair_sigma(cls, sigma_pair: float, unit: str = "m") -> "NoiseModel":
         """Model with equal per-node noise such that each pair's measured
         delay has standard deviation `sigma_pair` (per-node std divided by
-        sqrt(2), since the two endpoint variances add)."""
-        return cls(sigma=float(sigma_pair) / np.sqrt(2.0), unit=unit)
+        sqrt(2), since the two endpoint variances add).  Validates
+        `sigma_pair` as the constructor validates sigma."""
+        return cls(sigma=cls(sigma_pair, unit).sigma / np.sqrt(2.0), unit=unit)
 
     def node_std_seconds(self, n_nodes: int, c: float) -> np.ndarray:
         """Per-node marker standard deviation in seconds, length n_nodes."""
@@ -148,7 +184,7 @@ def effective_noise_covariance(noise: NoiseModel, n_nodes: int,
     the delay covariance is bdiag(var_12 I_K, var_13 I_K, ...).
     """
     var = noise.node_std_seconds(n_nodes, c) ** 2
-    i, j = np.triu_indices(n_nodes, k=1)
+    i, j = pair_index(n_nodes)
     return var[i] + var[j]
 
 
@@ -177,7 +213,7 @@ class TimestampExchangeSet:
         self.t_i = np.asarray(self.t_i, float)
         self.t_j = np.asarray(self.t_j, float)
         self.e = np.asarray(self.e, int)
-        nbar = len(canonical_pairs(self.n_nodes))
+        nbar = pair_count(self.n_nodes)
         for name, m in (("t_i", self.t_i), ("t_j", self.t_j), ("e", self.e)):
             if m.ndim < 2 or m.shape[-2] != nbar:
                 raise ValueError(f"{name} must be (..., {nbar}, K), got {m.shape}")
@@ -202,7 +238,7 @@ class TimestampExchangeSet:
 
     def to_csv(self, path) -> None:
         """Write rows (i, j, k, E, T_tx, T_rx); floats keep full precision."""
-        i, j = np.triu_indices(self.n_nodes, k=1)
+        i, j = pair_index(self.n_nodes)
         fwd = self.e == 1
         tx = np.where(fwd, self.t_i, self.t_j).ravel().tolist()
         rx = np.where(fwd, self.t_j, self.t_i).ravel().tolist()
@@ -231,7 +267,7 @@ class TimestampExchangeSet:
         _reject_rows(path, data, np.abs(flag) != 1, "direction flag E must be +1 or -1")
         _reject_rows(path, data, ~np.all(np.isfinite(data[:, 4:]), axis=1), "non-finite timestamp")
 
-        nbar = n_nodes * (n_nodes - 1) // 2
+        nbar = pair_count(n_nodes)
         per_pair = np.bincount(p, minlength=nbar)
         # each pair holds K rows with distinct k in 0..K-1, so every slot is filled
         K = int(per_pair[0])
@@ -298,7 +334,7 @@ def _read_pair_table(path, columns: Sequence[str],
     i, j = data[:, 0], data[:, 1]
     _reject_rows(path, data, (i < 0) | (j <= i), "pair indices must satisfy 0 <= i < j")
     n_nodes = int(j.max()) + 1
-    nbar = n_nodes * (n_nodes - 1) // 2
+    nbar = pair_count(n_nodes)
     if nbar > len(data):  # some pair has no row; skip counting nbar slots
         raise InputError(_missing_pairs(path, n_nodes, i, j))
     p = (i * (2 * n_nodes - i - 1) // 2 + j - i - 1).astype(np.intp)
@@ -318,9 +354,10 @@ def _reject_rows(path, data: np.ndarray, bad: np.ndarray, reason: str) -> None:
 def _missing_pairs(path, n_nodes: int, i: np.ndarray, j: np.ndarray) -> str:
     """Message naming the first few pairs 0 <= i < j < n_nodes that have no row."""
     present = set(zip(i.tolist(), j.tolist()))
-    n_missing = n_nodes * (n_nodes - 1) // 2 - len(present)
-    missing = itertools.islice((pair for pair in itertools.combinations(range(n_nodes), 2)
-                                if pair not in present), 5)
+    n_missing = pair_count(n_nodes) - len(present)
+    # walked lazily: N comes from the file and may be huge
+    missing = itertools.islice(((a, b) for a in range(n_nodes) for b in range(a + 1, n_nodes)
+                                if (a, b) not in present), 5)
     return (f"{path} is missing pairs {list(missing)}"
             + (f" and {n_missing - 5} more" if n_missing > 5 else ""))
 
@@ -339,7 +376,7 @@ def generate_timestamps(cfg: ExchangeConfig, n_pairs: int = 1) -> np.ndarray:
 def _clean_delays(traj: TrajectorySet, cfg: ExchangeConfig) -> np.ndarray:
     """(Nbar, K) noise-free propagation delays on the transmit grid, canonical pair order."""
     grid = generate_timestamps(cfg, 1)[0]
-    i, j = np.triu_indices(traj.N, k=1)
+    i, j = pair_index(traj.N)
     if cfg.delay_model == "exact":
         dy = (traj.Y[:, i] - traj.Y[:, j])[..., None]
         dx = (traj.X[:, i] - traj.X[:, j])[..., None] + grid * dy
@@ -387,7 +424,7 @@ def _draw_exchanges(clean: TimestampExchangeSet, noise: NoiseModel,
     """
     n_sims, n_pairs = states.shape[:2]
     sig = noise.node_std_seconds(clean.n_nodes, clean.c)
-    i, j = np.triu_indices(clean.n_nodes, k=1)
+    i, j = pair_index(clean.n_nodes)
     q = _draw_normals(states.reshape(n_sims * n_pairs, -1), (2, clean.K))
     q = q.reshape(n_sims, n_pairs, 2, clean.K)
     t_i = clean.t_i + sig[i, None] * q[:, :, 0]

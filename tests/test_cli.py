@@ -1,9 +1,11 @@
 import csv
 import gc
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -375,6 +377,56 @@ def test_bad_flag_value_is_clean_error(exchange_csv, tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {argv[1].partition('=')[0]} must be ")
     assert not out.exists()
+
+
+# One data row naming node 10**9: only pairs (0, 10**9) of about 5e17 are present.
+HUGE_EXCHANGES = "i,j,k,E,T_tx,T_rx\n0,1000000000,0,1,0.0,1e-06\n"
+HUGE_THETA = "i,j,order,theta\n0,1000000000,0,1.0\n"
+_AS_CAP = 1536 * 2**20  # bytes of address space; ample for a normal read
+
+
+def _capped(code: str, *args) -> subprocess.CompletedProcess:
+    """Run `code` with sys.argv[1:] = args in a fresh interpreter whose address
+    space is capped at _AS_CAP, so a reader that sizes anything by N fails
+    with MemoryError instead of exhausting the machine."""
+    pytest.importorskip("resource")  # POSIX only
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    preamble = (f"import resource, sys\n"
+                f"resource.setrlimit(resource.RLIMIT_AS, ({_AS_CAP}, {_AS_CAP}))\n")
+    return subprocess.run([sys.executable, "-c", preamble + code, *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+class TestHugeNodeIndex:
+    """A node index far beyond the rows is a missing-pairs error, raised
+    before anything is sized by N."""
+
+    def test_exchange_reader(self, tmp_path):
+        path = tmp_path / "exchanges.csv"
+        path.write_text(HUGE_EXCHANGES)
+        proc = _capped("from relkin import InputError, TimestampExchangeSet\n"
+                       "try:\n"
+                       "    TimestampExchangeSet.from_csv(sys.argv[1])\n"
+                       "except InputError as exc:\n"
+                       "    print(exc)\n", path)
+        assert proc.returncode == 0, proc.stderr
+        assert "missing pairs [(0, 1), (0, 2)" in proc.stdout
+
+    @pytest.mark.parametrize("argv, text", [
+        (["estimate", "--sigma-meters", "0.1", "--exchanges"], HUGE_EXCHANGES),
+        (["solve", "--theta"], HUGE_THETA),
+    ], ids=["estimate", "solve"])
+    def test_cli_exits_2(self, tmp_path, argv, text):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        out = tmp_path / "out.csv"
+        proc = _capped("from relkin.cli import main\nsys.exit(main(sys.argv[1:]))\n",
+                       *argv, path, "--out", out)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and "missing pairs" in proc.stderr
+        assert not out.exists()
 
 
 def test_module_entry_point(tmp_path):

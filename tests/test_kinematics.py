@@ -15,7 +15,7 @@ from relkin import (
     range_matrices,
     third_derivative_gram_check,
 )
-from relkin.kinematics import taylor_range
+from relkin.kinematics import pair_count, pair_index, taylor_range
 
 
 def pair_distance(traj, i, j, t):
@@ -43,6 +43,18 @@ def random_trajectory(rng, n, p=2, pos_scale=500.0, vel_scale=10.0):
         X=rng.uniform(-pos_scale, pos_scale, size=(p, n)),
         Y=rng.uniform(-vel_scale, vel_scale, size=(p, n)),
     )
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_pair_index_is_the_canonical_order(n):
+    i, j = pair_index(n)
+    want_i, want_j = np.triu_indices(n, k=1)
+    assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+    assert list(zip(i.tolist(), j.tolist())) == canonical_pairs(n)
+    assert pair_count(n) == len(i) == len(canonical_pairs(n))
+    assert not i.flags.writeable and not j.flags.writeable
+    with pytest.raises(ValueError):
+        i[0] = 1
 
 
 class TestRangeDerivatives:

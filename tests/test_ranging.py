@@ -11,7 +11,6 @@ from relkin import (
     build_design,
     builtin_trajectory,
     crb_theta,
-    order_select,
     pairwise_solve,
     range_matrices,
     simulate_exchanges,
@@ -53,8 +52,21 @@ class TestDesign:
 
     def test_repeated_markers_rejected_with_pair_name(self):
         markers = np.array([[0.0, 1.0, 2.0], [1.0, 1.0, 1.0], [0.0, 1.0, 2.0]])
-        with pytest.raises(RankDeficiencyError, match=r"\(0,2\)"):
-            DesignSystem(markers=markers, tau=np.zeros((3, 3)), L=2, n_nodes=3, c=C)
+        sys = DesignSystem(markers=markers, tau=np.zeros((3, 3)), L=2, n_nodes=3, c=C,
+                           pair_variances=np.ones(3))
+        for solve in (wls_solve, crb_theta):
+            with pytest.raises(RankDeficiencyError, match=r"offending pairs \[\(0, 2\)\]"):
+                solve(sys)
+
+    def test_fewer_messages_than_coefficients_rejected(self):
+        # K < L leaves R with only K rows: every pair is rank deficient
+        markers = np.tile([0.0, 1.0], (3, 1))
+        sys = DesignSystem(markers=markers, tau=np.zeros((3, 2)), L=3, n_nodes=3, c=C,
+                           pair_variances=np.ones(3))
+        for solve in (wls_solve, crb_theta):
+            with pytest.raises(RankDeficiencyError,
+                               match=r"offending pairs \[\(0, 1\), \(0, 2\), \(1, 2\)\]"):
+                solve(sys)
 
     def test_build_from_exchanges(self):
         traj = builtin_trajectory("cluster5")
@@ -312,27 +324,3 @@ class TestCrbTheta:
             ex = simulate_exchanges(traj, cfg, NoiseModel(0.0), seed=0)
             covs[policy] = crb_theta(build_design(ex, L=4, noise=noise)).cov
         assert np.array_equal(covs["one_way"], covs["alternating"])
-
-
-class TestOrderSelect:
-    def test_constant_delays_select_one(self):
-        traj = TrajectorySet(X=[[0.0, 400.0], [0.0, 0.0]], Y=np.zeros((2, 2)))
-        ex = simulate_exchanges(traj, ExchangeConfig(K=12), NoiseModel(0.0), seed=0)
-        chosen, coeffs = order_select(ex, L_max=4)
-        assert chosen == 1
-        assert coeffs.L == 1
-
-    def test_exact_linear_delays_select_two(self):
-        # purely radial motion keeps the delay linear in time
-        traj = TrajectorySet(X=[[0.0, 3e4], [0.0, 0.0]], Y=[[0.0, 5.0], [0.0, 0.0]])
-        ex = simulate_exchanges(traj, ExchangeConfig(K=12, delay_model="taylor"),
-                                NoiseModel(0.0), seed=0)
-        chosen, _ = order_select(ex, L_max=4)
-        assert chosen == 2
-
-    def test_fixture_noisy_selection(self):
-        traj = builtin_trajectory("cluster5")
-        noise = NoiseModel.from_pair_sigma(0.1, unit="m")
-        ex = simulate_exchanges(traj, ExchangeConfig(K=100), noise, seed=11)
-        chosen, _ = order_select(ex, L_max=6, noise=noise)
-        assert chosen in (3, 4)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from relkin import (
+    ConfigError,
     ExchangeConfig,
     InputError,
     NoiseModel,
@@ -17,10 +18,10 @@ from relkin import (
     simulate_exchanges,
 )
 from relkin.kinematics import TrajectorySet, taylor_range
-from relkin.rng import derive_rng
 from relkin.twr import _clean_exchanges, _draw_exchanges, _exchange_states
 
 import dense_oracle
+from trial_oracle import derive_rng
 
 C = 3e8
 
@@ -72,6 +73,22 @@ class TestConfig:
             ExchangeConfig(K=3, direction_policy=[1, 2, 1])
         with pytest.raises(ValueError):
             ExchangeConfig(K=3, direction_policy=[1, 1])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ExchangeConfig(K=10, c=float("nan")),
+    lambda: ExchangeConfig(K=10, interval=(0, float("inf"))),
+    lambda: ExchangeConfig(K=2.5),
+    lambda: ExchangeConfig(K=True),
+    lambda: ExchangeConfig(K=10, delay_model="taylor", model_order=5),
+    lambda: NoiseModel(sigma=float("nan")),
+    lambda: NoiseModel(sigma=float("inf")),
+], ids=["nan-c", "infinite-interval", "float-K", "bool-K", "taylor-order-5", "nan-sigma",
+        "inf-sigma"])
+def test_bad_schedule_or_noise_value_rejected(make):
+    with pytest.raises(ConfigError) as info:
+        make()
+    assert isinstance(info.value, ValueError)
 
 
 class TestNoiseModel:

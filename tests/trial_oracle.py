@@ -7,7 +7,8 @@ A trial counts as clamped when the pipeline warned EmbeddingClampWarning.
 The rows carry the same fields as `run_experiment`'s, so the tests compare
 the engine against this direct route row by row.  The engine's aligned
 RMSE goes through procrustes_align inline; `rmse_vector` and
-`rmse_matrix_aligned` state it per trial.
+`rmse_matrix_aligned` state it per trial, and `derive_rng` states the
+engine's batched stream seeding one stream at a time.
 """
 
 import warnings
@@ -43,6 +44,13 @@ from relkin.experiments import ReportRow
 
 TRIAL_ERRORS = (RankDeficiencyError, EmbeddingFailureError, IllPosedRotationError)
 QUANTITIES = ("r", "rdot", "rddot", "Xrel", "Yrel", "Hy")
+
+
+def derive_rng(seed, *path: int) -> np.random.Generator:
+    """Generator for the stream addressed by an integer path under a master seed:
+    ``SeedSequence(seed, spawn_key=path)``, which relkin.rng seeds in batches."""
+    key = tuple(int(p) for p in path)
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def rmse_vector(estimates, truth) -> float:
