@@ -22,10 +22,10 @@ from .exceptions import ConfigError, InputError, RelkinError
 from .experiments import (
     ExperimentConfig,
     _root_crbs,
+    _run_experiments,
     check_report,
     default_suite,
     emit_outputs,
-    run_experiment,
 )
 from .kinematics import RangeMatrices, canonical_pairs, load_trajectory, pair_count
 from .ranging import _solve_with_crb, build_design
@@ -174,7 +174,7 @@ def _cmd_experiment(args) -> int:
         configs = default_suite(**{"trials": 1000, **overrides})
     if args.ci:
         configs = [replace(cfg, trials=min(cfg.trials, _CI_TRIALS)) for cfg in configs]
-    reports = [run_experiment(cfg) for cfg in configs]
+    reports = _run_experiments(configs)
     written = emit_outputs(reports, args.out)
     for path in written:
         print(f"wrote {path}")
@@ -247,7 +247,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (RelkinError, OSError) as exc:
+    except (RelkinError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,11 +12,11 @@ Three experiment kinds mirror the standard evaluation of the estimator:
     against per-instant classical MDS snapshots from the same exchanges.
 
 One engine runs the trials, on three levels.  The top level is a pool of
-processes: every sweep point of an experiment is set up first, with its
-bounds, and the outer trial chunks of all of them form one ordered task
-list, which a fork pool of min(chunks, CPUs in the affinity mask) workers
-maps (serially when that is one, where fork is missing, and inside a
-daemonic process).  The parent joins each point's chunks in trial order, so
+processes: every sweep point of the experiments in a run is set up first,
+with its bounds, and the outer trial chunks of all of them form one ordered
+task list, which a fork pool of min(chunks, CPUs in the affinity mask)
+workers maps (serially when that is one, where fork is missing, and inside
+a daemonic process).  The parent joins each point's chunks in trial order, so
 every reduction sees the same arrays in the same order whatever the process
 count.  Below it are two levels of contiguous trial chunks, each sized so
 its largest stacked array stays near _CHUNK_DOUBLES.  An outer chunk is
@@ -28,10 +28,10 @@ fits its trials in sub-chunks bounded by the whitened (Nbar, K, L+1) QR
 stack, keeping only theta, the rank flags and the snapshot delays of each.
 Every later stage runs once per outer chunk, batched over its trials: one
 eigh for all embeddings including the time grid's classical-MDS snapshots,
-one SVD for all Procrustes alignments; only the rotation's least squares
-loops over trials.  A trial that would raise in the single-trial pipeline is
-masked out and counted under its exception type; trials whose embedding
-clamped a negative eigenvalue are counted too.
+one SVD for all the rotations' least squares and one for all Procrustes
+alignments; no stage loops over trials.  A trial that would raise in the
+single-trial pipeline is masked out and counted under its exception type;
+trials whose embedding clamped a negative eigenvalue are counted too.
 
 Trials are seeded through derived streams keyed by (sweep point, trial,
 pair), so reports are reproducible bit-for-bit and do not depend on how the
@@ -339,9 +339,10 @@ def _trial_chunk(pt: _Point, trials: range) -> _Trials:
     for lo in range(0, n_trials, step):
         sub = slice(lo, lo + step)
         ex = _draw_exchanges(pt.clean, pt.noise, states[sub])
-        fit = _fit_pairs(build_design(ex, cfg.L, noise=pt.noise))
+        design = build_design(ex, cfg.L, noise=pt.noise)
+        fit = _fit_pairs(design)
         theta[sub], rank_bad[sub] = fit.theta, fit.bad.any(axis=-1)
-        snap_tau[sub] = ex.tau()[..., pt.markers]
+        snap_tau[sub] = design.tau[..., pt.markers]
 
     coeffs = RangeCoefficients(scaled=theta, n_nodes=n, c=cfg.c)
     grams = grams_from_ranges(coeffs.to_range_matrices())
@@ -434,17 +435,6 @@ def _map_chunks(tasks: list[tuple[_Point, range]]) -> tuple[list[_Trials], int]:
     return [_trial_chunk(pt, trials) for pt, trials in tasks], 1
 
 
-def _run_points(points: list[_Point]) -> tuple[list[_Trials], int]:
-    """Every trial of every sweep point, each point's outer chunks joined in
-    trial order, and the number of processes that ran them."""
-    spans = [_outer_chunks(pt) for pt in points]
-    chunks, workers = _map_chunks([(pt, trials) for pt, span in zip(points, spans)
-                                   for trials in span])
-    parts = iter(chunks)
-    joined = [_Trials(*map(np.concatenate, zip(*islice(parts, len(span))))) for span in spans]
-    return joined, workers
-
-
 def _failures(cause: np.ndarray) -> dict[str, int]:
     """Failed trials per exception type name."""
     counts = np.bincount(cause, minlength=len(_TRIAL_ERRORS) + 1)[1:]
@@ -522,21 +512,36 @@ def _time_grid_point(traj, cfg):
 
 
 def run_experiment(cfg: ExperimentConfig) -> RmseReport:
-    """Run one experiment; deterministic given (config, seed).
+    """Run one experiment; deterministic given (config, seed)."""
+    return _run_experiments([cfg])[0]
 
-    Every sweep point is set up first, with its bounds; the outer trial
-    chunks of all of them then run as one task list (see `_map_chunks`).
+
+def _run_experiments(cfgs: list[ExperimentConfig]) -> list[RmseReport]:
+    """One report per config, with the rows separate `run_experiment` calls give.
+
+    Every sweep point of every config is set up first, with its bounds; the
+    outer trial chunks of all of them then run as one task list, through
+    one pool (see `_map_chunks`), and each point's chunks are joined in
+    trial order.  So the reports share one measurement: `wall_seconds` is
+    the whole run's wall time, `workers` its pool's size.
     """
     start = time.perf_counter()
-    traj = load_trajectory(cfg.fixture)
-    if cfg.kind == "time_grid":
-        points = [_time_grid_point(traj, cfg)]
-    else:
-        points = [_sweep_point(traj, cfg, s_idx, value) for s_idx, value in enumerate(cfg.sweep)]
-    results, workers = _run_points([pt for pt, _ in points])
-    rows = [row for (_, reduce), res in zip(points, results) for row in reduce(res)]
-    return RmseReport(kind=cfg.kind, rows=rows, config=cfg,
-                      wall_seconds=time.perf_counter() - start, workers=workers)
+    setups = []  # (config index, sweep point, reduction of its trials to report rows)
+    for c, cfg in enumerate(cfgs):
+        traj = load_trajectory(cfg.fixture)
+        points = [_time_grid_point(traj, cfg)] if cfg.kind == "time_grid" else \
+            [_sweep_point(traj, cfg, s_idx, value) for s_idx, value in enumerate(cfg.sweep)]
+        setups += [(c, pt, reduce) for pt, reduce in points]
+    spans = [_outer_chunks(pt) for _, pt, _ in setups]
+    chunks, workers = _map_chunks([(pt, trials) for (_, pt, _), span in zip(setups, spans)
+                                   for trials in span])
+    parts = iter(chunks)
+    rows = [[] for _ in cfgs]
+    for (c, _, reduce), span in zip(setups, spans):
+        rows[c].extend(reduce(_Trials(*map(np.concatenate, zip(*islice(parts, len(span)))))))
+    wall = time.perf_counter() - start
+    return [RmseReport(kind=cfg.kind, rows=cfg_rows, config=cfg, wall_seconds=wall,
+                       workers=workers) for cfg, cfg_rows in zip(cfgs, rows)]
 
 
 def default_suite(trials: int = 1000, seed: int = 0, fixture: str = "cluster5",

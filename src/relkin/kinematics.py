@@ -64,6 +64,11 @@ def pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
+def pair_position(n: int, i, j) -> np.ndarray:
+    """Index of each pair (i, j), i < j < n, in the order of :func:`pair_index`."""
+    return (i * (2 * n - i - 1) // 2 + j - i - 1).astype(np.intp)
+
+
 def canonical_pairs(n: int) -> list[tuple[int, int]]:
     """The pairs of :func:`pair_index` as a list of (i, j) tuples."""
     i, j = pair_index(n)

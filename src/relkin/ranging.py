@@ -139,17 +139,16 @@ class DesignSystem:
 
     def vandermonde(self) -> np.ndarray:
         """(..., Nbar, K, L) stack of the per-pair Vandermonde blocks [1, t, t^2, ...]."""
-        cols = np.empty(self.markers.shape[:-1] + (self.L, self.K))
-        cols[..., 0, :] = 1.0
-        for ell in range(1, self.L):
-            np.multiply(cols[..., ell - 1, :], self.markers, out=cols[..., ell, :])
-        return cols.swapaxes(-1, -2)
+        return self._rows()[..., :self.L, :].swapaxes(-1, -2)
 
-    def pair_weights(self) -> np.ndarray:
-        """(Nbar,) whitening weights 1/sigma_p (ones when unweighted)."""
-        if self.pair_variances is None:
-            return np.ones(self.n_pairs)
-        return 1.0 / np.sqrt(self.pair_variances)
+    def _rows(self) -> np.ndarray:
+        """Contiguous (..., Nbar, L+1, K) rows 1, t, ..., t^(L-1), tau of every pair."""
+        rows = np.empty(self.markers.shape[:-1] + (self.L + 1, self.K))
+        rows[..., 0, :] = 1.0
+        for ell in range(1, self.L):
+            np.multiply(rows[..., ell - 1, :], self.markers, out=rows[..., ell, :])
+        rows[..., self.L, :] = self.tau
+        return rows
 
 
 def build_design(exchanges: TimestampExchangeSet, L: int,
@@ -187,9 +186,15 @@ _RANK_RTOL = 1e-13
 
 class _PairFit(NamedTuple):
     theta: np.ndarray  # (..., Nbar, L) scaled coefficients
-    cov: np.ndarray    # (..., Nbar, L, L) scaled-domain covariance, var_p (V_p^T V_p)^-1
+    R: np.ndarray      # (..., Nbar, L, L) R factor of the whitened block V_p / sigma_p
     rss: np.ndarray    # (..., Nbar) whitened residual sum of squares
     bad: np.ndarray    # (..., Nbar) True where the block loses column rank
+
+    @property
+    def cov(self) -> np.ndarray:
+        """(..., Nbar, L, L) scaled-domain covariance var_p (V_p^T V_p)^-1 = R^-1 R^-T."""
+        rinv = np.linalg.inv(self.R)
+        return rinv @ rinv.swapaxes(-1, -2)
 
 
 def _fit_pairs(sys: DesignSystem) -> _PairFit:
@@ -198,15 +203,17 @@ def _fit_pairs(sys: DesignSystem) -> _PairFit:
     One batched QR factors the whole (..., Nbar, K, L+1) stack
     [V_p | tau_p] / sigma_p.  Its last column carries Q^T tau above the
     diagonal and the residual below, so Q is never formed, and neither are
-    the normal equations.  This is the package's one rank test: a pair whose
-    block loses column rank (repeated markers, or fewer than L messages) is
-    flagged in `bad` and solved against an identity R instead, so its theta
-    and cov are finite but meaningless.
+    the normal equations; the stack is built column-major, as LAPACK reads
+    it.  This is the package's one rank test: a pair whose block loses column
+    rank (repeated markers, or fewer than L messages) is flagged in `bad` and
+    solved against an identity R instead, so its theta and cov are finite
+    but meaningless.
     """
     L = sys.L
-    stack = np.concatenate([sys.vandermonde(), sys.tau[..., None]], axis=-1)
-    stack *= sys.pair_weights()[:, None, None]
-    r = np.linalg.qr(stack, mode="r")
+    stack = sys._rows()
+    if sys.pair_variances is not None:  # whiten by 1/sigma_p
+        stack *= (1.0 / np.sqrt(sys.pair_variances))[:, None, None]
+    r = np.linalg.qr(stack.swapaxes(-1, -2), mode="r")
     if sys.K < L:  # R has only K rows; the missing diagonal entries are zero
         r = np.concatenate([r, np.zeros(r.shape[:-2] + (L - sys.K, L + 1))], axis=-2)
     R = r[..., :L, :L]
@@ -214,11 +221,8 @@ def _fit_pairs(sys: DesignSystem) -> _PairFit:
     bad = np.any(diag < _RANK_RTOL * diag.max(axis=-1, keepdims=True), axis=-1)
     if bad.any():
         R = np.where(bad[..., None, None], np.eye(L), R)
-    rinv = np.linalg.inv(R)
-    return _PairFit(theta=np.linalg.solve(R, r[..., :L, L:])[..., 0],
-                    cov=rinv @ rinv.swapaxes(-1, -2),
-                    rss=np.sum(r[..., L:, L] ** 2, axis=-1),
-                    bad=bad)
+    return _PairFit(theta=np.linalg.solve(R, r[..., :L, L:])[..., 0], R=R,
+                    rss=np.sum(r[..., L:, L] ** 2, axis=-1), bad=bad)
 
 
 def _full_rank_fit(sys: DesignSystem) -> _PairFit:

@@ -113,9 +113,10 @@ def commutation_matrix(n: int) -> np.ndarray:
     return J
 
 
-def rotation(Xrel: np.ndarray, Yrel: np.ndarray, Bxy: np.ndarray) -> np.ndarray:
-    """P x P rotation from lstsq on the dense (I + J)(Yrel^T kron Xrel^T) system."""
+def rotation(Xrel: np.ndarray, Yrel: np.ndarray, Bxy: np.ndarray) -> tuple[np.ndarray, int]:
+    """P x P rotation from lstsq on the dense (I + J)(Yrel^T kron Xrel^T) system,
+    and the rank lstsq found."""
     P, n = Xrel.shape
     G = (np.eye(n * n) + commutation_matrix(n)) @ np.kron(Yrel.T, Xrel.T)
-    h = np.linalg.lstsq(G, Bxy.reshape(-1, order="F"), rcond=None)[0]
-    return h.reshape(P, P, order="F")
+    h, _, rank, _ = np.linalg.lstsq(G, Bxy.reshape(-1, order="F"), rcond=None)
+    return h.reshape(P, P, order="F"), int(rank)

@@ -429,6 +429,28 @@ class TestHugeNodeIndex:
         assert not out.exists()
 
 
+class TestHugeCount:
+    """A count flag whose arrays outgrow memory ends in a clean error, not a
+    MemoryError traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["crb", "--messages", "1000000000"],
+        ["solve", "--grid", "0", "1", "1e9"],
+    ], ids=["crb-messages", "solve-grid"])
+    def test_cli_exits_2(self, exchange_csv, tmp_path, argv):
+        theta = tmp_path / "theta.csv"
+        assert main(["estimate", "--exchanges", str(exchange_csv), "--sigma-meters", "0.1",
+                     "--out", str(theta)]) == 0
+        before = {"solve": ["--theta", theta], "crb": []}[argv[0]]
+        out = tmp_path / "out.csv"
+        proc = _capped("from relkin.cli import main\nsys.exit(main(sys.argv[1:]))\n",
+                       argv[0], *before, *argv[1:], "--out", out)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: Unable to allocate"), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "relkin", "crb", "--messages", "20", "--sigma-meters", "0.1"],

@@ -241,13 +241,27 @@ class TestRotation:
 
     @pytest.mark.parametrize("n", [3, 5, 12, 30])
     def test_matches_dense_commutation_system(self, n):
-        # the permuted rows equal the dense (I + J) K product bit for bit,
-        # so lstsq returns the identical solution
+        # the permuted rows equal the dense (I + J) K product bit for bit; the
+        # stacked SVD solve then differs from lstsq's by rounding only, which
+        # stays within a few eps of the largest entry on these systems
         rng = np.random.default_rng(n)
         xr, yr = rng.normal(size=(2, n)), rng.normal(size=(2, n))
         bxy = rng.normal(size=(n, n))
         bxy = bxy + bxy.T
-        assert np.array_equal(estimate_rotation(xr, yr, bxy), dense_oracle.rotation(xr, yr, bxy))
+        want, rank = dense_oracle.rotation(xr, yr, bxy)
+        got, got_rank = _rotation_stack(xr, yr, bxy)
+        assert got_rank == rank == 4
+        assert np.max(np.abs(got - want)) <= 64 * np.finfo(float).eps * np.max(np.abs(want))
+        assert np.array_equal(estimate_rotation(xr, yr, bxy), got)
+
+    @pytest.mark.parametrize("second_row", [[0, 0, 0, 0, 0], [2, -1, -2, -1, 2]],
+                             ids=["rank_1", "rank_3"])
+    def test_rank_matches_dense_lstsq_when_ill_posed(self, second_row):
+        xr = np.array([[-2.0, -1, 0, 1, 2], second_row])
+        bxy = np.add.outer(np.arange(5.0), np.arange(5.0))
+        rank = dense_oracle.rotation(xr, xr, bxy)[1]
+        assert rank < 4
+        assert _rotation_stack(xr, xr, bxy)[1] == rank
 
 
 class TestPositionAtTime:

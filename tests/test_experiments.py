@@ -367,6 +367,34 @@ class TestPool:
             assert any(row.n_fail for row in reports[1].rows)
             assert any(row.clamped for row in reports[1].rows)
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_shared_run_matches_separate_runs(self, monkeypatch, cpus):
+        monkeypatch.setattr(exp_mod, "_CHUNK_DOUBLES", 2**10)  # 13 trials an outer chunk
+        monkeypatch.setattr(exp_mod, "_cpus", lambda: cpus)
+        cfgs = [ExperimentConfig(kind="k_sweep", sweep=[10, 30], trials=10, seed=5),
+                ExperimentConfig(**dict(TIME_GRID_FAILING, trials=30))]  # three outer chunks
+        shared = exp_mod._run_experiments(cfgs)
+        assert [r.rows for r in shared] == [run_experiment(cfg).rows for cfg in cfgs]
+        assert [r.workers for r in shared] == [2 if FORK and cpus == 2 else 1] * 2
+
+    @needs_fork
+    def test_cli_run_starts_one_pool(self, monkeypatch, tmp_path):
+        import concurrent.futures
+
+        started = []
+
+        class Counted(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(args[0])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+        monkeypatch.setattr(exp_mod, "_cpus", lambda: 2)
+        assert main(["experiment", "--trials", "3", "--out", str(tmp_path)]) == 0
+        assert started == [2]  # one pool of two workers for all three experiments
+        env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+        assert env["workers"] == [2, 2, 2]
+
     def test_one_chunk_runs_here(self, monkeypatch):
         monkeypatch.setattr(exp_mod, "_cpus", lambda: 2)
         assert run_experiment(ExperimentConfig(kind="k_sweep", sweep=[10], trials=3)).workers == 1

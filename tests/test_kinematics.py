@@ -15,7 +15,7 @@ from relkin import (
     range_matrices,
     third_derivative_gram_check,
 )
-from relkin.kinematics import pair_count, pair_index, taylor_range
+from relkin.kinematics import pair_count, pair_index, pair_position, taylor_range
 
 
 def pair_distance(traj, i, j, t):
@@ -55,6 +55,15 @@ def test_pair_index_is_the_canonical_order(n):
     assert not i.flags.writeable and not j.flags.writeable
     with pytest.raises(ValueError):
         i[0] = 1
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_pair_position_inverts_pair_index(n):
+    i, j = pair_index(n)
+    assert np.array_equal(pair_position(n, i, j), np.arange(pair_count(n)))
+    # the reader passes the CSV's float columns
+    assert np.array_equal(pair_position(n, i.astype(float), j.astype(float)),
+                          np.arange(pair_count(n)))
 
 
 class TestRangeDerivatives:
