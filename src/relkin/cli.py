@@ -143,7 +143,8 @@ def _cmd_crb(args) -> int:
              "two finite, increasing times", args.interval)
     traj = load_trajectory(args.fixture)
     cfg = ExchangeConfig(K=args.messages, interval=(start, stop), c=_positive("--c", args.c))
-    crb, x_rcrb, y_rcrb = _root_crbs(traj, _clean_exchanges(traj, cfg), noise, args.order)
+    crb, x_rcrb, y_rcrb = _root_crbs(
+        traj, build_design(_clean_exchanges(traj, cfg), args.order, noise=noise))
     names = ["r", "rdot", "rddot"] + [f"order_{ell}" for ell in range(3, args.order)]
     rows = [("quantity", "rcrb")]
     for ell, name in enumerate(names):

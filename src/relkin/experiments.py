@@ -73,12 +73,14 @@ from .exceptions import (
 )
 from .kinematics import (
     TrajectorySet,
+    _pair_kinematics,
+    _symmetric,
     centering_matrix,
     load_trajectory,
-    pair_index,
     range_matrices,
 )
-from .ranging import RangeCoefficients, RangeCrb, _fit_pairs, build_design, crb_theta, wls_solve
+from .ranging import (DesignSystem, RangeCoefficients, RangeCrb, _fit_pairs, build_design,
+                      crb_theta, wls_solve)
 from .twr import (
     ExchangeConfig,
     NoiseModel,
@@ -138,10 +140,11 @@ class ExperimentConfig:
 
     The sweep list is interpreted per kind: message counts for ``k_sweep``,
     dB-meter noise levels for ``sigma_sweep``, and report times (snapped to
-    the nearest transmit marker) for ``time_grid``.  The message schedule
-    and noise values are validated by building the ExchangeConfig of every
-    sweep point and the NoiseModel of sigma_m and of every noise level, so
-    a bad value raises their ConfigError.
+    the nearest transmit marker) for ``time_grid``.  L must be at least 3,
+    since the pipeline reads r, rdot and rddot.  The message schedule and
+    noise values are validated by building the ExchangeConfig of every sweep
+    point and the NoiseModel of sigma_m and of every noise level, so a bad
+    value raises their ConfigError.
     """
 
     kind: str
@@ -167,6 +170,8 @@ class ExperimentConfig:
             raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not _is_int(self.L) or self.L < 3:
+            raise ConfigError(f"L must be an integer >= 3 (r, rdot and rddot), got {self.L!r}")
         self.trials, self.seed = int(self.trials), int(self.seed)
         for value in self.sweep:
             if not _is_finite(value):
@@ -266,11 +271,10 @@ class RmseReport:
         return [r for r in self.rows if r.quantity == quantity]
 
 
-def _root_crbs(traj: TrajectorySet, clean: TimestampExchangeSet, noise: NoiseModel,
-               L: int) -> tuple[RangeCrb, float, float]:
+def _root_crbs(traj: TrajectorySet, design: DesignSystem) -> tuple[RangeCrb, float, float]:
     """The range-coefficient bound and the Xrel and Yrel root-CRBs at the truth,
-    from the noise-free exchanges of one setup."""
-    theta_crb = crb_theta(build_design(clean, L, noise=noise))
+    from the weighted design of one setup's noise-free exchanges."""
+    theta_crb = crb_theta(design)
     covs = RangeNoiseCovariances.from_theta_crb(theta_crb)
     pc = centering_matrix(traj.N)
     fx = fim_position(traj.X @ pc, covs.Sigma_r)
@@ -346,10 +350,7 @@ def _trial_chunk(pt: _Point, trials: range) -> _Trials:
 
     coeffs = RangeCoefficients(scaled=theta, n_nodes=n, c=cfg.c)
     grams = grams_from_ranges(coeffs.to_range_matrices())
-    snaps = np.zeros((n_trials, len(pt.markers), n, n))
-    i, j = pair_index(n)
-    snaps[..., i, j] = cfg.c * snap_tau.swapaxes(-1, -2)
-    snaps = snaps + snaps.swapaxes(-1, -2)
+    snaps = _symmetric(n, cfg.c * snap_tau.swapaxes(-1, -2))
     emb = _embed(np.concatenate([grams.Bxx[:, None], grams.Byy[:, None], _mds_gram(snaps)],
                                 axis=1), P)
     xrel, yrel = emb.config[:, 0], emb.config[:, 1]
@@ -365,7 +366,7 @@ def _trial_chunk(pt: _Point, trials: range) -> _Trials:
     estimates = np.concatenate([emb.config[:, :2], dynamic, emb.config[:, 2:]], axis=1) @ pc
     _, _, resid = procrustes_align(truth, estimates)
     phys = coeffs.physical
-    coeff_true = range_matrices(traj).pair_vectors()
+    coeff_true = _pair_kinematics(traj.X, traj.Y)
     return _Trials(
         cause=np.select([rank_bad, embed_bad, ok & (rank < P * P)], [1, 2, 3], 0),
         clamped=~rank_bad & (clamped[:, 0] | (~failed[:, 0] & clamped[:, 1])),
@@ -460,8 +461,9 @@ def _sweep_point(traj, cfg, s_idx, value):
     noise = NoiseModel.from_pair_sigma(sigma_m, unit="m")
     clean = _clean_exchanges(traj, _exchange_config(cfg, K))
     rcrbs = dict.fromkeys(_SWEEP_QUANTITIES)
-    if sigma_m > 0:
-        theta_crb, rcrbs["Xrel"], rcrbs["Yrel"] = _root_crbs(traj, clean, noise, cfg.L)
+    design = build_design(clean, cfg.L, noise=noise)
+    if design.pair_variances is not None:  # noisy: the bounds exist
+        theta_crb, rcrbs["Xrel"], rcrbs["Yrel"] = _root_crbs(traj, design)
         rcrbs.update(r=theta_crb.rcrb(0), rdot=theta_crb.rcrb(1), rddot=theta_crb.rcrb(2))
 
     def rows(res: _Trials) -> list[ReportRow]:

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .exceptions import RankDeficiencyError
+from .exceptions import ConfigError, RankDeficiencyError
 from .kinematics import RangeMatrices, canonical_pairs, pair_count
 from .twr import NoiseModel, TimestampExchangeSet, effective_noise_covariance
 
@@ -77,14 +77,9 @@ class RangeCoefficients:
         return self.scaled * scale_factors(self.L, self.c)
 
     def to_range_matrices(self) -> RangeMatrices:
-        """Symmetric N x N range matrices from the first three coefficient orders.
-
-        Orders beyond L are filled with zeros (an L=1 fit yields a static
-        range model).
-        """
-        phys = self.physical
-        cols = [phys[..., ell] if ell < self.L else np.zeros(phys.shape[:-1]) for ell in range(3)]
-        return RangeMatrices.from_pair_vectors(self.n_nodes, *cols)
+        """Symmetric N x N range matrices from the orders r, rdot and rddot (L >= 3)."""
+        r, rdot, rddot = np.moveaxis(self.physical[..., :3], -1, 0)
+        return RangeMatrices.from_pair_vectors(self.n_nodes, r, rdot, rddot)
 
 
 @dataclass
@@ -97,12 +92,16 @@ class DesignSystem:
         L: number of polynomial coefficients per pair.
         n_nodes: node count.
         c: propagation speed.
-        pair_variances: (Nbar,) delay variances (seconds^2), or None for
-            unit weights.  Block-diagonal covariance bdiag(var_p I_K) is the
-            only structure supported.
+        pair_variances: (Nbar,) delay variances (seconds^2), each positive
+            and finite, or None for unit weights.  Block-diagonal covariance
+            bdiag(var_p I_K) is the only structure supported.
 
     markers and tau may carry leading batch axes, (..., Nbar, K), for
     independent measurements of one network under the same variances.
+
+    Raises:
+        ConfigError: naming the first pair whose variance is zero (as one
+            that underflowed), negative or not finite (as one that overflowed).
     """
 
     markers: np.ndarray
@@ -126,8 +125,12 @@ class DesignSystem:
             self.pair_variances = np.asarray(self.pair_variances, float)
             if self.pair_variances.shape != (nbar,):
                 raise ValueError("pair_variances must have one entry per pair")
-            if np.any(self.pair_variances <= 0):
-                raise ValueError("pair variances must be positive")
+            bad = np.flatnonzero(~((self.pair_variances > 0) & (self.pair_variances < np.inf)))
+            if bad.size:
+                var = float(self.pair_variances[bad[0]])
+                what = "zero" if var == 0 else "negative" if var < 0 else "non-finite"
+                raise ConfigError(f"pair {canonical_pairs(self.n_nodes)[bad[0]]} has {what} delay "
+                                  f"variance {var!r} s^2; weights need positive, finite variances")
 
     @property
     def K(self) -> int:
@@ -136,10 +139,6 @@ class DesignSystem:
     @property
     def n_pairs(self) -> int:
         return self.markers.shape[-2]
-
-    def vandermonde(self) -> np.ndarray:
-        """(..., Nbar, K, L) stack of the per-pair Vandermonde blocks [1, t, t^2, ...]."""
-        return self._rows()[..., :self.L, :].swapaxes(-1, -2)
 
     def _rows(self) -> np.ndarray:
         """Contiguous (..., Nbar, L+1, K) rows 1, t, ..., t^(L-1), tau of every pair."""
@@ -152,30 +151,26 @@ class DesignSystem:
 
 
 def build_design(exchanges: TimestampExchangeSet, L: int,
-                 noise: Optional[NoiseModel] = None,
-                 pair_variances=None) -> DesignSystem:
+                 noise: Optional[NoiseModel] = None) -> DesignSystem:
     """Assemble the per-pair systems from an exchange set.
 
     The regressor markers are the lower-indexed node's recorded stamps, and
-    the measurements are the signed marker differences.  Pass either a
-    NoiseModel (converted to per-pair delay variances) or explicit
-    pair_variances; omitting both solves unweighted.
+    the measurements are the signed marker differences.  The pairs are
+    weighted by the delay variances of `noise`; without a noise model, or
+    with one whose sigmas are all zero, the design is unweighted.
+
+    Raises:
+        ConfigError: where :class:`DesignSystem` rejects a pair variance.
     """
-    if noise is not None and pair_variances is not None:
-        raise ValueError("pass a NoiseModel or pair_variances, not both")
-    if noise is not None:
-        pair_variances = effective_noise_covariance(noise, exchanges.n_nodes, exchanges.c)
-        if np.all(pair_variances == 0):
-            pair_variances = None  # noiseless: unit weights
-        elif np.any(pair_variances == 0):
-            raise ValueError("some pairs have zero delay variance; WLS weights undefined")
+    noisy = noise is not None and np.any(noise.sigma)
     return DesignSystem(
         markers=exchanges.t_i,
         tau=exchanges.tau(),
         L=L,
         n_nodes=exchanges.n_nodes,
         c=exchanges.c,
-        pair_variances=pair_variances,
+        pair_variances=effective_noise_covariance(noise, exchanges.n_nodes, exchanges.c)
+        if noisy else None,
     )
 
 
@@ -273,7 +268,6 @@ class RangeCrb:
     """
 
     cov: np.ndarray
-    n_nodes: int
 
     @property
     def L(self) -> int:
@@ -313,4 +307,4 @@ def _solve_with_crb(sys: DesignSystem) -> tuple[RangeCoefficients, RangeCrb]:
     fit = _full_rank_fit(sys)
     f = scale_factors(sys.L, sys.c)
     return (RangeCoefficients(scaled=fit.theta, n_nodes=sys.n_nodes, c=sys.c),
-            RangeCrb(cov=fit.cov * np.outer(f, f), n_nodes=sys.n_nodes))
+            RangeCrb(cov=fit.cov * np.outer(f, f)))

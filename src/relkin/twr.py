@@ -25,11 +25,11 @@ from .exceptions import ConfigError, InputError
 from .kinematics import (
     RangeDerivatives,
     TrajectorySet,
+    _pair_kinematics,
     canonical_pairs,
     pair_count,
     pair_index,
     pair_position,
-    range_matrices,
     taylor_range,
 )
 from .rng import _draw_normals, _stream_states
@@ -182,11 +182,13 @@ def effective_noise_covariance(noise: NoiseModel, n_nodes: int,
 
     Links are independent and each delay mixes one marker from each
     endpoint, so the pair variance is the sum of the two node variances;
-    the delay covariance is bdiag(var_12 I_K, var_13 I_K, ...).
+    the delay covariance is bdiag(var_12 I_K, var_13 I_K, ...).  A variance
+    that overflows comes back as inf, without a warning.
     """
-    var = noise.node_std_seconds(n_nodes, c) ** 2
     i, j = pair_index(n_nodes)
-    return var[i] + var[j]
+    with np.errstate(over="ignore"):
+        var = noise.node_std_seconds(n_nodes, c) ** 2
+        return var[i] + var[j]
 
 
 @dataclass
@@ -382,8 +384,7 @@ def _clean_delays(traj: TrajectorySet, cfg: ExchangeConfig) -> np.ndarray:
         dy = (traj.Y[:, i] - traj.Y[:, j])[..., None]
         dx = (traj.X[:, i] - traj.X[:, j])[..., None] + grid * dy
         return np.sqrt((dx**2).sum(axis=0)) / cfg.c
-    r, rdot, rddot = (v[:, None] for v in range_matrices(traj).pair_vectors())
-    rd = RangeDerivatives(r, rdot, rddot, -3.0 * rdot * rddot / r)
+    rd = RangeDerivatives(*(v[:, None] for v in _pair_kinematics(traj.X, traj.Y)))
     return taylor_range(rd, grid, order=cfg.model_order) / cfg.c
 
 

@@ -322,12 +322,21 @@ class TestExperiment:
         {"c": "3e8"},
         {"orthogonalize": "no"},
         {"orthogonalize": 1},
+        {"L": 2},
+        {"L": 2, "sigma_m": 0},
+        {"sweep": {"time_grid": [0.0]}, "L": 1},
+        {"sigma_m": 1e-300},
+        {"sigma_m": 1e300},
+        {"sweep": {"sigma_db_m": [-3000]}},
+        {"sweep": {"sigma_db_m": [3000]}},
     ], ids=["string-L", "zero-L", "float-K", "zero-K", "float-K-sweep", "zero-K-sweep",
             "negative-sigma", "nan-sigma", "string-sigma", "inf-sigma-sweep",
             "overflowing-sigma-sweep", "string-time-grid", "reversed-interval",
             "infinite-interval", "short-interval", "scalar-interval", "bogus-delay-model",
             "taylor-beyond-order-4", "negative-c", "zero-c", "string-c", "string-orthogonalize",
-            "int-orthogonalize"])
+            "int-orthogonalize", "L-2", "L-2-noiseless", "time-grid-L-1",
+            "underflowing-pair-variance", "overflowing-pair-variance",
+            "underflowing-sigma-sweep-variance", "overflowing-sigma-sweep-variance"])
     def test_bad_config_value_is_clean_error(self, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sweep": {"K": [10]}, "trials": 2, **config}))
@@ -376,6 +385,24 @@ def test_bad_flag_value_is_clean_error(exchange_csv, tmp_path, capsys, argv):
     assert main([argv[0], *before, *argv[1:], "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {argv[1].partition('=')[0]} must be ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["crb", "--sigma-meters", "1e-300"],
+    ["crb", "--c", "1e-300"],
+    ["estimate", "--sigma-meters", "1e-300"],
+    ["estimate", "--sigma-meters", "0.1", "--c", "1e-300"],
+], ids=["crb-underflowing-variance", "crb-overflowing-variance",
+        "estimate-underflowing-variance", "estimate-overflowing-variance"])
+def test_unrepresentable_delay_variance_is_clean_error(exchange_csv, tmp_path, capsys, argv):
+    # each flag is in range, but the pair delay variance (sigma / c)**2
+    # underflows to zero or overflows to inf, which no weighting can use
+    extra = ["--exchanges", str(exchange_csv)] if argv[0] == "estimate" else []
+    out = tmp_path / "out.csv"
+    assert main([*argv, *extra, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "delay variance" in err
     assert not out.exists()
 
 

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from relkin import (
     DegenerateGeometryError,
@@ -10,6 +12,7 @@ from relkin import (
     builtin_trajectory,
     canonical_pairs,
     centering_matrix,
+    grams_from_ranges,
     load_trajectory,
     range_derivatives,
     range_matrices,
@@ -36,6 +39,21 @@ def fd_derivatives(traj, i, j):
     stencil = lambda h: (f(2 * h) - 2 * f(h) + 2 * f(-h) - f(-2 * h)) / (2 * h**3)
     d3 = (4.0 * stencil(h3 / 2) - stencil(h3)) / 3.0
     return f(0.0), d1, d2, d3
+
+
+def dense_range_matrices(traj):
+    """R, Rdot, Rddot from the N x N differences of every ordered node pair,
+    scaled by 1/r taken off the diagonal: the bit-level oracle of
+    range_matrices."""
+    dx = traj.X[:, :, None] - traj.X[:, None, :]
+    dv = traj.Y[:, :, None] - traj.Y[:, None, :]
+    r = np.sqrt((dx**2).sum(axis=0))
+    off = ~np.eye(traj.N, dtype=bool)
+    inv = np.zeros_like(r)
+    inv[off] = 1.0 / r[off]
+    rdot = inv * (dx * dv).sum(axis=0)
+    rddot = inv * ((dv**2).sum(axis=0) - rdot**2)
+    return r, rdot, rddot
 
 
 def random_trajectory(rng, n, p=2, pos_scale=500.0, vel_scale=10.0):
@@ -180,6 +198,12 @@ class TestRangeMatrices:
         assert lam[0] > -1e-6 * lam[-1]
         assert np.sum(lam > 1e-8 * lam[-1]) == traj.P
 
+    def test_bits_match_dense_formula(self):
+        traj = builtin_trajectory("cluster5")
+        rm = range_matrices(traj)
+        for got, want in zip((rm.R, rm.Rdot, rm.Rddot), dense_range_matrices(traj)):
+            assert np.array_equal(got, want)
+
     def test_pair_vector_round_trip(self):
         traj = builtin_trajectory("cluster5")
         rm = range_matrices(traj)
@@ -274,3 +298,41 @@ def test_translation_invariance_of_range_matrices():
     rm0, rm1 = range_matrices(traj), range_matrices(shifted)
     assert np.allclose(rm0.R, rm1.R)
     assert np.allclose(rm0.Rdot, rm1.Rdot)
+
+
+@st.composite
+def geometries(draw):
+    """A trajectory set of 2..7 nodes in 1..3 dimensions on a 1 mm position
+    grid within 1 km and a 1 mm/s velocity grid within 20 m/s, with no two
+    nodes coinciding."""
+    p = draw(st.integers(1, 3))
+    n = draw(st.integers(max(p, 2), 7))
+    coords = lambda bound: st.lists(st.integers(-bound, bound), min_size=p * n, max_size=p * n)
+    X = np.array(draw(coords(10**6)), float).reshape(p, n) / 1e3
+    Y = np.array(draw(coords(20_000)), float).reshape(p, n) / 1e3
+    i, j = np.triu_indices(n, k=1)
+    assume(np.all(np.any(X[:, i] != X[:, j], axis=0)))
+    return TrajectorySet(X=X, Y=Y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(traj=geometries())
+def test_range_identities_on_random_geometries(traj):
+    rm = range_matrices(traj)
+    for i, j in canonical_pairs(traj.N):
+        rd = range_derivatives(traj.X[:, i], traj.X[:, j], traj.Y[:, i], traj.Y[:, j])
+        assert rm.R[i, j] == pytest.approx(rd.r, rel=1e-14)
+        assert rm.Rdot[i, j] == pytest.approx(rd.rdot, rel=1e-14)
+        assert rm.Rddot[i, j] == pytest.approx(rd.rddot, rel=1e-14)
+    # r rddot + rdot^2 = ||y_i - y_j||^2, so rddot >= 0 by Cauchy-Schwarz
+    dv2 = ((traj.Y[:, :, None] - traj.Y[:, None, :]) ** 2).sum(axis=0)
+    assert np.all(np.abs(rm.R * rm.Rddot + rm.Rdot**2 - dv2) <= 1e-12 * dv2)
+    off = ~np.eye(traj.N, dtype=bool)
+    assert np.all(rm.Rddot[off] >= -1e-12 * dv2[off] / rm.R[off])
+    grams = grams_from_ranges(rm)
+    ones = np.ones(traj.N)
+    for B in (grams.Bxx, grams.Bxy, grams.Byy):
+        assert np.all(np.abs(B @ ones) <= 1e-12 * traj.N * np.abs(B).max())
+    for B in (grams.Bxx, grams.Byy):
+        lam = np.abs(np.linalg.eigvalsh(B))
+        assert np.count_nonzero(lam > 1e-9 * lam.max()) <= traj.P

@@ -17,6 +17,7 @@ from collections import Counter
 import numpy as np
 
 from relkin import (
+    DesignSystem,
     EmbeddingClampWarning,
     EmbeddingFailureError,
     ExchangeConfig,
@@ -77,7 +78,8 @@ def _point_rcrbs(traj, exch_cfg, noise, L, pc):
     """Root-CRBs at one sweep point, from the clean marker grid."""
     clean = simulate_exchanges(traj, exch_cfg, NoiseModel(0.0), seed=0)
     var = effective_noise_covariance(noise, traj.N, exch_cfg.c)
-    theta_crb = crb_theta(build_design(clean, L, pair_variances=var))
+    theta_crb = crb_theta(DesignSystem(markers=clean.t_i, tau=clean.tau(), L=L, n_nodes=traj.N,
+                                       c=clean.c, pair_variances=var))
     covs = RangeNoiseCovariances.from_theta_crb(theta_crb)
     fx = fim_position(traj.X @ pc, covs.Sigma_r)
     fy = fim_velocity(traj.Y @ pc, range_matrices(traj), covs)
