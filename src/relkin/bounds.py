@@ -111,7 +111,7 @@ def _pair_fisher(Z: np.ndarray, w: np.ndarray) -> FisherInfo:
     (N P) x (N P) information matrix ordered like vec(Z)."""
     P, n = Z.shape
     i, j = pair_index(n)
-    g = Z[:, i] - Z[:, j]
+    g = Z.take(i, axis=1) - Z.take(j, axis=1)
     off = np.moveaxis(g[:, None, :] * g[None, :, :] * -w, -1, 0)
     F = np.zeros((n, n, P, P))
     F[i, j] = off
@@ -138,7 +138,7 @@ def fim_position(Xrel: np.ndarray, Sigma_r, duplicate_pairs: bool = True) -> Fis
     var = _pair_variances(Sigma_r, "Sigma_r")
     _check_pair_count(var, n)
     i, j = pair_index(n)
-    d2 = np.sum((Xrel[:, i] - Xrel[:, j]) ** 2, axis=0)
+    d2 = np.sum((Xrel.take(i, axis=1) - Xrel.take(j, axis=1)) ** 2, axis=0)
     if not np.all(d2):
         p = int(np.argmin(d2))
         raise DegenerateGeometryError(f"nodes {(int(i[p]), int(j[p]))} coincide")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -27,7 +28,7 @@ from .experiments import (
     default_suite,
     emit_outputs,
 )
-from .kinematics import RangeMatrices, canonical_pairs, load_trajectory, pair_count
+from .kinematics import RangeMatrices, canonical_pairs, load_trajectory, pair_count, pair_index
 from .ranging import _solve_with_crb, build_design
 from .twr import (
     ExchangeConfig,
@@ -37,6 +38,7 @@ from .twr import (
     _clean_exchanges,
     _read_pair_table,
     _reject_rows,
+    _write_columns,
 )
 
 
@@ -59,18 +61,18 @@ def _pair_noise(sigma_meters: float) -> NoiseModel:
 def _cmd_estimate(args) -> int:
     noise = _pair_noise(args.sigma_meters)
     _require(args.order >= 1, "--order", "at least 1", args.order)
+    _require(args.nodes is None or args.nodes >= 2, "--nodes", "at least 2", args.nodes)
     _positive("--c", args.c)
-    exchanges = TimestampExchangeSet.from_csv(args.exchanges, c=args.c)
-    coeffs, crb = _solve_with_crb(build_design(exchanges, args.order, noise=noise))
-    rows = [("i", "j", "order", "theta", "rcrb")]
-    phys = coeffs.physical
-    per_pair = np.column_stack([crb.per_pair_rcrb(ell) for ell in range(args.order)])
-    for p, (i, j) in enumerate(coeffs.pairs):
-        for ell in range(args.order):
-            rows.append((i, j, ell, repr(float(phys[p, ell])), repr(float(per_pair[p, ell]))))
-    with open(args.out, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
-    print(f"wrote {args.out} ({len(rows) - 1} coefficient rows)")
+    exchanges = TimestampExchangeSet.from_csv(args.exchanges, c=args.c, expected_n=args.nodes)
+    L = args.order
+    coeffs, crb = _solve_with_crb(build_design(exchanges, L, noise=noise))
+    i, j = pair_index(exchanges.n_nodes)
+    per_pair = np.column_stack([crb.per_pair_rcrb(ell) for ell in range(L)])
+    _write_columns(args.out, ("i", "j", "order", "theta", "rcrb"),
+                   np.repeat(i, L).tolist(), np.repeat(j, L).tolist(),
+                   np.tile(np.arange(L), len(i)).tolist(),
+                   map(repr, coeffs.physical.ravel().tolist()), map(repr, per_pair.ravel().tolist()))
+    print(f"wrote {args.out} ({len(i) * L} coefficient rows)")
     return 0
 
 
@@ -116,20 +118,17 @@ def _cmd_solve(args) -> int:
         start, stop, num = args.grid
         _require(math.isfinite(start) and math.isfinite(stop) and num >= 1 and num == int(num),
                  "--grid", "finite START and STOP and an integer NUM >= 1", args.grid)
-        times = list(np.linspace(start, stop, int(num)))
+        times = np.linspace(start, stop, int(num)).tolist()
     sol = solve_relative(rm, args.dim, orthogonalize=args.orthogonalize)
-    rows = [("quantity", "time", "row", "col", "value")]
-    for name, mat in (("Xrel", sol.Xrel), ("Yrel", sol.Yrel), ("Hy", sol.Hy)):
-        for r in range(mat.shape[0]):
-            for c_ in range(mat.shape[1]):
-                rows.append((name, "", r, c_, repr(float(mat[r, c_]))))
-    for t in times:
-        xk = sol.position_at(t)
-        for r in range(xk.shape[0]):
-            for c_ in range(xk.shape[1]):
-                rows.append(("Xk", repr(float(t)), r, c_, repr(float(xk[r, c_]))))
-    with open(args.out, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+    # one block of rows per matrix, its cells in row-major order
+    names, stamps, mats = zip(("Xrel", "", sol.Xrel), ("Yrel", "", sol.Yrel), ("Hy", "", sol.Hy),
+                              *(("Xk", repr(t), sol.position_at(t)) for t in times))
+    sizes = [m.size for m in mats]
+    rows, cols = np.concatenate([np.indices(m.shape).reshape(2, -1) for m in mats], axis=1)
+    _write_columns(args.out, ("quantity", "time", "row", "col", "value"),
+                   np.repeat(names, sizes).tolist(), np.repeat(stamps, sizes).tolist(),
+                   rows.tolist(), cols.tolist(),
+                   map(repr, np.concatenate([m.ravel() for m in mats]).tolist()))
     print(f"wrote {args.out} (N={n}, P={args.dim}, {len(times)} time samples)")
     return 0
 
@@ -193,7 +192,13 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use.
+
+    It holds no handler: :func:`main` looks up ``_cmd_<command>`` by name on
+    each call, so a replaced handler takes effect after the parser exists.
+    """
     parser = argparse.ArgumentParser(
         prog="relkin",
         description="Relative kinematics of anchorless mobile networks from two-way ranging.",
@@ -206,8 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--sigma-meters", type=float, required=True,
                        help="per-pair delay noise std in meters (known covariance)")
     p_est.add_argument("--c", type=float, default=SPEED_OF_LIGHT)
+    p_est.add_argument("--nodes", type=int, default=None,
+                       help="expected node count N; a file naming another N is an error")
     p_est.add_argument("--out", required=True)
-    p_est.set_defaults(func=_cmd_estimate)
 
     p_sol = sub.add_parser("solve", help="relative kinematics from a coefficient CSV")
     p_sol.add_argument("--theta", required=True, help="CSV written by `relkin estimate`")
@@ -218,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sol.add_argument("--orthogonalize", action="store_true",
                        help="project the rotation estimate onto the orthogonal group")
     p_sol.add_argument("--out", required=True)
-    p_sol.set_defaults(func=_cmd_solve)
 
     p_crb = sub.add_parser("crb", help="root CRBs for a fixture and exchange setup")
     p_crb.add_argument("--fixture", default="cluster5", help="built-in name or JSON path")
@@ -228,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_crb.add_argument("--interval", nargs=2, type=float, default=(-3.0, 3.0))
     p_crb.add_argument("--c", type=float, default=SPEED_OF_LIGHT)
     p_crb.add_argument("--out", default="-", help="output CSV path, or - for stdout")
-    p_crb.set_defaults(func=_cmd_crb)
 
     p_exp = sub.add_parser("experiment", help="run Monte Carlo RMSE experiments")
     p_exp.add_argument("--config", help="experiment JSON; omit to run the default suite")
@@ -240,14 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--out", default="results", help="output directory")
     p_exp.add_argument("--check", action="store_true",
                        help="verify report invariants; nonzero exit on failure")
-    p_exp.set_defaults(func=_cmd_experiment)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except (RelkinError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

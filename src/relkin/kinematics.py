@@ -107,7 +107,8 @@ class TrajectorySet:
         if n < p:
             raise ValueError(f"need at least as many nodes as dimensions, got N={n} < P={p}")
         i, j = pair_index(n)
-        hit = np.flatnonzero(np.sqrt(((self.X[:, i] - self.X[:, j]) ** 2).sum(axis=0)) == 0.0)
+        dx = self.X.take(i, axis=1) - self.X.take(j, axis=1)
+        hit = np.flatnonzero(np.sqrt((dx**2).sum(axis=0)) == 0.0)
         if hit.size:
             raise DegenerateGeometryError(f"nodes {i[hit[0]]} and {j[hit[0]]} coincide at t0")
 

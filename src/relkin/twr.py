@@ -245,27 +245,28 @@ class TimestampExchangeSet:
         fwd = self.e == 1
         tx = np.where(fwd, self.t_i, self.t_j).ravel().tolist()
         rx = np.where(fwd, self.t_j, self.t_i).ravel().tolist()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_CSV_COLUMNS)
-            writer.writerows(zip(np.repeat(i, self.K).tolist(), np.repeat(j, self.K).tolist(),
-                                 np.tile(np.arange(self.K), len(i)).tolist(),
-                                 self.e.ravel().tolist(), map(repr, tx), map(repr, rx)))
+        _write_columns(path, _CSV_COLUMNS, np.repeat(i, self.K).tolist(),
+                       np.repeat(j, self.K).tolist(), np.tile(np.arange(self.K), len(i)).tolist(),
+                       self.e.ravel().tolist(), map(repr, tx), map(repr, rx))
 
     @classmethod
-    def from_csv(cls, path, c: float = SPEED_OF_LIGHT) -> "TimestampExchangeSet":
+    def from_csv(cls, path, c: float = SPEED_OF_LIGHT,
+                 expected_n: int | None = None) -> "TimestampExchangeSet":
         """Read rows (i, j, k, E, T_tx, T_rx) as written by :meth:`to_csv`.
 
         Every pair 0 <= i < j < N must appear with one common message count
-        K, and each message index k in 0..K-1 exactly once per pair.
+        K, and each message index k in 0..K-1 exactly once per pair.  N is
+        one more than the largest j, so a file cut short after its first
+        pairs reads as a smaller network unless `expected_n` states N.
 
         Raises:
             InputError: if the file is empty, lacks a column, holds a value
                 that is not a number, a non-integer or out-of-range index, a
                 direction flag other than +/-1 or a non-finite timestamp,
-                misses a pair, or repeats an (i, j, k) message.
+                names another node count than `expected_n`, misses a pair,
+                or repeats an (i, j, k) message.
         """
-        data, n_nodes, p = _read_pair_table(path, _CSV_COLUMNS, n_int=4)
+        data, n_nodes, p = _read_pair_table(path, _CSV_COLUMNS, n_int=4, expected_n=expected_n)
         k, flag = data[:, 2], data[:, 3]
         _reject_rows(path, data, np.abs(flag) != 1, "direction flag E must be +1 or -1")
         _reject_rows(path, data, ~np.all(np.isfinite(data[:, 4:]), axis=1), "non-finite timestamp")
@@ -297,14 +298,24 @@ class TimestampExchangeSet:
                    e=e.reshape(shape), c=c)
 
 
-def _read_pair_table(path, columns: Sequence[str],
-                     n_int: int) -> tuple[np.ndarray, int, np.ndarray]:
+def _write_columns(path, header: Sequence[str], *columns) -> None:
+    """Write a CSV file: the header, then one row per element of the
+    equal-length `columns` (lists or iterators, formatted by csv as given)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
+
+
+def _read_pair_table(path, columns: Sequence[str], n_int: int,
+                     expected_n: int | None = None) -> tuple[np.ndarray, int, np.ndarray]:
     """The rows of a CSV keyed by node pair: an exchange or a coefficient file.
 
     Columns i and j name the pair and come first in `columns`; the first
     `n_int` columns must hold integers.  Every pair 0 <= i < j < N, with N
-    one more than the largest j, needs at least one row; the header may
-    order the columns freely and carry others.
+    one more than the largest j (and equal to `expected_n` when given),
+    needs at least one row; the header may order the columns freely and
+    carry others.
 
     Returns:
         (rows, N, p): the (rows, len(columns)) values of the named columns,
@@ -313,7 +324,8 @@ def _read_pair_table(path, columns: Sequence[str],
     Raises:
         InputError: if the file is empty, lacks a column, holds a value that
             is not a number, a non-integer where `n_int` asks for one, or a
-            pair outside 0 <= i < j, or misses a pair.
+            pair outside 0 <= i < j, names another node count than
+            `expected_n`, or misses a pair.
     """
     with open(path, newline="") as fh:
         header = next(csv.reader([fh.readline()]), [])
@@ -337,6 +349,8 @@ def _read_pair_table(path, columns: Sequence[str],
     i, j = data[:, 0], data[:, 1]
     _reject_rows(path, data, (i < 0) | (j <= i), "pair indices must satisfy 0 <= i < j")
     n_nodes = int(j.max()) + 1
+    if expected_n is not None and n_nodes != expected_n:
+        raise InputError(f"{path} holds {n_nodes} nodes, expected {expected_n}")
     nbar = pair_count(n_nodes)
     if nbar > len(data):  # some pair has no row; skip counting nbar slots
         raise InputError(_missing_pairs(path, n_nodes, i, j))
@@ -381,8 +395,8 @@ def _clean_delays(traj: TrajectorySet, cfg: ExchangeConfig) -> np.ndarray:
     grid = generate_timestamps(cfg, 1)[0]
     i, j = pair_index(traj.N)
     if cfg.delay_model == "exact":
-        dy = (traj.Y[:, i] - traj.Y[:, j])[..., None]
-        dx = (traj.X[:, i] - traj.X[:, j])[..., None] + grid * dy
+        dy = (traj.Y.take(i, axis=1) - traj.Y.take(j, axis=1))[..., None]
+        dx = (traj.X.take(i, axis=1) - traj.X.take(j, axis=1))[..., None] + grid * dy
         return np.sqrt((dx**2).sum(axis=0)) / cfg.c
     rd = RangeDerivatives(*(v[:, None] for v in _pair_kinematics(traj.X, traj.Y)))
     return taylor_range(rd, grid, order=cfg.model_order) / cfg.c

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import gc
 import json
@@ -23,6 +24,7 @@ from relkin import (
     procrustes_align,
     range_matrices,
     simulate_exchanges,
+    solve_relative,
     wls_solve,
 )
 from relkin import cli
@@ -53,6 +55,27 @@ def read_theta_per_row(path):
     n = max(j for _, j in per_pair) + 1
     return n, RangeMatrices.from_pair_vectors(
         n, *([per_pair[pair][ell] for pair in canonical_pairs(n)] for ell in range(3)))
+
+
+def write_solution_per_cell(path, sol, times):
+    """Reference solution-CSV writer: one repr per matrix entry, in row order."""
+    rows = [("quantity", "time", "row", "col", "value")]
+    mats = [("Xrel", "", sol.Xrel), ("Yrel", "", sol.Yrel), ("Hy", "", sol.Hy)]
+    mats += [("Xk", repr(float(t)), sol.position_at(t)) for t in times]
+    for name, stamp, mat in mats:
+        for r in range(mat.shape[0]):
+            for c in range(mat.shape[1]):
+                rows.append((name, stamp, r, c, repr(float(mat[r, c]))))
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+@pytest.fixture()
+def theta_csv(exchange_csv, tmp_path):
+    path = tmp_path / "theta.csv"
+    assert main(["estimate", "--exchanges", str(exchange_csv), "--sigma-meters", "0.1",
+                 "--out", str(path)]) == 0
+    return path
 
 
 class TestEstimate:
@@ -126,6 +149,24 @@ class TestEstimate:
         assert rc == 2
         assert not out.exists()
 
+    def test_truncated_file_against_node_count(self, exchange_csv, tmp_path, capsys):
+        out = tmp_path / "theta.csv"
+        argv = ["estimate", "--exchanges", str(exchange_csv), "--sigma-meters", "0.1",
+                "--out", str(out)]
+        assert main(argv + ["--nodes", "5"]) == 0
+        whole = out.read_bytes()
+        out.unlink()
+        # cut after pair (0, 1): on its own the file is a whole 2-node network
+        lines = exchange_csv.read_text().splitlines(keepends=True)
+        exchange_csv.write_text("".join(lines[:1 + 20]))
+        capsys.readouterr()
+        assert main(argv + ["--nodes", "5"]) == 2
+        assert "holds 2 nodes, expected 5" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(argv) == 0
+        assert out.read_bytes() == whole[:len(out.read_bytes())]  # pair (0, 1)'s rows alone
+        assert [(r["i"], r["j"]) for r in read_rows(out)] == [("0", "1")] * 4
+
     def test_missing_file_is_clean_error(self, tmp_path):
         rc = main(["estimate", "--exchanges", str(tmp_path / "nope.csv"),
                    "--sigma-meters", "0.1", "--out", str(tmp_path / "o.csv")])
@@ -153,6 +194,20 @@ class TestSolve:
         times = {r["time"] for r in rows if r["quantity"] == "Xk"}
         assert times == {"-1.0", "0.0", "1.0"}
 
+
+    @pytest.mark.parametrize("flags, times, orthogonalize", [
+        (["--times=-1.0,0,2.5,2.5"], [-1.0, 0.0, 2.5, 2.5], False),
+        ([], np.linspace(-3.0, 3.0, 7), False),
+        (["--grid", "-1", "4", "6", "--orthogonalize"], np.linspace(-1.0, 4.0, 6), True),
+    ], ids=["times", "default-grid", "grid-orthogonalize"])
+    def test_matches_per_cell_writer(self, theta_csv, tmp_path, flags, times, orthogonalize):
+        # the column writer must give the bytes of one repr per matrix entry
+        out = tmp_path / "solution.csv"
+        assert main(["solve", "--theta", str(theta_csv), *flags, "--out", str(out)]) == 0
+        _, rm = read_theta_per_row(theta_csv)
+        want = tmp_path / "want.csv"
+        write_solution_per_cell(want, solve_relative(rm, 2, orthogonalize=orthogonalize), times)
+        assert out.read_bytes() == want.read_bytes()
 
     @pytest.mark.parametrize("direction_policy", ["one_way", "alternating"])
     def test_matches_per_row_parse(self, tmp_path, monkeypatch, direction_policy):
@@ -200,6 +255,48 @@ class TestSolve:
         rc = main(["solve", "--theta", str(theta), "--out", str(out)])
         assert rc == 2
         assert not out.exists()
+
+
+class TestParserCache:
+    """main builds its parser once per process; no call leaks into the next."""
+
+    def test_built_once(self, theta_csv, tmp_path, monkeypatch):
+        built = []
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers",
+                            lambda self, **kw: built.append(self.prog) or add_subparsers(self, **kw))
+        cli.build_parser.cache_clear()
+        out = str(tmp_path / "out.csv")
+        assert main(["solve", "--theta", str(theta_csv), "--out", out]) == 0
+        assert main(["solve", "--theta", str(theta_csv), "--dim", "0", "--out", out]) == 2
+        assert main(["crb", "--messages", "20", "--out", out]) == 0
+        with pytest.raises(SystemExit):
+            main(["solve", "--no-such-flag"])
+        assert built == ["relkin"]
+
+    def test_flags_do_not_carry_over(self, theta_csv, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(rm, P, orthogonalize=False):
+            seen.append(orthogonalize)
+            return solve_relative(rm, P, orthogonalize=orthogonalize)
+
+        monkeypatch.setattr(cli, "solve_relative", spy)
+        out = tmp_path / "solution.csv"
+        assert main(["solve", "--theta", str(theta_csv), "--times=-1,1", "--orthogonalize",
+                     "--out", str(out)]) == 0
+        assert main(["solve", "--theta", str(theta_csv), "--out", str(out)]) == 0
+        assert seen == [True, False]
+        times = [r["time"] for r in read_rows(out) if r["quantity"] == "Xk"]
+        assert sorted(set(times), key=float) == list(map(repr, np.linspace(-3.0, 3.0, 7).tolist()))
+
+    def test_replaced_handler_takes_effect(self, theta_csv, tmp_path, monkeypatch):
+        argv = ["solve", "--theta", str(theta_csv), "--out", str(tmp_path / "solution.csv")]
+        assert main(argv) == 0
+        calls = []
+        monkeypatch.setattr(cli, "_cmd_solve", lambda args: calls.append(args.theta) or 7)
+        assert main(argv) == 7
+        assert calls == [str(theta_csv)]
 
 
 class TestCrb:
@@ -371,9 +468,10 @@ class TestExperiment:
     ["solve", "--grid", "0", "1", "2.5"],
     ["estimate", "--order", "0"],
     ["estimate", "--c", "nan"],
+    ["estimate", "--nodes", "1"],
 ], ids=["crb-zero-messages", "crb-order-2", "crb-negative-c", "crb-reversed-interval",
         "solve-zero-dim", "solve-dim-above-n", "solve-nonnumeric-times", "solve-fractional-grid",
-        "estimate-zero-order", "estimate-nan-c"])
+        "estimate-zero-order", "estimate-nan-c", "estimate-one-node"])
 def test_bad_flag_value_is_clean_error(exchange_csv, tmp_path, capsys, argv):
     theta = tmp_path / "theta.csv"
     assert main(["estimate", "--exchanges", str(exchange_csv), "--sigma-meters", "0.1",

@@ -280,6 +280,16 @@ class TestSimulation:
         with pytest.raises(ValueError, match="missing pairs"):
             TimestampExchangeSet.from_csv(path)
 
+    @pytest.mark.parametrize("expected_n", [4, 6])
+    def test_csv_node_count_mismatch_rejected(self, tmp_path, expected_n):
+        ex = simulate_exchanges(builtin_trajectory("cluster5"), ExchangeConfig(K=3),
+                                NoiseModel(0.0), seed=0)
+        path = tmp_path / "exchanges.csv"
+        ex.to_csv(path)
+        assert TimestampExchangeSet.from_csv(path, expected_n=5).n_nodes == 5
+        with pytest.raises(InputError, match=f"holds 5 nodes, expected {expected_n}"):
+            TimestampExchangeSet.from_csv(path, expected_n=expected_n)
+
     @staticmethod
     def edited_csv(tmp_path, row, **fields):
         """Two-node, K=3 exchange file with data row `row` (0-based) edited."""
