@@ -64,16 +64,19 @@ def _pair_variances(sigma, name: str) -> np.ndarray:
     """(Nbar,) per-pair variances from a vector or a diagonal Nbar x Nbar matrix.
 
     Raises:
-        UnsupportedCovarianceError: if a matrix has a nonzero off-diagonal entry.
+        UnsupportedCovarianceError: if `sigma` is neither a vector nor a
+            square matrix, or a matrix has a nonzero or NaN off-diagonal entry.
     """
     sigma = np.asarray(sigma, float)
     if sigma.ndim == 1:
         return sigma
-    var = np.diag(sigma).copy()
-    if sigma.shape != (len(var),) * 2 or np.count_nonzero(sigma) != np.count_nonzero(var):
+    n = sigma.shape[0] if sigma.ndim == 2 else -1  # -1: no (n, n) shape matches
+    # the off-diagonal entries: after the first, each run of n+1 entries
+    # holds n off the diagonal, then one on it
+    if sigma.shape != (n, n) or sigma.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1].any():
         raise UnsupportedCovarianceError(f"{name} is not a diagonal pair covariance; "
                                          "links must be independent")
-    return var
+    return sigma.diagonal().copy()
 
 
 @dataclass

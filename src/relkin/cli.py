@@ -10,7 +10,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import math
 import sys
@@ -39,6 +38,7 @@ from .twr import (
     _read_pair_table,
     _reject_rows,
     _write_columns,
+    _write_rows,
 )
 
 
@@ -76,16 +76,20 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _read_theta_csv(path):
+def _read_theta_csv(path, expected_n: int | None = None):
     """Network size and (r, rdot, rddot) range matrices from a coefficient CSV.
+
+    N is one more than the largest j, so a file cut short after its first
+    pairs reads as a smaller network unless `expected_n` states N.
 
     Raises:
         InputError: on a missing column, a non-numeric field, a negative or
             fractional order, a non-finite theta, a repeated (i, j, order)
-            row, a node pair left out, or a pair without its order 0, 1 and
-            2 rows.
+            row, another node count than `expected_n`, a node pair left
+            out, or a pair without its order 0, 1 and 2 rows.
     """
-    data, n, p = _read_pair_table(path, ("i", "j", "order", "theta"), n_int=3)
+    data, n, p = _read_pair_table(path, ("i", "j", "order", "theta"), n_int=3,
+                                  expected_n=expected_n)
     order, theta = data[:, 2], data[:, 3]
     _reject_rows(path, data, order < 0, "order must be >= 0")
     _reject_rows(path, data, ~np.isfinite(theta), "theta must be finite")
@@ -105,7 +109,8 @@ def _read_theta_csv(path):
 
 
 def _cmd_solve(args) -> int:
-    n, rm = _read_theta_csv(args.theta)
+    _require(args.nodes is None or args.nodes >= 2, "--nodes", "at least 2", args.nodes)
+    n, rm = _read_theta_csv(args.theta, expected_n=args.nodes)
     _require(1 <= args.dim <= n, "--dim", f"between 1 and the node count {n}", args.dim)
     if args.times:
         try:
@@ -145,16 +150,12 @@ def _cmd_crb(args) -> int:
     crb, x_rcrb, y_rcrb = _root_crbs(
         traj, build_design(_clean_exchanges(traj, cfg), args.order, noise=noise))
     names = ["r", "rdot", "rddot"] + [f"order_{ell}" for ell in range(3, args.order)]
-    rows = [("quantity", "rcrb")]
-    for ell, name in enumerate(names):
-        rows.append((name, repr(float(crb.rcrb(ell)))))
-    rows.append(("Xrel", repr(x_rcrb)))
-    rows.append(("Yrel", repr(y_rcrb)))
+    rcrbs = [crb.rcrb(ell) for ell in range(args.order)] + [x_rcrb, y_rcrb]
+    table = (("quantity", "rcrb"), names + ["Xrel", "Yrel"], map(repr, rcrbs))
     if args.out == "-":
-        csv.writer(sys.stdout).writerows(rows)
+        _write_rows(sys.stdout, *table)
         return 0
-    with open(args.out, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+    _write_columns(args.out, *table)
     print(f"wrote {args.out}")
     return 0
 
@@ -223,6 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default=(-3.0, 3.0, 7), help="time grid when --times is absent")
     p_sol.add_argument("--orthogonalize", action="store_true",
                        help="project the rotation estimate onto the orthogonal group")
+    p_sol.add_argument("--nodes", type=int, default=None,
+                       help="expected node count N; a file naming another N is an error")
     p_sol.add_argument("--out", required=True)
 
     p_crb = sub.add_parser("crb", help="root CRBs for a fixture and exchange setup")

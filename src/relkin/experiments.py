@@ -548,7 +548,15 @@ def _run_experiments(cfgs: list[ExperimentConfig]) -> list[RmseReport]:
 
 def default_suite(trials: int = 1000, seed: int = 0, fixture: str = "cluster5",
                   **overrides) -> list[ExperimentConfig]:
-    """The three standard experiments: K sweep, noise sweep, time grid."""
+    """The three standard experiments: K sweep, noise sweep, time grid.
+
+    The three share stream addresses: k-sweep point s, sigma-sweep point s
+    and the time grid (prefix ``(0,)``) all draw pair p of trial t from
+    stream ``(s, t, p)`` of one seed.  So the time grid's noisy exchanges are
+    bit-identical to those of the sigma sweep's first point (at the default
+    K=100 and sigma_m=0.1, which is -10 dB-meters), and k-sweep point s
+    draws the leading normals of sigma-sweep point s's streams.
+    """
     base = dict(fixture=fixture, trials=trials, seed=seed, **overrides)
     k_cfg = ExperimentConfig(kind="k_sweep", sweep=list(range(10, 101, 10)), **base)
     s_cfg = ExperimentConfig(kind="sigma_sweep", sweep=list(range(-10, 1, 2)), **base)

@@ -300,11 +300,23 @@ class TimestampExchangeSet:
 
 def _write_columns(path, header: Sequence[str], *columns) -> None:
     """Write a CSV file: the header, then one row per element of the
-    equal-length `columns` (lists or iterators, formatted by csv as given)."""
+    equal-length `columns` (see :func:`_write_rows`)."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+        _write_rows(fh, header, *columns)
+
+
+def _write_rows(fh, header: Sequence[str], *columns) -> None:
+    """Stream the header, then one row per element of the equal-length
+    `columns` (lists or iterators), to the text file `fh`.
+
+    Fields are written unquoted, as ``str`` gives them, and lines end in
+    CRLF.  For the fields relkin writes (numbers, ``repr``'d floats, names
+    without commas or quotes, and empty strings in rows of two or more
+    fields) these are the bytes ``csv.writer`` writes.
+    """
+    row = ",".join(["{}"] * len(header)) + "\r\n"
+    fh.write(row.format(*header))
+    fh.writelines(map(row.format, *columns))
 
 
 def _read_pair_table(path, columns: Sequence[str], n_int: int,

@@ -214,6 +214,17 @@ class TestDenseOracle:
         with pytest.raises(UnsupportedCovarianceError):
             fim_position(traj.X, correlated)
 
+    @pytest.mark.parametrize("make", [
+        lambda: np.where(np.eye(10, k=7), np.nan, np.eye(10)),
+        lambda: np.eye(10) + np.eye(10, k=2) - np.eye(10, k=-2),
+        lambda: np.eye(10)[:, :9],
+        lambda: np.ones((2, 5, 5)),
+        lambda: np.float64(1.0),
+    ], ids=["nan-off-diagonal", "cancelling-off-diagonal", "non-square", "three-d", "scalar"])
+    def test_non_pair_covariance_shape_rejected(self, make):
+        with pytest.raises(UnsupportedCovarianceError):
+            RangeNoiseCovariances(np.ones(10), make(), np.ones(10))
+
     def test_zero_range_variance_is_singular(self):
         traj = builtin_trajectory("cluster5")
         var = np.ones(10)

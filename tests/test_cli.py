@@ -1,6 +1,7 @@
 import argparse
 import csv
 import gc
+import io
 import json
 import os
 import subprocess
@@ -29,6 +30,8 @@ from relkin import (
 )
 from relkin import cli
 from relkin.cli import main
+from relkin.experiments import _root_crbs
+from relkin.twr import _clean_exchanges
 
 
 @pytest.fixture()
@@ -221,7 +224,8 @@ class TestSolve:
                      "--sigma-meters", "0.1", "--out", str(theta)]) == 0
         argv = ["solve", "--theta", str(theta), "--times=-2.5,0.5,3"]
         assert main(argv + ["--out", str(tmp_path / "got.csv")]) == 0
-        monkeypatch.setattr(cli, "_read_theta_csv", read_theta_per_row)
+        monkeypatch.setattr(cli, "_read_theta_csv",
+                            lambda path, expected_n: read_theta_per_row(path))
         assert main(argv + ["--out", str(tmp_path / "want.csv")]) == 0
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
@@ -255,6 +259,21 @@ class TestSolve:
         rc = main(["solve", "--theta", str(theta), "--out", str(out)])
         assert rc == 2
         assert not out.exists()
+
+    def test_truncated_file_against_node_count(self, theta_csv, tmp_path, capsys):
+        out = tmp_path / "solution.csv"
+        argv = ["solve", "--theta", str(theta_csv), "--dim", "1", "--out", str(out)]
+        assert main(argv + ["--nodes", "5"]) == 0
+        out.unlink()
+        # cut after pair (0, 1)'s four orders: on its own a whole 2-node network
+        lines = theta_csv.read_text().splitlines(keepends=True)
+        theta_csv.write_text("".join(lines[:1 + 4]))
+        capsys.readouterr()
+        assert main(argv + ["--nodes", "5"]) == 2
+        assert "holds 2 nodes, expected 5" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(argv) == 0
+        assert "(N=2, P=1," in capsys.readouterr().out
 
 
 class TestParserCache:
@@ -324,6 +343,25 @@ class TestCrb:
         assert unraisable == []
         assert [r["quantity"] for r in read_rows(out)] == [
             "r", "rdot", "rddot", "order_3", "Xrel", "Yrel"]
+
+    def test_file_and_stdout_match_csv_writer(self, tmp_path, capsys):
+        traj = builtin_trajectory("cluster5")
+        design = build_design(_clean_exchanges(traj, ExchangeConfig(K=20)), 5,
+                              noise=NoiseModel.from_pair_sigma(0.1, unit="m"))
+        crb, x_rcrb, y_rcrb = _root_crbs(traj, design)
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(("quantity", "rcrb"))
+        for ell, name in enumerate(["r", "rdot", "rddot", "order_3", "order_4"]):
+            writer.writerow((name, repr(crb.rcrb(ell))))
+        writer.writerows([("Xrel", repr(x_rcrb)), ("Yrel", repr(y_rcrb))])
+        argv = ["crb", "--messages", "20", "--order", "5"]
+        out = tmp_path / "crb.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == want.getvalue().encode()
+        capsys.readouterr()
+        assert main(argv) == 0  # --out - writes to stdout
+        assert capsys.readouterr().out == want.getvalue()
 
     @pytest.mark.parametrize("sigma", ["0", "-1", "nan"])
     def test_nonpositive_sigma_is_clean_error(self, tmp_path, sigma):
@@ -469,9 +507,10 @@ class TestExperiment:
     ["estimate", "--order", "0"],
     ["estimate", "--c", "nan"],
     ["estimate", "--nodes", "1"],
+    ["solve", "--nodes", "1"],
 ], ids=["crb-zero-messages", "crb-order-2", "crb-negative-c", "crb-reversed-interval",
         "solve-zero-dim", "solve-dim-above-n", "solve-nonnumeric-times", "solve-fractional-grid",
-        "estimate-zero-order", "estimate-nan-c", "estimate-one-node"])
+        "estimate-zero-order", "estimate-nan-c", "estimate-one-node", "solve-one-node"])
 def test_bad_flag_value_is_clean_error(exchange_csv, tmp_path, capsys, argv):
     theta = tmp_path / "theta.csv"
     assert main(["estimate", "--exchanges", str(exchange_csv), "--sigma-meters", "0.1",

@@ -1,7 +1,10 @@
 import csv
+import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relkin import (
     ConfigError,
@@ -18,7 +21,7 @@ from relkin import (
     simulate_exchanges,
 )
 from relkin.kinematics import TrajectorySet, taylor_range
-from relkin.twr import _clean_exchanges, _draw_exchanges, _exchange_states
+from relkin.twr import _clean_exchanges, _draw_exchanges, _exchange_states, _write_columns
 
 import dense_oracle
 from trial_oracle import derive_rng
@@ -355,3 +358,36 @@ def test_derive_rng_order_independent():
     a2 = derive_rng(7, 1, 2).standard_normal(4)
     assert np.array_equal(a, a2)
     assert not np.array_equal(a, b)
+
+
+# The fields relkin writes: integers, repr'd floats (the edge cases drawn
+# often) and the fixed names and empty time stamps of `relkin solve`.
+_FIELDS = st.one_of(
+    st.integers(),
+    st.floats().map(repr),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324,
+                     2.2250738585072014e-308, 1e300]).map(repr),
+    st.sampled_from(["Xrel", "Yrel", "Hy", "Xk", ""]),
+)
+
+
+@st.composite
+def _tables(draw):
+    n_cols = draw(st.integers(2, 6))
+    n_rows = draw(st.integers(0, 12))
+    header = [f"c{c}" for c in range(n_cols)]
+    columns = [draw(st.lists(_FIELDS, min_size=n_rows, max_size=n_rows)) for _ in header]
+    return header, columns
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=_tables(), as_iterators=st.booleans())
+def test_write_columns_matches_csv_writer(tmp_path_factory, table, as_iterators):
+    header, columns = table
+    path = tmp_path_factory.mktemp("rows") / "got.csv"
+    _write_columns(path, header, *(iter(c) if as_iterators else c for c in columns))
+    want = io.StringIO()
+    writer = csv.writer(want)
+    writer.writerow(header)
+    writer.writerows(zip(*columns))
+    assert path.read_bytes() == want.getvalue().encode()
