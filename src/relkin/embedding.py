@@ -169,7 +169,7 @@ def estimate_rotation(Xrel: np.ndarray, Yrel: np.ndarray, Bxy: np.ndarray,
     for bit in O(N^2 P^2).  The unconstrained solution does not enforce
     orthogonality; with exact inputs its orthogonality defect is at
     roundoff level.  Pass orthogonalize=True to project onto the
-    orthogonal group via the polar factor.
+    orthogonal group via the polar factor (closed form in the plane).
 
     Raises:
         IllPosedRotationError: if G is column rank deficient (needs N >= P
@@ -191,7 +191,10 @@ def _rotation_stack(Xrel, Yrel, Bxy, orthogonalize: bool = False,
     Singular values s <= eps max(N^2, P^2) s_max count as zero, as under
     lstsq's rcond=None.  Returns the (..., P, P) rotations and the (...,)
     rank of each system; a solution is valid only at full rank P^2.  Items
-    outside the boolean `where` are not solved and read H = 0, rank 0.
+    outside the boolean `where` are not solved and read H = 0, rank 0.  With
+    orthogonalize, every H is replaced by its orthogonal polar factor
+    (`_polar`: closed form in the plane, so no second SVD), and an unsolved
+    H = 0 then reads I.
     """
     Xrel, Yrel, Bxy = (np.asarray(m, float) for m in (Xrel, Yrel, Bxy))
     P, n = Xrel.shape[-2:]
@@ -210,10 +213,33 @@ def _rotation_stack(Xrel, Yrel, Bxy, orthogonalize: bool = False,
     h[todo] = (vt.swapaxes(-1, -2) @ c)[..., 0]
     rank[todo] = np.count_nonzero(keep, axis=-1)
     H = h.reshape(batch + (P, P)).swapaxes(-1, -2)
-    if orthogonalize:
-        u, _, vt = np.linalg.svd(H)
-        H = u @ vt
-    return H, rank
+    return (_polar(H) if orthogonalize else H), rank
+
+
+def _polar(A: np.ndarray) -> np.ndarray:
+    """Orthogonal polar factor U V^T of every U S V^T in a (..., P, P) stack.
+
+    It is the orthogonal H (reflections included) that maximizes tr(H^T A).
+    In the plane that has a closed form.  For A = [[a, b], [c, d]] the best
+    rotation is [[a+d, b-c], [c-b, a+d]] / rot with rot = hypot(a+d, c-b)
+    = its tr(H^T A), and the best reflection [[a-d, b+c], [b+c, d-a]] / ref
+    with ref = hypot(a-d, b+c); the factor is the rotation when rot >= ref.
+    As rot^2 - ref^2 = 4 det A, that is when det A >= 0, decided without
+    forming products that could overflow.  Both vanish only at A = 0, whose
+    factor is taken to be I.  Every other P takes one batched SVD.
+    """
+    A = np.asarray(A, float)
+    if A.shape[-2:] != (2, 2):
+        u, _, vt = np.linalg.svd(A)
+        return u @ vt
+    a, b, c, d = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+    rot, ref = np.hypot(a + d, c - b), np.hypot(a - d, b + c)
+    s = np.where(rot < ref, -1.0, 1.0)  # +1 for a rotation, -1 for a reflection
+    h = np.maximum(rot, ref)
+    zero = h == 0.0
+    p, h = np.where(zero, 1.0, a + s * d), np.where(zero, 1.0, h)
+    p, q = p / h, (c - s * b) / h
+    return np.stack([p, -s * q, q, s * p], axis=-1).reshape(A.shape)
 
 
 @dataclass
@@ -252,16 +278,17 @@ def procrustes_align(Z: np.ndarray, Zhat: np.ndarray) -> tuple[np.ndarray, np.nd
     """Best orthogonal alignment of Zhat onto Z in Frobenius norm.
 
     Returns (H, H @ Zhat, ||Z - H Zhat||_F) where H minimizes the residual
-    over the orthogonal group (reflections included): H = V U^T from the
-    SVD U S V^T = Zhat Z^T.  Leading axes of Z and Zhat broadcast, giving
-    one alignment per item (one batched SVD) and an array of residuals.
+    over the orthogonal group (reflections included): H is the orthogonal
+    polar factor of Z Zhat^T (Schoenemann's solution), in closed form in the
+    plane and from an SVD otherwise.  Leading axes of Z and Zhat broadcast,
+    giving one alignment per item (one batched kernel call) and an array of
+    residuals.
     """
     Z = np.asarray(Z, float)
     Zhat = np.asarray(Zhat, float)
     if Z.shape[-2:] != Zhat.shape[-2:]:
         raise ValueError(f"shape mismatch: {Z.shape} vs {Zhat.shape}")
-    u, _, vt = np.linalg.svd(Zhat @ Z.swapaxes(-1, -2))
-    H = vt.swapaxes(-1, -2) @ u.swapaxes(-1, -2)
+    H = _polar(Z @ Zhat.swapaxes(-1, -2))
     aligned = H @ Zhat
     d = (Z - aligned).reshape(aligned.shape[:-2] + (1, -1))
     # a stacked (1 x PN)(PN x 1) product is the BLAS dot that np.linalg.norm takes

@@ -28,10 +28,11 @@ fits its trials in sub-chunks bounded by the whitened (Nbar, K, L+1) QR
 stack, keeping only theta, the rank flags and the snapshot delays of each.
 Every later stage runs once per outer chunk, batched over its trials: one
 eigh for all embeddings including the time grid's classical-MDS snapshots,
-one SVD for all the rotations' least squares and one for all Procrustes
-alignments; no stage loops over trials.  A trial that would raise in the
-single-trial pipeline is masked out and counted under its exception type;
-trials whose embedding clamped a negative eigenvalue are counted too.
+one SVD for all the rotations' least squares and one closed-form
+polar-factor call for all Procrustes alignments; no stage loops over trials.
+A trial that would raise in the single-trial pipeline is masked out and
+counted under its exception type; trials whose embedding clamped a negative
+eigenvalue are counted too.
 
 Trials are seeded through derived streams keyed by (sweep point, trial,
 pair), so reports are reproducible bit-for-bit and do not depend on how the

@@ -9,7 +9,8 @@ batched per-pair solver against this direct route.
 Likewise the position/velocity information matrices are checked against
 J^T Sigma^-1 J from the dense Nbar x (N P) pair-difference Jacobian, and the
 rotation system against the dense (I + J)(Yrel^T kron Xrel^T) with the
-N^2 x N^2 commutation matrix J.
+N^2 x N^2 commutation matrix J.  Orthogonal Procrustes is checked against the
+SVD formula, which production code keeps only outside the plane.
 """
 
 import numpy as np
@@ -113,10 +114,28 @@ def commutation_matrix(n: int) -> np.ndarray:
     return J
 
 
+def rotation_system(Xrel: np.ndarray, Yrel: np.ndarray) -> np.ndarray:
+    """The dense N^2 x P^2 matrix (I + J)(Yrel^T kron Xrel^T) of the rotation model."""
+    n = Xrel.shape[1]
+    return (np.eye(n * n) + commutation_matrix(n)) @ np.kron(Yrel.T, Xrel.T)
+
+
 def rotation(Xrel: np.ndarray, Yrel: np.ndarray, Bxy: np.ndarray) -> tuple[np.ndarray, int]:
-    """P x P rotation from lstsq on the dense (I + J)(Yrel^T kron Xrel^T) system,
-    and the rank lstsq found."""
-    P, n = Xrel.shape
-    G = (np.eye(n * n) + commutation_matrix(n)) @ np.kron(Yrel.T, Xrel.T)
+    """P x P rotation from lstsq on the dense rotation system, and the rank lstsq found."""
+    P = Xrel.shape[0]
+    G = rotation_system(Xrel, Yrel)
     h, _, rank, _ = np.linalg.lstsq(G, Bxy.reshape(-1, order="F"), rcond=None)
     return h.reshape(P, P, order="F"), int(rank)
+
+
+def polar(A: np.ndarray) -> np.ndarray:
+    """Orthogonal polar factor U V^T of every U S V^T in a (..., P, P) stack."""
+    u, _, vt = np.linalg.svd(A)
+    return u @ vt
+
+
+def procrustes(Z: np.ndarray, Zhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthogonal H = V U^T from the SVD U S V^T = Zhat Z^T, and ||Z - H Zhat||_F."""
+    u, _, vt = np.linalg.svd(Zhat @ Z.swapaxes(-1, -2))
+    H = vt.swapaxes(-1, -2) @ u.swapaxes(-1, -2)
+    return H, np.linalg.norm(Z - H @ Zhat, axis=(-2, -1))

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 from relkin import (
     EmbeddingClampWarning,
@@ -18,10 +19,11 @@ from relkin import (
     solve_relative,
     spectral_embed,
 )
-from relkin.embedding import _embed, _mds_gram, _rotation_stack, rotation_model
+from relkin.embedding import _embed, _mds_gram, _polar, _rotation_stack, rotation_model
 from relkin.kinematics import TrajectorySet
 
 import dense_oracle
+from test_kinematics import geometries
 
 
 def edm(traj, t):
@@ -304,6 +306,25 @@ class TestPositionAtTime:
             assert np.linalg.norm(h @ sol.position_at(dt) - truth) < 1e-6
 
 
+@settings(max_examples=150, deadline=None)
+@given(traj=geometries())
+def test_propagation_shares_one_frame_on_random_geometries(traj):
+    # noiseless Xrel + t Hy Yrel is the centered truth under one orthogonal H
+    # for every t (arXiv:1401.5925); the error is roundoff amplified by the
+    # condition number of the rotation system, which is the same in the true
+    # frame as in the estimated one
+    pc = centering_matrix(traj.N)
+    xc, yc = traj.X @ pc, traj.Y @ pc
+    s = np.linalg.svd(dense_oracle.rotation_system(xc, yc), compute_uv=False)
+    assume(s[-1] > 1e-10 * s[0])  # rank deficient to working precision
+    sol = solve_relative(range_matrices(traj), traj.P)
+    h, _, _ = procrustes_align(xc, sol.Xrel)
+    for dt in np.linspace(-10.0, 10.0, 5):
+        err = np.linalg.norm(h @ sol.position_at(dt) - traj.position_at(dt) @ pc)
+        scale = np.linalg.norm(xc) + abs(dt) * np.linalg.norm(yc)
+        assert err <= 1e-12 * (s[0] / s[-1]) * scale
+
+
 class TestProcrustes:
     def test_recovers_applied_rotation(self):
         rng = np.random.default_rng(2)
@@ -339,6 +360,85 @@ class TestProcrustes:
         h, _, resid = procrustes_align(z, flip @ z)
         assert resid < 1e-12
         assert np.linalg.det(h) == pytest.approx(-1.0, abs=1e-9)
+
+
+class TestPolarFactor:
+    """The planar closed form against the SVD formula it replaces."""
+
+    def test_closed_form_matches_svd(self):
+        rng = np.random.default_rng(4)
+        A = rng.normal(size=(400, 2, 2)) * 10.0 ** rng.uniform(-6, 6, (400, 1, 1))
+        det = np.linalg.det(A)
+        assert (det < 0).any() and (det > 0).any()
+        H = _polar(A)
+        want = dense_oracle.polar(A)
+        assert np.all(np.linalg.det(H) * det > 0)
+        assert np.max(np.abs(H - want)) <= 1e-12
+
+    def test_huge_entries_keep_the_determinant_sign(self):
+        # a*d and b*c would overflow to inf here, hiding that det A < 0
+        A = np.array([[1e200, 2e200], [1e200, 1e200]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            H = _polar(A)
+        assert np.max(np.abs(H - dense_oracle.polar(A))) <= 1e-12
+
+    @pytest.mark.parametrize("batch", [(), (7,), (3, 4)])
+    def test_procrustes_matches_svd(self, batch):
+        rng = np.random.default_rng(len(batch))
+        z = rng.normal(size=batch + (2, 6))
+        zhat = rng.normal(size=batch + (2, 6))
+        zhat[..., 1, :] *= np.where(rng.random(batch + (1,)) < 0.5, -1.0, 1.0)
+        H, aligned, resid = procrustes_align(z, zhat)
+        want_h, want_resid = dense_oracle.procrustes(z, zhat)
+        assert np.max(np.abs(H - want_h)) <= 1e-12
+        assert np.max(np.abs(aligned - want_h @ zhat)) <= 1e-12
+        assert np.max(np.abs(resid - want_resid)) <= 1e-12 * np.max(want_resid)
+
+    def test_rank_one_cross_covariance(self):
+        # collinear estimates make Z Zhat^T rank one: a rotation and a
+        # reflection then align equally well and map Zhat to the same place
+        rng = np.random.default_rng(6)
+        z = rng.normal(size=(5, 2, 6))
+        zhat = np.array([1.5, -0.5])[:, None] * rng.normal(size=(5, 1, 6))
+        assert np.allclose(np.linalg.det(z @ zhat.swapaxes(-1, -2)), 0.0, atol=1e-12)
+        H, aligned, resid = procrustes_align(z, zhat)
+        want_h, want_resid = dense_oracle.procrustes(z, zhat)
+        assert np.allclose(H.swapaxes(-1, -2) @ H, np.eye(2), atol=1e-12)
+        assert np.max(np.abs(aligned - want_h @ zhat)) <= 1e-12
+        assert np.max(np.abs(resid - want_resid)) <= 1e-12 * np.max(want_resid)
+
+    def test_zero_cross_covariance_is_identity_without_warning(self):
+        z = np.random.default_rng(7).normal(size=(2, 2, 5))
+        zhat = np.stack([np.zeros((2, 5)), z[1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            H, aligned, resid = procrustes_align(z, zhat)
+            assert np.array_equal(_polar(np.zeros((3, 2, 2))), np.broadcast_to(np.eye(2), (3, 2, 2)))
+        assert np.array_equal(H[0], np.eye(2))
+        assert np.array_equal(aligned[0], np.zeros((2, 5)))
+        assert resid[0] == np.linalg.norm(z[0])
+        assert np.allclose(H[1], np.eye(2), atol=1e-12) and resid[1] < 1e-12
+
+    @pytest.mark.parametrize("P", [1, 3])
+    def test_other_dimensions_keep_the_svd(self, P):
+        rng = np.random.default_rng(P)
+        z, zhat = rng.normal(size=(4, P, 6)), rng.normal(size=(4, P, 6))
+        H, _, resid = procrustes_align(z, zhat)
+        want_h, want_resid = dense_oracle.procrustes(z, zhat)
+        assert np.max(np.abs(H - want_h)) <= 1e-12
+        assert np.max(np.abs(resid - want_resid)) <= 1e-12 * np.max(want_resid)
+        A = rng.normal(size=(4, P, P))
+        assert np.max(np.abs(_polar(A) - dense_oracle.polar(A))) <= 1e-12
+
+    def test_planar_batch_takes_no_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("planar alignment called np.linalg.svd")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        rng = np.random.default_rng(8)
+        procrustes_align(rng.normal(size=(2, 6)), rng.normal(size=(50, 2, 6)))
+        _polar(rng.normal(size=(3, 2, 2)))
 
 
 def noisy_range_stack(n_items, seed, scale=5.0):
