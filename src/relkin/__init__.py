@@ -28,7 +28,6 @@ from .kinematics import (
     load_trajectory,
     range_derivatives,
     range_matrices,
-    third_derivative_gram_check,
 )
 from .twr import (
     ExchangeConfig,

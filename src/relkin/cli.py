@@ -71,7 +71,7 @@ def _cmd_estimate(args) -> int:
     _write_columns(args.out, ("i", "j", "order", "theta", "rcrb"),
                    np.repeat(i, L).tolist(), np.repeat(j, L).tolist(),
                    np.tile(np.arange(L), len(i)).tolist(),
-                   map(repr, coeffs.physical.ravel().tolist()), map(repr, per_pair.ravel().tolist()))
+                   coeffs.physical.ravel().tolist(), per_pair.ravel().tolist())
     print(f"wrote {args.out} ({len(i) * L} coefficient rows)")
     return 0
 
@@ -133,7 +133,7 @@ def _cmd_solve(args) -> int:
     _write_columns(args.out, ("quantity", "time", "row", "col", "value"),
                    np.repeat(names, sizes).tolist(), np.repeat(stamps, sizes).tolist(),
                    rows.tolist(), cols.tolist(),
-                   map(repr, np.concatenate([m.ravel() for m in mats]).tolist()))
+                   np.concatenate([m.ravel() for m in mats]).tolist())
     print(f"wrote {args.out} (N={n}, P={args.dim}, {len(times)} time samples)")
     return 0
 
@@ -151,7 +151,7 @@ def _cmd_crb(args) -> int:
         traj, build_design(_clean_exchanges(traj, cfg), args.order, noise=noise))
     names = ["r", "rdot", "rddot"] + [f"order_{ell}" for ell in range(3, args.order)]
     rcrbs = [crb.rcrb(ell) for ell in range(args.order)] + [x_rcrb, y_rcrb]
-    table = (("quantity", "rcrb"), names + ["Xrel", "Yrel"], map(repr, rcrbs))
+    table = (("quantity", "rcrb"), names + ["Xrel", "Yrel"], rcrbs)
     if args.out == "-":
         _write_rows(sys.stdout, *table)
         return 0

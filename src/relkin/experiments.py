@@ -92,6 +92,7 @@ from .twr import (
     _exchange_states,
     _is_finite,
     _is_int,
+    _write_columns,
     generate_timestamps,
 )
 
@@ -164,9 +165,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ConfigError(f"kind must be one of {tuple(_KINDS)}, got {self.kind!r}")
-        self.sweep = list(self.sweep)
-        if not self.sweep:
-            raise ConfigError("sweep must be a nonempty list")
+        sweep = self.sweep.tolist() if isinstance(self.sweep, np.ndarray) else self.sweep
+        if not isinstance(sweep, (list, tuple)) or not sweep:
+            raise ConfigError(f"sweep must be a nonempty list, got {self.sweep!r}")
+        self.sweep = list(sweep)
         if not _is_int(self.trials) or self.trials < 1:
             raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not _is_int(self.seed) or self.seed < 0:
@@ -184,6 +186,8 @@ class ExperimentConfig:
         if self.kind == "k_sweep":
             for K in self.sweep:
                 _exchange_config(self, K)
+        if not _is_finite(self.sigma_m):
+            raise ConfigError(f"sigma_m must be a finite number >= 0, got {self.sigma_m!r}")
         NoiseModel.from_pair_sigma(self.sigma_m)
         if self.kind == "sigma_sweep":
             for level in self.sweep:
@@ -196,12 +200,20 @@ class ExperimentConfig:
         The sweep is given as a one-key object selecting the kind:
         ``{"sweep": {"K": [...]}}, {"sweep": {"sigma_db_m": [...]}}`` or
         ``{"sweep": {"time_grid": [...]}}``.
+
+        Raises:
+            ConfigError: if the file is not JSON text holding an object of
+                that schema, or a value is out of range (see the class).
         """
-        data = json.loads(Path(path).read_text())
         try:
-            sweep_obj = data.pop("sweep")
-        except KeyError:
+            data = json.loads(Path(path).read_text())
+        except ValueError as exc:
+            raise ConfigError(f"{path} is not a JSON file: {exc}") from None
+        if not isinstance(data, dict):
+            raise ConfigError(f"{path}: the config must be a JSON object, got {data!r}")
+        if "sweep" not in data:
             raise ConfigError(f"{path}: missing required key 'sweep'")
+        sweep_obj = data.pop("sweep")
         keys = "/".join(spec.sweep_key for spec in _KINDS.values())
         if not isinstance(sweep_obj, dict) or len(sweep_obj) != 1:
             raise ConfigError(f"{path}: sweep must hold exactly one of {keys}")
@@ -214,7 +226,7 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
         data.update(overrides)
-        return cls(kind=kind, sweep=list(values), **data)
+        return cls(kind=kind, sweep=values, **data)
 
     def to_dict(self) -> dict:
         return {
@@ -614,10 +626,9 @@ def check_report(report: RmseReport, ratio_band: tuple[float, float] = (0.97, 1.
     return failures
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return f"{x:.17g}"
+def _blank_none(x):
+    """The cell of a bound: the float, or empty where it does not exist."""
+    return "" if x is None else x
 
 
 def _trial_outcomes(report: RmseReport) -> list[dict]:
@@ -645,7 +656,10 @@ def emit_outputs(reports, out_dir) -> list[Path]:
     full configuration and seed, per experiment the trial outcomes of every
     sweep point (see :func:`_trial_outcomes`), and the Python, numpy and
     platform versions, the CPUs in the affinity mask and, per experiment, the
-    number of processes that ran its trials.  Reruns with the same seed
+    number of processes that ran its trials.  Both CSVs are written by
+    :func:`twr._write_columns` in the format of every relkin CSV (see
+    :func:`twr._write_rows`); a bound that does not exist (noiseless points,
+    the time grid) is an empty rcrb cell.  Reruns with the same seed
     produce byte-identical CSVs, whatever the process count.
     """
     if isinstance(reports, RmseReport):
@@ -654,34 +668,25 @@ def emit_outputs(reports, out_dir) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     written = []
     for report in reports:
+        rows = report.rows
         path = out / f"experiment_{report.kind}.csv"
-        lines = ["sweep_value,quantity,rmse,rcrb,n_fail"]
-        for row in report.rows:
-            lines.append(",".join([
-                _fmt(row.sweep_value), row.quantity, _fmt(row.rmse),
-                _fmt(row.rcrb), str(row.n_fail),
-            ]))
-        path.write_text("\n".join(lines) + "\n")
+        _write_columns(path, ("sweep_value", "quantity", "rmse", "rcrb", "n_fail"),
+                       [r.sweep_value for r in rows], [r.quantity for r in rows],
+                       [r.rmse for r in rows], [_blank_none(r.rcrb) for r in rows],
+                       [r.n_fail for r in rows])
         written.append(path)
 
-        quantities = _KINDS[report.kind].quantities
-        plot_path = out / f"plot_{report.kind}.csv"
-        header = ["sweep_value"]
-        for q in quantities:
+        sweep_vals = sorted({r.sweep_value for r in rows})
+        header, columns = ["sweep_value"], [sweep_vals]
+        for q in _KINDS[report.kind].quantities:
+            cells = [report.value(v, q) for v in sweep_vals]
             header.append(f"rmse_{q}")
+            columns.append([c.rmse for c in cells])
             if any(r.rcrb is not None for r in report.quantity_rows(q)):
                 header.append(f"rcrb_{q}")
-        sweep_vals = sorted({r.sweep_value for r in report.rows})
-        plines = [",".join(header)]
-        for v in sweep_vals:
-            cells = [_fmt(v)]
-            for q in quantities:
-                row = report.value(v, q)
-                cells.append(_fmt(row.rmse))
-                if f"rcrb_{q}" in header:
-                    cells.append(_fmt(row.rcrb))
-            plines.append(",".join(cells))
-        plot_path.write_text("\n".join(plines) + "\n")
+                columns.append([_blank_none(c.rcrb) for c in cells])
+        plot_path = out / f"plot_{report.kind}.csv"
+        _write_columns(plot_path, header, *columns)
         written.append(plot_path)
 
     manifest = {

@@ -39,7 +39,6 @@ __all__ = [
     "range_derivatives",
     "range_matrices",
     "taylor_range",
-    "third_derivative_gram_check",
     "load_trajectory",
     "builtin_trajectory",
     "BUILTIN_FIXTURES",
@@ -293,27 +292,3 @@ def range_matrices(traj: TrajectorySet) -> RangeMatrices:
     """Exact R, Rdot, Rddot for every node pair of a trajectory set."""
     return RangeMatrices.from_pair_vectors(traj.N, *_pair_kinematics(traj.X, traj.Y)[:3])
 
-
-def third_derivative_gram_check(rm: RangeMatrices) -> np.ndarray:
-    """Residual of the third time derivative of the centered squared-distance Gram.
-
-    Under linear motion that Gram is a quadratic in time, so
-    -0.5 P (R o Rdddot + 3 Rdot o Rddot) P vanishes identically, with
-    Rdddot = -3 R^{o-1} o Rdot o Rddot.  The Hadamard reciprocal of R is
-    taken on off-diagonal entries with the diagonal forced to zero.
-
-    Returns the N x N residual matrix (zero up to roundoff for any valid
-    linear-motion range set).
-
-    Raises:
-        DegenerateGeometryError: if any off-diagonal range is zero.
-    """
-    n = rm.n
-    off = ~np.eye(n, dtype=bool)
-    if np.any(rm.R[off] == 0.0):
-        raise DegenerateGeometryError("zero off-diagonal range; Hadamard reciprocal undefined")
-    rinv = np.zeros_like(rm.R)
-    rinv[off] = 1.0 / rm.R[off]
-    rdddot = -3.0 * rinv * rm.Rdot * rm.Rddot
-    pc = centering_matrix(n)
-    return -0.5 * pc @ (rm.R * rdddot + 3.0 * rm.Rdot * rm.Rddot) @ pc

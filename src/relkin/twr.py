@@ -247,7 +247,7 @@ class TimestampExchangeSet:
         rx = np.where(fwd, self.t_j, self.t_i).ravel().tolist()
         _write_columns(path, _CSV_COLUMNS, np.repeat(i, self.K).tolist(),
                        np.repeat(j, self.K).tolist(), np.tile(np.arange(self.K), len(i)).tolist(),
-                       self.e.ravel().tolist(), map(repr, tx), map(repr, rx))
+                       self.e.ravel().tolist(), tx, rx)
 
     @classmethod
     def from_csv(cls, path, c: float = SPEED_OF_LIGHT,
@@ -309,10 +309,13 @@ def _write_rows(fh, header: Sequence[str], *columns) -> None:
     """Stream the header, then one row per element of the equal-length
     `columns` (lists or iterators), to the text file `fh`.
 
-    Fields are written unquoted, as ``str`` gives them, and lines end in
-    CRLF.  For the fields relkin writes (numbers, ``repr``'d floats, names
-    without commas or quotes, and empty strings in rows of two or more
-    fields) these are the bytes ``csv.writer`` writes.
+    This is the one writer of every CSV relkin writes.  Fields are written
+    unquoted, as ``str`` gives them, and lines end in CRLF.  A Python float
+    is thus written as its shortest round-trip repr, which reads back to the
+    same bits, so callers pass floats as Python floats (``.tolist()``), not
+    numpy scalars, and a missing value as ``""``.  For the fields relkin
+    writes (numbers, names without commas or quotes, and empty strings in
+    rows of two or more fields) these are the bytes ``csv.writer`` writes.
     """
     row = ",".join(["{}"] * len(header)) + "\r\n"
     fh.write(row.format(*header))

@@ -397,11 +397,22 @@ class TestExperiment:
         assert (out / "plot_k_sweep.csv").exists()
         assert (out / "manifest.json").exists()
 
-    def test_invalid_config_is_clean_error(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        '{"sweep": {"K": []}}',
+        '{"sweep": {"K": [10]}',
+        "",
+        "[1, 2]",
+        '"x"',
+        "null",
+        '{"trials": 2}',
+    ], ids=["empty-sweep", "truncated-json", "empty-file", "list-top-level",
+            "string-top-level", "null-top-level", "missing-sweep"])
+    def test_invalid_config_is_clean_error(self, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"sweep": {"K": []}}))
+        cfg.write_text(text)
         rc = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r")])
         assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "r").exists()
 
     def test_seed_override_changes_results(self, tmp_path):
@@ -440,9 +451,13 @@ class TestExperiment:
         {"K": 0},
         {"sweep": {"K": [10.5]}},
         {"sweep": {"K": [0]}},
+        {"sweep": {"K": 5}},
+        {"sweep": {"K": "10"}},
         {"sigma_m": -1},
         {"sigma_m": float("nan")},
         {"sigma_m": "0.1"},
+        {"sigma_m": [0.1, 0.2]},
+        {"sigma_m": [0.1] * 5},
         {"sweep": {"sigma_db_m": [float("inf")]}},
         {"sweep": {"sigma_db_m": [4000]}},
         {"sweep": {"time_grid": ["0"]}},
@@ -465,7 +480,8 @@ class TestExperiment:
         {"sweep": {"sigma_db_m": [-3000]}},
         {"sweep": {"sigma_db_m": [3000]}},
     ], ids=["string-L", "zero-L", "float-K", "zero-K", "float-K-sweep", "zero-K-sweep",
-            "negative-sigma", "nan-sigma", "string-sigma", "inf-sigma-sweep",
+            "scalar-K-sweep", "string-K-sweep", "negative-sigma", "nan-sigma", "string-sigma",
+            "two-sigmas", "per-node-sigmas", "inf-sigma-sweep",
             "overflowing-sigma-sweep", "string-time-grid", "reversed-interval",
             "infinite-interval", "short-interval", "scalar-interval", "bogus-delay-model",
             "taylor-beyond-order-4", "negative-c", "zero-c", "string-c", "string-orthogonalize",

@@ -519,10 +519,37 @@ class TestEmit:
         assert env["workers"] == [r.workers for r in reports]
         assert all(w >= 1 for w in env["workers"])
 
+    @staticmethod
+    def assert_csvs_hold(report, out):
+        """Every line of the report's two CSVs ends in CRLF, and each cell holds
+        its ReportRow value: floats bit for bit, an empty rcrb exactly where
+        the bound is None."""
+        def same(cell, want):
+            return cell == "" if want is None else float(cell).hex() == float(want).hex()
+
+        texts = [(out / f"{stem}_{report.kind}.csv").read_bytes().decode()
+                 for stem in ("experiment", "plot")]
+        for text in texts:
+            assert text.endswith("\r\n") and text.count("\n") == text.count("\r\n")
+        _, *rows = [line.split(",") for line in texts[0].splitlines()]
+        assert len(rows) == len(report.rows)
+        for cells, row in zip(rows, report.rows):
+            assert cells[1] == row.quantity and cells[4] == str(row.n_fail)
+            assert same(cells[0], row.sweep_value) and same(cells[2], row.rmse)
+            assert same(cells[3], row.rcrb)
+        header, *rows = [line.split(",") for line in texts[1].splitlines()]
+        assert [float(cells[0]) for cells in rows] == sorted({r.sweep_value for r in report.rows})
+        for cells in rows:
+            for name, cell in zip(header[1:], cells[1:], strict=True):
+                stat, quantity = name.split("_", 1)
+                assert same(cell, getattr(report.value(float(cells[0]), quantity), stat))
+
     def test_byte_identical_rerun(self, tmp_path):
         def produce(where):
             cfg = ExperimentConfig(kind="k_sweep", sweep=[12, 24], trials=10, seed=33)
-            emit_outputs(run_experiment(cfg), where)
+            report = run_experiment(cfg)
+            emit_outputs(report, where)
+            self.assert_csvs_hold(report, where)
             return (where / "experiment_k_sweep.csv").read_bytes(), \
                    (where / "plot_k_sweep.csv").read_bytes()
 
@@ -532,6 +559,8 @@ class TestEmit:
 
     def test_plot_file_layout(self, tmp_path):
         cfg = ExperimentConfig(kind="time_grid", sweep=[-3.0, 3.0], K=10, trials=4, seed=0)
-        emit_outputs(run_experiment(cfg), tmp_path)
+        report = run_experiment(cfg)
+        emit_outputs(report, tmp_path)
+        self.assert_csvs_hold(report, tmp_path)
         header = (tmp_path / "plot_time_grid.csv").read_text().splitlines()[0]
         assert header == "sweep_value,rmse_Xk_dynamic,rmse_Xk_cmds"

@@ -16,7 +16,6 @@ from relkin import (
     load_trajectory,
     range_derivatives,
     range_matrices,
-    third_derivative_gram_check,
 )
 from relkin.kinematics import pair_count, pair_index, pair_position, taylor_range
 
@@ -230,28 +229,6 @@ class TestBatchedRangeMatrices:
     def test_mismatched_batch_shapes_rejected(self):
         with pytest.raises(ValueError):
             RangeMatrices(R=np.zeros((2, 3, 3)), Rdot=np.zeros((3, 3)), Rddot=np.zeros((2, 3, 3)))
-
-
-class TestThirdDerivativeCheck:
-    def test_fixture_residual_vanishes(self):
-        rm = range_matrices(builtin_trajectory("cluster5"))
-        assert np.linalg.norm(third_derivative_gram_check(rm)) < 1e-9
-
-    def test_static_exactly_zero(self):
-        traj = TrajectorySet(X=[[0.0, 1.0, 0.5], [0.0, 0.0, 2.0]], Y=np.zeros((2, 3)))
-        assert np.all(third_derivative_gram_check(range_matrices(traj)) == 0.0)
-
-    @pytest.mark.parametrize("seed", range(100))
-    def test_random_linear_motion_residual(self, seed):
-        rng = np.random.default_rng(seed)
-        traj = random_trajectory(rng, n=6)
-        resid = third_derivative_gram_check(range_matrices(traj))
-        assert np.linalg.norm(resid) < 1e-9
-
-    def test_zero_range_rejected(self):
-        rm = RangeMatrices(R=np.zeros((2, 2)), Rdot=np.zeros((2, 2)), Rddot=np.zeros((2, 2)))
-        with pytest.raises(DegenerateGeometryError):
-            third_derivative_gram_check(rm)
 
 
 class TestTrajectoryIO:
