@@ -231,6 +231,39 @@ class TestBatchedRangeMatrices:
             RangeMatrices(R=np.zeros((2, 3, 3)), Rdot=np.zeros((3, 3)), Rddot=np.zeros((2, 3, 3)))
 
 
+class TestThirdDerivativeCheck:
+    """Under linear motion the centered squared-distance Gram is quadratic in
+    time, so its third derivative vanishes: the Gram of the ranges at time t
+    equals Bxx + t Bxy + t^2 Byy built from the ranges and their derivatives
+    at t0.  The left side is computed from the moved positions alone."""
+
+    TIMES = (-30.0, -1.0, 0.5, 7.0, 45.0)
+
+    @classmethod
+    def residuals(cls, traj):
+        g = grams_from_ranges(range_matrices(traj))
+        for t in cls.TIMES:
+            moved = TrajectorySet(X=traj.position_at(t), Y=traj.Y)
+            at_t = grams_from_ranges(range_matrices(moved)).Bxx
+            yield at_t, at_t - (g.Bxx + t * g.Bxy + t**2 * g.Byy)
+
+    def test_fixture_residual_vanishes(self):
+        for at_t, resid in self.residuals(builtin_trajectory("cluster5")):
+            assert np.linalg.norm(resid) / np.linalg.norm(at_t) < 1e-9
+
+    def test_static_exactly_zero(self):
+        traj = TrajectorySet(X=[[0.0, 1.0, 0.5], [0.0, 0.0, 2.0]], Y=np.zeros((2, 3)))
+        for _, resid in self.residuals(traj):
+            assert np.all(resid == 0.0)
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_random_linear_motion_residual(self, seed):
+        rng = np.random.default_rng(seed)
+        traj = random_trajectory(rng, n=6)
+        for at_t, resid in self.residuals(traj):
+            assert np.linalg.norm(resid) / np.linalg.norm(at_t) < 1e-9
+
+
 class TestTrajectoryIO:
     def test_json_round_trip(self, tmp_path):
         traj = builtin_trajectory("cluster5")
