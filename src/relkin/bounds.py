@@ -3,8 +3,9 @@
 Links are independent, so each noise covariance is diagonal over pairs and
 is carried as an (Nbar,) vector of per-pair variances (a diagonal
 Nbar x Nbar matrix is reduced to its diagonal; a nonzero off-diagonal entry
-raises UnsupportedCovarianceError).  Each information matrix is then one
-weighted pair-difference Gram over the canonical pairs p = (i, j),
+raises UnsupportedCovarianceError), each variance finite and >= 0 (else ConfigError).
+Each information matrix is then one weighted pair-difference Gram over the
+canonical pairs p = (i, j),
 
     F = sum_p w_p a_p a_p^T,    a_p = (e_i - e_j) kron (z_i - z_j),
 
@@ -22,18 +23,20 @@ Nbar-measurement variant (exactly half the information).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import (
+    ConfigError,
     DegenerateGeometryError,
     DegenerateVelocityWarning,
     RegularizedInverseWarning,
     UnsupportedCovarianceError,
 )
-from .kinematics import RangeMatrices, pair_count, pair_index
+from .kinematics import RangeMatrices, canonical_pairs, pair_count, pair_index
 
 __all__ = [
     "FisherInfo",
@@ -66,26 +69,35 @@ def _pair_variances(sigma, name: str) -> np.ndarray:
     Raises:
         UnsupportedCovarianceError: if `sigma` is neither a vector nor a
             square matrix, or a matrix has a nonzero or NaN off-diagonal entry.
+        ConfigError: naming `name` and the first pair whose variance is
+            negative, NaN or infinite (zero is allowed).
     """
-    sigma = np.asarray(sigma, float)
-    if sigma.ndim == 1:
-        return sigma
-    n = sigma.shape[0] if sigma.ndim == 2 else -1  # -1: no (n, n) shape matches
-    # the off-diagonal entries: after the first, each run of n+1 entries
-    # holds n off the diagonal, then one on it
-    if sigma.shape != (n, n) or sigma.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1].any():
-        raise UnsupportedCovarianceError(f"{name} is not a diagonal pair covariance; "
-                                         "links must be independent")
-    return sigma.diagonal().copy()
+    var = np.asarray(sigma, float)
+    if var.ndim != 1:
+        n = var.shape[0] if var.ndim == 2 else -1  # -1: no (n, n) shape matches
+        # the off-diagonal entries: after the first, each run of n+1 entries
+        # holds n off the diagonal, then one on it
+        if var.shape != (n, n) or var.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1].any():
+            raise UnsupportedCovarianceError(f"{name} is not a diagonal pair covariance; "
+                                             "links must be independent")
+        var = var.diagonal().copy()
+    bad = np.flatnonzero(~((var >= 0) & (var < np.inf)))
+    if bad.size:
+        p, nbar = int(bad[0]), len(var)
+        n = (1 + math.isqrt(1 + 8 * nbar)) // 2
+        pair = f"pair {canonical_pairs(n)[p]}" if pair_count(n) == nbar else f"entry {p}"
+        raise ConfigError(f"{name} of {pair} is {float(var[p])!r}; "
+                          "a pair variance must be finite and >= 0")
+    return var
 
 
 @dataclass
 class RangeNoiseCovariances:
     """Per-pair variances of the estimated r, rdot and rddot coefficients.
 
-    Each field is an (Nbar,) vector in canonical pair order.  A diagonal
-    Nbar x Nbar covariance matrix is also accepted and reduced to its
-    diagonal; a nonzero off-diagonal entry raises UnsupportedCovarianceError.
+    Each field is an (Nbar,) vector in canonical pair order, all three of one
+    length (else ConfigError).  A diagonal Nbar x Nbar covariance matrix is
+    also accepted and reduced to its diagonal; see `_pair_variances`.
     """
 
     Sigma_r: np.ndarray
@@ -95,6 +107,10 @@ class RangeNoiseCovariances:
     def __post_init__(self):
         for name in ("Sigma_r", "Sigma_rdot", "Sigma_rddot"):
             setattr(self, name, _pair_variances(getattr(self, name), name))
+        lengths = [len(self.Sigma_r), len(self.Sigma_rdot), len(self.Sigma_rddot)]
+        if len(set(lengths)) > 1:
+            raise ConfigError(f"Sigma_r, Sigma_rdot, Sigma_rddot must share one length, "
+                              f"got {lengths}")
 
     @classmethod
     def from_theta_crb(cls, crb) -> "RangeNoiseCovariances":

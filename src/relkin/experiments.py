@@ -16,23 +16,19 @@ processes: every sweep point of the experiments in a run is set up first,
 with its bounds, and the outer trial chunks of all of them form one ordered
 task list, which a fork pool of min(chunks, CPUs in the affinity mask)
 workers maps (serially when that is one, where fork is missing, and inside
-a daemonic process).  The parent joins each point's chunks in trial order, so
-every reduction sees the same arrays in the same order whatever the process
-count.  Below it are two levels of contiguous trial chunks, each sized so
-its largest stacked array stays near _CHUNK_DOUBLES.  An outer chunk is
-bounded by what a trial keeps after its fit (theta, the three Grams, the
-time grid's snapshot matrices); at N=5 it holds 436 trials at a k/sigma
-sweep point, and 13 on the default time grid of 100 instants.  It derives
-the seed words of every (trial, pair) noise stream once, then draws and
-fits its trials in sub-chunks bounded by the whitened (Nbar, K, L+1) QR
-stack, keeping only theta, the rank flags and the snapshot delays of each.
-Every later stage runs once per outer chunk, batched over its trials: one
-eigh for all embeddings including the time grid's classical-MDS snapshots,
-one SVD for all the rotations' least squares and one closed-form
-polar-factor call for all Procrustes alignments; no stage loops over trials.
-A trial that would raise in the single-trial pipeline is masked out and
-counted under its exception type; trials whose embedding clamped a negative
-eigenvalue are counted too.
+a daemonic process).  Below it are two levels of contiguous trial chunks
+(see _CHUNK_DOUBLES): at N=5 an outer chunk holds 436 trials at a k/sigma
+sweep point and 13 on the default time grid of 100 instants, and it draws
+and fits its trials in sub-chunks.  Every later stage runs once per outer
+chunk, batched over its trials: one eigh for all embeddings including the
+time grid's classical-MDS snapshots, one SVD for all the rotations' least
+squares and one closed-form polar-factor call for all Procrustes
+alignments; no stage loops over trials.  A chunk returns its trial table:
+per trial and per reported estimate, the cause of its failure (the
+exception a single-trial pipeline would raise), whether its embedding
+clamped a negative eigenvalue, and its squared error.  The parent joins
+each point's tables in trial order, so its one reducer sees the same
+arrays whatever the process count.
 
 Trials are seeded through derived streams keyed by (sweep point, trial,
 pair), so reports are reproducible bit-for-bit and do not depend on how the
@@ -108,19 +104,7 @@ __all__ = [
 
 # What ends a trial, in pipeline order: the ranging fit, the spectral
 # embeddings, the rotation solve.
-_TRIAL_ERRORS = (
-    RankDeficiencyError,
-    EmbeddingFailureError,
-    IllPosedRotationError,
-)
-
-
-def _db_meters(value) -> float:
-    """sigma_m of a sigma-sweep value in dB-meters, 10**(value/10); inf where that overflows."""
-    try:
-        return 10.0 ** (float(value) / 10.0)
-    except OverflowError:
-        return math.inf
+_TRIAL_ERRORS = (RankDeficiencyError, EmbeddingFailureError, IllPosedRotationError)
 
 
 class _Kind(NamedTuple):
@@ -144,9 +128,9 @@ class ExperimentConfig:
     dB-meter noise levels for ``sigma_sweep``, and report times (snapped to
     the nearest transmit marker) for ``time_grid``.  L must be at least 3,
     since the pipeline reads r, rdot and rddot.  The message schedule and
-    noise values are validated by building the ExchangeConfig of every sweep
-    point and the NoiseModel of sigma_m and of every noise level, so a bad
-    value raises their ConfigError.
+    noise values are validated by building the ExchangeConfig and NoiseModel
+    of the config and of every k/sigma sweep point (see `_point_model`), so a
+    bad value raises their ConfigError.
     """
 
     kind: str
@@ -176,22 +160,17 @@ class ExperimentConfig:
         if not _is_int(self.L) or self.L < 3:
             raise ConfigError(f"L must be an integer >= 3 (r, rdot and rddot), got {self.L!r}")
         self.trials, self.seed = int(self.trials), int(self.seed)
+        if not isinstance(self.orthogonalize, (bool, np.bool_)):
+            raise ConfigError(f"orthogonalize must be true or false, got {self.orthogonalize!r}")
+        if not _is_finite(self.sigma_m):
+            raise ConfigError(f"sigma_m must be a finite number >= 0, got {self.sigma_m!r}")
+        exch, _ = _point_model(self)
+        self.K, self.L, self.interval, self.c = exch.K, exch.model_order, exch.interval, exch.c
         for value in self.sweep:
             if not _is_finite(value):
                 raise ConfigError(f"{self.kind} values must be finite numbers, got {value!r}")
-        if not isinstance(self.orthogonalize, (bool, np.bool_)):
-            raise ConfigError(f"orthogonalize must be true or false, got {self.orthogonalize!r}")
-        exch = _exchange_config(self, self.K)
-        self.K, self.L, self.interval, self.c = exch.K, exch.model_order, exch.interval, exch.c
-        if self.kind == "k_sweep":
-            for K in self.sweep:
-                _exchange_config(self, K)
-        if not _is_finite(self.sigma_m):
-            raise ConfigError(f"sigma_m must be a finite number >= 0, got {self.sigma_m!r}")
-        NoiseModel.from_pair_sigma(self.sigma_m)
-        if self.kind == "sigma_sweep":
-            for level in self.sweep:
-                NoiseModel.from_pair_sigma(_db_meters(level))
+            if self.kind != "time_grid":
+                _point_model(self, value)
 
     @classmethod
     def from_json(cls, path, **overrides) -> "ExperimentConfig":
@@ -229,19 +208,11 @@ class ExperimentConfig:
         return cls(kind=kind, sweep=values, **data)
 
     def to_dict(self) -> dict:
-        return {
-            "fixture": self.fixture,
-            "sweep": {_KINDS[self.kind].sweep_key: list(self.sweep)},
-            "K": self.K,
-            "sigma_m": self.sigma_m,
-            "interval": list(self.interval),
-            "L": self.L,
-            "trials": self.trials,
-            "seed": self.seed,
-            "c": self.c,
-            "delay_model": self.delay_model,
-            "orthogonalize": self.orthogonalize,
-        }
+        """The config in the JSON schema of `from_json`."""
+        fields = {name: getattr(self, name) for name in self.__dataclass_fields__}
+        del fields["kind"]
+        return dict(fields, sweep={_KINDS[self.kind].sweep_key: list(self.sweep)},
+                    interval=list(self.interval))
 
 
 @dataclass
@@ -264,21 +235,14 @@ class ReportRow:
 
 @dataclass
 class RmseReport:
+    """The rows of one experiment: per sweep value, in the config's order, one
+    row for each quantity of its kind, in plot column order."""
+
     kind: str
     rows: list[ReportRow]
     config: ExperimentConfig
     wall_seconds: float = 0.0
     workers: int = 1  # processes that ran the trials
-
-    def value(self, sweep_value, quantity) -> ReportRow:
-        """The row of `quantity` whose sweep value passes np.isclose's default
-        test against `sweep_value`: |a - b| <= 1e-8 + 1e-5 |b|."""
-        tol = 1e-8 + 1e-5 * abs(sweep_value)
-        for row in self.rows:
-            if row.quantity == quantity and (row.sweep_value == sweep_value
-                                             or abs(row.sweep_value - sweep_value) <= tol):
-                return row
-        raise KeyError(f"no row for ({sweep_value}, {quantity})")
 
     def quantity_rows(self, quantity) -> list[ReportRow]:
         return [r for r in self.rows if r.quantity == quantity]
@@ -296,7 +260,7 @@ def _root_crbs(traj: TrajectorySet, design: DesignSystem) -> tuple[RangeCrb, flo
 
 
 class _Point(NamedTuple):
-    """What every trial of one sweep point shares."""
+    """What every trial of one sweep point shares, and the report rows it gives."""
 
     traj: TrajectorySet
     noise: NoiseModel
@@ -307,19 +271,23 @@ class _Point(NamedTuple):
     clean: TimestampExchangeSet    # (Nbar, K) noise-free exchanges
     hy_ref: np.ndarray             # (P, P) reference of the Hy error: the noiseless
                                    # rotation at a k/sigma point, zero on the time grid
+    rows: list[tuple]              # per report row: its column of the trial table
+                                   # (see _Trials), sweep value, quantity and rcrb
 
 
 class _Trials(NamedTuple):
-    """Per-trial outcomes of a run of trials; every array leads with the trial axis."""
+    """The trial table of a run of trials: three (T, C) arrays, a row per trial.
 
-    cause: np.ndarray          # 0 on success, else 1 + the index into _TRIAL_ERRORS
-    clamped: np.ndarray        # a top-P eigenvalue of Bxx or Byy was clamped to zero
-    coeff_sq: np.ndarray       # (T, 3) squared errors of the r, rdot, rddot vectors
-    hy_sq: np.ndarray          # (T,) squared error of the rotation estimate
-    aligned_sq: np.ndarray     # (T, 2 + 2M) aligned squared errors: Xrel, Yrel,
-                               # M dynamic positions, M snapshot embeddings
-    snap_failed: np.ndarray    # (T, M) snapshot Gram without a positive eigenvalue
-    snap_clamped: np.ndarray   # (T, M) snapshot embedding clamped an eigenvalue
+    Its C = 6 + 2M columns are the estimates of a sweep point with M report
+    times: r, rdot, rddot, Xrel, Yrel, Hy, then Xk_dynamic at each report
+    time, then Xk_cmds at each.  A trial that fails fails every column; a
+    snapshot embedding that fails fails its own Xk_cmds column alone.
+    """
+
+    cause: np.ndarray    # int8: 0 where the estimate exists, else 1 + the index into _TRIAL_ERRORS
+    clamped: np.ndarray  # its embedding clamped a top-P eigenvalue to zero (Bxx or Byy,
+                         # or an Xk_cmds column's snapshot where the trial succeeded)
+    sq: np.ndarray       # its squared error; matrices aligned, a failed estimate's unused
 
 
 # Bound, in doubles, on the largest array stacked over the trials of one
@@ -380,17 +348,25 @@ def _trial_chunk(pt: _Point, trials: range) -> _Trials:
     _, _, resid = procrustes_align(truth, estimates)
     phys = coeffs.physical
     coeff_true = _pair_kinematics(traj.X, traj.Y)
+    n_trial_cols = len(_SWEEP_QUANTITIES) + len(pt.times)  # the columns before the snapshots
+    # a failed snapshot is an EmbeddingFailureError of its column (cause 2)
+    snap_failed = np.pad(failed[:, 2:], ((0, 0), (n_trial_cols, 0)))
+    cause = np.select([rank_bad[:, None], embed_bad[:, None], (ok & (rank < P * P))[:, None],
+                       snap_failed], [1, 2, 3, 2], 0).astype(np.int8)
+    trial_clamped = ~rank_bad & (clamped[:, 0] | (~failed[:, 0] & clamped[:, 1]))
     return _Trials(
-        cause=np.select([rank_bad, embed_bad, ok & (rank < P * P)], [1, 2, 3], 0),
-        clamped=~rank_bad & (clamped[:, 0] | (~failed[:, 0] & clamped[:, 1])),
-        coeff_sq=np.stack([np.sum((phys[..., ell] - coeff_true[ell]) ** 2, axis=-1)
-                           for ell in range(3)], axis=-1),
-        # summed here, where hy keeps the memory order its rounding follows (a
-        # worker's hy would come back C-ordered)
-        hy_sq=np.sum((hy - pt.hy_ref) ** 2, axis=(-2, -1)),
-        aligned_sq=resid**2,
-        snap_failed=failed[:, 2:],
-        snap_clamped=clamped[:, 2:],
+        cause=cause,
+        clamped=np.concatenate([np.repeat(trial_clamped[:, None], n_trial_cols, axis=1),
+                                clamped[:, 2:] & (cause[:, n_trial_cols:] == 0)], axis=1),
+        sq=np.concatenate([
+            np.stack([np.sum((phys[..., ell] - coeff_true[ell]) ** 2, axis=-1)
+                      for ell in range(3)], axis=-1),
+            resid[:, :2] ** 2,
+            # summed here, where hy keeps the memory order its rounding follows
+            # (a worker's hy would come back C-ordered)
+            np.sum((hy - pt.hy_ref) ** 2, axis=(-2, -1))[:, None],
+            resid[:, 2:] ** 2,
+        ], axis=1),
     )
 
 
@@ -449,81 +425,68 @@ def _map_chunks(tasks: list[tuple[_Point, range]]) -> tuple[list[_Trials], int]:
     return [_trial_chunk(pt, trials) for pt, trials in tasks], 1
 
 
-def _failures(cause: np.ndarray) -> dict[str, int]:
-    """Failed trials per exception type name."""
-    counts = np.bincount(cause, minlength=len(_TRIAL_ERRORS) + 1)[1:]
-    return {err.__name__: int(k) for err, k in zip(_TRIAL_ERRORS, counts) if k}
+def _report_rows(pt: _Point, res: _Trials) -> list[ReportRow]:
+    """The report rows of a sweep point from the trial table of all its trials:
+    each row's RMSE over the trials where its estimate exists (nan where none
+    does), and its failed trials by exception type name."""
+    out = []
+    for col, value, quantity, rcrb in pt.rows:
+        sq = res.sq[res.cause[:, col] == 0, col]
+        counts = np.bincount(res.cause[:, col], minlength=len(_TRIAL_ERRORS) + 1)[1:]
+        out.append(ReportRow(value, quantity, float(np.sqrt(np.mean(sq))) if sq.size else math.nan,
+                             rcrb, int(counts.sum()),
+                             {err.__name__: int(k) for err, k in zip(_TRIAL_ERRORS, counts) if k},
+                             int(np.count_nonzero(res.clamped[:, col]))))
+    return out
 
 
-def _rmse(sq: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(sq))) if sq.size else float("nan")
+def _point_model(cfg: ExperimentConfig, value=None) -> tuple[ExchangeConfig, NoiseModel]:
+    """The message schedule and noise model of the sweep point at `value`: a
+    k_sweep value is its K, a sigma_sweep value its noise in dB-meters, and
+    the config's K and sigma_m hold otherwise.  A bad value raises the
+    ConfigError of ExchangeConfig or NoiseModel; none is rounded."""
+    K, sigma_m = cfg.K, cfg.sigma_m
+    if value is not None and cfg.kind == "k_sweep":
+        K = value
+    elif value is not None and cfg.kind == "sigma_sweep":
+        try:
+            sigma_m = 10.0 ** (float(value) / 10.0)
+        except OverflowError:  # inf, which NoiseModel rejects
+            sigma_m = math.inf
+    return (ExchangeConfig(K=K, interval=cfg.interval, c=cfg.c, delay_model=cfg.delay_model,
+                           model_order=cfg.L),
+            NoiseModel.from_pair_sigma(sigma_m, unit="m"))
 
 
-def _exchange_config(cfg: ExperimentConfig, K: int) -> ExchangeConfig:
-    """The message schedule of a sweep point with K messages per pair."""
-    return ExchangeConfig(K=K, interval=cfg.interval, c=cfg.c, delay_model=cfg.delay_model,
-                          model_order=cfg.L)
-
-
-def _sweep_point(traj, cfg, s_idx, value):
-    """A k/sigma sweep point, and the reduction of its trials to its report rows."""
-    if cfg.kind == "k_sweep":
-        K, sigma_m = int(value), cfg.sigma_m
-    else:
-        K, sigma_m = cfg.K, _db_meters(value)
-    noise = NoiseModel.from_pair_sigma(sigma_m, unit="m")
-    clean = _clean_exchanges(traj, _exchange_config(cfg, K))
+def _sweep_point(traj, cfg, s_idx, value) -> _Point:
+    """A k/sigma sweep point, with its bounds."""
+    exch_cfg, noise = _point_model(cfg, value)
+    clean = _clean_exchanges(traj, exch_cfg)
     rcrbs = dict.fromkeys(_SWEEP_QUANTITIES)
     design = build_design(clean, cfg.L, noise=noise)
     if design.pair_variances is not None:  # noisy: the bounds exist
         theta_crb, rcrbs["Xrel"], rcrbs["Yrel"] = _root_crbs(traj, design)
         rcrbs.update(r=theta_crb.rcrb(0), rdot=theta_crb.rcrb(1), rddot=theta_crb.rcrb(2))
-
-    def rows(res: _Trials) -> list[ReportRow]:
-        ok = res.cause == 0
-        sq = {"r": res.coeff_sq[:, 0], "rdot": res.coeff_sq[:, 1], "rddot": res.coeff_sq[:, 2],
-              "Xrel": res.aligned_sq[:, 0], "Yrel": res.aligned_sq[:, 1], "Hy": res.hy_sq}
-        n_fail, clamped = int(np.count_nonzero(~ok)), int(res.clamped.sum())
-        return [ReportRow(float(value), q, _rmse(sq[q][ok]), rcrbs[q], n_fail,
-                          _failures(res.cause), clamped)
-                for q in _SWEEP_QUANTITIES]
-
     # the noiseless solution fixes the reference frame for the rotation
     hy_ref = solve_relative(wls_solve(build_design(clean, cfg.L)).to_range_matrices(), traj.P,
                             orthogonalize=cfg.orthogonalize).Hy
+    rows = [(col, float(value), q, rcrbs[q]) for col, q in enumerate(_SWEEP_QUANTITIES)]
     return _Point(traj, noise, cfg, (s_idx,), markers=np.zeros(0, np.intp), times=np.zeros(0),
-                  clean=clean, hy_ref=hy_ref), rows
+                  clean=clean, hy_ref=hy_ref, rows=rows)
 
 
-def _time_grid_point(traj, cfg):
-    """The one point of a time grid, and the reduction of its trials to its report rows."""
-    exch_cfg = _exchange_config(cfg, cfg.K)
-    noise = NoiseModel.from_pair_sigma(cfg.sigma_m, unit="m")
+def _time_grid_point(traj, cfg) -> _Point:
+    """The one point of a time grid: its report times, snapped to transmit markers."""
+    exch_cfg, noise = _point_model(cfg)
     grid = generate_timestamps(exch_cfg, 1)[0]
     idxs = np.array([int(np.argmin(np.abs(grid - float(t)))) for t in cfg.sweep], np.intp)
     times = grid[idxs]
-
-    def rows(res: _Trials) -> list[ReportRow]:
-        ok = res.cause == 0
-        dr_fail, failures = int(np.count_nonzero(~ok)), _failures(res.cause)
-        dr_sq, cmds_sq = np.split(res.aligned_sq[:, 2:], 2, axis=1)
-        out = []
-        for m, t in enumerate(times):
-            snap_ok = ok & ~res.snap_failed[:, m]
-            snap_fail = int(np.count_nonzero(ok & res.snap_failed[:, m]))
-            cmds_failures = dict(failures)
-            if snap_fail:
-                name = EmbeddingFailureError.__name__
-                cmds_failures[name] = cmds_failures.get(name, 0) + snap_fail
-            out.append(ReportRow(float(t), "Xk_dynamic", _rmse(dr_sq[ok, m]), None, dr_fail,
-                                 dict(failures), int(res.clamped.sum())))
-            out.append(ReportRow(float(t), "Xk_cmds", _rmse(cmds_sq[snap_ok, m]), None,
-                                 dr_fail + snap_fail, cmds_failures,
-                                 int(np.count_nonzero(ok & res.snap_clamped[:, m]))))
-        return out
-
+    dyn, snap = len(_SWEEP_QUANTITIES), len(_SWEEP_QUANTITIES) + len(times)
+    rows = [row for m, t in enumerate(times.tolist())
+            for row in ((dyn + m, t, "Xk_dynamic", None), (snap + m, t, "Xk_cmds", None))]
     return _Point(traj, noise, cfg, (0,), markers=idxs, times=times,
-                  clean=_clean_exchanges(traj, exch_cfg), hy_ref=np.zeros((traj.P, traj.P))), rows
+                  clean=_clean_exchanges(traj, exch_cfg), hy_ref=np.zeros((traj.P, traj.P)),
+                  rows=rows)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RmseReport:
@@ -541,19 +504,20 @@ def _run_experiments(cfgs: list[ExperimentConfig]) -> list[RmseReport]:
     the whole run's wall time, `workers` its pool's size.
     """
     start = time.perf_counter()
-    setups = []  # (config index, sweep point, reduction of its trials to report rows)
+    setups = []  # (config index, sweep point)
     for c, cfg in enumerate(cfgs):
         traj = load_trajectory(cfg.fixture)
         points = [_time_grid_point(traj, cfg)] if cfg.kind == "time_grid" else \
             [_sweep_point(traj, cfg, s_idx, value) for s_idx, value in enumerate(cfg.sweep)]
-        setups += [(c, pt, reduce) for pt, reduce in points]
-    spans = [_outer_chunks(pt) for _, pt, _ in setups]
-    chunks, workers = _map_chunks([(pt, trials) for (_, pt, _), span in zip(setups, spans)
+        setups += [(c, pt) for pt in points]
+    spans = [_outer_chunks(pt) for _, pt in setups]
+    chunks, workers = _map_chunks([(pt, trials) for (_, pt), span in zip(setups, spans)
                                    for trials in span])
     parts = iter(chunks)
     rows = [[] for _ in cfgs]
-    for (c, _, reduce), span in zip(setups, spans):
-        rows[c].extend(reduce(_Trials(*map(np.concatenate, zip(*islice(parts, len(span)))))))
+    for (c, pt), span in zip(setups, spans):
+        trials = _Trials(*map(np.concatenate, zip(*islice(parts, len(span)))))
+        rows[c].extend(_report_rows(pt, trials))
     wall = time.perf_counter() - start
     return [RmseReport(kind=cfg.kind, rows=cfg_rows, config=cfg, wall_seconds=wall,
                        workers=workers) for cfg, cfg_rows in zip(cfgs, rows)]
@@ -578,28 +542,42 @@ def default_suite(trials: int = 1000, seed: int = 0, fixture: str = "cluster5",
     return [k_cfg, s_cfg, t_cfg]
 
 
-def check_report(report: RmseReport, ratio_band: tuple[float, float] = (0.97, 1.15),
-                 cmds_spread: float = 0.2) -> list[str]:
+# the band of RMSE/RCRB that `check_report` allows each range coefficient at
+# the most informative k/sigma sweep point
+_RATIO_BAND = (0.97, 1.15)
+# the largest relative distance of a time grid's classical-MDS RMSE from its median
+_CMDS_SPREAD = 0.2
+
+
+def check_report(report: RmseReport) -> list[str]:
     """Invariant checks for a finished report; returns violation messages.
 
     k_sweep / sigma_sweep: at the most informative sweep point (largest K,
     respectively smallest noise) the RMSE/RCRB ratio of each range
-    coefficient must sit in `ratio_band`.  time_grid: dynamic ranging beats
-    the per-instant classical MDS at the reference instant, degrades toward
-    the interval edges, and classical MDS stays within `cmds_spread` of its
-    median across the grid.
+    coefficient must sit in _RATIO_BAND, [0.97, 1.15]; a noiseless point has
+    no bound, so its ratio reads nan and fails.  time_grid: dynamic ranging
+    beats the per-instant classical MDS at the report time nearest t = 0,
+    degrades toward the interval edges, and classical MDS stays within
+    _CMDS_SPREAD (20%) of its median across the grid.
+
+    Known limit: the band does not widen as the trial count falls.  At 200
+    trials (``--ci``) one ratio spreads by about 1.6% (1/sqrt(2 Nbar T) with
+    Nbar = 10 pairs), which puts 0.97 about two deviations below 1, so a
+    correct estimator fails on some seeds: seed 17 gives 0.9695 for rdot in
+    the K sweep, seed 29 gives 0.9584 for rdot in the sigma sweep.
     """
     failures = []
     if report.kind in ("k_sweep", "sigma_sweep"):
-        best = max(r.sweep_value for r in report.rows) if report.kind == "k_sweep" \
-            else min(r.sweep_value for r in report.rows)
-        for q in ("r", "rdot", "rddot"):
-            row = report.value(best, q)
-            ratio = row.rmse / row.rcrb
-            if not ratio_band[0] <= ratio <= ratio_band[1]:
+        best = (max if report.kind == "k_sweep" else min)(r.sweep_value for r in report.rows)
+        lo, hi = _RATIO_BAND
+        for row in report.rows:
+            if row.sweep_value != best or row.quantity not in ("r", "rdot", "rddot"):
+                continue
+            ratio = row.rmse / row.rcrb if row.rcrb is not None else math.nan
+            if not lo <= ratio <= hi:
                 failures.append(
-                    f"{report.kind}: RMSE/RCRB for {q} at sweep={best:g} is "
-                    f"{ratio:.4f}, outside [{ratio_band[0]}, {ratio_band[1]}]"
+                    f"{report.kind}: RMSE/RCRB for {row.quantity} at sweep={best:g} is "
+                    f"{ratio:.4f}, outside [{lo}, {hi}]"
                 )
     else:
         dr = report.quantity_rows("Xk_dynamic")
@@ -619,9 +597,9 @@ def check_report(report: RmseReport, ratio_band: tuple[float, float] = (0.97, 1.
         cm_vals = np.array([r.rmse for r in cm])
         med = float(np.median(cm_vals))
         spread = float(np.max(np.abs(cm_vals - med))) / med
-        if spread > cmds_spread:
+        if not spread <= _CMDS_SPREAD:  # a nan RMSE fails too
             failures.append(
-                f"time_grid: classical MDS spread {spread:.3f} exceeds {cmds_spread} of median"
+                f"time_grid: classical MDS spread {spread:.3f} exceeds {_CMDS_SPREAD} of median"
             )
     return failures
 
@@ -652,7 +630,8 @@ def emit_outputs(reports, out_dir) -> list[Path]:
 
     One ``experiment_<kind>.csv`` per report with columns
     (sweep_value, quantity, rmse, rcrb, n_fail), one ``plot_<kind>.csv``
-    with the same data in wide columns, and ``manifest.json`` recording the
+    with the same data in wide columns, a line per sweep value in the
+    experiment file's order, and ``manifest.json`` recording the
     full configuration and seed, per experiment the trial outcomes of every
     sweep point (see :func:`_trial_outcomes`), and the Python, numpy and
     platform versions, the CPUs in the affinity mask and, per experiment, the
@@ -676,13 +655,14 @@ def emit_outputs(reports, out_dir) -> list[Path]:
                        [r.n_fail for r in rows])
         written.append(path)
 
-        sweep_vals = sorted({r.sweep_value for r in rows})
-        header, columns = ["sweep_value"], [sweep_vals]
-        for q in _KINDS[report.kind].quantities:
-            cells = [report.value(v, q) for v in sweep_vals]
+        quantities = _KINDS[report.kind].quantities
+        points = [rows[i:i + len(quantities)] for i in range(0, len(rows), len(quantities))]
+        header, columns = ["sweep_value"], [[point[0].sweep_value for point in points]]
+        for k, q in enumerate(quantities):
+            cells = [point[k] for point in points]
             header.append(f"rmse_{q}")
             columns.append([c.rmse for c in cells])
-            if any(r.rcrb is not None for r in report.quantity_rows(q)):
+            if any(c.rcrb is not None for c in cells):
                 header.append(f"rcrb_{q}")
                 columns.append([_blank_none(c.rcrb) for c in cells])
         plot_path = out / f"plot_{report.kind}.csv"

@@ -128,7 +128,7 @@ def test_criterion_2_crb_attainment():
     report = run_experiment(cfg)
     ratios = {}
     for q in ("r", "rdot", "rddot"):
-        row = report.value(100, q)
+        (row,) = report.quantity_rows(q)
         ratios[q] = row.rmse / row.rcrb
         assert 0.97 <= ratios[q] <= 1.15, f"{q}: RMSE/RCRB={ratios[q]:.4f}"
         assert row.n_fail == 0

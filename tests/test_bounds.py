@@ -19,6 +19,7 @@ from relkin import (
     simulate_exchanges,
 )
 from relkin.exceptions import (
+    ConfigError,
     DegenerateVelocityWarning,
     RegularizedInverseWarning,
     UnsupportedCovarianceError,
@@ -231,6 +232,35 @@ class TestDenseOracle:
         var[4] = 0.0
         with pytest.raises(np.linalg.LinAlgError):
             fim_position(traj.X, var)
+
+
+class TestInvalidVariances:
+    """A pair variance must be finite and >= 0, and the three fields share one length."""
+
+    @pytest.mark.parametrize("bad", [-1e-4, np.inf, np.nan], ids=["negative", "inf", "nan"])
+    @pytest.mark.parametrize("field", ["Sigma_r", "Sigma_rdot", "Sigma_rddot"])
+    def test_rejected_naming_field_and_pair(self, field, bad):
+        fields = dict.fromkeys(("Sigma_r", "Sigma_rdot", "Sigma_rddot"), np.full(10, 0.01))
+        fields[field] = np.where(np.arange(10) == 4, bad, 0.01)
+        with pytest.raises(ConfigError, match=rf"^{field} of pair \(1, 2\) is {bad!r};"):
+            RangeNoiseCovariances(**fields)
+
+    @pytest.mark.parametrize("bad", [-1e-4, np.inf, np.nan], ids=["negative", "inf", "nan"])
+    def test_position_bound_rejects_vector_and_matrix(self, bad):
+        xc = builtin_trajectory("cluster5").X @ centering_matrix(5)
+        var = np.where(np.arange(10) == 9, bad, 0.01)
+        for sigma in (var, np.diag(var)):
+            with pytest.raises(ConfigError, match=r"^Sigma_r of pair \(3, 4\)"):
+                fim_position(xc, sigma)
+
+    @pytest.mark.parametrize("length", [1, 7])
+    def test_lengths_must_agree(self, length):
+        with pytest.raises(ConfigError, match=rf"share one length, got \[10, {length}, 10\]"):
+            RangeNoiseCovariances(np.full(10, 0.01), np.full(length, 0.01), np.full(10, 0.01))
+
+    def test_zero_still_allowed(self):
+        covs = RangeNoiseCovariances(np.zeros(10), np.zeros(10), np.zeros(10))
+        assert not covs.Sigma_r.any()
 
 
 class TestScale:

@@ -426,6 +426,26 @@ class TestExperiment:
         assert read(out_a) == read(out_b)
         assert read(out_a) != read(out_c)
 
+    @pytest.mark.parametrize("config, band, reason", [
+        ({"sigma_m": 0}, None, "RMSE/RCRB for r at sweep=10 is nan, outside [0.97, 1.15]"),
+        ({}, (2.0, 3.0), "RMSE/RCRB for r at sweep=10 is "),
+    ], ids=["noiseless-point", "ratio-outside-band"])
+    def test_failed_check_exits_1_with_fail_lines(self, tmp_path, capsys, monkeypatch,
+                                                  config, band, reason):
+        import relkin.experiments as exp_mod
+
+        if band:
+            monkeypatch.setattr(exp_mod, "_RATIO_BAND", band)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": {"K": [10]}, "trials": 3, **config}))
+        out = tmp_path / "r"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out), "--check"]) == 1
+        fails = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("FAIL ")]
+        assert len(fails) == 3  # r, rdot and rddot
+        assert fails[0].startswith(f"FAIL k_sweep: {reason}")
+        assert (out / "experiment_k_sweep.csv").exists()  # written before the check
+
 
     @pytest.mark.parametrize("argv, config", [
         (["--ci", "--seed", "-1"], {}),

@@ -464,28 +464,65 @@ class TestPool:
         assert proc.stdout.strip() == "False"
 
 
-class TestReportLookup:
-    def test_value_uses_isclose_tolerance(self):
-        rows = [ReportRow(float(v), q, 1.0, None, 0) for v in (0.1, 0.2) for q in ("r", "rdot")]
-        report = RmseReport(kind="k_sweep", rows=rows, config=None)
-        assert report.value(0.2 + 1e-12, "rdot") is rows[3]
-        assert report.value(0.1, "r") is rows[0]
-        with pytest.raises(KeyError):
-            report.value(0.15, "r")
-        with pytest.raises(KeyError):
-            report.value(0.1, "Hy")
+def _hand_report(kind, values, rmse_rcrb):
+    """A report of hand-set rows in engine order: (rmse, rcrb) = rmse_rcrb(value, quantity)."""
+    rows = [ReportRow(float(v), q, *rmse_rcrb(v, q), 0)
+            for v in values for q in exp_mod._KINDS[kind].quantities]
+    return RmseReport(kind=kind, rows=rows, config=None)
 
 
 class TestChecks:
+    COEFFS = ("r", "rdot", "rddot")
+
     def test_k_sweep_check_passes_at_scale(self):
         cfg = ExperimentConfig(kind="k_sweep", sweep=[40], trials=400, seed=12)
         assert check_report(run_experiment(cfg)) == []
 
     def test_check_flags_violations(self):
-        cfg = ExperimentConfig(kind="k_sweep", sweep=[20], trials=50, seed=1)
-        report = run_experiment(cfg)
-        failures = check_report(report, ratio_band=(0.999999, 1.000001))
-        assert len(failures) >= 1
+        # rdot just below the band at the largest K; the smaller K is not gated
+        report = _hand_report("k_sweep", [10, 20], lambda v, q: (
+            (0.096 if q == "rdot" else 0.1) if v == 20 else 0.3, 0.1))
+        assert check_report(report) == [
+            "k_sweep: RMSE/RCRB for rdot at sweep=20 is 0.9600, outside [0.97, 1.15]"]
+
+    def test_sigma_sweep_gated_at_smallest_noise_only(self):
+        values = [-10.0, -5.0, 0.0]
+        good_at_least = _hand_report("sigma_sweep", values,
+                                     lambda v, q: (0.1 if v == -10.0 else 0.5, 0.1))
+        assert check_report(good_at_least) == []
+        bad_at_least = _hand_report("sigma_sweep", values,
+                                    lambda v, q: (0.5 if v == -10.0 else 0.1, 0.1))
+        assert check_report(bad_at_least) == [
+            f"sigma_sweep: RMSE/RCRB for {q} at sweep=-10 is 5.0000, outside [0.97, 1.15]"
+            for q in self.COEFFS]
+
+    def test_noiseless_point_fails_for_want_of_a_bound(self):
+        report = _hand_report("k_sweep", [10], lambda v, q: (1e-9, None))
+        assert check_report(report) == [
+            f"k_sweep: RMSE/RCRB for {q} at sweep=10 is nan, outside [0.97, 1.15]"
+            for q in self.COEFFS]
+
+    @staticmethod
+    def time_grid(dynamic, cmds):
+        """A time grid at t = -3, 0, 3 with RMSEs dynamic(t) and cmds(t)."""
+        return _hand_report("time_grid", [-3.0, 0.0, 3.0], lambda t, q: (
+            dynamic(t) if q == "Xk_dynamic" else cmds(t), None))
+
+    def test_time_grid_passes(self):
+        assert check_report(self.time_grid(lambda t: 1 + abs(t), lambda t: 3.0)) == []
+
+    @pytest.mark.parametrize("dynamic, cmds, message", [
+        (lambda t: 5 + abs(t), lambda t: 3.0,
+         "time_grid: dynamic RMSE 5 not below classical MDS 3 at t=0"),
+        (lambda t: 1.0, lambda t: 3.0,
+         "time_grid: dynamic RMSE at |t|=3 does not exceed its value at t=0"),
+        (lambda t: 1 + abs(t), lambda t: 3.0 + 0.3 * abs(t),
+         "time_grid: classical MDS spread 0.231 exceeds 0.2 of median"),
+        (lambda t: 1 + abs(t), lambda t: 3.0 if t <= 0 else float("nan"),
+         "time_grid: classical MDS spread nan exceeds 0.2 of median"),
+    ], ids=["dynamic-not-below-cmds", "dynamic-not-degrading", "cmds-spread", "cmds-nan"])
+    def test_time_grid_flags_each_rule(self, dynamic, cmds, message):
+        assert check_report(self.time_grid(dynamic, cmds)) == [message]
 
 
 class TestEmit:
@@ -537,12 +574,16 @@ class TestEmit:
             assert cells[1] == row.quantity and cells[4] == str(row.n_fail)
             assert same(cells[0], row.sweep_value) and same(cells[2], row.rmse)
             assert same(cells[3], row.rcrb)
+        # one plot line per sweep value, in the experiment file's order
         header, *rows = [line.split(",") for line in texts[1].splitlines()]
-        assert [float(cells[0]) for cells in rows] == sorted({r.sweep_value for r in report.rows})
-        for cells in rows:
+        n_quantities = len(exp_mod._KINDS[report.kind].quantities)
+        assert len(rows) * n_quantities == len(report.rows)
+        for i, cells in enumerate(rows):
+            point = {r.quantity: r for r in report.rows[i * n_quantities:(i + 1) * n_quantities]}
+            assert same(cells[0], report.rows[i * n_quantities].sweep_value)
             for name, cell in zip(header[1:], cells[1:], strict=True):
                 stat, quantity = name.split("_", 1)
-                assert same(cell, getattr(report.value(float(cells[0]), quantity), stat))
+                assert same(cell, getattr(point[quantity], stat))
 
     def test_byte_identical_rerun(self, tmp_path):
         def produce(where):
@@ -556,6 +597,20 @@ class TestEmit:
         a = produce(tmp_path / "a")
         b = produce(tmp_path / "b")
         assert a == b
+
+    @pytest.mark.parametrize("kind, sweep", [
+        ("k_sweep", [10, 10]),
+        ("time_grid", [0.3, 0.35]),  # both snap to the marker at t = 1/3
+    ])
+    def test_plot_keeps_repeated_sweep_values(self, tmp_path, kind, sweep):
+        report = run_experiment(ExperimentConfig(kind=kind, sweep=sweep, K=10, trials=3))
+        emit_outputs(report, tmp_path)
+        self.assert_csvs_hold(report, tmp_path)
+        plot = (tmp_path / f"plot_{kind}.csv").read_text().splitlines()
+        assert len(plot) == 3
+        assert report.rows[0].sweep_value == report.rows[-1].sweep_value
+        # two separately seeded k points; one time, twice, on the same trials
+        assert (plot[1] == plot[2]) == (kind == "time_grid")
 
     def test_plot_file_layout(self, tmp_path):
         cfg = ExperimentConfig(kind="time_grid", sweep=[-3.0, 3.0], K=10, trials=4, seed=0)
