@@ -4,22 +4,20 @@ The stream addressed by an integer path (a, b, ...) under a master seed is
 ``np.random.default_rng(SeedSequence(seed, spawn_key=(a, b, ...)))``, so
 distinct paths yield independent streams and a stream's draws depend on its
 address alone, not on which other streams were drawn, in what order or in
-what batches.  :func:`_stream_states` and :func:`_draw_normals` reproduce
-that seeding bit for bit for many streams at once.
+what batches.  :func:`_stream_states` mixes the path words of all streams
+into the seed's entropy pool in one batched pass; numpy supplies that pool
+and seeds each stream's PCG64 from the resulting words in :func:`_draw_normals`.
 """
 
 import numpy as np
 
 
-# numpy's SeedSequence hash constants (pool of four uint32 words) and the
-# PCG64 128-bit LCG multiplier.
+# numpy's SeedSequence hash constants (pool of four uint32 words)
 _POOL = 4
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _words(x) -> list[int]:
@@ -35,7 +33,7 @@ def _words(x) -> list[int]:
 
 
 def _mix(x, y):
-    """SeedSequence's mix of two uint32 words (Python ints or uint32 arrays)."""
+    """SeedSequence's mix of two uint32 words, elementwise over uint32 arrays."""
     r = (_MIX_L * x - _MIX_R * y) & _MASK32
     return r ^ (r >> 16)
 
@@ -46,7 +44,7 @@ def _stream_states(seed, paths) -> np.ndarray:
     The words (a, b, c, d) are what ``SeedSequence(seed, spawn_key=paths[s])
     .generate_state(4, np.uint64)`` returns; :func:`_draw_normals` turns them
     into PCG64 states.  `paths` is an (S, D) array of integers in [0, 2**32).
-    SeedSequence's entropy pool is hashed from the seed once, and the path
+    numpy hashes the seed into SeedSequence's entropy pool once, and the path
     words are mixed in as uint32 column operations over all S streams.
 
     Raises:
@@ -66,12 +64,13 @@ def _stream_states(seed, paths) -> np.ndarray:
     n_streams = paths.shape[0]
 
     # SeedSequence(seed, spawn_key=path) hashes the seed's words, zero-padded
-    # to the pool size, followed by the path words.  The hash constant steps
-    # once per hashed word whatever its value, so everything before the first
-    # path word depends on the seed alone.
-    entropy = _words(np.random.SeedSequence(seed).entropy)
-    entropy += [0] * (_POOL - len(entropy))
-    hash_const = _INIT_A
+    # to the pool size, followed by the path words.  The pool of
+    # SeedSequence(seed) is the state just before the first path word, and the
+    # hash constant has stepped once per hashmix: one per pool word, one per
+    # cross-mix and one per pool word for each seed word beyond the pool.
+    seed_seq = np.random.SeedSequence(seed)
+    n_hashed = _POOL * _POOL + _POOL * max(0, len(_words(seed_seq.entropy)) - _POOL)
+    hash_const = _INIT_A * pow(_MULT_A, n_hashed, 1 << 32) & _MASK32
 
     def hashmix(value):
         nonlocal hash_const
@@ -80,16 +79,7 @@ def _stream_states(seed, paths) -> np.ndarray:
         value = value * hash_const & _MASK32
         return value ^ (value >> 16)
 
-    pool = [hashmix(w) for w in entropy[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for w in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], hashmix(w))
-
-    pool = [np.full(n_streams, w, np.uint32) for w in pool]
+    pool = [np.full(n_streams, w, np.uint32) for w in seed_seq.pool.tolist()]
     for column in paths.T.astype(np.uint32):
         for dst in range(_POOL):
             pool[dst] = _mix(pool[dst], hashmix(column))
@@ -106,26 +96,29 @@ def _stream_states(seed, paths) -> np.ndarray:
     return state_words.astype("<u4").view("<u8")
 
 
+class _Words:
+    """Seed sequence handing PCG64 fixed (4,) uint64 seed words (an ISeedSequence once drawn)."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def _draw_normals(states: np.ndarray, shape) -> np.ndarray:
     """(S, *shape) standard normals, row s drawn from the stream of seed words states[s].
 
     For the states of ``_stream_states(seed, paths)``, row s is bit-identical
-    to the ``standard_normal(shape)`` draw of stream (seed, *paths[s]); each
-    stream's PCG64 state is set on one reused generator before its draw.
-    PCG64 seeds its LCG from the words (a, b, c, d) of :func:`_stream_states`
-    with initstate = a * 2**64 + b and initseq = c * 2**64 + d, stepping it as
-    pcg_setseq_128_srandom_r does.
+    to the ``standard_normal(shape)`` draw of stream (seed, *paths[s]): numpy's
+    PCG64 is seeded from states[s] exactly as from that stream's SeedSequence.
     """
+    # registered here, not at import, so importing relkin leaves numpy.random unloaded
+    np.random.bit_generator.ISeedSequence.register(_Words)
+    # PCG64 reads each row's memory directly, so rows must be native uint64
+    states = np.ascontiguousarray(states, np.uint64)
     n_streams = len(states)
     out = np.empty((n_streams, *shape))
-    bit_gen = np.random.PCG64(0)
-    gen = np.random.Generator(bit_gen)
-    lcg = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": lcg, "has_uint32": 0, "uinteger": 0}
-    for row, (a, b, c, d) in zip(out.reshape(n_streams, int(np.prod(shape))), states.tolist()):
-        inc = ((c << 64 | d) << 1 | 1) & _MASK128
-        lcg["state"] = ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128
-        lcg["inc"] = inc
-        bit_gen.state = state
-        gen.standard_normal(out=row)
+    for row, words in zip(out.reshape(n_streams, int(np.prod(shape))), states):
+        np.random.default_rng(_Words(words)).standard_normal(out=row)
     return out

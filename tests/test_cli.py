@@ -131,7 +131,7 @@ class TestEstimate:
         assert not out.exists()
 
     @pytest.mark.parametrize("edit", ["duplicate", "k_out_of_range", "nan_timestamp",
-                                      "missing_pair", "empty"])
+                                      "missing_pair", "missing_message", "empty"])
     def test_malformed_exchanges_are_clean_errors(self, exchange_csv, tmp_path, edit):
         lines = exchange_csv.read_text().splitlines()
         fields = lines[2].split(",")  # i, j, k, E, T_tx, T_rx of pair (0,1), k=1
@@ -143,6 +143,8 @@ class TestEstimate:
             lines[2] = ",".join(fields[:5] + ["nan"])
         elif edit == "missing_pair":
             lines = [line for line in lines if not line.startswith("0,1,")]
+        elif edit == "missing_message":
+            lines = lines[:-1]  # pair (3, 4) is one message short
         else:
             lines = []
         exchange_csv.write_text("".join(line + "\n" for line in lines))
@@ -405,8 +407,12 @@ class TestExperiment:
         '"x"',
         "null",
         '{"trials": 2}',
+        '{"sweep": {"K": [10], "sigma_db_m": [0]}}',
+        '{"sweep": [10]}',
+        '{"sweep": {"N": [5]}}',
     ], ids=["empty-sweep", "truncated-json", "empty-file", "list-top-level",
-            "string-top-level", "null-top-level", "missing-sweep"])
+            "string-top-level", "null-top-level", "missing-sweep", "two-sweep-keys",
+            "sweep-not-object", "unknown-sweep-key"])
     def test_invalid_config_is_clean_error(self, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)

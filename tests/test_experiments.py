@@ -463,6 +463,13 @@ class TestPool:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_import_leaves_numpy_random_out(self):
+        # the parent process never draws (its trials run in workers), so
+        # numpy.random loads on the first draw only
+        proc = _python("import sys, relkin, relkin.cli; print('numpy.random' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
 
 def _hand_report(kind, values, rmse_rcrb):
     """A report of hand-set rows in engine order: (rmse, rcrb) = rmse_rcrb(value, quantity)."""
@@ -523,6 +530,15 @@ class TestChecks:
     ], ids=["dynamic-not-below-cmds", "dynamic-not-degrading", "cmds-spread", "cmds-nan"])
     def test_time_grid_flags_each_rule(self, dynamic, cmds, message):
         assert check_report(self.time_grid(dynamic, cmds)) == [message]
+
+    @pytest.mark.parametrize("times", [[0.0], [-1.0, 1.0]], ids=["one-time", "symmetric"])
+    def test_time_grid_of_one_distinct_abs_t_has_no_edge_rule(self, times):
+        # the report time nearest t = 0 is also the edge, so there is nothing to degrade toward
+        report = lambda dynamic: _hand_report("time_grid", times, lambda t, q: (
+            dynamic if q == "Xk_dynamic" else 3.0, None))
+        assert check_report(report(1.0)) == []
+        assert check_report(report(5.0)) == [
+            f"time_grid: dynamic RMSE 5 not below classical MDS 3 at t={times[0]:g}"]
 
 
 class TestEmit:

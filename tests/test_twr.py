@@ -283,6 +283,16 @@ class TestSimulation:
         with pytest.raises(ValueError, match="missing pairs"):
             TimestampExchangeSet.from_csv(path)
 
+    def test_csv_missing_message_rejected(self, tmp_path):
+        ex = simulate_exchanges(builtin_trajectory("cluster5"), ExchangeConfig(K=3),
+                                NoiseModel(0.0), seed=0)
+        path = tmp_path / "exchanges.csv"
+        ex.to_csv(path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]))  # drop the last message of pair (3, 4)
+        with pytest.raises(InputError, match=r"pair \(3, 4\) has 2 messages, expected 3"):
+            TimestampExchangeSet.from_csv(path)
+
     @pytest.mark.parametrize("expected_n", [4, 6])
     def test_csv_node_count_mismatch_rejected(self, tmp_path, expected_n):
         ex = simulate_exchanges(builtin_trajectory("cluster5"), ExchangeConfig(K=3),
