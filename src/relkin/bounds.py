@@ -14,7 +14,8 @@ differences r rddot + rdot^2 for velocities (z = y), assembled in
 O(Nbar P^2): off-diagonal blocks -w_p g_p g_p^T, diagonal blocks minus the
 sum of their row.  Translations and a global rotation are unidentifiable,
 so for P = 2 both matrices are structurally rank deficient by exactly 3 and
-the bound is the trace of the rank-truncated pseudo-inverse.
+the bound is the trace of the pseudo-inverse truncated by that deficiency
+(inf where the measurements leave a further direction uninformed).
 
 By default each pair is listed in both orderings (2 Nbar measurements),
 which doubles every weight; duplicate_pairs=False gives the
@@ -167,8 +168,12 @@ def fim_position(Xrel: np.ndarray, Sigma_r, duplicate_pairs: bool = True) -> Fis
     return _pair_fisher(Xrel, w)
 
 
+# the ridge on a near-singular velocity noise covariance, relative to max(mean s, 1)
+_VELOCITY_RIDGE = 1e-12
+
+
 def fim_velocity(Yrel: np.ndarray, rm: RangeMatrices, covs: RangeNoiseCovariances,
-                 duplicate_pairs: bool = True, ridge: float = 1e-12) -> FisherInfo:
+                 duplicate_pairs: bool = True) -> FisherInfo:
     """Fisher information of the stacked relative velocities vec(Yrel).
 
     The measurement for pair (i, j) is the squared velocity difference
@@ -181,9 +186,9 @@ def fim_velocity(Yrel: np.ndarray, rm: RangeMatrices, covs: RangeNoiseCovariance
     so the pair weight is 4/s.
 
     A near-singular covariance (max|s| / min|s| above 1e14, or a zero s)
-    gets the ridge `ridge` * max(mean s, 1) with a warning.  When all
-    velocity differences vanish the measurements carry no information and
-    a DegenerateVelocityWarning is issued.
+    gets the ridge _VELOCITY_RIDGE (1e-12) times max(mean s, 1), with a
+    warning.  When all velocity differences vanish the measurements carry no
+    information and a DegenerateVelocityWarning is issued.
     """
     Yrel = np.asarray(Yrel, float)
     r, rdot, rddot = rm.pair_vectors()
@@ -194,7 +199,7 @@ def fim_velocity(Yrel: np.ndarray, rm: RangeMatrices, covs: RangeNoiseCovariance
                       DegenerateVelocityWarning, stacklevel=2)
     s_min, s_max = np.abs(s).min(initial=np.inf), np.abs(s).max(initial=0.0)
     if not (s_min > 0.0 and s_max <= 1e14 * s_min):
-        eps = ridge * max(float(np.mean(s)), 1.0)
+        eps = _VELOCITY_RIDGE * max(float(np.mean(s)), 1.0)
         warnings.warn(f"near-singular velocity noise covariance; adding ridge {eps:.3e}",
                       RegularizedInverseWarning, stacklevel=2)
         s = s + eps
@@ -202,17 +207,22 @@ def fim_velocity(Yrel: np.ndarray, rm: RangeMatrices, covs: RangeNoiseCovariance
     return _pair_fisher(Yrel, w)
 
 
-def crb_trace(fi, rel_threshold: float = 1e-10) -> float:
-    """Trace of the rank-truncated pseudo-inverse of an information matrix.
+# a non-structural eigenvalue at or below this fraction of the largest is uninformed
+_NULL_EIGENVALUE = 1e-10
 
-    Eigenvalues below rel_threshold * lambda_max are treated as the
-    structural zeros of the relative-geometry null space and excluded.
-    Accepts a FisherInfo or a bare symmetric matrix.
+
+def crb_trace(fi: FisherInfo) -> float:
+    """Trace of the pseudo-inverse of an information matrix, truncated by its
+    structural rank deficiency.
+
+    The `fi.structural_deficiency` smallest eigenvalues are the zeros of the
+    relative-geometry null space (translations and rotations) and are
+    excluded.  If any other eigenvalue is at or below _NULL_EIGENVALUE
+    (1e-10) times the largest, a direction beyond that null space is not
+    informed (equal or collinear velocities, collinear positions, F = 0) and
+    the bound is inf.
     """
-    F = fi.matrix if isinstance(fi, FisherInfo) else np.asarray(fi, float)
-    lam = np.linalg.eigvalsh(F)
-    lam_max = float(lam[-1])
-    if lam_max <= 0.0:
-        return 0.0
-    kept = lam[lam > rel_threshold * lam_max]
-    return float(np.sum(1.0 / kept))
+    lam = np.linalg.eigvalsh(fi.matrix)[fi.structural_deficiency:]
+    if lam.size and not lam[0] > _NULL_EIGENVALUE * lam[-1]:
+        return math.inf
+    return float(np.sum(1.0 / lam))

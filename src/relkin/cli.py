@@ -140,8 +140,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_crb(args) -> int:
     noise = _pair_noise(args.sigma_meters)
-    _require(args.messages >= 1, "--messages", "at least 1", args.messages)
     _require(args.order >= 3, "--order", "at least 3 (r, rdot and rddot)", args.order)
+    _require(args.messages >= args.order, "--messages", f"at least --order ({args.order})",
+             args.messages)
     start, stop = args.interval
     _require(math.isfinite(start) and math.isfinite(stop) and start < stop, "--interval",
              "two finite, increasing times", args.interval)
@@ -172,7 +173,7 @@ def _cmd_experiment(args) -> int:
     if args.config:
         configs = [ExperimentConfig.from_json(args.config, **overrides)]
     else:
-        configs = default_suite(**{"trials": 1000, **overrides})
+        configs = default_suite(**overrides)
     if args.ci:
         configs = [replace(cfg, trials=min(cfg.trials, _CI_TRIALS)) for cfg in configs]
     reports = _run_experiments(configs)

@@ -184,17 +184,14 @@ def estimate_rotation(Xrel: np.ndarray, Yrel: np.ndarray, Bxy: np.ndarray,
     return H
 
 
-def _rotation_stack(Xrel, Yrel, Bxy, orthogonalize: bool = False,
-                    where=None) -> tuple[np.ndarray, np.ndarray]:
+def _rotation_stack(Xrel, Yrel, Bxy, orthogonalize: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Rotations of a (..., P, N) batch from one stacked SVD (numpy has no stacked lstsq).
 
     Singular values s <= eps max(N^2, P^2) s_max count as zero, as under
     lstsq's rcond=None.  Returns the (..., P, P) rotations and the (...,)
-    rank of each system; a solution is valid only at full rank P^2.  Items
-    outside the boolean `where` are not solved and read H = 0, rank 0.  With
+    rank of each system; a solution is valid only at full rank P^2.  With
     orthogonalize, every H is replaced by its orthogonal polar factor
-    (`_polar`: closed form in the plane, so no second SVD), and an unsolved
-    H = 0 then reads I.
+    (`_polar`: closed form in the plane, so no second SVD).
     """
     Xrel, Yrel, Bxy = (np.asarray(m, float) for m in (Xrel, Yrel, Bxy))
     P, n = Xrel.shape[-2:]
@@ -203,17 +200,12 @@ def _rotation_stack(Xrel, Yrel, Bxy, orthogonalize: bool = False,
     K = (A[..., :, None, :, None] * B[..., None, :, None, :]).reshape(batch + (n, n, P * P))
     G = (K + K.swapaxes(-3, -2)).reshape(batch + (n * n, P * P))
     b = Bxy.swapaxes(-1, -2).reshape(batch + (n * n, 1))
-    todo = np.ones(batch, bool) if where is None else np.asarray(where)
-    u, s, vt = np.linalg.svd(G[todo], full_matrices=False)
+    u, s, vt = np.linalg.svd(G, full_matrices=False)
     keep = s > np.finfo(float).eps * max(n * n, P * P) * s[..., :1]
-    c = np.divide(u.swapaxes(-1, -2) @ b[todo], s[..., None], out=np.zeros(s.shape + (1,)),
+    c = np.divide(u.swapaxes(-1, -2) @ b, s[..., None], out=np.zeros(s.shape + (1,)),
                   where=keep[..., None])
-    h = np.zeros(batch + (P * P,))
-    rank = np.zeros(batch, int)
-    h[todo] = (vt.swapaxes(-1, -2) @ c)[..., 0]
-    rank[todo] = np.count_nonzero(keep, axis=-1)
-    H = h.reshape(batch + (P, P)).swapaxes(-1, -2)
-    return (_polar(H) if orthogonalize else H), rank
+    H = (vt.swapaxes(-1, -2) @ c).reshape(batch + (P, P)).swapaxes(-1, -2)
+    return (_polar(H) if orthogonalize else H), np.count_nonzero(keep, axis=-1)
 
 
 def _polar(A: np.ndarray) -> np.ndarray:

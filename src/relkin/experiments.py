@@ -127,10 +127,11 @@ class ExperimentConfig:
     The sweep list is interpreted per kind: message counts for ``k_sweep``,
     dB-meter noise levels for ``sigma_sweep``, and report times (snapped to
     the nearest transmit marker) for ``time_grid``.  L must be at least 3,
-    since the pipeline reads r, rdot and rddot.  The message schedule and
-    noise values are validated by building the ExchangeConfig and NoiseModel
-    of the config and of every k/sigma sweep point (see `_point_model`), so a
-    bad value raises their ConfigError.
+    since the pipeline reads r, rdot and rddot, and every sweep point's K at
+    least L (else ConfigError).  The message schedule and noise values are
+    validated by building the ExchangeConfig and NoiseModel of the config
+    and of every k/sigma sweep point (see `_point_model`), so a bad value
+    raises their ConfigError.
     """
 
     kind: str
@@ -170,7 +171,10 @@ class ExperimentConfig:
             if not _is_finite(value):
                 raise ConfigError(f"{self.kind} values must be finite numbers, got {value!r}")
             if self.kind != "time_grid":
-                _point_model(self, value)
+                exch, _ = _point_model(self, value)
+            if exch.K < self.L:
+                raise ConfigError(f"K={exch.K} is below L={self.L}: a sweep point needs at "
+                                  "least L messages per pair to fit L coefficients")
 
     @classmethod
     def from_json(cls, path, **overrides) -> "ExperimentConfig":
@@ -340,7 +344,7 @@ def _trial_chunk(pt: _Point, trials: range) -> _Trials:
     clamped = (emb.n_clamped > 0) & ~failed
     embed_bad = failed[:, 0] | failed[:, 1]
     ok = ~rank_bad & ~embed_bad
-    hy, rank = _rotation_stack(xrel, yrel, grams.Bxy, cfg.orthogonalize, where=ok)
+    hy, rank = _rotation_stack(xrel, yrel, grams.Bxy, cfg.orthogonalize)
     dynamic = xrel[:, None] + pt.times[:, None, None] * (hy @ yrel)[:, None]
     pc = centering_matrix(n)
     truth = np.array([traj.X, traj.Y] + [traj.position_at(t) for t in pt.times] * 2) @ pc
@@ -523,9 +527,8 @@ def _run_experiments(cfgs: list[ExperimentConfig]) -> list[RmseReport]:
                        workers=workers) for cfg, cfg_rows in zip(cfgs, rows)]
 
 
-def default_suite(trials: int = 1000, seed: int = 0, fixture: str = "cluster5",
-                  **overrides) -> list[ExperimentConfig]:
-    """The three standard experiments: K sweep, noise sweep, time grid.
+def default_suite(trials: int = 1000, seed: int = 0) -> list[ExperimentConfig]:
+    """The three standard experiments on cluster5: K sweep, noise sweep, time grid.
 
     The three share stream addresses: k-sweep point s, sigma-sweep point s
     and the time grid (prefix ``(0,)``) all draw pair p of trial t from
@@ -534,7 +537,7 @@ def default_suite(trials: int = 1000, seed: int = 0, fixture: str = "cluster5",
     K=100 and sigma_m=0.1, which is -10 dB-meters), and k-sweep point s
     draws the leading normals of sigma-sweep point s's streams.
     """
-    base = dict(fixture=fixture, trials=trials, seed=seed, **overrides)
+    base = dict(trials=trials, seed=seed)
     k_cfg = ExperimentConfig(kind="k_sweep", sweep=list(range(10, 101, 10)), **base)
     s_cfg = ExperimentConfig(kind="sigma_sweep", sweep=list(range(-10, 1, 2)), **base)
     t_cfg = ExperimentConfig(kind="time_grid", sweep=list(np.linspace(*k_cfg.interval, k_cfg.K)),

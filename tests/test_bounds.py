@@ -306,7 +306,29 @@ class TestCrbTrace:
         rng = np.random.default_rng(1)
         j = rng.normal(size=(8, 5))
         f = j.T @ j
-        assert crb_trace(3.0 * f) == pytest.approx(crb_trace(f) / 3.0, rel=1e-10)
+        assert crb_trace(FisherInfo(3.0 * f, 0)) == \
+            pytest.approx(crb_trace(FisherInfo(f, 0)) / 3.0, rel=1e-10)
+
+    @pytest.mark.parametrize("eigenvalues", [[3.0, 2.0, 0.0, 0.0], [3.0, 2.0, 1e-11, 0.0],
+                                             [0.0] * 4], ids=["null", "near-null", "zero"])
+    def test_uninformed_direction_beyond_structural_is_inf(self, eigenvalues):
+        # one structural zero, so the second smallest eigenvalue is a
+        # direction the measurements leave (almost) uninformed
+        q, _ = np.linalg.qr(np.random.default_rng(2).normal(size=(4, 4)))
+        fi = FisherInfo(matrix=q @ np.diag(eigenvalues) @ q.T, structural_deficiency=1)
+        assert crb_trace(fi) == np.inf
+
+    def test_generic_fixture_drops_exactly_the_structural_zeros(self):
+        traj = builtin_trajectory("cluster5")
+        covs = fixture_covariances(traj)
+        pc = centering_matrix(5)
+        for fi in (fim_position(traj.X @ pc, covs.Sigma_r),
+                   fim_velocity(traj.Y @ pc, range_matrices(traj), covs)):
+            # on a generic geometry a relative cutoff finds the same kept eigenvalues
+            lam = np.linalg.eigvalsh(fi.matrix)
+            kept = lam[lam > 1e-10 * lam[-1]]
+            assert len(kept) == fi.size - fi.structural_deficiency
+            assert crb_trace(fi) == float(np.sum(1.0 / kept))
 
     def test_rotation_invariance(self):
         traj = builtin_trajectory("cluster5")

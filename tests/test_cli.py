@@ -30,6 +30,7 @@ from relkin import (
 )
 from relkin import cli
 from relkin.cli import main
+from relkin.exceptions import DegenerateVelocityWarning
 from relkin.experiments import _root_crbs
 from relkin.twr import _clean_exchanges
 
@@ -365,6 +366,32 @@ class TestCrb:
         assert main(argv) == 0  # --out - writes to stdout
         assert capsys.readouterr().out == want.getvalue()
 
+    @pytest.mark.parametrize("X, Y, uninformed", [
+        ([[0.0, 100.0, 50.0, 20.0], [0.0, 0.0, 80.0, 30.0]], [[2.0] * 4, [1.0] * 4], "Yrel"),
+        ([[0.0, 30.0, 70.0, 100.0], [0.0, 15.0, 35.0, 50.0]],
+         [[2.0, -1.0, 0.5, 1.5], [1.0, 0.5, -2.0, 0.0]], "Xrel"),
+        ([[0.0, 100.0, 50.0, 20.0], [0.0, 0.0, 80.0, 30.0]],
+         [[2.0, -1.0, 0.5, 1.5], [4.0, -2.0, 1.0, 3.0]], "Yrel"),
+    ], ids=["equal-velocities", "collinear-positions", "collinear-velocities"])
+    def test_degenerate_fixture_bound_is_inf(self, tmp_path, X, Y, uninformed):
+        path = tmp_path / "fixture.json"
+        path.write_text(json.dumps({"P": 2, "N": 4, "X": X, "Y": Y}))
+        out = tmp_path / "crb.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateVelocityWarning)
+            assert main(["crb", "--fixture", str(path), "--messages", "50",
+                         "--out", str(out)]) == 0
+        rcrb = {r["quantity"]: float(r["rcrb"]) for r in read_rows(out)}
+        informed = {"Xrel": "Yrel", "Yrel": "Xrel"}[uninformed]
+        assert rcrb[uninformed] == np.inf
+        assert 0.0 < rcrb[informed] < np.inf
+
+    def test_messages_below_order_is_clean_error(self, tmp_path, capsys):
+        out = tmp_path / "crb.csv"
+        assert main(["crb", "--messages", "3", "--order", "4", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --messages must be at least --order (4), got 3\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("sigma", ["0", "-1", "nan"])
     def test_nonpositive_sigma_is_clean_error(self, tmp_path, sigma):
         out = tmp_path / "crb.csv"
@@ -520,6 +547,19 @@ class TestExperiment:
         rc = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("config", [
+        {"sweep": {"K": [3, 10]}},
+        {"sweep": {"sigma_db_m": [-10]}, "K": 3},
+        {"sweep": {"time_grid": [0, 1]}, "K": 3},
+    ], ids=["k_sweep", "sigma_sweep", "time_grid"])
+    def test_messages_below_order_is_clean_error(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 2, "L": 4, **config}))
+        rc = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: K=3 is below L=4")
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("argv, config_trials, expected", [

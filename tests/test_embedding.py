@@ -509,9 +509,6 @@ class TestBatchedKernels:
             assert np.array_equal(H[b], estimate_rotation(xr[b], yr[b], bxy[b], orthogonalize))
         with pytest.raises(IllPosedRotationError):
             estimate_rotation(xr[2], yr[2], bxy[2], orthogonalize)
-        skip, skip_rank = _rotation_stack(xr, yr, bxy, orthogonalize,
-                                          where=np.array([True, False, True, True]))
-        assert skip_rank[1] == 0 and np.array_equal(skip[[0, 3]], H[[0, 3]])
 
     def test_procrustes_stack_equals_per_item(self):
         rng = np.random.default_rng(2)

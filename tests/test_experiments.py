@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -111,6 +112,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json(path)
 
+    @pytest.mark.parametrize("config", [
+        dict(kind="k_sweep", sweep=[3, 10]),
+        dict(kind="sigma_sweep", sweep=[-10.0], K=3),
+        dict(kind="time_grid", sweep=[0.0, 1.0], K=3),
+    ], ids=["k_sweep", "sigma_sweep", "time_grid"])
+    def test_messages_below_order_rejected(self, config):
+        # K = 3 messages cannot fit L = 4 coefficients at any sweep point
+        with pytest.raises(ConfigError, match="K=3 is below L=4"):
+            ExperimentConfig(**config, L=4)
+
+    def test_messages_equal_to_order_accepted(self):
+        # a k_sweep's own K is no sweep point, so only its sweep values count
+        assert ExperimentConfig(kind="k_sweep", sweep=[4], K=3, L=4).sweep == [4]
+
 
 class TestRunExperiment:
     def test_noiseless_single_trial_sanity(self):
@@ -201,6 +216,22 @@ class TestFailureAccounting:
                 assert (row.sweep_value, row.quantity) == (point["sweep_value"], q)
                 assert sum(point["failures"].values()) == row.n_fail == 4
         assert next(rows, None) is None
+
+
+REFERENCE_ROWS = Path(__file__).resolve().parents[1] / "bench/reference/mc_suite_seed0.json"
+
+
+def test_default_suite_rows_match_reference():
+    # the benchmark's pinned seed-0 rows, compared to 1e-9 relative as it does
+    want = json.loads(REFERENCE_ROWS.read_text())["rows"]
+    reports = exp_mod._run_experiments(default_suite(trials=200, seed=0))
+    assert [r.kind for r in reports] == list(want)
+    for report in reports:
+        got = [[r.sweep_value, r.quantity, r.rmse, r.rcrb, r.n_fail] for r in report.rows]
+        assert len(got) == len(want[report.kind])
+        for got_row, want_row in zip(got, want[report.kind]):
+            assert all(math.isclose(a, b, rel_tol=1e-9) if isinstance(b, float) else a == b
+                       for a, b in zip(got_row, want_row)), (report.kind, got_row, want_row)
 
 
 def _assert_rows_match(got, want, rtol=1e-12):
