@@ -3,7 +3,8 @@
 Links are independent, so each noise covariance is diagonal over pairs and
 is carried as an (Nbar,) vector of per-pair variances (a diagonal
 Nbar x Nbar matrix is reduced to its diagonal; a nonzero off-diagonal entry
-raises UnsupportedCovarianceError), each variance finite and >= 0 (else ConfigError).
+raises UnsupportedCovarianceError), each variance finite and > 0, the rule
+of every pair variance (else ConfigError naming the field and the pair).
 Each information matrix is then one weighted pair-difference Gram over the
 canonical pairs p = (i, j),
 
@@ -34,10 +35,9 @@ from .exceptions import (
     ConfigError,
     DegenerateGeometryError,
     DegenerateVelocityWarning,
-    RegularizedInverseWarning,
     UnsupportedCovarianceError,
 )
-from .kinematics import RangeMatrices, canonical_pairs, pair_count, pair_index
+from .kinematics import RangeMatrices, canonical_pairs, check_pair_variances, pair_count, pair_index
 
 __all__ = [
     "FisherInfo",
@@ -71,7 +71,7 @@ def _pair_variances(sigma, name: str) -> np.ndarray:
         UnsupportedCovarianceError: if `sigma` is neither a vector nor a
             square matrix, or a matrix has a nonzero or NaN off-diagonal entry.
         ConfigError: naming `name` and the first pair whose variance is
-            negative, NaN or infinite (zero is allowed).
+            zero, negative, NaN or infinite.
     """
     var = np.asarray(sigma, float)
     if var.ndim != 1:
@@ -82,13 +82,7 @@ def _pair_variances(sigma, name: str) -> np.ndarray:
             raise UnsupportedCovarianceError(f"{name} is not a diagonal pair covariance; "
                                              "links must be independent")
         var = var.diagonal().copy()
-    bad = np.flatnonzero(~((var >= 0) & (var < np.inf)))
-    if bad.size:
-        p, nbar = int(bad[0]), len(var)
-        n = (1 + math.isqrt(1 + 8 * nbar)) // 2
-        pair = f"pair {canonical_pairs(n)[p]}" if pair_count(n) == nbar else f"entry {p}"
-        raise ConfigError(f"{name} of {pair} is {float(var[p])!r}; "
-                          "a pair variance must be finite and >= 0")
+    check_pair_variances(var, name)
     return var
 
 
@@ -150,8 +144,9 @@ def fim_position(Xrel: np.ndarray, Sigma_r, duplicate_pairs: bool = True) -> Fis
     configuration leaves the matrix unchanged.
 
     Raises:
+        ConfigError: naming the first pair whose range variance is zero,
+            negative, NaN or infinite.
         DegenerateGeometryError: if any two nodes coincide.
-        np.linalg.LinAlgError: if a pair's range variance is zero.
     """
     Xrel = np.asarray(Xrel, float)
     _, n = Xrel.shape
@@ -162,14 +157,8 @@ def fim_position(Xrel: np.ndarray, Sigma_r, duplicate_pairs: bool = True) -> Fis
     if not np.all(d2):
         p = int(np.argmin(d2))
         raise DegenerateGeometryError(f"nodes {(int(i[p]), int(j[p]))} coincide")
-    if not np.all(var):
-        raise np.linalg.LinAlgError("singular range covariance: a pair has zero variance")
     w = (2.0 if duplicate_pairs else 1.0) / (d2 * var)
     return _pair_fisher(Xrel, w)
-
-
-# the ridge on a near-singular velocity noise covariance, relative to max(mean s, 1)
-_VELOCITY_RIDGE = 1e-12
 
 
 def fim_velocity(Yrel: np.ndarray, rm: RangeMatrices, covs: RangeNoiseCovariances,
@@ -183,26 +172,24 @@ def fim_velocity(Yrel: np.ndarray, rm: RangeMatrices, covs: RangeNoiseCovariance
 
         s = r^2 var_rddot + rddot^2 var_r + 4 rdot^2 var_rdot,
 
-    so the pair weight is 4/s.
-
-    A near-singular covariance (max|s| / min|s| above 1e14, or a zero s)
-    gets the ridge _VELOCITY_RIDGE (1e-12) times max(mean s, 1), with a
-    warning.  When all velocity differences vanish the measurements carry no
-    information and a DegenerateVelocityWarning is issued.
+    so the pair weight is 4/s.  Every variance of `covs` is > 0, so s is
+    zero only for a pair at zero range in `rm` (r, rdot and rddot all zero),
+    which raises DegenerateGeometryError naming the pair.  When all velocity
+    differences vanish the measurements carry no information and a
+    DegenerateVelocityWarning is issued.
     """
     Yrel = np.asarray(Yrel, float)
     r, rdot, rddot = rm.pair_vectors()
     _check_pair_count(covs.Sigma_r, Yrel.shape[1])
     s = r**2 * covs.Sigma_rddot + rddot**2 * covs.Sigma_r + 4.0 * rdot**2 * covs.Sigma_rdot
+    if not np.all(s > 0):
+        p = int(np.argmin(s > 0))
+        raise DegenerateGeometryError(f"nodes {canonical_pairs(Yrel.shape[1])[p]} are at zero "
+                                      f"range in rm: their velocity measurement variance is "
+                                      f"{float(s[p])!r}")
     if np.all(Yrel == Yrel[:, :1]):
         warnings.warn("all relative velocities are equal; velocity information is degenerate",
                       DegenerateVelocityWarning, stacklevel=2)
-    s_min, s_max = np.abs(s).min(initial=np.inf), np.abs(s).max(initial=0.0)
-    if not (s_min > 0.0 and s_max <= 1e14 * s_min):
-        eps = _VELOCITY_RIDGE * max(float(np.mean(s)), 1.0)
-        warnings.warn(f"near-singular velocity noise covariance; adding ridge {eps:.3e}",
-                      RegularizedInverseWarning, stacklevel=2)
-        s = s + eps
     w = (8.0 if duplicate_pairs else 4.0) / s
     return _pair_fisher(Yrel, w)
 

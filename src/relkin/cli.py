@@ -65,6 +65,8 @@ def _cmd_estimate(args) -> int:
     _positive("--c", args.c)
     exchanges = TimestampExchangeSet.from_csv(args.exchanges, c=args.c, expected_n=args.nodes)
     L = args.order
+    _require(L <= exchanges.K, "--order",
+             f"at most the file's messages per pair ({exchanges.K})", L)
     coeffs, crb = _solve_with_crb(build_design(exchanges, L, noise=noise))
     i, j = pair_index(exchanges.n_nodes)
     per_pair = np.column_stack([crb.per_pair_rcrb(ell) for ell in range(L)])
@@ -91,12 +93,7 @@ def _read_theta_csv(path, expected_n: int | None = None):
     data, n, p = _read_pair_table(path, ("i", "j", "order", "theta"), n_int=3,
                                   expected_n=expected_n)
     order, theta = data[:, 2], data[:, 3]
-    _reject_rows(path, data, order < 0, "order must be >= 0")
     _reject_rows(path, data, ~np.isfinite(theta), "theta must be finite")
-    key = np.lexsort((order, p))  # stable, so a repeat sorts after the row it repeats
-    repeat = np.zeros(len(data), bool)
-    repeat[key[1:][(np.diff(p[key]) == 0) & (np.diff(order[key]) == 0)]] = True
-    _reject_rows(path, data, repeat, "repeated (i, j, order) row")
     low = order < 3
     coeffs = np.full((pair_count(n), 3), np.nan)  # theta is finite, so NaN marks a gap
     coeffs[p[low], order[low].astype(np.intp)] = theta[low]

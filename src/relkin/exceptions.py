@@ -40,7 +40,3 @@ class EmbeddingClampWarning(UserWarning):
 
 class DegenerateVelocityWarning(UserWarning):
     """All relative velocities vanish; the velocity information matrix is degenerate."""
-
-
-class RegularizedInverseWarning(UserWarning):
-    """A singular covariance was ridge-regularized before inversion."""

@@ -19,6 +19,7 @@ relative position/velocity solvers built on top of them.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -26,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DegenerateGeometryError, InputError
+from .exceptions import ConfigError, DegenerateGeometryError, InputError
 
 __all__ = [
     "TrajectorySet",
@@ -72,6 +73,19 @@ def canonical_pairs(n: int) -> list[tuple[int, int]]:
     """The pairs of :func:`pair_index` as a list of (i, j) tuples."""
     i, j = pair_index(n)
     return list(zip(i.tolist(), j.tolist()))
+
+
+def check_pair_variances(var: np.ndarray, name: str) -> None:
+    """The one rule for a pair variance: finite and > 0.  Raises ConfigError
+    naming `name` and the first pair of the canonical-order vector `var`
+    (its index, if len(var) is no pair count) that breaks it."""
+    bad = np.flatnonzero(~((var > 0) & (var < np.inf)))
+    if bad.size:
+        p, nbar = int(bad[0]), len(var)
+        n = (1 + math.isqrt(1 + 8 * nbar)) // 2
+        pair = f"pair {canonical_pairs(n)[p]}" if pair_count(n) == nbar else f"entry {p}"
+        raise ConfigError(f"{name} of {pair} is {float(var[p])!r}; "
+                          "a pair variance must be finite and > 0")
 
 
 def centering_matrix(n: int) -> np.ndarray:

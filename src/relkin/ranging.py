@@ -21,8 +21,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .exceptions import ConfigError, RankDeficiencyError
-from .kinematics import RangeMatrices, canonical_pairs, pair_count
+from .exceptions import RankDeficiencyError
+from .kinematics import RangeMatrices, canonical_pairs, check_pair_variances, pair_count
 from .twr import NoiseModel, TimestampExchangeSet, effective_noise_covariance
 
 __all__ = [
@@ -92,16 +92,17 @@ class DesignSystem:
         L: number of polynomial coefficients per pair.
         n_nodes: node count.
         c: propagation speed.
-        pair_variances: (Nbar,) delay variances (seconds^2), each positive
-            and finite, or None for unit weights.  Block-diagonal covariance
+        pair_variances: (Nbar,) delay variances (seconds^2), each finite
+            and > 0, or None for unit weights.  Block-diagonal covariance
             bdiag(var_p I_K) is the only structure supported.
 
     markers and tau may carry leading batch axes, (..., Nbar, K), for
     independent measurements of one network under the same variances.
 
     Raises:
-        ConfigError: naming the first pair whose variance is zero (as one
-            that underflowed), negative or not finite (as one that overflowed).
+        ConfigError: naming the first pair whose delay variance is zero (as
+            one that underflowed), negative or not finite (as one that
+            overflowed); see :func:`~relkin.kinematics.check_pair_variances`.
     """
 
     markers: np.ndarray
@@ -125,12 +126,7 @@ class DesignSystem:
             self.pair_variances = np.asarray(self.pair_variances, float)
             if self.pair_variances.shape != (nbar,):
                 raise ValueError("pair_variances must have one entry per pair")
-            bad = np.flatnonzero(~((self.pair_variances > 0) & (self.pair_variances < np.inf)))
-            if bad.size:
-                var = float(self.pair_variances[bad[0]])
-                what = "zero" if var == 0 else "negative" if var < 0 else "non-finite"
-                raise ConfigError(f"pair {canonical_pairs(self.n_nodes)[bad[0]]} has {what} delay "
-                                  f"variance {var!r} s^2; weights need positive, finite variances")
+            check_pair_variances(self.pair_variances, "delay variance")
 
     @property
     def K(self) -> int:

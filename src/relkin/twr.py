@@ -280,10 +280,8 @@ class TimestampExchangeSet:
             q = uneven[0]
             raise InputError(f"pair {canonical_pairs(n_nodes)[q]} has {per_pair[q]} messages, "
                              f"expected {K}")
-        _reject_rows(path, data, (k < 0) | (k >= K), f"message index k must lie in 0..{K - 1}")
+        _reject_rows(path, data, k >= K, f"message index k must lie in 0..{K - 1}")
         slot = p * K + k.astype(np.intp)
-        seen = np.bincount(slot, minlength=nbar * K)
-        _reject_rows(path, data, seen[slot] > 1, "duplicate (i, j, k) message")
 
         fwd = flag == 1
         tx, rx = data[:, 4], data[:, 5]
@@ -326,11 +324,12 @@ def _read_pair_table(path, columns: Sequence[str], n_int: int,
                      expected_n: int | None = None) -> tuple[np.ndarray, int, np.ndarray]:
     """The rows of a CSV keyed by node pair: an exchange or a coefficient file.
 
-    Columns i and j name the pair and come first in `columns`; the first
-    `n_int` columns must hold integers.  Every pair 0 <= i < j < N, with N
-    one more than the largest j (and equal to `expected_n` when given),
-    needs at least one row; the header may order the columns freely and
-    carry others.
+    Columns i and j name the pair and come first in `columns`, and the
+    third is the row's key within its pair (k of an exchange, the order of
+    a coefficient); the first `n_int` (>= 3) columns must hold integers.
+    Every pair 0 <= i < j < N, with N one more than the largest j (and equal
+    to `expected_n` when given), needs at least one row, and no (i, j, key)
+    may repeat; the header may order the columns freely and carry others.
 
     Returns:
         (rows, N, p): the (rows, len(columns)) values of the named columns,
@@ -338,9 +337,9 @@ def _read_pair_table(path, columns: Sequence[str], n_int: int,
 
     Raises:
         InputError: if the file is empty, lacks a column, holds a value that
-            is not a number, a non-integer where `n_int` asks for one, or a
-            pair outside 0 <= i < j, names another node count than
-            `expected_n`, or misses a pair.
+            is not a number, a non-integer where `n_int` asks for one, a
+            pair outside 0 <= i < j, a negative or repeated key, names
+            another node count than `expected_n`, or misses a pair.
     """
     with open(path, newline="") as fh:
         header = next(csv.reader([fh.readline()]), [])
@@ -372,6 +371,12 @@ def _read_pair_table(path, columns: Sequence[str], n_int: int,
     p = pair_position(n_nodes, i, j)
     if not np.bincount(p, minlength=nbar).all():
         raise InputError(_missing_pairs(path, n_nodes, i, j))
+    key = data[:, 2]
+    _reject_rows(path, data, key < 0, f"{columns[2]} must be >= 0")
+    order = np.lexsort((key, p))  # stable, so a repeat sorts after the row it repeats
+    repeat = np.zeros(len(data), bool)
+    repeat[order[1:][(np.diff(p[order]) == 0) & (np.diff(key[order]) == 0)]] = True
+    _reject_rows(path, data, repeat, f"duplicate (i, j, {columns[2]}) row")
     return data, n_nodes, p
 
 

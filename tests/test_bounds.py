@@ -21,10 +21,9 @@ from relkin import (
 from relkin.exceptions import (
     ConfigError,
     DegenerateVelocityWarning,
-    RegularizedInverseWarning,
     UnsupportedCovarianceError,
 )
-from relkin.kinematics import TrajectorySet
+from relkin.kinematics import RangeMatrices, TrajectorySet
 
 import dense_oracle
 
@@ -122,14 +121,17 @@ class TestFimVelocity:
             fy = fim_velocity(yc, range_matrices(traj), covs)
         assert np.allclose(fy.matrix, 0.0)
 
-    def test_singular_noise_covariance_regularized_with_warning(self):
+    def test_zero_range_pair_is_degenerate(self):
+        # every variance is > 0, so s = r^2 var_rddot + rddot^2 var_r +
+        # 4 rdot^2 var_rdot vanishes only where the pair's r, rdot, rddot do
         traj = builtin_trajectory("cluster5")
-        zeros = np.zeros((10, 10))
-        covs = RangeNoiseCovariances(Sigma_r=zeros, Sigma_rdot=zeros, Sigma_rddot=zeros)
-        yc = traj.Y @ centering_matrix(5)
-        with pytest.warns(RegularizedInverseWarning):
-            fy = fim_velocity(yc, range_matrices(traj), covs)
-        assert np.all(np.isfinite(fy.matrix))
+        r, rdot, rddot = range_matrices(traj).pair_vectors()
+        for v in (r, rdot, rddot):
+            v[3] = 0.0  # pair (0, 4)
+        rm = RangeMatrices.from_pair_vectors(5, r, rdot, rddot)
+        with pytest.raises(DegenerateGeometryError,
+                           match=r"^nodes \(0, 4\) are at zero range in rm: .* is 0\.0$"):
+            fim_velocity(traj.Y @ centering_matrix(5), rm, fixture_covariances(traj))
 
     def test_random_generic_configurations_rank_law(self):
         rng = np.random.default_rng(0)
@@ -183,17 +185,6 @@ class TestDenseOracle:
                                                  covs.Sigma_rddot)
             assert_matches(F, dense_oracle.fim_velocity(yc, S, duplicate_pairs))
 
-    @pytest.mark.parametrize("duplicate_pairs", [True, False])
-    def test_zero_covariance_ridge_matches_dense_solve(self, duplicate_pairs):
-        traj = builtin_trajectory("cluster5")
-        zeros = np.zeros(10)
-        covs = RangeNoiseCovariances(Sigma_r=zeros, Sigma_rdot=zeros, Sigma_rddot=zeros)
-        yc = traj.Y @ centering_matrix(5)
-        with pytest.warns(RegularizedInverseWarning, match="1.000e-12"):
-            F = fim_velocity(yc, range_matrices(traj), covs, duplicate_pairs=duplicate_pairs)
-        # ridge rule: eps = 1e-12 * max(mean variance, 1)
-        assert_matches(F.matrix, dense_oracle.fim_velocity(yc, 1e-12 * np.eye(10), duplicate_pairs))
-
     def test_diagonal_matrix_form_equals_vector_form(self):
         traj, covs = random_case(np.random.default_rng(13), 6)
         dense = RangeNoiseCovariances(np.diag(covs.Sigma_r), np.diag(covs.Sigma_rdot),
@@ -226,18 +217,14 @@ class TestDenseOracle:
         with pytest.raises(UnsupportedCovarianceError):
             RangeNoiseCovariances(np.ones(10), make(), np.ones(10))
 
-    def test_zero_range_variance_is_singular(self):
-        traj = builtin_trajectory("cluster5")
-        var = np.ones(10)
-        var[4] = 0.0
-        with pytest.raises(np.linalg.LinAlgError):
-            fim_position(traj.X, var)
+
+BAD_VARIANCES, BAD_IDS = [0.0, -1e-4, np.inf, np.nan], ["zero", "negative", "inf", "nan"]
 
 
 class TestInvalidVariances:
-    """A pair variance must be finite and >= 0, and the three fields share one length."""
+    """A pair variance must be finite and > 0, and the three fields share one length."""
 
-    @pytest.mark.parametrize("bad", [-1e-4, np.inf, np.nan], ids=["negative", "inf", "nan"])
+    @pytest.mark.parametrize("bad", BAD_VARIANCES, ids=BAD_IDS)
     @pytest.mark.parametrize("field", ["Sigma_r", "Sigma_rdot", "Sigma_rddot"])
     def test_rejected_naming_field_and_pair(self, field, bad):
         fields = dict.fromkeys(("Sigma_r", "Sigma_rdot", "Sigma_rddot"), np.full(10, 0.01))
@@ -245,7 +232,7 @@ class TestInvalidVariances:
         with pytest.raises(ConfigError, match=rf"^{field} of pair \(1, 2\) is {bad!r};"):
             RangeNoiseCovariances(**fields)
 
-    @pytest.mark.parametrize("bad", [-1e-4, np.inf, np.nan], ids=["negative", "inf", "nan"])
+    @pytest.mark.parametrize("bad", BAD_VARIANCES, ids=BAD_IDS)
     def test_position_bound_rejects_vector_and_matrix(self, bad):
         xc = builtin_trajectory("cluster5").X @ centering_matrix(5)
         var = np.where(np.arange(10) == 9, bad, 0.01)
@@ -257,10 +244,6 @@ class TestInvalidVariances:
     def test_lengths_must_agree(self, length):
         with pytest.raises(ConfigError, match=rf"share one length, got \[10, {length}, 10\]"):
             RangeNoiseCovariances(np.full(10, 0.01), np.full(length, 0.01), np.full(10, 0.01))
-
-    def test_zero_still_allowed(self):
-        covs = RangeNoiseCovariances(np.zeros(10), np.zeros(10), np.zeros(10))
-        assert not covs.Sigma_r.any()
 
 
 class TestScale:

@@ -173,6 +173,20 @@ class TestEstimate:
         assert out.read_bytes() == whole[:len(out.read_bytes())]  # pair (0, 1)'s rows alone
         assert [(r["i"], r["j"]) for r in read_rows(out)] == [("0", "1")] * 4
 
+    def test_order_above_messages_is_clean_error(self, tmp_path, capsys):
+        ex = simulate_exchanges(builtin_trajectory("cluster5"), ExchangeConfig(K=3),
+                                NoiseModel.from_pair_sigma(0.1), seed=0)
+        ex.to_csv(tmp_path / "exchanges.csv")
+        out = tmp_path / "theta.csv"
+        argv = ["estimate", "--exchanges", str(tmp_path / "exchanges.csv"),
+                "--sigma-meters", "0.1", "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv + ["--order", "4"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --order must be at most the file's messages per pair (3), got 4\n")
+        assert not out.exists()
+        assert main(argv + ["--order", "3"]) == 0
+
     def test_missing_file_is_clean_error(self, tmp_path):
         rc = main(["estimate", "--exchanges", str(tmp_path / "nope.csv"),
                    "--sigma-meters", "0.1", "--out", str(tmp_path / "o.csv")])

@@ -344,9 +344,9 @@ class TestSimulation:
             TimestampExchangeSet.from_csv(path)
 
     @pytest.mark.parametrize("fields", [{"E": "0"}, {"k": "1.5"}, {"T_tx": "abc"},
-                                        {"i": "1"}, {"i": "-1"}],
+                                        {"i": "1"}, {"i": "-1"}, {"k": "-1"}],
                              ids=["flag_zero", "fractional_k", "non_numeric", "i_not_below_j",
-                                  "negative_i"])
+                                  "negative_i", "negative_k"])
     def test_csv_malformed_value_rejected(self, tmp_path, fields):
         path = self.edited_csv(tmp_path, 1, **fields)
         with pytest.raises(InputError):
