@@ -19,11 +19,16 @@ workers maps (serially when that is one, where fork is missing, and inside
 a daemonic process).  Below it are two levels of contiguous trial chunks
 (see _CHUNK_DOUBLES): at N=5 an outer chunk holds 436 trials at a k/sigma
 sweep point and 13 on the default time grid of 100 instants, and it draws
-and fits its trials in sub-chunks.  Every later stage runs once per outer
-chunk, batched over its trials: one eigh for all embeddings including the
-time grid's classical-MDS snapshots, one SVD for all the rotations' least
-squares and one closed-form polar-factor call for all Procrustes
-alignments; no stage loops over trials.  A chunk returns its trial table:
+and fits its trials in sub-chunks.  Each sub-chunk is one pass from the
+seed words of its noise streams to the whitened QR stack of its pairs: the
+normals land as noisy markers and delays straight in that stack, with no
+exchange set or design system built around them, and the fit is the
+ranging module's own stack kernel, so the values are bit for bit those of
+the library path.  Every later stage runs once per outer chunk, batched
+over its trials: one eigh for all embeddings including the time grid's
+classical-MDS snapshots, one SVD for all the rotations' least squares and
+one closed-form polar-factor call for all Procrustes alignments; no stage
+loops over trials.  A chunk returns its trial table:
 per trial and per reported estimate, the cause of its failure (the
 exception a single-trial pipeline would raise), whether its embedding
 clamped a negative eigenvalue, and its squared error.  The parent joins
@@ -74,17 +79,18 @@ from .kinematics import (
     _symmetric,
     centering_matrix,
     load_trajectory,
+    pair_index,
     range_matrices,
 )
-from .ranging import (DesignSystem, RangeCoefficients, RangeCrb, _fit_pairs, build_design,
-                      crb_theta, wls_solve)
+from .ranging import (DesignSystem, RangeCoefficients, RangeCrb, _fill_powers, _fit_stack,
+                      build_design, crb_theta, wls_solve)
+from .rng import _draw_normals
 from .twr import (
     ExchangeConfig,
     NoiseModel,
     SPEED_OF_LIGHT,
     TimestampExchangeSet,
     _clean_exchanges,
-    _draw_exchanges,
     _exchange_states,
     _is_finite,
     _is_int,
@@ -267,12 +273,14 @@ class _Point(NamedTuple):
     """What every trial of one sweep point shares, and the report rows it gives."""
 
     traj: TrajectorySet
-    noise: NoiseModel
     cfg: ExperimentConfig
     stream: tuple[int, ...]        # trial t of the point simulates stream (*stream, t)
     markers: np.ndarray            # (M,) marker indices of the classical-MDS snapshots
     times: np.ndarray              # (M,) their instants, where the dynamic estimate is also taken
     clean: TimestampExchangeSet    # (Nbar, K) noise-free exchanges
+    sigma: np.ndarray              # (2, Nbar, 1) marker noise std (s) of each pair's lower
+                                   # and higher node
+    weights: Optional[np.ndarray]  # (Nbar,) whitening weights 1/sigma_p, None when noiseless
     hy_ref: np.ndarray             # (P, P) reference of the Hy error: the noiseless
                                    # rotation at a k/sigma point, zero on the time grid
     rows: list[tuple]              # per report row: its column of the trial table
@@ -307,31 +315,68 @@ def _trials_per_chunk(doubles_per_trial: int) -> int:
     return max(1, _CHUNK_DOUBLES // doubles_per_trial)
 
 
+def _draw_and_fit(pt: _Point, states: np.ndarray,
+                  rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Theta (T, Nbar, L), rank flags (T,) and snapshot delays (T, Nbar, M) of
+    the T trials whose (T, Nbar, 4) stream seed words are `states`.
+
+    One pass from the seed words to the whitened stack: the normals are
+    drawn, the noisy markers t_i = clean t_i + sigma_i q_0 and delays
+    tau = e (clean t_j + sigma_j q_1 - t_i) are written straight into rows 1
+    and L of `rows`, an (at least T, Nbar, L+1, K) scratch stack that is
+    overwritten, and the stack is filled with the powers and factored by
+    :func:`ranging._fit_stack`.  Every value is bit-identical to what
+    ``_fit_pairs(build_design(_draw_exchanges(...), L, noise))`` gives.
+    """
+    n_trials, n_pairs = states.shape[:2]
+    L, K = pt.cfg.L, pt.clean.K
+    rows = rows[:n_trials]
+    q = _draw_normals(states.reshape(n_trials * n_pairs, -1), (2, K))
+    q = q.reshape(n_trials, n_pairs, 2, K)
+    t_i, tau = rows[..., 1, :], rows[..., L, :]
+    np.multiply(pt.sigma[0], q[:, :, 0], out=t_i)
+    t_i += pt.clean.t_i
+    np.multiply(pt.sigma[1], q[:, :, 1], out=tau)
+    tau += pt.clean.t_j
+    tau -= t_i
+    tau *= pt.clean.e
+    snap_tau = tau[..., pt.markers]
+    _fill_powers(rows)
+    fit = _fit_stack(rows, pt.weights)
+    return fit.theta, fit.bad.any(axis=-1), snap_tau
+
+
+def _fit_trials(pt: _Point, trials: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_draw_and_fit` of a contiguous run of trials, in sub-chunks.
+
+    The seed words of every (trial, pair) noise stream are derived once; the
+    sub-chunks share one scratch stack of the whitened (Nbar, L+1, K) rows,
+    and each keeps only theta, the rank flags and the snapshot delays.
+    """
+    n_pairs, K, L = pt.clean.n_pairs, pt.clean.K, pt.cfg.L
+    states = _exchange_states(pt.cfg.seed, [pt.stream + (t,) for t in trials], n_pairs)
+    theta = np.empty((len(trials), n_pairs, L))
+    rank_bad = np.empty(len(trials), bool)
+    snap_tau = np.empty((len(trials), n_pairs, len(pt.markers)))
+    step = _trials_per_chunk(n_pairs * K * (L + 1))
+    rows = np.empty((min(step, len(trials)), n_pairs, L + 1, K))
+    for lo in range(0, len(trials), step):
+        sub = slice(lo, lo + step)
+        theta[sub], rank_bad[sub], snap_tau[sub] = _draw_and_fit(pt, states[sub], rows)
+    return theta, rank_bad, snap_tau
+
+
 def _trial_chunk(pt: _Point, trials: range) -> _Trials:
     """The whole pipeline for a contiguous run of trials, each stage batched over them.
 
-    The seed words of every (trial, pair) noise stream are derived once.  The
-    draw and the fit run over sub-chunks, each keeping only theta, the rank
-    flags and the snapshot delays; every later stage runs once over all the
-    trials.  A trial fails at the first stage that would raise in the
-    single-trial pipeline (the ranging fit, either spectral embedding, the
-    rotation); the stages after it still run on its finite placeholder
-    values and are masked out.
+    The draw and the fit run over sub-chunks (see :func:`_fit_trials`);
+    every later stage runs once over all the trials.  A trial fails at the
+    first stage that would raise in the single-trial pipeline (the ranging
+    fit, either spectral embedding, the rotation); the stages after it still
+    run on its finite placeholder values and are masked out.
     """
     traj, cfg, n, P = pt.traj, pt.cfg, pt.traj.N, pt.traj.P
-    n_trials, n_pairs = len(trials), pt.clean.n_pairs
-    states = _exchange_states(cfg.seed, [pt.stream + (t,) for t in trials], n_pairs)
-    theta = np.empty((n_trials, n_pairs, cfg.L))
-    rank_bad = np.empty(n_trials, bool)
-    snap_tau = np.empty((n_trials, n_pairs, len(pt.markers)))
-    step = _trials_per_chunk(n_pairs * pt.clean.K * (cfg.L + 1))
-    for lo in range(0, n_trials, step):
-        sub = slice(lo, lo + step)
-        ex = _draw_exchanges(pt.clean, pt.noise, states[sub])
-        design = build_design(ex, cfg.L, noise=pt.noise)
-        fit = _fit_pairs(design)
-        theta[sub], rank_bad[sub] = fit.theta, fit.bad.any(axis=-1)
-        snap_tau[sub] = design.tau[..., pt.markers]
+    theta, rank_bad, snap_tau = _fit_trials(pt, trials)
 
     coeffs = RangeCoefficients(scaled=theta, n_nodes=n, c=cfg.c)
     grams = grams_from_ranges(coeffs.to_range_matrices())
@@ -462,6 +507,16 @@ def _point_model(cfg: ExperimentConfig, value=None) -> tuple[ExchangeConfig, Noi
             NoiseModel.from_pair_sigma(sigma_m, unit="m"))
 
 
+def _pair_noise(clean: TimestampExchangeSet, noise: NoiseModel,
+                L: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The (2, Nbar, 1) marker noise stds (s) of each pair's lower and higher
+    node, and the pairs' whitening weights (None when noiseless): the noise
+    terms of a _Point, as `_draw_exchanges` and `build_design` derive them."""
+    sig = noise.node_std_seconds(clean.n_nodes, clean.c)
+    return (sig[np.stack(pair_index(clean.n_nodes))][..., None],
+            build_design(clean, L, noise=noise).weights)
+
+
 def _sweep_point(traj, cfg, s_idx, value) -> _Point:
     """A k/sigma sweep point, with its bounds."""
     exch_cfg, noise = _point_model(cfg, value)
@@ -475,8 +530,9 @@ def _sweep_point(traj, cfg, s_idx, value) -> _Point:
     hy_ref = solve_relative(wls_solve(build_design(clean, cfg.L)).to_range_matrices(), traj.P,
                             orthogonalize=cfg.orthogonalize).Hy
     rows = [(col, float(value), q, rcrbs[q]) for col, q in enumerate(_SWEEP_QUANTITIES)]
-    return _Point(traj, noise, cfg, (s_idx,), markers=np.zeros(0, np.intp), times=np.zeros(0),
-                  clean=clean, hy_ref=hy_ref, rows=rows)
+    sigma, weights = _pair_noise(clean, noise, cfg.L)
+    return _Point(traj, cfg, (s_idx,), markers=np.zeros(0, np.intp), times=np.zeros(0),
+                  clean=clean, sigma=sigma, weights=weights, hy_ref=hy_ref, rows=rows)
 
 
 def _time_grid_point(traj, cfg) -> _Point:
@@ -488,9 +544,10 @@ def _time_grid_point(traj, cfg) -> _Point:
     dyn, snap = len(_SWEEP_QUANTITIES), len(_SWEEP_QUANTITIES) + len(times)
     rows = [row for m, t in enumerate(times.tolist())
             for row in ((dyn + m, t, "Xk_dynamic", None), (snap + m, t, "Xk_cmds", None))]
-    return _Point(traj, noise, cfg, (0,), markers=idxs, times=times,
-                  clean=_clean_exchanges(traj, exch_cfg), hy_ref=np.zeros((traj.P, traj.P)),
-                  rows=rows)
+    clean = _clean_exchanges(traj, exch_cfg)
+    sigma, weights = _pair_noise(clean, noise, cfg.L)
+    return _Point(traj, cfg, (0,), markers=idxs, times=times, clean=clean, sigma=sigma,
+                  weights=weights, hy_ref=np.zeros((traj.P, traj.P)), rows=rows)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RmseReport:

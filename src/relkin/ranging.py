@@ -136,14 +136,30 @@ class DesignSystem:
     def n_pairs(self) -> int:
         return self.markers.shape[-2]
 
+    @property
+    def weights(self) -> Optional[np.ndarray]:
+        """(Nbar,) whitening weights 1/sigma_p of the pairs, or None for unit weights."""
+        return None if self.pair_variances is None else 1.0 / np.sqrt(self.pair_variances)
+
     def _rows(self) -> np.ndarray:
         """Contiguous (..., Nbar, L+1, K) rows 1, t, ..., t^(L-1), tau of every pair."""
         rows = np.empty(self.markers.shape[:-1] + (self.L + 1, self.K))
-        rows[..., 0, :] = 1.0
-        for ell in range(1, self.L):
-            np.multiply(rows[..., ell - 1, :], self.markers, out=rows[..., ell, :])
+        rows[..., 1, :] = self.markers  # overwritten by tau when L = 1
+        _fill_powers(rows)
         rows[..., self.L, :] = self.tau
         return rows
+
+
+def _fill_powers(rows: np.ndarray) -> None:
+    """Fill a (..., L+1, K) row stack's rows 0 and 2, ..., L-1 with 1, t^2, ..., t^(L-1),
+    for the markers t in its row 1; row 1 and row L (the delays) are left as they are.
+
+    Each power is the one below it times t, so row ell is bit-identical to
+    1 * t * ... * t multiplied left to right.
+    """
+    rows[..., 0, :] = 1.0
+    for ell in range(2, rows.shape[-2] - 1):
+        np.multiply(rows[..., ell - 1, :], rows[..., 1, :], out=rows[..., ell, :])
 
 
 def build_design(exchanges: TimestampExchangeSet, L: int,
@@ -189,27 +205,34 @@ class _PairFit(NamedTuple):
 
 
 def _fit_pairs(sys: DesignSystem) -> _PairFit:
-    """Whitened least squares of every pair on its Vandermonde block.
+    """Whitened least squares of every pair on its Vandermonde block (see :func:`_fit_stack`)."""
+    return _fit_stack(sys._rows(), sys.weights)
 
-    One batched QR factors the whole (..., Nbar, K, L+1) stack
-    [V_p | tau_p] / sigma_p.  Its last column carries Q^T tau above the
-    diagonal and the residual below, so Q is never formed, and neither are
-    the normal equations; the stack is built column-major, as LAPACK reads
-    it.  This is the package's one rank test: a pair whose block loses column
-    rank (repeated markers, or fewer than L messages) is flagged in `bad` and
-    solved against an identity R instead, so its theta and cov are finite
-    but meaningless.
+
+def _fit_stack(rows: np.ndarray, weights: Optional[np.ndarray]) -> _PairFit:
+    """Whitened least squares of every pair from its rows [1, t, ..., t^(L-1), tau].
+
+    `rows` is a contiguous (..., Nbar, L+1, K) stack (see
+    :meth:`DesignSystem._rows`); it is whitened in place by the (Nbar,)
+    `weights` 1/sigma_p, unless those are None.  One batched QR factors the
+    whole (..., Nbar, K, L+1) stack [V_p | tau_p] / sigma_p, read column-major
+    as LAPACK reads it.  Its last column carries Q^T tau above the diagonal
+    and the residual below, so Q is never formed, and neither are the normal
+    equations.  This is the package's one rank test: a pair whose block loses
+    column rank (repeated markers, fewer than L messages, or a block of
+    zeros) is flagged in `bad` and solved against an identity R instead, so
+    its theta and cov are finite but meaningless.
     """
-    L = sys.L
-    stack = sys._rows()
-    if sys.pair_variances is not None:  # whiten by 1/sigma_p
-        stack *= (1.0 / np.sqrt(sys.pair_variances))[:, None, None]
-    r = np.linalg.qr(stack.swapaxes(-1, -2), mode="r")
-    if sys.K < L:  # R has only K rows; the missing diagonal entries are zero
-        r = np.concatenate([r, np.zeros(r.shape[:-2] + (L - sys.K, L + 1))], axis=-2)
+    L, K = rows.shape[-2] - 1, rows.shape[-1]
+    if weights is not None:
+        rows *= weights[:, None, None]
+    r = np.linalg.qr(rows.swapaxes(-1, -2), mode="r")
+    if K < L:  # R has only K rows; the missing diagonal entries are zero
+        r = np.concatenate([r, np.zeros(r.shape[:-2] + (L - K, L + 1))], axis=-2)
     R = r[..., :L, :L]
     diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
-    bad = np.any(diag < _RANK_RTOL * diag.max(axis=-1, keepdims=True), axis=-1)
+    # <=, so that a block of zeros, whose largest entry is 0, is flagged too
+    bad = np.any(diag <= _RANK_RTOL * diag.max(axis=-1, keepdims=True), axis=-1)
     if bad.any():
         R = np.where(bad[..., None, None], np.eye(L), R)
     return _PairFit(theta=np.linalg.solve(R, r[..., :L, L:])[..., 0], R=R,

@@ -5,9 +5,13 @@ The stream addressed by an integer path (a, b, ...) under a master seed is
 distinct paths yield independent streams and a stream's draws depend on its
 address alone, not on which other streams were drawn, in what order or in
 what batches.  :func:`_stream_states` mixes the path words of all streams
-into the seed's entropy pool in one batched pass; numpy supplies that pool
-and seeds each stream's PCG64 from the resulting words in :func:`_draw_normals`.
+into the seed's entropy pool in one batched pass; numpy supplies that pool.
+:func:`_draw_normals` then seeds each stream's PCG64 straight from the
+resulting words, bit-identically to that stream's SeedSequence, through an
+ISeedSequence subclass built on the first draw (see :func:`_words_class`).
 """
+
+import functools
 
 import numpy as np
 
@@ -96,14 +100,26 @@ def _stream_states(seed, paths) -> np.ndarray:
     return state_words.astype("<u4").view("<u8")
 
 
-class _Words:
-    """Seed sequence handing PCG64 fixed (4,) uint64 seed words (an ISeedSequence once drawn)."""
+@functools.cache
+def _words_class() -> type:
+    """The ISeedSequence subclass handing PCG64 a stream's fixed (4,) uint64 seed words.
 
-    def __init__(self, words):
-        self.words = words
+    It is built on the first draw rather than at import, because subclassing
+    ISeedSequence loads numpy.random, which ``import relkin`` leaves
+    unloaded.  PCG64 takes any ISeedSequence instance as its seed sequence,
+    so a real subclass, unlike a class registered with the ABC, leaves
+    numpy's ISeedSequence as it is; and ``Generator(PCG64(words))`` skips the
+    type dispatch of ``default_rng``.  The draws are the same bits either way.
+    """
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+    class _Words(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return _Words
 
 
 def _draw_normals(states: np.ndarray, shape) -> np.ndarray:
@@ -111,14 +127,16 @@ def _draw_normals(states: np.ndarray, shape) -> np.ndarray:
 
     For the states of ``_stream_states(seed, paths)``, row s is bit-identical
     to the ``standard_normal(shape)`` draw of stream (seed, *paths[s]): numpy's
-    PCG64 is seeded from states[s] exactly as from that stream's SeedSequence.
+    PCG64 reads states[s] as the words that stream's SeedSequence would
+    generate, so each row costs one PCG64 and one Generator, and no hashing.
+    Both are built directly, not through ``default_rng`` (see
+    :func:`_words_class`).
     """
-    # registered here, not at import, so importing relkin leaves numpy.random unloaded
-    np.random.bit_generator.ISeedSequence.register(_Words)
+    words, pcg64, generator = _words_class(), np.random.PCG64, np.random.Generator
     # PCG64 reads each row's memory directly, so rows must be native uint64
     states = np.ascontiguousarray(states, np.uint64)
     n_streams = len(states)
     out = np.empty((n_streams, *shape))
-    for row, words in zip(out.reshape(n_streams, int(np.prod(shape))), states):
-        np.random.default_rng(_Words(words)).standard_normal(out=row)
+    for row, state in zip(out.reshape(n_streams, int(np.prod(shape))), states):
+        generator(pcg64(words(state))).standard_normal(out=row)
     return out

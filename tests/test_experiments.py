@@ -25,6 +25,8 @@ from relkin import (
 )
 from relkin.cli import main
 from relkin.experiments import ReportRow
+from relkin.ranging import _fit_pairs, build_design
+from relkin.twr import _draw_exchanges, _exchange_states
 
 import trial_oracle
 from trial_oracle import rmse_matrix_aligned, rmse_vector
@@ -294,6 +296,36 @@ class TestEngineMatchesOracle:
         _assert_rows_match(run_experiment(cfg).rows, trial_oracle.run_experiment(cfg))
 
 
+class TestOnePass:
+    """The engine's draw-and-fit pass against the staged library path it folds."""
+
+    @pytest.mark.parametrize("delay_model", ["exact", "taylor"])
+    @pytest.mark.parametrize("sigma_m", [0.0, 0.1], ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("K", [4, 10, 100], ids=["K=L", "K=10", "K=100"])
+    @pytest.mark.parametrize("kind", ["k_sweep", "time_grid"])
+    def test_bits_equal_draw_design_fit(self, monkeypatch, kind, K, sigma_m, delay_model):
+        sweep = [K] if kind == "k_sweep" else [-3.0, 0.0, 2.0]
+        cfg = ExperimentConfig(kind=kind, sweep=sweep, K=K, sigma_m=sigma_m, L=4, trials=7,
+                               seed=11, delay_model=delay_model)
+        traj = exp_mod.load_trajectory(cfg.fixture)
+        pt = exp_mod._sweep_point(traj, cfg, 2, K) if kind == "k_sweep" else \
+            exp_mod._time_grid_point(traj, cfg)
+        # sub-chunks of 3 trials: 3, 3 and a ragged 1
+        monkeypatch.setattr(exp_mod, "_CHUNK_DOUBLES", 3 * pt.clean.n_pairs * K * (cfg.L + 1))
+        trials = range(2, 9)
+        theta, rank_bad, snap_tau = exp_mod._fit_trials(pt, trials)
+
+        noise = exp_mod._point_model(cfg, K if kind == "k_sweep" else None)[1]
+        states = _exchange_states(cfg.seed, [pt.stream + (t,) for t in trials], pt.clean.n_pairs)
+        design = build_design(_draw_exchanges(pt.clean, noise, states), cfg.L, noise=noise)
+        fit = _fit_pairs(design)
+        assert (design.pair_variances is None) == (sigma_m == 0.0)
+        assert np.array_equal(theta, fit.theta)
+        assert np.array_equal(rank_bad, fit.bad.any(axis=-1))
+        assert snap_tau.shape == (7, 10, len(pt.markers))
+        assert np.array_equal(snap_tau, design.tau[..., pt.markers])
+
+
 class TestChunking:
     @pytest.mark.parametrize("config", [
         dict(kind="k_sweep", sweep=[10, 30], trials=23, seed=5),
@@ -310,18 +342,18 @@ class TestChunking:
     def test_outer_chunk_spans_ragged_sub_chunks(self, monkeypatch):
         cfg = ExperimentConfig(kind="k_sweep", sweep=[10, 30], trials=23, seed=5)
         outer, inner = [], []
-        real_chunk, real_draw = exp_mod._trial_chunk, exp_mod._draw_exchanges
+        real_chunk, real_draw = exp_mod._trial_chunk, exp_mod._draw_and_fit
 
         def chunk(pt, trials):
             outer.append(len(trials))
             return real_chunk(pt, trials)
 
-        def draw(clean, noise, states):
+        def draw(pt, states, rows):
             inner.append(len(states))
-            return real_draw(clean, noise, states)
+            return real_draw(pt, states, rows)
 
         monkeypatch.setattr(exp_mod, "_trial_chunk", chunk)
-        monkeypatch.setattr(exp_mod, "_draw_exchanges", draw)
+        monkeypatch.setattr(exp_mod, "_draw_and_fit", draw)
         monkeypatch.setattr(exp_mod, "_CHUNK_DOUBLES", 2**12)
         monkeypatch.setattr(exp_mod, "_cpus", lambda: 1)  # the calls are recorded here
         middle = run_experiment(cfg).rows

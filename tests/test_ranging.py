@@ -22,7 +22,7 @@ from relkin import (
     wls_solve,
 )
 from relkin.kinematics import TrajectorySet, _pair_kinematics, canonical_pairs
-from relkin.ranging import _fit_pairs, scale_factors
+from relkin.ranging import _fit_pairs, _fit_stack, scale_factors
 
 import dense_oracle
 from test_kinematics import geometries
@@ -241,6 +241,19 @@ class TestBatchedFit:
             with pytest.raises(RankDeficiencyError, match=r"offending pairs \[\(0, 2\)\]"):
                 wls_solve(sys)
 
+
+    def test_zero_block_is_flagged(self):
+        # a zero weight (an infinite variance) whitens pair (0, 2) to a block of
+        # zeros: its largest diagonal entry is 0, so only `diag <= tol * max` flags it
+        markers = np.tile([0.0, 1.0, 2.0, 3.0, 5.0], (3, 1))
+        tau = np.random.default_rng(1).normal(size=(3, 5))
+        rows = DesignSystem(markers=markers, tau=tau, L=3, n_nodes=3, c=C)._rows()
+        want = _fit_stack(rows.copy(), np.ones(3))
+        fit = _fit_stack(rows, np.array([1.0, 0.0, 1.0]))
+        assert not rows[1].any()
+        assert fit.bad.tolist() == [False, True, False]
+        assert np.all(np.isfinite(fit.theta))
+        assert np.array_equal(fit.theta[[0, 2]], want.theta[[0, 2]])
 
 class TestEfficiency:
     def test_wls_unbiased_and_attains_bound(self):
