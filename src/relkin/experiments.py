@@ -75,11 +75,11 @@ from .exceptions import (
 )
 from .kinematics import (
     TrajectorySet,
+    _is_int,
     _pair_kinematics,
     _symmetric,
     centering_matrix,
     load_trajectory,
-    pair_index,
     range_matrices,
 )
 from .ranging import (DesignSystem, RangeCoefficients, RangeCrb, _fill_powers, _fit_stack,
@@ -93,7 +93,7 @@ from .twr import (
     _clean_exchanges,
     _exchange_states,
     _is_finite,
-    _is_int,
+    _pair_std,
     _write_columns,
     generate_timestamps,
 )
@@ -277,9 +277,9 @@ class _Point(NamedTuple):
     stream: tuple[int, ...]        # trial t of the point simulates stream (*stream, t)
     markers: np.ndarray            # (M,) marker indices of the classical-MDS snapshots
     times: np.ndarray              # (M,) their instants, where the dynamic estimate is also taken
-    clean: TimestampExchangeSet    # (Nbar, K) noise-free exchanges
+    clean: TimestampExchangeSet    # (Nbar, K) noise-free one-way exchanges
     sigma: np.ndarray              # (2, Nbar, 1) marker noise std (s) of each pair's lower
-                                   # and higher node
+                                   # and higher node (see twr._pair_std)
     weights: Optional[np.ndarray]  # (Nbar,) whitening weights 1/sigma_p, None when noiseless
     hy_ref: np.ndarray             # (P, P) reference of the Hy error: the noiseless
                                    # rotation at a k/sigma point, zero on the time grid
@@ -322,11 +322,13 @@ def _draw_and_fit(pt: _Point, states: np.ndarray,
 
     One pass from the seed words to the whitened stack: the normals are
     drawn, the noisy markers t_i = clean t_i + sigma_i q_0 and delays
-    tau = e (clean t_j + sigma_j q_1 - t_i) are written straight into rows 1
+    tau = clean t_j + sigma_j q_1 - t_i are written straight into rows 1
     and L of `rows`, an (at least T, Nbar, L+1, K) scratch stack that is
     overwritten, and the stack is filled with the powers and factored by
-    :func:`ranging._fit_stack`.  Every value is bit-identical to what
-    ``_fit_pairs(build_design(_draw_exchanges(...), L, noise))`` gives.
+    :func:`ranging._fit_stack`.  The exchanges are one-way (`_point_model`
+    sets no direction policy), so tau skips the library's flags e, all +1.
+    Trial t's values are bit-identical to what ``_fit_pairs(build_design(
+    _draw_exchanges(pt.clean, noise, states[t]), L, noise))`` gives.
     """
     n_trials, n_pairs = states.shape[:2]
     L, K = pt.cfg.L, pt.clean.K
@@ -339,7 +341,6 @@ def _draw_and_fit(pt: _Point, states: np.ndarray,
     np.multiply(pt.sigma[1], q[:, :, 1], out=tau)
     tau += pt.clean.t_j
     tau -= t_i
-    tau *= pt.clean.e
     snap_tau = tau[..., pt.markers]
     _fill_powers(rows)
     fit = _fit_stack(rows, pt.weights)
@@ -507,16 +508,6 @@ def _point_model(cfg: ExperimentConfig, value=None) -> tuple[ExchangeConfig, Noi
             NoiseModel.from_pair_sigma(sigma_m, unit="m"))
 
 
-def _pair_noise(clean: TimestampExchangeSet, noise: NoiseModel,
-                L: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """The (2, Nbar, 1) marker noise stds (s) of each pair's lower and higher
-    node, and the pairs' whitening weights (None when noiseless): the noise
-    terms of a _Point, as `_draw_exchanges` and `build_design` derive them."""
-    sig = noise.node_std_seconds(clean.n_nodes, clean.c)
-    return (sig[np.stack(pair_index(clean.n_nodes))][..., None],
-            build_design(clean, L, noise=noise).weights)
-
-
 def _sweep_point(traj, cfg, s_idx, value) -> _Point:
     """A k/sigma sweep point, with its bounds."""
     exch_cfg, noise = _point_model(cfg, value)
@@ -530,9 +521,9 @@ def _sweep_point(traj, cfg, s_idx, value) -> _Point:
     hy_ref = solve_relative(wls_solve(build_design(clean, cfg.L)).to_range_matrices(), traj.P,
                             orthogonalize=cfg.orthogonalize).Hy
     rows = [(col, float(value), q, rcrbs[q]) for col, q in enumerate(_SWEEP_QUANTITIES)]
-    sigma, weights = _pair_noise(clean, noise, cfg.L)
     return _Point(traj, cfg, (s_idx,), markers=np.zeros(0, np.intp), times=np.zeros(0),
-                  clean=clean, sigma=sigma, weights=weights, hy_ref=hy_ref, rows=rows)
+                  clean=clean, sigma=_pair_std(noise, traj.N, clean.c)[..., None],
+                  weights=design.weights, hy_ref=hy_ref, rows=rows)
 
 
 def _time_grid_point(traj, cfg) -> _Point:
@@ -545,9 +536,10 @@ def _time_grid_point(traj, cfg) -> _Point:
     rows = [row for m, t in enumerate(times.tolist())
             for row in ((dyn + m, t, "Xk_dynamic", None), (snap + m, t, "Xk_cmds", None))]
     clean = _clean_exchanges(traj, exch_cfg)
-    sigma, weights = _pair_noise(clean, noise, cfg.L)
-    return _Point(traj, cfg, (0,), markers=idxs, times=times, clean=clean, sigma=sigma,
-                  weights=weights, hy_ref=np.zeros((traj.P, traj.P)), rows=rows)
+    return _Point(traj, cfg, (0,), markers=idxs, times=times, clean=clean,
+                  sigma=_pair_std(noise, traj.N, clean.c)[..., None],
+                  weights=build_design(clean, cfg.L, noise=noise).weights,
+                  hy_ref=np.zeros((traj.P, traj.P)), rows=rows)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RmseReport:

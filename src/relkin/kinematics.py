@@ -46,6 +46,11 @@ __all__ = [
 ]
 
 
+def _is_int(x) -> bool:
+    """An integer other than a bool (JSON true/false must not pass as 1/0)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def pair_count(n: int) -> int:
     """Number of unique node pairs of n nodes, N(N-1)/2, computed without allocating."""
     return n * (n - 1) // 2
@@ -101,9 +106,10 @@ class TrajectorySet:
         X: P x N positions at t0 = 0 (meters).
         Y: P x N velocities (meters/second).
 
-    Coincident nodes are rejected at construction: every range derivative
-    is undefined at zero separation, so the degenerate geometry is caught
-    here rather than surfacing later as NaNs.
+    A non-finite entry raises ValueError naming its node.  Coincident nodes
+    are rejected at construction: every range derivative is undefined at
+    zero separation, so the degenerate geometry is caught here rather than
+    surfacing later as NaNs.
     """
 
     X: np.ndarray
@@ -119,6 +125,11 @@ class TrajectorySet:
         p, n = self.X.shape
         if n < p:
             raise ValueError(f"need at least as many nodes as dimensions, got N={n} < P={p}")
+        for name, m in (("X", self.X), ("Y", self.Y)):
+            bad = np.flatnonzero(~np.isfinite(m).all(axis=0))
+            if bad.size:
+                raise ValueError(f"{name} of node {bad[0]} is {m[:, bad[0]].tolist()}; "
+                                 "positions and velocities must be finite")
         i, j = pair_index(n)
         dx = self.X.take(i, axis=1) - self.X.take(j, axis=1)
         hit = np.flatnonzero(np.sqrt((dx**2).sum(axis=0)) == 0.0)
@@ -142,11 +153,11 @@ class TrajectorySet:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrajectorySet":
+        """The set of a :meth:`to_dict` dict; a declared P or N must be X's integer one."""
         traj = cls(X=np.asarray(data["X"], float), Y=np.asarray(data["Y"], float))
-        if "P" in data and int(data["P"]) != traj.P:
-            raise ValueError(f"declared P={data['P']} does not match X rows {traj.P}")
-        if "N" in data and int(data["N"]) != traj.N:
-            raise ValueError(f"declared N={data['N']} does not match X columns {traj.N}")
+        for key, size in (("P", traj.P), ("N", traj.N)):
+            if key in data and not (_is_int(data[key]) and data[key] == size):
+                raise ValueError(f"declared {key}={data[key]!r} is not the integer {size} X gives")
         return traj
 
     def save(self, path) -> None:
@@ -157,8 +168,9 @@ class TrajectorySet:
         """Read a fixture JSON file as written by :meth:`save`.
 
         Raises:
-            InputError: if the file is not JSON, lacks X or Y, or holds
-                arrays that do not form a P x N trajectory.
+            InputError: if the file is not JSON, lacks X or Y, holds arrays
+                that do not form a finite P x N trajectory (null is not
+                finite), or declares a P or N other than X's integer one.
         """
         try:
             return cls.from_dict(json.loads(Path(path).read_text()))

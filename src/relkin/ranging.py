@@ -6,7 +6,8 @@ Links are pairwise independent, so the delay covariance is block diagonal
 and the network-wide weighted least-squares problem splits into independent
 per-pair solves.  One batched kernel whitens the (Nbar, K, L) stack of
 blocks and QR-factors every pair at once; the WLS estimate and its
-Cramer-Rao bound both read from it.  A diagonal rescaling
+Cramer-Rao bound both read from it.  A design system holds one network;
+the Monte Carlo engine stacks its trials' rows into the same kernel.  A diagonal rescaling
 converts the scaled coefficients to the physical range derivatives (meters,
 m/s, m/s^2, ...):
 
@@ -96,10 +97,8 @@ class DesignSystem:
             and > 0, or None for unit weights.  Block-diagonal covariance
             bdiag(var_p I_K) is the only structure supported.
 
-    markers and tau may carry leading batch axes, (..., Nbar, K), for
-    independent measurements of one network under the same variances.
-
     Raises:
+        ValueError: unless markers and tau share one (Nbar, K) shape.
         ConfigError: naming the first pair whose delay variance is zero (as
             one that underflowed), negative or not finite (as one that
             overflowed); see :func:`~relkin.kinematics.check_pair_variances`.
@@ -113,13 +112,13 @@ class DesignSystem:
     pair_variances: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.markers = np.atleast_2d(np.asarray(self.markers, float))
-        self.tau = np.atleast_2d(np.asarray(self.tau, float))
-        if self.markers.shape != self.tau.shape:
-            raise ValueError("markers and tau must share one shape")
+        self.markers = np.asarray(self.markers, float)
+        self.tau = np.asarray(self.tau, float)
         nbar = pair_count(self.n_nodes)
-        if self.markers.shape[-2] != nbar:
-            raise ValueError(f"expected {nbar} pairs, got {self.markers.shape[-2]}")
+        if self.markers.shape != self.tau.shape or self.markers.ndim != 2 \
+                or len(self.markers) != nbar:
+            raise ValueError(f"markers and tau must share one ({nbar}, K) shape, "
+                             f"got {self.markers.shape} and {self.tau.shape}")
         if self.L < 1:
             raise ValueError("polynomial order count L must be >= 1")
         if self.pair_variances is not None:
@@ -130,11 +129,11 @@ class DesignSystem:
 
     @property
     def K(self) -> int:
-        return self.markers.shape[-1]
+        return self.markers.shape[1]
 
     @property
     def n_pairs(self) -> int:
-        return self.markers.shape[-2]
+        return self.markers.shape[0]
 
     @property
     def weights(self) -> Optional[np.ndarray]:
@@ -142,11 +141,11 @@ class DesignSystem:
         return None if self.pair_variances is None else 1.0 / np.sqrt(self.pair_variances)
 
     def _rows(self) -> np.ndarray:
-        """Contiguous (..., Nbar, L+1, K) rows 1, t, ..., t^(L-1), tau of every pair."""
-        rows = np.empty(self.markers.shape[:-1] + (self.L + 1, self.K))
-        rows[..., 1, :] = self.markers  # overwritten by tau when L = 1
+        """Contiguous (Nbar, L+1, K) rows 1, t, ..., t^(L-1), tau of every pair."""
+        rows = np.empty((self.n_pairs, self.L + 1, self.K))
+        rows[:, 1] = self.markers  # overwritten by tau when L = 1
         _fill_powers(rows)
-        rows[..., self.L, :] = self.tau
+        rows[:, self.L] = self.tau
         return rows
 
 
@@ -243,11 +242,10 @@ def _full_rank_fit(sys: DesignSystem) -> _PairFit:
     """:func:`_fit_pairs`, raising where it flags a pair.
 
     Raises:
-        RankDeficiencyError: naming every pair whose block loses column rank
-            (in any network of a batch).
+        RankDeficiencyError: naming every pair whose block loses column rank.
     """
     fit = _fit_pairs(sys)
-    bad = np.flatnonzero(fit.bad.reshape(-1, sys.n_pairs).any(axis=0))
+    bad = np.flatnonzero(fit.bad)
     if bad.size:
         pairs = canonical_pairs(sys.n_nodes)
         raise RankDeficiencyError(

@@ -4,7 +4,8 @@ Each node pair exchanges K messages inside a common interval.  Per message
 one node transmits and the other receives; both record a local time marker
 and the signed direction flag (+1 when the lower-indexed node transmits).
 The signed marker difference recovers the propagation delay regardless of
-direction, which is what the ranging estimator consumes.
+direction, which is what the ranging estimator consumes.  An exchange set
+holds one network; batching trials of it is the Monte Carlo engine's.
 
 Timing noise is injected on the recorded markers themselves (one i.i.d.
 Gaussian draw per marker per message), so the measured delay of a pair
@@ -25,6 +26,7 @@ from .exceptions import ConfigError, InputError
 from .kinematics import (
     RangeDerivatives,
     TrajectorySet,
+    _is_int,
     _pair_kinematics,
     canonical_pairs,
     pair_count,
@@ -47,11 +49,6 @@ __all__ = [
 SPEED_OF_LIGHT = 3e8  # m/s, propagation speed used throughout unless overridden
 
 _CSV_COLUMNS = ("i", "j", "k", "E", "T_tx", "T_rx")
-
-
-def _is_int(x) -> bool:
-    """An integer other than a bool (JSON true/false must not pass as 1/0)."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _is_finite(x) -> bool:
@@ -185,10 +182,16 @@ def effective_noise_covariance(noise: NoiseModel, n_nodes: int,
     the delay covariance is bdiag(var_12 I_K, var_13 I_K, ...).  A variance
     that overflows comes back as inf, without a warning.
     """
-    i, j = pair_index(n_nodes)
     with np.errstate(over="ignore"):
-        var = noise.node_std_seconds(n_nodes, c) ** 2
-        return var[i] + var[j]
+        var = _pair_std(noise, n_nodes, c) ** 2
+        return var[0] + var[1]
+
+
+def _pair_std(noise: NoiseModel, n_nodes: int, c: float) -> np.ndarray:
+    """(2, Nbar) marker noise standard deviations (seconds) of the pairs, in
+    canonical order: pair p's markers carry the sigma of its lower-indexed
+    node (row 0) and of its higher-indexed node (row 1)."""
+    return noise.node_std_seconds(n_nodes, c)[np.stack(pair_index(n_nodes))]
 
 
 @dataclass
@@ -202,8 +205,8 @@ class TimestampExchangeSet:
         e: (Nbar, K) direction flags, +1 when the lower-indexed node transmitted.
         c: propagation speed (m/s).
 
-    Leading batch axes, (..., Nbar, K), hold independent simulations of one
-    network; file I/O handles a single set only.
+    Raises:
+        ValueError: unless t_i, t_j and e share one (Nbar, K) shape.
     """
 
     n_nodes: int
@@ -216,16 +219,13 @@ class TimestampExchangeSet:
         self.t_i = np.asarray(self.t_i, float)
         self.t_j = np.asarray(self.t_j, float)
         self.e = np.asarray(self.e, int)
-        nbar = pair_count(self.n_nodes)
-        for name, m in (("t_i", self.t_i), ("t_j", self.t_j), ("e", self.e)):
-            if m.ndim < 2 or m.shape[-2] != nbar:
-                raise ValueError(f"{name} must be (..., {nbar}, K), got {m.shape}")
-        if not (self.t_i.shape == self.t_j.shape == self.e.shape):
-            raise ValueError("t_i, t_j and e must share one shape")
+        nbar, shapes = pair_count(self.n_nodes), (self.t_i.shape, self.t_j.shape, self.e.shape)
+        if len(set(shapes)) > 1 or self.t_i.ndim != 2 or len(self.t_i) != nbar:
+            raise ValueError(f"t_i, t_j and e must share one ({nbar}, K) shape, got {shapes}")
 
     @property
     def K(self) -> int:
-        return self.t_i.shape[-1]
+        return self.t_i.shape[1]
 
     @property
     def pairs(self) -> list[tuple[int, int]]:
@@ -233,7 +233,7 @@ class TimestampExchangeSet:
 
     @property
     def n_pairs(self) -> int:
-        return self.t_i.shape[-2]
+        return self.t_i.shape[0]
 
     def tau(self) -> np.ndarray:
         """Measured propagation delays e o (t_j - t_i), shape (Nbar, K)."""
@@ -449,24 +449,20 @@ def _exchange_states(seed, streams, n_pairs: int) -> np.ndarray:
 
 def _draw_exchanges(clean: TimestampExchangeSet, noise: NoiseModel,
                     states: np.ndarray) -> TimestampExchangeSet:
-    """Noisy exchanges of a batch of simulations of the noise-free set `clean`.
+    """One noisy simulation of the noise-free set `clean`.
 
-    Each simulation perturbs every marker of `clean` by one Gaussian draw, for
-    pair p of simulation b from the stream of seed words states[b, p] (see
+    Every marker of `clean` is perturbed by one Gaussian draw, for pair p
+    from the stream of seed words states[p] (an (Nbar, 4) row of
     :func:`_exchange_states`): row 0 of its (2, K) draw perturbs the lower
-    node's markers, row 1 the higher node's.  The result holds
-    (len(states), Nbar, K) arrays, exactly what one :func:`simulate_exchanges`
-    call per simulation would give.
+    node's markers, row 1 the higher node's, each scaled by that node's sigma
+    (see :func:`_pair_std`).
     """
-    n_sims, n_pairs = states.shape[:2]
-    sig = noise.node_std_seconds(clean.n_nodes, clean.c)
-    i, j = pair_index(clean.n_nodes)
-    q = _draw_normals(states.reshape(n_sims * n_pairs, -1), (2, clean.K))
-    q = q.reshape(n_sims, n_pairs, 2, clean.K)
-    t_i = clean.t_i + sig[i, None] * q[:, :, 0]
-    t_j = clean.t_j + sig[j, None] * q[:, :, 1]
-    # a copy: with a broadcast view the large_n48 benchmark peaked at 105 MB, not 92 MB
-    e = np.broadcast_to(clean.e, t_i.shape).copy()
+    sig = _pair_std(noise, clean.n_nodes, clean.c)
+    q = _draw_normals(states, (2, clean.K))
+    t_i = clean.t_i + sig[0, :, None] * q[:, 0]
+    t_j = clean.t_j + sig[1, :, None] * q[:, 1]
+    # a copy: with a view of clean.e the large_n48 benchmark peaked at 105 MB, not 92 MB
+    e = clean.e.copy()
     return TimestampExchangeSet(n_nodes=clean.n_nodes, t_i=t_i, t_j=t_j, e=e, c=clean.c)
 
 
@@ -491,6 +487,4 @@ def simulate_exchanges(traj: TrajectorySet, cfg: ExchangeConfig, noise: NoiseMod
             entries lie in [0, 2**32).
     """
     clean = _clean_exchanges(traj, cfg)
-    batch = _draw_exchanges(clean, noise, _exchange_states(seed, [stream], clean.n_pairs))
-    return TimestampExchangeSet(n_nodes=batch.n_nodes, t_i=batch.t_i[0], t_j=batch.t_j[0],
-                                e=batch.e[0], c=batch.c)
+    return _draw_exchanges(clean, noise, _exchange_states(seed, [stream], clean.n_pairs)[0])

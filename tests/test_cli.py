@@ -428,6 +428,24 @@ class TestCrb:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, cause", [
+        ('{"X": [[0, 10, NaN], [0, 0, 5]], "Y": [[1, 0, 0], [0, 1, 0]]}', "X of node 2"),
+        ('{"X": [[0, 10, 3], [0, 0, 5]], "Y": [[1, 0, Infinity], [0, 1, 0]]}', "Y of node 2"),
+        ('{"X": [[0, 10, null], [0, 0, 5]], "Y": [[1, 0, 0], [0, 1, 0]]}', "X of node 2"),
+        ('{"P": 2.7, "X": [[0, 10, 3], [0, 0, 5]], "Y": [[1, 0, 0], [0, 1, 0]]}',
+         "declared P=2.7 is not the integer 2 X gives"),
+    ], ids=["nan", "inf", "null", "P=2.7"])
+    def test_unusable_fixture_values_are_clean_errors(self, tmp_path, capsys, text, cause):
+        # before, NaN/null surfaced as a zero-range pair and P=2.7 was read as 2
+        path = tmp_path / "fixture.json"
+        path.write_text(text)
+        out = tmp_path / "crb.csv"
+        rc = main(["crb", "--fixture", str(path), "--messages", "20", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and cause in err
+        assert not out.exists()
+
 
 class TestExperiment:
     def test_config_run_and_check(self, tmp_path):

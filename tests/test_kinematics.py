@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from relkin import (
     DegenerateGeometryError,
+    InputError,
     RangeMatrices,
     TrajectorySet,
     builtin_trajectory,
@@ -279,6 +280,30 @@ class TestTrajectoryIO:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"P": 3, "N": 2, "X": [[0, 1]], "Y": [[0, 0]]}))
         with pytest.raises(ValueError):
+            load_trajectory(path)
+
+    @pytest.mark.parametrize("X, Y, where", [
+        ([[0.0, 10.0, float("nan")], [0.0, 0.0, 5.0]], [[1, 0, 0], [0, 1, 0]], "X of node 2"),
+        ([[0.0, 10.0, 3.0], [0.0, 0.0, 5.0]], [[1, 0, 0], [0, float("inf"), 0]], "Y of node 1"),
+        ([[0.0, 10.0, None], [0.0, 0.0, 5.0]], [[1, 0, 0], [0, 1, 0]], "X of node 2"),
+    ], ids=["nan", "inf", "null"])
+    def test_non_finite_entry_rejected_naming_the_node(self, tmp_path, X, Y, where):
+        with pytest.raises(ValueError, match=f"{where} is .*must be finite"):
+            TrajectorySet.from_dict({"X": X, "Y": Y})
+        path = tmp_path / "fixture.json"
+        path.write_text(json.dumps({"X": X, "Y": Y}))  # NaN, Infinity and null
+        with pytest.raises(InputError, match=where):
+            load_trajectory(path)
+
+    @pytest.mark.parametrize("declared", [{"P": 2.7}, {"P": 2.0}, {"N": "3"}, {"N": True}],
+                             ids=["P=2.7", "P=2.0", "N-string", "N-bool"])
+    def test_non_integer_declared_size_rejected(self, tmp_path, declared):
+        data = dict(declared, X=[[0.0, 10.0, 3.0], [0.0, 0.0, 5.0]], Y=[[1, 0, 0], [0, 1, 0]])
+        with pytest.raises(ValueError, match=r"declared [PN]=.* is not the integer [23] X gives"):
+            TrajectorySet.from_dict(data)
+        path = tmp_path / "fixture.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(InputError, match="is not the integer"):
             load_trajectory(path)
 
     def test_builtin_fixture_shape(self):

@@ -186,16 +186,20 @@ class TestSimulation:
                                      ExchangeConfig(K=7, delay_model="taylor", model_order=3)],
                              ids=["exact", "taylor"])
     def test_batched_draws_equal_per_stream_simulations(self, cfg):
+        # row b of one batched seeding draws what simulating stream b alone draws
         traj = builtin_trajectory("cluster5")
         noise = NoiseModel.from_pair_sigma(0.3, unit="m")
         streams = [(2, t) for t in range(4)]
-        batch = _draw_exchanges(_clean_exchanges(traj, cfg), noise, _exchange_states(11, streams, 10))
-        assert batch.t_i.shape == (4, 10, 7) and (batch.n_pairs, batch.K) == (10, 7)
+        clean = _clean_exchanges(traj, cfg)
+        states = _exchange_states(11, streams, 10)
+        assert states.shape == (4, 10, 4)
         for b, stream in enumerate(streams):
+            drawn = _draw_exchanges(clean, noise, states[b])
             one = simulate_exchanges(traj, cfg, noise, 11, stream=stream)
+            assert drawn.t_i.shape == (10, 7) and (drawn.n_pairs, drawn.K) == (10, 7)
             for name in ("t_i", "t_j", "e"):
-                assert np.array_equal(getattr(batch, name)[b], getattr(one, name))
-            assert np.array_equal(batch.tau()[b], one.tau())
+                assert np.array_equal(getattr(drawn, name), getattr(one, name))
+            assert np.array_equal(drawn.tau(), one.tau())
 
     @pytest.mark.parametrize("cfg", [ExchangeConfig(K=9, direction_policy="alternating"),
                                      ExchangeConfig(K=9, delay_model="taylor", model_order=3)],
