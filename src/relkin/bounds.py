@@ -13,10 +13,12 @@ canonical pairs p = (i, j),
 from the ranges for positions (z = x) and from the squared velocity
 differences r rddot + rdot^2 for velocities (z = y), assembled in
 O(Nbar P^2): off-diagonal blocks -w_p g_p g_p^T, diagonal blocks minus the
-sum of their row.  Translations and a global rotation are unidentifiable,
-so for P = 2 both matrices are structurally rank deficient by exactly 3 and
-the bound is the trace of the pseudo-inverse truncated by that deficiency
-(inf where the measurements leave a further direction uninformed).
+sum of their row.  Only pair differences enter, so callers pass X and Y as
+they are: centering them changes F by rounding alone.  Translations and a
+global rotation are unidentifiable, so for P = 2 both matrices are
+structurally rank deficient by exactly 3 and the bound is the trace of the
+pseudo-inverse truncated by that deficiency (inf where the measurements
+leave a further direction uninformed, see `crb_trace`).
 
 By default each pair is listed in both orderings (2 Nbar measurements),
 which doubles every weight; duplicate_pairs=False gives the
@@ -26,17 +28,11 @@ Nbar-measurement variant (exactly half the information).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    ConfigError,
-    DegenerateGeometryError,
-    DegenerateVelocityWarning,
-    UnsupportedCovarianceError,
-)
+from .exceptions import ConfigError, DegenerateGeometryError, UnsupportedCovarianceError
 from .kinematics import RangeMatrices, canonical_pairs, check_pair_variances, pair_count, pair_index
 
 __all__ = [
@@ -174,9 +170,8 @@ def fim_velocity(Yrel: np.ndarray, rm: RangeMatrices, covs: RangeNoiseCovariance
 
     so the pair weight is 4/s.  Every variance of `covs` is > 0, so s is
     zero only for a pair at zero range in `rm` (r, rdot and rddot all zero),
-    which raises DegenerateGeometryError naming the pair.  When all velocity
-    differences vanish the measurements carry no information and a
-    DegenerateVelocityWarning is issued.
+    which raises DegenerateGeometryError naming the pair.  Equal velocities
+    give F = 0, which `crb_trace` reads as inf.
     """
     Yrel = np.asarray(Yrel, float)
     r, rdot, rddot = rm.pair_vectors()
@@ -187,15 +182,8 @@ def fim_velocity(Yrel: np.ndarray, rm: RangeMatrices, covs: RangeNoiseCovariance
         raise DegenerateGeometryError(f"nodes {canonical_pairs(Yrel.shape[1])[p]} are at zero "
                                       f"range in rm: their velocity measurement variance is "
                                       f"{float(s[p])!r}")
-    if np.all(Yrel == Yrel[:, :1]):
-        warnings.warn("all relative velocities are equal; velocity information is degenerate",
-                      DegenerateVelocityWarning, stacklevel=2)
     w = (8.0 if duplicate_pairs else 4.0) / s
     return _pair_fisher(Yrel, w)
-
-
-# a non-structural eigenvalue at or below this fraction of the largest is uninformed
-_NULL_EIGENVALUE = 1e-10
 
 
 def crb_trace(fi: FisherInfo) -> float:
@@ -204,12 +192,13 @@ def crb_trace(fi: FisherInfo) -> float:
 
     The `fi.structural_deficiency` smallest eigenvalues are the zeros of the
     relative-geometry null space (translations and rotations) and are
-    excluded.  If any other eigenvalue is at or below _NULL_EIGENVALUE
-    (1e-10) times the largest, a direction beyond that null space is not
-    informed (equal or collinear velocities, collinear positions, F = 0) and
-    the bound is inf.
+    excluded.  If any other eigenvalue is at or below the eigensolver's
+    rounding scale, fi.size * eps times the largest (eps the float64 machine
+    epsilon), a direction beyond that null space is not informed (equal or
+    collinear velocities, collinear positions, F = 0) and the bound is inf.
+    Above it, however small, the bound is the finite sum of the inverses.
     """
     lam = np.linalg.eigvalsh(fi.matrix)[fi.structural_deficiency:]
-    if lam.size and not lam[0] > _NULL_EIGENVALUE * lam[-1]:
+    if lam.size and not lam[0] > fi.size * np.finfo(float).eps * lam[-1]:
         return math.inf
     return float(np.sum(1.0 / lam))

@@ -36,7 +36,3 @@ class InputError(RelkinError, ValueError):
 
 class EmbeddingClampWarning(UserWarning):
     """Negative eigenvalues were clamped to zero during an embedding."""
-
-
-class DegenerateVelocityWarning(UserWarning):
-    """All relative velocities vanish; the velocity information matrix is degenerate."""

@@ -131,8 +131,9 @@ class ExperimentConfig:
     """One Monte Carlo experiment.
 
     The sweep list is interpreted per kind: message counts for ``k_sweep``,
-    dB-meter noise levels for ``sigma_sweep``, and report times (snapped to
-    the nearest transmit marker) for ``time_grid``.  L must be at least 3,
+    dB-meter noise levels for ``sigma_sweep``, and report times inside the
+    interval (snapped to the nearest transmit marker) for ``time_grid``, a
+    time outside it a ConfigError.  L must be at least 3,
     since the pipeline reads r, rdot and rddot, and every sweep point's K at
     least L (else ConfigError).  The message schedule and noise values are
     validated by building the ExchangeConfig and NoiseModel of the config
@@ -178,6 +179,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{self.kind} values must be finite numbers, got {value!r}")
             if self.kind != "time_grid":
                 exch, _ = _point_model(self, value)
+            elif not self.interval[0] <= value <= self.interval[1]:
+                raise ConfigError(f"time_grid values must lie in interval "
+                                  f"{list(self.interval)}, got {value!r}")
             if exch.K < self.L:
                 raise ConfigError(f"K={exch.K} is below L={self.L}: a sweep point needs at "
                                   "least L messages per pair to fit L coefficients")
@@ -263,9 +267,8 @@ def _root_crbs(traj: TrajectorySet, design: DesignSystem) -> tuple[RangeCrb, flo
     from the weighted design of one setup's noise-free exchanges."""
     theta_crb = crb_theta(design)
     covs = RangeNoiseCovariances.from_theta_crb(theta_crb)
-    pc = centering_matrix(traj.N)
-    fx = fim_position(traj.X @ pc, covs.Sigma_r)
-    fy = fim_velocity(traj.Y @ pc, range_matrices(traj), covs)
+    fx = fim_position(traj.X, covs.Sigma_r)
+    fy = fim_velocity(traj.Y, range_matrices(traj), covs)
     return theta_crb, float(np.sqrt(crb_trace(fx))), float(np.sqrt(crb_trace(fy)))
 
 
@@ -399,10 +402,13 @@ def _trial_chunk(pt: _Point, trials: range) -> _Trials:
     phys = coeffs.physical
     coeff_true = _pair_kinematics(traj.X, traj.Y)
     n_trial_cols = len(_SWEEP_QUANTITIES) + len(pt.times)  # the columns before the snapshots
-    # a failed snapshot is an EmbeddingFailureError of its column (cause 2)
-    snap_failed = np.pad(failed[:, 2:], ((0, 0), (n_trial_cols, 0)))
-    cause = np.select([rank_bad[:, None], embed_bad[:, None], (ok & (rank < P * P))[:, None],
-                       snap_failed], [1, 2, 3, 2], 0).astype(np.int8)
+    # each trial's first failing stage, coded as in _Trials; a failed snapshot
+    # is an EmbeddingFailureError of its column alone
+    stages = [(rank_bad[:, None], RankDeficiencyError), (embed_bad[:, None], EmbeddingFailureError),
+              ((ok & (rank < P * P))[:, None], IllPosedRotationError),
+              (np.pad(failed[:, 2:], ((0, 0), (n_trial_cols, 0))), EmbeddingFailureError)]
+    cause = np.select([bad for bad, _ in stages],
+                      [1 + _TRIAL_ERRORS.index(err) for _, err in stages], 0).astype(np.int8)
     trial_clamped = ~rank_bad & (clamped[:, 0] | (~failed[:, 0] & clamped[:, 1]))
     return _Trials(
         cause=cause,

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from relkin import (
     DegenerateGeometryError,
@@ -19,12 +22,8 @@ from relkin import (
     range_matrices,
     simulate_exchanges,
 )
-from relkin.exceptions import (
-    ConfigError,
-    DegenerateVelocityWarning,
-    UnsupportedCovarianceError,
-)
-from relkin.kinematics import RangeMatrices, TrajectorySet
+from relkin.exceptions import ConfigError, UnsupportedCovarianceError
+from relkin.kinematics import RangeMatrices, TrajectorySet, pair_count
 
 import dense_oracle
 from test_kinematics import geometries
@@ -114,14 +113,19 @@ class TestFimVelocity:
         f2 = fim_velocity(3.0 * yc, rm, covs).matrix
         assert np.allclose(f2, 9.0 * f1, rtol=1e-10)
 
-    def test_equal_velocities_degenerate_warning(self):
-        traj = TrajectorySet(X=[[0.0, 100.0, 50.0, 20.0], [0.0, 0.0, 80.0, 30.0]],
-                             Y=np.tile([[2.0], [1.0]], (1, 4)))
+    @pytest.mark.parametrize("y", [(2.0, 1.0), (3.7, -1.3), (0.1, 0.2)],
+                             ids=lambda y: "{:g},{:g}".format(*y))
+    def test_equal_velocities_are_uninformed(self, y):
+        # uncentered, the velocity differences are exactly zero, so F is too;
+        # centering would leave rounding noise that reads as a finite bound
+        traj = TrajectorySet(X=builtin_trajectory("cluster5").X,
+                             Y=np.tile(np.array(y)[:, None], (1, 5)))
         covs = fixture_covariances(traj)
-        yc = traj.Y @ centering_matrix(4)
-        with pytest.warns(DegenerateVelocityWarning):
-            fy = fim_velocity(yc, range_matrices(traj), covs)
-        assert np.allclose(fy.matrix, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fy = fim_velocity(traj.Y, range_matrices(traj), covs)
+        assert np.all(fy.matrix == 0.0)
+        assert crb_trace(fy) == np.inf
 
     def test_zero_range_pair_is_degenerate(self):
         # every variance is > 0, so s = r^2 var_rddot + rddot^2 var_r +
@@ -314,14 +318,24 @@ class TestCrbTrace:
         assert crb_trace(FisherInfo(3.0 * f, 0)) == \
             pytest.approx(crb_trace(FisherInfo(f, 0)) / 3.0, rel=1e-10)
 
-    @pytest.mark.parametrize("eigenvalues", [[3.0, 2.0, 0.0, 0.0], [3.0, 2.0, 1e-11, 0.0],
+    @staticmethod
+    def rotated_spectrum(eigenvalues):
+        # one structural zero, so the second smallest eigenvalue is the
+        # least informed direction the bound keeps
+        q, _ = np.linalg.qr(np.random.default_rng(2).normal(size=(4, 4)))
+        return FisherInfo(matrix=q @ np.diag(eigenvalues) @ q.T, structural_deficiency=1)
+
+    @pytest.mark.parametrize("eigenvalues", [[3.0, 2.0, 0.0, 0.0], [3.0, 2.0, 1e-17, 0.0],
                                              [0.0] * 4], ids=["null", "near-null", "zero"])
     def test_uninformed_direction_beyond_structural_is_inf(self, eigenvalues):
-        # one structural zero, so the second smallest eigenvalue is a
-        # direction the measurements leave (almost) uninformed
-        q, _ = np.linalg.qr(np.random.default_rng(2).normal(size=(4, 4)))
-        fi = FisherInfo(matrix=q @ np.diag(eigenvalues) @ q.T, structural_deficiency=1)
-        assert crb_trace(fi) == np.inf
+        # near-null: 1e-17 lies below the rounding scale 4 eps 3 = 2.7e-15
+        assert crb_trace(self.rotated_spectrum(eigenvalues)) == np.inf
+
+    def test_small_direction_above_rounding_scale_is_finite(self):
+        # 1e-11 of the largest is small, but far above the rounding scale; its
+        # eigenvalue carries an absolute error of a few eps, so rel=1e-4
+        fi = self.rotated_spectrum([3.0, 2.0, 1e-11, 0.0])
+        assert crb_trace(fi) == pytest.approx(1 / 3 + 1 / 2 + 1e11, rel=1e-4)
 
     def test_generic_fixture_drops_exactly_the_structural_zeros(self):
         traj = builtin_trajectory("cluster5")
@@ -353,6 +367,68 @@ class TestCrbTrace:
         ry = np.sqrt(crb_trace(fim_velocity(traj.Y @ pc, range_matrices(traj), covs)))
         assert 0.0 < rx < 1.0   # sub-meter floor at 0.1 m pair noise, K=100
         assert 0.0 < ry < 1.0
+
+
+@st.composite
+def planar_fims(draw, kind):
+    """(TrajectorySet, [FisherInfo]) of an uncentered planar network of 3..48
+    nodes, positions on a 1 mm grid within 1 km and velocities on a 1 mm/s
+    grid within 20 m/s, with random per-pair variances.  Kind "generic"
+    gives both information matrices; "equal-velocities",
+    "collinear-velocities" and "collinear-positions" (exactly so on the
+    integer grid, before scaling to meters) give the one they leave
+    uninformed."""
+    n = draw(st.integers(3, 48))
+    ints = lambda bound, size, unique=False: np.array(draw(st.lists(
+        st.integers(-bound, bound), min_size=size, max_size=size, unique=unique)), float)
+
+    def line(bound, unique):
+        direction = ints(9, 2)
+        assume(direction.any())
+        s = ints(bound // 10, n, unique)
+        return (ints(bound, 2)[:, None] + direction[:, None] * s) / 1e3
+
+    # distinct first coordinates keep the nodes apart
+    X = line(10**6, True) if kind == "collinear-positions" else \
+        np.stack([ints(10**6, n, True), ints(10**6, n)]) / 1e3
+    if kind == "equal-velocities":
+        Y = np.tile(ints(20_000, 2)[:, None], (1, n)) / 1e3
+    elif kind == "collinear-velocities":
+        Y = line(20_000, False)
+    else:
+        Y = ints(20_000, 2 * n).reshape(2, n) / 1e3
+    traj = TrajectorySet(X=X, Y=Y)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    covs = RangeNoiseCovariances(*(10.0 ** rng.uniform(-4, -1, pair_count(n)) for _ in range(3)))
+    fx = lambda: fim_position(X, covs.Sigma_r)
+    fy = lambda: fim_velocity(Y, range_matrices(traj), covs)
+    fims = [f() for f in {"generic": (fx, fy), "collinear-positions": (fx,)}.get(kind, (fy,))]
+    return traj, fims
+
+
+# crb_trace's one rule on uncentered inputs: an exactly degenerate geometry
+# reads inf (its extra null eigenvalues stay below the rounding scale
+# fi.size eps lambda_max), a generic one the sum of the inverses of its
+# 2N - 3 kept eigenvalues.
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from(["equal-velocities", "collinear-velocities",
+                             "collinear-positions"]).flatmap(planar_fims))
+def test_crb_trace_inf_on_degenerate_geometries(case):
+    _, (fi,) = case
+    assert crb_trace(fi) == np.inf
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=planar_fims("generic"))
+def test_crb_trace_sums_kept_inverses_on_generic_geometries(case):
+    traj, fims = case
+    pc = centering_matrix(traj.N)
+    for z in (traj.X @ pc, traj.Y @ pc):  # skip draws within 1% of collinear
+        s = np.linalg.svd(z, compute_uv=False)
+        assume(s[1] > 1e-2 * s[0])
+    for fi in fims:
+        lam = np.linalg.eigvalsh(fi.matrix)[fi.structural_deficiency:]
+        assert crb_trace(fi) == float(np.sum(1.0 / lam)) < np.inf
 
 
 class TestRmseAboveBound:

@@ -30,7 +30,6 @@ from relkin import (
 )
 from relkin import cli
 from relkin.cli import main
-from relkin.exceptions import DegenerateVelocityWarning
 from relkin.experiments import _root_crbs
 from relkin.twr import _clean_exchanges
 
@@ -386,15 +385,19 @@ class TestCrb:
          [[2.0, -1.0, 0.5, 1.5], [1.0, 0.5, -2.0, 0.0]], "Xrel"),
         ([[0.0, 100.0, 50.0, 20.0], [0.0, 0.0, 80.0, 30.0]],
          [[2.0, -1.0, 0.5, 1.5], [4.0, -2.0, 1.0, 3.0]], "Yrel"),
-    ], ids=["equal-velocities", "collinear-positions", "collinear-velocities"])
-    def test_degenerate_fixture_bound_is_inf(self, tmp_path, X, Y, uninformed):
+        # centered before the bound, these read as Yrel 5.2e16
+        (builtin_trajectory("cluster5").X.tolist(), [[3.7] * 5, [-1.3] * 5], "Yrel"),
+    ], ids=["equal-velocities", "collinear-positions", "collinear-velocities",
+            "equal-velocities-cluster5"])
+    def test_degenerate_fixture_bound_is_inf(self, tmp_path, capfd, X, Y, uninformed):
         path = tmp_path / "fixture.json"
-        path.write_text(json.dumps({"P": 2, "N": 4, "X": X, "Y": Y}))
+        path.write_text(json.dumps({"P": 2, "N": len(X[0]), "X": X, "Y": Y}))
         out = tmp_path / "crb.csv"
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateVelocityWarning)
+            warnings.simplefilter("error")
             assert main(["crb", "--fixture", str(path), "--messages", "50",
                          "--out", str(out)]) == 0
+        assert capfd.readouterr().err == ""
         rcrb = {r["quantity"]: float(r["rcrb"]) for r in read_rows(out)}
         informed = {"Xrel": "Yrel", "Yrel": "Xrel"}[uninformed]
         assert rcrb[uninformed] == np.inf
@@ -564,6 +567,8 @@ class TestExperiment:
         {"sigma_m": 1e300},
         {"sweep": {"sigma_db_m": [-3000]}},
         {"sweep": {"sigma_db_m": [3000]}},
+        {"sweep": {"time_grid": [10, -50]}},
+        {"sweep": {"time_grid": [0.5]}, "interval": [1.0, 2.0]},
     ], ids=["string-L", "zero-L", "float-K", "zero-K", "float-K-sweep", "zero-K-sweep",
             "scalar-K-sweep", "string-K-sweep", "negative-sigma", "nan-sigma", "string-sigma",
             "two-sigmas", "per-node-sigmas", "inf-sigma-sweep",
@@ -572,7 +577,8 @@ class TestExperiment:
             "taylor-beyond-order-4", "negative-c", "zero-c", "string-c", "string-orthogonalize",
             "int-orthogonalize", "L-2", "L-2-noiseless", "time-grid-L-1",
             "underflowing-pair-variance", "overflowing-pair-variance",
-            "underflowing-sigma-sweep-variance", "overflowing-sigma-sweep-variance"])
+            "underflowing-sigma-sweep-variance", "overflowing-sigma-sweep-variance",
+            "time-grid-outside-interval", "time-grid-outside-custom-interval"])
     def test_bad_config_value_is_clean_error(self, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sweep": {"K": [10]}, "trials": 2, **config}))

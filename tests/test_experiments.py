@@ -128,6 +128,22 @@ class TestConfig:
         # a k_sweep's own K is no sweep point, so only its sweep values count
         assert ExperimentConfig(kind="k_sweep", sweep=[4], K=3, L=4).sweep == [4]
 
+    @pytest.mark.parametrize("sweep, interval, bad", [
+        ([10, -50], (-3.0, 3.0), "10"),
+        ([0.0, -3.0000001], (-3.0, 3.0), "-3.0000001"),
+        ([1.5, 0.0], (1.0, 2.0), "0.0"),
+    ], ids=["above", "just-below", "custom-interval"])
+    def test_time_grid_outside_interval_rejected(self, sweep, interval, bad):
+        with pytest.raises(ConfigError, match=rf"^time_grid values must lie in interval "
+                                              rf"\[{interval[0]}, {interval[1]}\], got {bad}$"):
+            ExperimentConfig(kind="time_grid", sweep=sweep, interval=interval)
+
+    def test_time_grid_inside_interval_snaps_to_markers(self):
+        # K = 7 markers on [-3, 3] are one second apart; the edges are inside
+        cfg = ExperimentConfig(kind="time_grid", sweep=[-3, 3, 0.4, 1.6], K=7, trials=1)
+        point = exp_mod._time_grid_point(exp_mod.load_trajectory(cfg.fixture), cfg)
+        assert point.times.tolist() == [-3.0, 3.0, 0.0, 2.0]
+
 
 class TestRunExperiment:
     def test_noiseless_single_trial_sanity(self):
@@ -194,6 +210,14 @@ class TestFailureAccounting:
             assert row.n_fail == 2
             assert np.isfinite(row.rmse)
             assert row.failures == {"EmbeddingFailureError": 2}
+
+    def test_causes_follow_the_order_of_trial_errors(self, monkeypatch):
+        # each failure is coded as 1 + the index of its type in _TRIAL_ERRORS,
+        # so reordering the tuple names the same failures
+        want = run_experiment(ExperimentConfig(**SIGMA_FAILING)).rows
+        assert {name for row in want for name in row.failures} == {"IllPosedRotationError"}
+        monkeypatch.setattr(exp_mod, "_TRIAL_ERRORS", exp_mod._TRIAL_ERRORS[::-1])
+        assert run_experiment(ExperimentConfig(**SIGMA_FAILING)).rows == want
 
     def test_manifest_splits_failures_by_cause(self, tmp_path):
         report = run_experiment(ExperimentConfig(**SIGMA_FAILING))

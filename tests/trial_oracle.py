@@ -74,15 +74,16 @@ def rmse_matrix_aligned(estimates, truth) -> float:
     return float(np.sqrt(np.mean(resid**2)))
 
 
-def _point_rcrbs(traj, exch_cfg, noise, L, pc):
-    """Root-CRBs at one sweep point, from the clean marker grid."""
+def _point_rcrbs(traj, exch_cfg, noise, L):
+    """Root-CRBs at one sweep point, from the clean marker grid.  The FIMs read
+    only pair differences, so X and Y go in as they are."""
     clean = simulate_exchanges(traj, exch_cfg, NoiseModel(0.0), seed=0)
     var = effective_noise_covariance(noise, traj.N, exch_cfg.c)
     theta_crb = crb_theta(DesignSystem(markers=clean.t_i, tau=clean.tau(), L=L, n_nodes=traj.N,
                                        c=clean.c, pair_variances=var))
     covs = RangeNoiseCovariances.from_theta_crb(theta_crb)
-    fx = fim_position(traj.X @ pc, covs.Sigma_r)
-    fy = fim_velocity(traj.Y @ pc, range_matrices(traj), covs)
+    fx = fim_position(traj.X, covs.Sigma_r)
+    fy = fim_velocity(traj.Y, range_matrices(traj), covs)
     return {"r": theta_crb.rcrb(0), "rdot": theta_crb.rcrb(1), "rddot": theta_crb.rcrb(2),
             "Xrel": float(np.sqrt(crb_trace(fx))), "Yrel": float(np.sqrt(crb_trace(fy))),
             "Hy": None}
@@ -128,7 +129,7 @@ def sweep_point(traj, cfg, s_idx, value):
     r_true, rdot_true, rddot_true = range_matrices(traj).pair_vectors()
     xc_true, yc_true = traj.X @ pc, traj.Y @ pc
     if sigma_m > 0:
-        rcrbs = _point_rcrbs(traj, exch_cfg, noise, cfg.L, pc)
+        rcrbs = _point_rcrbs(traj, exch_cfg, noise, cfg.L)
     else:
         rcrbs = dict.fromkeys(QUANTITIES, None)
     _, _, ref_sol = _estimate_once(traj, exch_cfg, NoiseModel(0.0), cfg.L, cfg.seed,
