@@ -171,9 +171,12 @@ def fim_velocity(Yrel: np.ndarray, rm: RangeMatrices, covs: RangeNoiseCovariance
     so the pair weight is 4/s.  Every variance of `covs` is > 0, so s is
     zero only for a pair at zero range in `rm` (r, rdot and rddot all zero),
     which raises DegenerateGeometryError naming the pair.  Equal velocities
-    give F = 0, which `crb_trace` reads as inf.
+    give F = 0, which `crb_trace` reads as inf.  `rm`, `covs` and Yrel must
+    describe one network: another node or pair count raises ValueError.
     """
     Yrel = np.asarray(Yrel, float)
+    if rm.n != Yrel.shape[1]:
+        raise ValueError(f"range matrices of {rm.n} nodes for {Yrel.shape[1]} nodes")
     r, rdot, rddot = rm.pair_vectors()
     _check_pair_count(covs.Sigma_r, Yrel.shape[1])
     s = r**2 * covs.Sigma_rddot + rddot**2 * covs.Sigma_r + 4.0 * rdot**2 * covs.Sigma_rdot

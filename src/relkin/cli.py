@@ -109,18 +109,12 @@ def _cmd_solve(args) -> int:
     _require(args.nodes is None or args.nodes >= 2, "--nodes", "at least 2", args.nodes)
     n, rm = _read_theta_csv(args.theta, expected_n=args.nodes)
     _require(1 <= args.dim <= n, "--dim", f"between 1 and the node count {n}", args.dim)
-    if args.times:
-        try:
-            times = [float(t) for t in args.times.split(",")]
-        except ValueError:
-            times = [math.nan]  # rejected just below
-        _require(all(map(math.isfinite, times)), "--times", "comma-separated finite numbers",
-                 repr(args.times))
-    else:
-        start, stop, num = args.grid
-        _require(math.isfinite(start) and math.isfinite(stop) and num >= 1 and num == int(num),
-                 "--grid", "finite START and STOP and an integer NUM >= 1", args.grid)
-        times = np.linspace(start, stop, int(num)).tolist()
+    try:
+        times = [float(t) for t in args.times.split(",")]
+    except ValueError:
+        times = [math.nan]  # rejected just below
+    _require(all(map(math.isfinite, times)), "--times", "comma-separated finite numbers",
+             repr(args.times))
     sol = solve_relative(rm, args.dim, orthogonalize=args.orthogonalize)
     # one block of rows per matrix, its cells in row-major order
     names, stamps, mats = zip(("Xrel", "", sol.Xrel), ("Yrel", "", sol.Yrel), ("Hy", "", sol.Hy),
@@ -144,9 +138,9 @@ def _cmd_crb(args) -> int:
     _require(math.isfinite(start) and math.isfinite(stop) and start < stop, "--interval",
              "two finite, increasing times", args.interval)
     traj = load_trajectory(args.fixture)
-    cfg = ExchangeConfig(K=args.messages, interval=(start, stop), c=_positive("--c", args.c))
-    crb, x_rcrb, y_rcrb = _root_crbs(
-        traj, build_design(_clean_exchanges(traj, cfg), args.order, noise=noise))
+    # bounds in meters do not depend on c: delay variances (sigma / c)**2 times c**2
+    exchanges = _clean_exchanges(traj, ExchangeConfig(K=args.messages, interval=(start, stop)))
+    crb, x_rcrb, y_rcrb = _root_crbs(traj, build_design(exchanges, args.order, noise=noise))
     names = ["r", "rdot", "rddot"] + [f"order_{ell}" for ell in range(3, args.order)]
     rcrbs = [crb.rcrb(ell) for ell in range(args.order)] + [x_rcrb, y_rcrb]
     table = (("quantity", "rcrb"), names + ["Xrel", "Yrel"], rcrbs)
@@ -209,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--order", type=int, default=4, help="polynomial coefficient count L")
     p_est.add_argument("--sigma-meters", type=float, required=True,
                        help="per-pair delay noise std in meters (known covariance)")
-    p_est.add_argument("--c", type=float, default=SPEED_OF_LIGHT)
+    p_est.add_argument("--c", type=float, default=SPEED_OF_LIGHT,
+                       help="propagation speed in m/s that turns the file's seconds into meters")
     p_est.add_argument("--nodes", type=int, default=None,
                        help="expected node count N; a file naming another N is an error")
     p_est.add_argument("--out", required=True)
@@ -217,22 +212,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_sol = sub.add_parser("solve", help="relative kinematics from a coefficient CSV")
     p_sol.add_argument("--theta", required=True, help="CSV written by `relkin estimate`")
     p_sol.add_argument("--dim", type=int, default=2, help="embedding dimension P")
-    p_sol.add_argument("--times", help="comma-separated evaluation times (seconds)")
-    p_sol.add_argument("--grid", nargs=3, type=float, metavar=("START", "STOP", "NUM"),
-                       default=(-3.0, 3.0, 7), help="time grid when --times is absent")
+    p_sol.add_argument("--times", default="-3,-2,-1,0,1,2,3",
+                       help="comma-separated times (s) at which to write Xk; default %(default)s")
     p_sol.add_argument("--orthogonalize", action="store_true",
                        help="project the rotation estimate onto the orthogonal group")
     p_sol.add_argument("--nodes", type=int, default=None,
                        help="expected node count N; a file naming another N is an error")
     p_sol.add_argument("--out", required=True)
 
-    p_crb = sub.add_parser("crb", help="root CRBs for a fixture and exchange setup")
+    p_crb = sub.add_parser("crb", help="root CRBs in meters for a fixture and exchange setup")
     p_crb.add_argument("--fixture", default="cluster5", help="built-in name or JSON path")
     p_crb.add_argument("--messages", type=int, default=100, help="messages per pair K")
     p_crb.add_argument("--sigma-meters", type=float, default=0.1)
     p_crb.add_argument("--order", type=int, default=4)
     p_crb.add_argument("--interval", nargs=2, type=float, default=(-3.0, 3.0))
-    p_crb.add_argument("--c", type=float, default=SPEED_OF_LIGHT)
     p_crb.add_argument("--out", default="-", help="output CSV path, or - for stdout")
 
     p_exp = sub.add_parser("experiment", help="run Monte Carlo RMSE experiments")

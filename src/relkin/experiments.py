@@ -330,8 +330,8 @@ def _draw_and_fit(pt: _Point, states: np.ndarray,
     overwritten, and the stack is filled with the powers and factored by
     :func:`ranging._fit_stack`.  The exchanges are one-way (`_point_model`
     sets no direction policy), so tau skips the library's flags e, all +1.
-    Trial t's values are bit-identical to what ``_fit_pairs(build_design(
-    _draw_exchanges(pt.clean, noise, states[t]), L, noise))`` gives.
+    Trial t's values are bit-identical to ``_fit_stack`` of the rows and
+    weights of ``build_design(_draw_exchanges(pt.clean, noise, states[t]), L, noise)``.
     """
     n_trials, n_pairs = states.shape[:2]
     L, K = pt.cfg.L, pt.clean.K

@@ -203,11 +203,6 @@ class _PairFit(NamedTuple):
         return rinv @ rinv.swapaxes(-1, -2)
 
 
-def _fit_pairs(sys: DesignSystem) -> _PairFit:
-    """Whitened least squares of every pair on its Vandermonde block (see :func:`_fit_stack`)."""
-    return _fit_stack(sys._rows(), sys.weights)
-
-
 def _fit_stack(rows: np.ndarray, weights: Optional[np.ndarray]) -> _PairFit:
     """Whitened least squares of every pair from its rows [1, t, ..., t^(L-1), tau].
 
@@ -239,12 +234,12 @@ def _fit_stack(rows: np.ndarray, weights: Optional[np.ndarray]) -> _PairFit:
 
 
 def _full_rank_fit(sys: DesignSystem) -> _PairFit:
-    """:func:`_fit_pairs`, raising where it flags a pair.
+    """:func:`_fit_stack` of every pair's Vandermonde block, raising where it flags a pair.
 
     Raises:
         RankDeficiencyError: naming every pair whose block loses column rank.
     """
-    fit = _fit_pairs(sys)
+    fit = _fit_stack(sys._rows(), sys.weights)
     bad = np.flatnonzero(fit.bad)
     if bad.size:
         pairs = canonical_pairs(sys.n_nodes)

@@ -75,10 +75,10 @@ class ExchangeConfig:
         model_order: coefficients kept by the "taylor" delay model (<= 4).
 
     Raises:
-        ConfigError: unless K is an integer >= 1, the interval two finite,
-            increasing numbers, c finite and > 0, the delay model and
-            direction policy known, and model_order an integer >= 1 (at most
-            4 under "taylor").
+        ConfigError: unless K is an integer >= 1 whose float64 marker grid
+            numpy can size, the interval two finite, increasing numbers, c
+            finite and > 0, the delay model and direction policy known, and
+            model_order an integer >= 1 (at most 4 under "taylor").
     """
 
     K: int
@@ -91,6 +91,10 @@ class ExchangeConfig:
     def __post_init__(self):
         if not _is_int(self.K) or self.K < 1:
             raise ConfigError(f"K must be an integer >= 1, got {self.K!r}")
+        # numpy sizes no array beyond intp max bytes; np.linspace counts K as a float64
+        limit = np.iinfo(np.intp).max // 8
+        if self.K > limit or float(self.K) > limit:
+            raise ConfigError(f"K={self.K} float64 markers exceed the largest array numpy sizes")
         interval = tuple(self.interval) \
             if isinstance(self.interval, (tuple, list, np.ndarray)) else ()
         if not (len(interval) == 2 and all(map(_is_finite, interval))
@@ -260,11 +264,11 @@ class TimestampExchangeSet:
         pairs reads as a smaller network unless `expected_n` states N.
 
         Raises:
-            InputError: if the file is empty, lacks a column, holds a value
-                that is not a number, a non-integer or out-of-range index, a
-                direction flag other than +/-1 or a non-finite timestamp,
-                names another node count than `expected_n`, misses a pair,
-                or repeats an (i, j, k) message.
+            InputError: if the file is not text, is empty, lacks a column,
+                holds a value that is not a number, a non-integer or
+                out-of-range index, a direction flag other than +/-1 or a
+                non-finite timestamp, names another node count than
+                `expected_n`, misses a pair, or repeats an (i, j, k) message.
         """
         data, n_nodes, p = _read_pair_table(path, _CSV_COLUMNS, n_int=4, expected_n=expected_n)
         k, flag = data[:, 2], data[:, 3]
@@ -336,14 +340,17 @@ def _read_pair_table(path, columns: Sequence[str], n_int: int,
         the node count and each row's canonical pair index.
 
     Raises:
-        InputError: if the file is empty, lacks a column, holds a value that
-            is not a number, a non-integer where `n_int` asks for one, a
-            pair outside 0 <= i < j, a negative or repeated key, names
-            another node count than `expected_n`, or misses a pair.
+        InputError: if the file is not text, is empty, lacks a column, holds
+            a value that is not a number, a non-integer where `n_int` asks
+            for one, a pair outside 0 <= i < j, a negative or repeated key,
+            names another node count than `expected_n`, or misses a pair.
     """
-    with open(path, newline="") as fh:
-        header = next(csv.reader([fh.readline()]), [])
-        lines = fh.readlines()
+    try:
+        with open(path, newline="") as fh:
+            header = next(csv.reader([fh.readline()]), [])
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not a text CSV: {exc}") from None
     if not header:
         raise InputError(f"{path} is empty")
     absent = [name for name in columns if name not in header]

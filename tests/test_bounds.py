@@ -139,6 +139,14 @@ class TestFimVelocity:
                            match=r"^nodes \(0, 4\) are at zero range in rm: .* is 0\.0$"):
             fim_velocity(traj.Y @ centering_matrix(5), rm, fixture_covariances(traj))
 
+    def test_range_matrices_of_another_network_rejected(self):
+        # a 2-node rm's one pair would broadcast over cluster5's 10 pairs and
+        # give a finite but wrong bound (trace 0.298 where cluster5's own is 0.306)
+        traj = builtin_trajectory("cluster5")
+        two = TrajectorySet(X=traj.X[:, :2], Y=traj.Y[:, :2])
+        with pytest.raises(ValueError, match=r"^range matrices of 2 nodes for 5 nodes$"):
+            fim_velocity(traj.Y, range_matrices(two), fixture_covariances(traj))
+
     def test_random_generic_configurations_rank_law(self):
         rng = np.random.default_rng(0)
         for _ in range(10):

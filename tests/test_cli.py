@@ -217,7 +217,8 @@ class TestSolve:
     @pytest.mark.parametrize("flags, times, orthogonalize", [
         (["--times=-1.0,0,2.5,2.5"], [-1.0, 0.0, 2.5, 2.5], False),
         ([], np.linspace(-3.0, 3.0, 7), False),
-        (["--grid", "-1", "4", "6", "--orthogonalize"], np.linspace(-1.0, 4.0, 6), True),
+        (["--times=-1.0,0.0,1.0,2.0,3.0,4.0", "--orthogonalize"], np.linspace(-1.0, 4.0, 6),
+         True),
     ], ids=["times", "default-grid", "grid-orthogonalize"])
     def test_matches_per_cell_writer(self, theta_csv, tmp_path, flags, times, orthogonalize):
         # the column writer must give the bytes of one repr per matrix entry
@@ -618,18 +619,17 @@ class TestExperiment:
 @pytest.mark.parametrize("argv", [
     ["crb", "--messages", "0"],
     ["crb", "--order", "2"],
-    ["crb", "--c", "-1"],
     ["crb", "--interval", "3", "-3"],
     ["solve", "--dim", "0"],
     ["solve", "--dim", "6"],
     ["solve", "--times=a"],
-    ["solve", "--grid", "0", "1", "2.5"],
+    ["solve", "--times="],
     ["estimate", "--order", "0"],
     ["estimate", "--c", "nan"],
     ["estimate", "--nodes", "1"],
     ["solve", "--nodes", "1"],
-], ids=["crb-zero-messages", "crb-order-2", "crb-negative-c", "crb-reversed-interval",
-        "solve-zero-dim", "solve-dim-above-n", "solve-nonnumeric-times", "solve-fractional-grid",
+], ids=["crb-zero-messages", "crb-order-2", "crb-reversed-interval",
+        "solve-zero-dim", "solve-dim-above-n", "solve-nonnumeric-times", "solve-empty-times",
         "estimate-zero-order", "estimate-nan-c", "estimate-one-node", "solve-one-node"])
 def test_bad_flag_value_is_clean_error(exchange_csv, tmp_path, capsys, argv):
     theta = tmp_path / "theta.csv"
@@ -647,7 +647,7 @@ def test_bad_flag_value_is_clean_error(exchange_csv, tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["crb", "--sigma-meters", "1e-300"],
-    ["crb", "--c", "1e-300"],
+    ["crb", "--sigma-meters", "1e300"],
     ["estimate", "--sigma-meters", "1e-300"],
     ["estimate", "--sigma-meters", "0.1", "--c", "1e-300"],
 ], ids=["crb-underflowing-variance", "crb-overflowing-variance",
@@ -660,6 +660,37 @@ def test_unrepresentable_delay_variance_is_clean_error(exchange_csv, tmp_path, c
     assert main([*argv, *extra, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "delay variance" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--grid", "-1", "4", "6"],
+    ["crb", "--c", "343"],
+], ids=["solve-grid", "crb-c"])
+def test_removed_flag_is_usage_error(exchange_csv, tmp_path, capsys, argv):
+    # solve's report times come only from --times; crb's bounds in meters do
+    # not depend on c, so neither flag is parsed
+    before = {"solve": ["--theta", str(exchange_csv)], "crb": []}[argv[0]]
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], *before, *argv[1:], "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [("estimate", "--exchanges"), ("solve", "--theta")])
+def test_non_utf8_csv_is_clean_error(exchange_csv, tmp_path, capsys, command, flag):
+    theta = tmp_path / "theta.csv"
+    assert main(["estimate", "--exchanges", str(exchange_csv), "--sigma-meters", "0.1",
+                 "--out", str(theta)]) == 0
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes({"estimate": exchange_csv, "solve": theta}[command].read_bytes() + b"\xff")
+    extra = ["--sigma-meters", "0.1"] if command == "estimate" else []
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert main([command, flag, str(bad), *extra, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad} is not a text CSV: ")
     assert not out.exists()
 
 
@@ -714,23 +745,25 @@ class TestHugeNodeIndex:
 
 
 class TestHugeCount:
-    """A count flag whose arrays outgrow memory ends in a clean error, not a
-    MemoryError traceback."""
+    """A message count whose arrays outgrow memory, or that no array can
+    hold, ends in a clean error, not a MemoryError or ValueError traceback."""
 
-    @pytest.mark.parametrize("argv", [
-        ["crb", "--messages", "1000000000"],
-        ["solve", "--grid", "0", "1", "1e9"],
-    ], ids=["crb-messages", "solve-grid"])
-    def test_cli_exits_2(self, exchange_csv, tmp_path, argv):
-        theta = tmp_path / "theta.csv"
-        assert main(["estimate", "--exchanges", str(exchange_csv), "--sigma-meters", "0.1",
-                     "--out", str(theta)]) == 0
-        before = {"solve": ["--theta", theta], "crb": []}[argv[0]]
-        out = tmp_path / "out.csv"
+    @pytest.mark.parametrize("argv, message", [
+        (["crb", "--messages", "1000000000"], "Unable to allocate"),
+        (["crb", "--messages", "10000000000000000000"], "K=10000000000000000000 float64"),
+        # 2**60 - 1 float64s fit, but np.linspace counts them as float(K) = 2**60
+        (["crb", "--messages", str(2**60 - 1)], f"K={2**60 - 1} float64"),
+        (["experiment", "--config", "{config}"], "K=10000000000000000000 float64"),
+    ], ids=["crb-messages", "crb-messages-beyond-intp", "crb-messages-rounding-beyond-intp",
+            "experiment-K-beyond-intp"])
+    def test_cli_exits_2(self, tmp_path, argv, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"sweep": {"K": [10**19]}, "trials": 1}))
+        out = tmp_path / "out"
         proc = _capped("from relkin.cli import main\nsys.exit(main(sys.argv[1:]))\n",
-                       argv[0], *before, *argv[1:], "--out", out)
+                       *(a.format(config=config) for a in argv), "--out", out)
         assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.startswith("error: Unable to allocate"), proc.stderr
+        assert proc.stderr.startswith(f"error: {message}"), proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 

@@ -25,7 +25,7 @@ from relkin import (
 )
 from relkin.cli import main
 from relkin.experiments import ReportRow
-from relkin.ranging import _fit_pairs, build_design
+from relkin.ranging import _fit_stack, build_design
 from relkin.twr import _draw_exchanges, _exchange_states
 
 import trial_oracle
@@ -344,7 +344,7 @@ class TestOnePass:
         assert snap_tau.shape == (7, 10, len(pt.markers))
         for t in range(len(trials)):
             design = build_design(_draw_exchanges(pt.clean, noise, states[t]), cfg.L, noise=noise)
-            fit = _fit_pairs(design)
+            fit = _fit_stack(design._rows(), design.weights)
             assert (design.pair_variances is None) == (sigma_m == 0.0)
             assert np.array_equal(theta[t], fit.theta)
             assert rank_bad[t] == fit.bad.any()

@@ -23,7 +23,7 @@ from relkin import (
     wls_solve,
 )
 from relkin.kinematics import TrajectorySet, _pair_kinematics, canonical_pairs
-from relkin.ranging import _fit_pairs, _fit_stack, scale_factors
+from relkin.ranging import _fit_stack, scale_factors
 
 import dense_oracle
 from test_kinematics import geometries
@@ -242,7 +242,7 @@ class TestBatchedFit:
         for t, single in enumerate(singles):
             assert np.array_equal(fit.theta[t], wls_solve(single).scaled)
             assert np.array_equal(fit.cov[t] * np.outer(f, f), crb_theta(single).cov)
-            assert np.array_equal(fit.rss[t], _fit_pairs(single).rss)
+            assert np.array_equal(fit.rss[t], _fit_stack(single._rows(), single.weights).rss)
 
     def test_rank_mask_flags_only_the_deficient_block(self):
         good = np.array([[0.0, 1.0, 2.0, 3.0]] * 3)
@@ -256,7 +256,9 @@ class TestBatchedFit:
         assert fit.bad.tolist() == [[False, False, False], [False, True, False]]
         assert np.all(np.isfinite(fit.theta)) and np.all(np.isfinite(fit.cov))
         assert np.array_equal(fit.theta[0], wls_solve(design(good, tau[0])).scaled)
-        assert np.array_equal(fit.theta[1][[0, 2]], _fit_pairs(design(near, tau[1])).theta[[0, 2]])
+        near_sys = design(near, tau[1])
+        alone = _fit_stack(near_sys._rows(), near_sys.weights)
+        assert np.array_equal(fit.theta[1][[0, 2]], alone.theta[[0, 2]])
         with pytest.raises(RankDeficiencyError, match=r"offending pairs \[\(0, 2\)\]"):
             wls_solve(design(near, tau[1]))
 
