@@ -116,9 +116,14 @@ def _cmd_solve(args) -> int:
     _require(all(map(math.isfinite, times)), "--times", "comma-separated finite numbers",
              repr(args.times))
     sol = solve_relative(rm, args.dim, orthogonalize=args.orthogonalize)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected just below
+        positions = [sol.position_at(t) for t in times]
+    for t, xk in zip(times, positions):
+        _require(np.isfinite(xk).all(), "--times", "times whose propagated positions Xk are finite",
+                 repr(t))
     # one block of rows per matrix, its cells in row-major order
     names, stamps, mats = zip(("Xrel", "", sol.Xrel), ("Yrel", "", sol.Yrel), ("Hy", "", sol.Hy),
-                              *(("Xk", repr(t), sol.position_at(t)) for t in times))
+                              *(("Xk", repr(t), xk) for t, xk in zip(times, positions)))
     sizes = [m.size for m in mats]
     rows, cols = np.concatenate([np.indices(m.shape).reshape(2, -1) for m in mats], axis=1)
     _write_columns(args.out, ("quantity", "time", "row", "col", "value"),

@@ -13,22 +13,27 @@ Three experiment kinds mirror the standard evaluation of the estimator:
 
 One engine runs the trials, on three levels.  The top level is a pool of
 processes: every sweep point of the experiments in a run is set up first,
-with its bounds, and the outer trial chunks of all of them form one ordered
-task list, which a fork pool of min(chunks, CPUs in the affinity mask)
-workers maps (serially when that is one, where fork is missing, and inside
-a daemonic process).  Below it are two levels of contiguous trial chunks
-(see _CHUNK_DOUBLES): at N=5 an outer chunk holds 436 trials at a k/sigma
-sweep point and 13 on the default time grid of 100 instants, and it draws
-and fits its trials in sub-chunks.  Each sub-chunk is one pass from the
-seed words of its noise streams to the whitened QR stack of its pairs: the
-normals land as noisy markers and delays straight in that stack, with no
-exchange set or design system built around them, and the fit is the
+with its bounds, and grouped with the points that read the same noise
+streams (equal seed, stream prefix and pair count).  Each group
+and span of its trials is one task, and the tasks, heaviest first, go to a
+fork pool of min(tasks, CPUs in the affinity mask) workers (serially when
+that is one, where fork is missing, and inside a daemonic process).  Below
+it are two levels of contiguous trial chunks (see _CHUNK_DOUBLES).  A task
+draws and fits in sub-chunks: each sub-chunk draws each of its (trial, pair)
+streams once, at the group's largest K, a point with a smaller K reading
+the leading normals of each row (bit for bit its own draw), and points whose
+noisy exchanges coincide share one fit.  So a run draws each stream address
+once.  A fit is one pass from the normals to the whitened QR stack of the
+pairs: the normals land as noisy markers and delays straight in that stack,
+with no exchange set or design system built around them, and the fit is the
 ranging module's own stack kernel, so the values are bit for bit those of
-the library path.  Every later stage runs once per outer chunk, batched
-over its trials: one eigh for all embeddings including the time grid's
-classical-MDS snapshots, one SVD for all the rotations' least squares and
-one closed-form polar-factor call for all Procrustes alignments; no stage
-loops over trials.  A chunk returns its trial table:
+the library path.  Every later stage runs once per outer chunk of a point,
+batched over its trials (at N=5 an outer chunk holds 436 trials at a
+k/sigma sweep point and 13 on the default time grid of 100 instants): one
+eigh for all embeddings including the time grid's classical-MDS snapshots,
+one SVD for all the rotations' least squares and one closed-form
+polar-factor call for all Procrustes alignments; no stage loops over
+trials.  A chunk returns its trial table:
 per trial and per reported estimate, the cause of its failure (the
 exception a single-trial pipeline would raise), whether its embedding
 clamped a negative eigenvalue, and its squared error.  The parent joins
@@ -51,7 +56,6 @@ import os
 import platform
 import time
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -286,6 +290,9 @@ class _Point(NamedTuple):
     weights: Optional[np.ndarray]  # (Nbar,) whitening weights 1/sigma_p, None when noiseless
     hy_ref: np.ndarray             # (P, P) reference of the Hy error: the noiseless
                                    # rotation at a k/sigma point, zero on the time grid
+    truth: np.ndarray              # (2 + 2M, P, N) centered truth of the matrix estimates:
+                                   # X, Y, then the position at each report time, twice
+    coeff_true: np.ndarray         # (3, Nbar) true r, rdot and rddot of the pairs at t0
     rows: list[tuple]              # per report row: its column of the trial table
                                    # (see _Trials), sweep value, quantity and rcrb
 
@@ -308,9 +315,10 @@ class _Trials(NamedTuple):
 # Bound, in doubles, on the largest array stacked over the trials of one
 # chunk (about 256 KB).  Each level of the engine sizes its own chunks by it:
 # an outer chunk by what a trial keeps after its fit (theta, the three Grams
-# and the time grid's snapshot matrices), a sub-chunk of it by the whitened
-# (Nbar, K, L + 1) QR stack of the draw and the fit.  Chunks keep the working
-# set small whatever the trial count; they do not change any result.
+# and the time grid's snapshot matrices), a sub-chunk of a task by the largest
+# whitened (Nbar, K, L + 1) QR stack of its stream group, which also bounds
+# the (Nbar, 2K) draw since L >= 3.  Chunks keep the working set small
+# whatever the trial count; they do not change any result.
 _CHUNK_DOUBLES = 2**15
 
 
@@ -318,70 +326,52 @@ def _trials_per_chunk(doubles_per_trial: int) -> int:
     return max(1, _CHUNK_DOUBLES // doubles_per_trial)
 
 
-def _draw_and_fit(pt: _Point, states: np.ndarray,
-                  rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Theta (T, Nbar, L), rank flags (T,) and snapshot delays (T, Nbar, M) of
-    the T trials whose (T, Nbar, 4) stream seed words are `states`.
+def _fit_draw(pts: list[_Point], q: np.ndarray,
+              scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Theta (T, Nbar, L), rank flags (T,) and, per point of `pts`, snapshot
+    delays (T, Nbar, M) of the T trials whose normals are `q`.
 
-    One pass from the seed words to the whitened stack: the normals are
-    drawn, the noisy markers t_i = clean t_i + sigma_i q_0 and delays
-    tau = clean t_j + sigma_j q_1 - t_i are written straight into rows 1
-    and L of `rows`, an (at least T, Nbar, L+1, K) scratch stack that is
-    overwritten, and the stack is filled with the powers and factored by
-    :func:`ranging._fit_stack`.  The exchanges are one-way (`_point_model`
-    sets no direction policy), so tau skips the library's flags e, all +1.
-    Trial t's values are bit-identical to ``_fit_stack`` of the rows and
-    weights of ``build_design(_draw_exchanges(pt.clean, noise, states[t]), L, noise)``.
+    The points share their noisy exchanges (see :func:`_same_exchanges`), so
+    one fit serves them all.  `q` is a (T, Nbar, 2 K') draw of the pairs'
+    noise streams with K' >= K; a pair's (2, K) draw is the first 2K normals
+    of its row, bit for bit what a draw of (2, K) gives.  The noisy markers
+    t_i = clean t_i + sigma_i q_0 and delays tau = clean t_j + sigma_j q_1 -
+    t_i are written straight into rows 1 and L of a (T, Nbar, L+1, K) stack
+    laid over the front of the flat `scratch`, which is overwritten, and the
+    stack is filled with the powers and factored by :func:`ranging._fit_stack`.
+    The exchanges are one-way (`_point_model` sets no direction policy), so
+    tau skips the library's flags e, all +1.  Trial t's values are
+    bit-identical to ``_fit_stack`` of the rows and weights of
+    ``build_design(_draw_exchanges(pt.clean, noise, states[t]), L, noise)``.
     """
-    n_trials, n_pairs = states.shape[:2]
+    pt = pts[0]
+    n_trials, n_pairs = q.shape[:2]
     L, K = pt.cfg.L, pt.clean.K
-    rows = rows[:n_trials]
-    q = _draw_normals(states.reshape(n_trials * n_pairs, -1), (2, K))
-    q = q.reshape(n_trials, n_pairs, 2, K)
+    rows = scratch[:n_trials * n_pairs * (L + 1) * K].reshape(n_trials, n_pairs, L + 1, K)
+    q = q[..., :2 * K].reshape(n_trials, n_pairs, 2, K)
     t_i, tau = rows[..., 1, :], rows[..., L, :]
     np.multiply(pt.sigma[0], q[:, :, 0], out=t_i)
     t_i += pt.clean.t_i
     np.multiply(pt.sigma[1], q[:, :, 1], out=tau)
     tau += pt.clean.t_j
     tau -= t_i
-    snap_tau = tau[..., pt.markers]
+    snap_taus = [tau[..., p.markers] for p in pts]
     _fill_powers(rows)
     fit = _fit_stack(rows, pt.weights)
-    return fit.theta, fit.bad.any(axis=-1), snap_tau
+    return fit.theta, fit.bad.any(axis=-1), snap_taus
 
 
-def _fit_trials(pt: _Point, trials: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_draw_and_fit` of a contiguous run of trials, in sub-chunks.
+def _chunk_table(pt: _Point, theta: np.ndarray, rank_bad: np.ndarray,
+                 snap_tau: np.ndarray) -> _Trials:
+    """The trial table of one outer chunk of a point from its fit (see
+    :func:`_fit_draw`), every stage after the fit batched over its trials.
 
-    The seed words of every (trial, pair) noise stream are derived once; the
-    sub-chunks share one scratch stack of the whitened (Nbar, L+1, K) rows,
-    and each keeps only theta, the rank flags and the snapshot delays.
+    A trial fails at the first stage that would raise in the single-trial
+    pipeline (the ranging fit, either spectral embedding, the rotation); the
+    stages after it still run on its finite placeholder values and are
+    masked out.
     """
-    n_pairs, K, L = pt.clean.n_pairs, pt.clean.K, pt.cfg.L
-    states = _exchange_states(pt.cfg.seed, [pt.stream + (t,) for t in trials], n_pairs)
-    theta = np.empty((len(trials), n_pairs, L))
-    rank_bad = np.empty(len(trials), bool)
-    snap_tau = np.empty((len(trials), n_pairs, len(pt.markers)))
-    step = _trials_per_chunk(n_pairs * K * (L + 1))
-    rows = np.empty((min(step, len(trials)), n_pairs, L + 1, K))
-    for lo in range(0, len(trials), step):
-        sub = slice(lo, lo + step)
-        theta[sub], rank_bad[sub], snap_tau[sub] = _draw_and_fit(pt, states[sub], rows)
-    return theta, rank_bad, snap_tau
-
-
-def _trial_chunk(pt: _Point, trials: range) -> _Trials:
-    """The whole pipeline for a contiguous run of trials, each stage batched over them.
-
-    The draw and the fit run over sub-chunks (see :func:`_fit_trials`);
-    every later stage runs once over all the trials.  A trial fails at the
-    first stage that would raise in the single-trial pipeline (the ranging
-    fit, either spectral embedding, the rotation); the stages after it still
-    run on its finite placeholder values and are masked out.
-    """
-    traj, cfg, n, P = pt.traj, pt.cfg, pt.traj.N, pt.traj.P
-    theta, rank_bad, snap_tau = _fit_trials(pt, trials)
-
+    cfg, n, P = pt.cfg, pt.traj.N, pt.traj.P
     coeffs = RangeCoefficients(scaled=theta, n_nodes=n, c=cfg.c)
     grams = grams_from_ranges(coeffs.to_range_matrices())
     snaps = _symmetric(n, cfg.c * snap_tau.swapaxes(-1, -2))
@@ -395,12 +385,10 @@ def _trial_chunk(pt: _Point, trials: range) -> _Trials:
     ok = ~rank_bad & ~embed_bad
     hy, rank = _rotation_stack(xrel, yrel, grams.Bxy, cfg.orthogonalize)
     dynamic = xrel[:, None] + pt.times[:, None, None] * (hy @ yrel)[:, None]
-    pc = centering_matrix(n)
-    truth = np.array([traj.X, traj.Y] + [traj.position_at(t) for t in pt.times] * 2) @ pc
-    estimates = np.concatenate([emb.config[:, :2], dynamic, emb.config[:, 2:]], axis=1) @ pc
-    _, _, resid = procrustes_align(truth, estimates)
+    estimates = np.concatenate([emb.config[:, :2], dynamic, emb.config[:, 2:]], axis=1) \
+        @ centering_matrix(n)
+    _, _, resid = procrustes_align(pt.truth, estimates)
     phys = coeffs.physical
-    coeff_true = _pair_kinematics(traj.X, traj.Y)
     n_trial_cols = len(_SWEEP_QUANTITIES) + len(pt.times)  # the columns before the snapshots
     # each trial's first failing stage, coded as in _Trials; a failed snapshot
     # is an EmbeddingFailureError of its column alone
@@ -415,7 +403,7 @@ def _trial_chunk(pt: _Point, trials: range) -> _Trials:
         clamped=np.concatenate([np.repeat(trial_clamped[:, None], n_trial_cols, axis=1),
                                 clamped[:, 2:] & (cause[:, n_trial_cols:] == 0)], axis=1),
         sq=np.concatenate([
-            np.stack([np.sum((phys[..., ell] - coeff_true[ell]) ** 2, axis=-1)
+            np.stack([np.sum((phys[..., ell] - pt.coeff_true[ell]) ** 2, axis=-1)
                       for ell in range(3)], axis=-1),
             resid[:, :2] ** 2,
             # summed here, where hy keeps the memory order its rounding follows
@@ -426,11 +414,103 @@ def _trial_chunk(pt: _Point, trials: range) -> _Trials:
     )
 
 
-def _outer_chunks(pt: _Point) -> list[range]:
-    """The contiguous trial ranges of one sweep point's outer chunks."""
-    n, n_snaps = pt.traj.N, len(pt.markers)
-    step = _trials_per_chunk(max(pt.clean.n_pairs * pt.cfg.L, 3 * n * n, n_snaps * n * n))
-    return [range(lo, min(lo + step, pt.cfg.trials)) for lo in range(0, pt.cfg.trials, step)]
+def _outer_step(pt: _Point) -> int:
+    """The trials of one outer chunk of a point, sized by what a trial keeps after its fit."""
+    n = pt.traj.N
+    return _trials_per_chunk(max(pt.clean.n_pairs * pt.cfg.L, 3 * n * n, len(pt.markers) * n * n))
+
+
+def _outer_chunks(pt: _Point, trials: range) -> list[range]:
+    """The point's outer chunks, its own trials cut in steps of `_outer_step`
+    from trial 0, cut again to the span `trials`; empty where it has none there."""
+    step, stop = _outer_step(pt), min(trials.stop, pt.cfg.trials)
+    cuts = [trials.start, *range((trials.start // step + 1) * step, stop, step), stop]
+    return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+
+
+def _same_exchanges(a: _Point, b: _Point) -> bool:
+    """Whether two points that read the same noise streams simulate the same
+    noisy exchanges and fit them alike: equal noise-free markers, marker
+    noise, whitening weights and coefficient count."""
+    return (a.cfg.L == b.cfg.L and np.array_equal(a.clean.t_i, b.clean.t_i)
+            and np.array_equal(a.clean.t_j, b.clean.t_j) and np.array_equal(a.sigma, b.sigma)
+            and np.array_equal(a.weights, b.weights))
+
+
+def _stream_groups(points: list[_Point]) -> list[list[int]]:
+    """The indices of `points` grouped by the noise streams they read: equal
+    seed, stream prefix and pair count, so trial t's pair p is one stream
+    for all the points of a group."""
+    groups = {}
+    for i, pt in enumerate(points):
+        groups.setdefault((pt.cfg.seed, pt.stream, pt.clean.n_pairs), []).append(i)
+    return list(groups.values())
+
+
+def _group_spans(group: list[_Point]) -> list[range]:
+    """The trial spans of a stream group's tasks: steps of its points' largest
+    outer chunk, up to its largest trial count, so each point's own outer
+    chunks are cut only where a span ends."""
+    step = max(map(_outer_step, group))
+    n = max(pt.cfg.trials for pt in group)
+    return [range(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _task_weight(group: list[_Point], trials: range) -> int:
+    """A rough cost of a task, to hand out the heaviest first: per trial of
+    each point, the doubles of its fit's stack plus N**3 per snapshot."""
+    return sum(len(range(trials.start, min(trials.stop, pt.cfg.trials)))
+               * (pt.clean.n_pairs * pt.clean.K * (pt.cfg.L + 1) + len(pt.markers) * pt.traj.N ** 3)
+               for pt in group)
+
+
+def _group_chunk(pts: list[_Point], trials: range) -> list[list[_Trials]]:
+    """The trial tables of every point of a stream group over its own trials
+    in the span `trials`: per point, one table per outer chunk (see
+    :func:`_outer_chunks`), in trial order.
+
+    The seed words of every (trial, pair) stream are derived once.  The span
+    runs in segments, cut wherever some point's outer chunk or trials end,
+    and each segment in sub-chunks sized by the group's largest
+    (Nbar, L+1, K) fit stack; a sub-chunk draws each of its streams once, at
+    the longest K of the points with trials there, and runs one
+    :func:`_fit_draw` per set of those points whose noisy exchanges
+    coincide.  The fits of a point's outer chunk go on to
+    :func:`_chunk_table` once the chunk is complete.
+    """
+    shared = []  # the indices of the points that share each fit
+    for m, pt in enumerate(pts):
+        fit = next((f for f in shared if _same_exchanges(pts[f[0]], pt)), None)
+        if fit is None:
+            shared.append([m])
+        else:
+            fit.append(m)
+    n_pairs, first = pts[0].clean.n_pairs, trials.start
+    states = _exchange_states(pts[0].cfg.seed, [pts[0].stream + (t,) for t in trials], n_pairs)
+    chunks = [_outer_chunks(pt, trials) for pt in pts]
+    cuts = sorted({b for spans in chunks for span in spans for b in (span.start, span.stop)})
+    stack = max(pt.clean.K * (pt.cfg.L + 1) for pt in pts)
+    step = _trials_per_chunk(n_pairs * stack)
+    scratch = np.empty(min(step, len(trials)) * n_pairs * stack)
+    fitted = [[] for _ in pts]  # per point, the fits of its open outer chunk
+    tables = [[] for _ in pts]
+    for lo, hi in zip(cuts, cuts[1:]):
+        fits = [[m for m in fit if lo < pts[m].cfg.trials] for fit in shared]
+        fits = [fit for fit in fits if fit]
+        K = max(pts[m].clean.K for fit in fits for m in fit)
+        for sub in range(lo, hi, step):
+            sub_states = states[sub - first:min(sub + step, hi) - first]
+            q = _draw_normals(sub_states.reshape(len(sub_states) * n_pairs, -1), (2 * K,))
+            q = q.reshape(len(sub_states), n_pairs, 2 * K)
+            for fit in fits:
+                theta, rank_bad, snap_taus = _fit_draw([pts[m] for m in fit], q, scratch)
+                for m, snap_tau in zip(fit, snap_taus):
+                    fitted[m].append((theta, rank_bad, snap_tau))
+        for m, spans in enumerate(chunks):
+            if any(span.stop == hi for span in spans):
+                tables[m].append(_chunk_table(pts[m], *map(np.concatenate, zip(*fitted[m]))))
+                fitted[m] = []
+    return tables
 
 
 def _cpus() -> int:
@@ -441,23 +521,24 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-# the (point, trials) tasks of the pool this process works in, set by the pool's
-# initializer in each worker, never in the parent
-_TASKS: list[tuple[_Point, range]] = []
+# the (stream group, trials) tasks of the pool this process works in, set by
+# the pool's initializer in each worker, never in the parent
+_TASKS: list[tuple[list[_Point], range]] = []
 
 
-def _adopt_tasks(tasks: list[tuple[_Point, range]]) -> None:
+def _adopt_tasks(tasks: list[tuple[list[_Point], range]]) -> None:
     global _TASKS
     _TASKS = tasks
 
 
-def _pooled_chunk(i: int) -> _Trials:
+def _pooled_task(i: int) -> list[list[_Trials]]:
     # looked up at call time, so a module attribute patched before the fork holds
-    return _trial_chunk(*_TASKS[i])
+    return _group_chunk(*_TASKS[i])
 
 
-def _map_chunks(tasks: list[tuple[_Point, range]]) -> tuple[list[_Trials], int]:
-    """`_trial_chunk` of every (point, trials) task, in task order, and the
+def _map_tasks(tasks: list[tuple[list[_Point], range]]
+               ) -> tuple[list[list[list[_Trials]]], int]:
+    """`_group_chunk` of every (stream group, trials) task, in task order, and the
     number of processes that ran them.
 
     The tasks go to a fork pool of min(tasks, CPUs) workers, which inherit
@@ -477,8 +558,8 @@ def _map_chunks(tasks: list[tuple[_Point, range]]) -> tuple[list[_Trials], int]:
                 and not multiprocessing.current_process().daemon:
             with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                      initializer=_adopt_tasks, initargs=(tasks,)) as pool:
-                return list(pool.map(_pooled_chunk, range(len(tasks)))), workers
-    return [_trial_chunk(pt, trials) for pt, trials in tasks], 1
+                return list(pool.map(_pooled_task, range(len(tasks)))), workers
+    return [_group_chunk(group, trials) for group, trials in tasks], 1
 
 
 def _report_rows(pt: _Point, res: _Trials) -> list[ReportRow]:
@@ -514,6 +595,18 @@ def _point_model(cfg: ExperimentConfig, value=None) -> tuple[ExchangeConfig, Noi
             NoiseModel.from_pair_sigma(sigma_m, unit="m"))
 
 
+def _new_point(traj, cfg, stream, markers, times, clean, noise, weights, hy_ref,
+               rows) -> _Point:
+    """A _Point, with the constants every outer chunk of it reads: the marker
+    noise, the centered truth stack and the true range coefficients."""
+    truth = np.array([traj.X, traj.Y] + [traj.position_at(t) for t in times] * 2) \
+        @ centering_matrix(traj.N)
+    return _Point(traj, cfg, stream, markers=markers, times=times, clean=clean,
+                  sigma=_pair_std(noise, traj.N, clean.c)[..., None], weights=weights,
+                  hy_ref=hy_ref, truth=truth, coeff_true=_pair_kinematics(traj.X, traj.Y),
+                  rows=rows)
+
+
 def _sweep_point(traj, cfg, s_idx, value) -> _Point:
     """A k/sigma sweep point, with its bounds."""
     exch_cfg, noise = _point_model(cfg, value)
@@ -527,9 +620,8 @@ def _sweep_point(traj, cfg, s_idx, value) -> _Point:
     hy_ref = solve_relative(wls_solve(build_design(clean, cfg.L)).to_range_matrices(), traj.P,
                             orthogonalize=cfg.orthogonalize).Hy
     rows = [(col, float(value), q, rcrbs[q]) for col, q in enumerate(_SWEEP_QUANTITIES)]
-    return _Point(traj, cfg, (s_idx,), markers=np.zeros(0, np.intp), times=np.zeros(0),
-                  clean=clean, sigma=_pair_std(noise, traj.N, clean.c)[..., None],
-                  weights=design.weights, hy_ref=hy_ref, rows=rows)
+    return _new_point(traj, cfg, (s_idx,), np.zeros(0, np.intp), np.zeros(0), clean, noise,
+                      design.weights, hy_ref, rows)
 
 
 def _time_grid_point(traj, cfg) -> _Point:
@@ -542,10 +634,9 @@ def _time_grid_point(traj, cfg) -> _Point:
     rows = [row for m, t in enumerate(times.tolist())
             for row in ((dyn + m, t, "Xk_dynamic", None), (snap + m, t, "Xk_cmds", None))]
     clean = _clean_exchanges(traj, exch_cfg)
-    return _Point(traj, cfg, (0,), markers=idxs, times=times, clean=clean,
-                  sigma=_pair_std(noise, traj.N, clean.c)[..., None],
-                  weights=build_design(clean, cfg.L, noise=noise).weights,
-                  hy_ref=np.zeros((traj.P, traj.P)), rows=rows)
+    return _new_point(traj, cfg, (0,), idxs, times, clean, noise,
+                      build_design(clean, cfg.L, noise=noise).weights,
+                      np.zeros((traj.P, traj.P)), rows)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RmseReport:
@@ -556,11 +647,13 @@ def run_experiment(cfg: ExperimentConfig) -> RmseReport:
 def _run_experiments(cfgs: list[ExperimentConfig]) -> list[RmseReport]:
     """One report per config, with the rows separate `run_experiment` calls give.
 
-    Every sweep point of every config is set up first, with its bounds; the
-    outer trial chunks of all of them then run as one task list, through
-    one pool (see `_map_chunks`), and each point's chunks are joined in
-    trial order.  So the reports share one measurement: `wall_seconds` is
-    the whole run's wall time, `workers` its pool's size.
+    Every sweep point of every config is set up first, with its bounds.  The
+    points are grouped by the noise streams they read (see `_stream_groups`),
+    each group's trials are cut into spans (see `_group_spans`), and the
+    (group, span) tasks run through one pool (see `_map_tasks`), the heaviest
+    first; each point's trial tables are then joined in trial order.  So the
+    reports share one measurement: `wall_seconds` is the whole run's wall
+    time, `workers` its pool's size.
     """
     start = time.perf_counter()
     setups = []  # (config index, sweep point)
@@ -569,14 +662,20 @@ def _run_experiments(cfgs: list[ExperimentConfig]) -> list[RmseReport]:
         points = [_time_grid_point(traj, cfg)] if cfg.kind == "time_grid" else \
             [_sweep_point(traj, cfg, s_idx, value) for s_idx, value in enumerate(cfg.sweep)]
         setups += [(c, pt) for pt in points]
-    spans = [_outer_chunks(pt) for _, pt in setups]
-    chunks, workers = _map_chunks([(pt, trials) for (_, pt), span in zip(setups, spans)
-                                   for trials in span])
-    parts = iter(chunks)
+    tasks = []  # (indices into setups, group, span)
+    for index in _stream_groups([pt for _, pt in setups]):
+        group = [setups[i][1] for i in index]
+        tasks += [(index, group, span) for span in _group_spans(group)]
+    order = sorted(range(len(tasks)), key=lambda i: -_task_weight(*tasks[i][1:]))
+    results, workers = _map_tasks([tasks[i][1:] for i in order])
+    by_task = dict(zip(order, results))
+    tables = [[] for _ in setups]  # per point, its trial tables in trial order
+    for t, (index, _, _) in enumerate(tasks):
+        for i, point_tables in zip(index, by_task[t]):
+            tables[i] += point_tables
     rows = [[] for _ in cfgs]
-    for (c, pt), span in zip(setups, spans):
-        trials = _Trials(*map(np.concatenate, zip(*islice(parts, len(span)))))
-        rows[c].extend(_report_rows(pt, trials))
+    for (c, pt), point_tables in zip(setups, tables):
+        rows[c].extend(_report_rows(pt, _Trials(*map(np.concatenate, zip(*point_tables)))))
     wall = time.perf_counter() - start
     return [RmseReport(kind=cfg.kind, rows=cfg_rows, config=cfg, wall_seconds=wall,
                        workers=workers) for cfg, cfg_rows in zip(cfgs, rows)]
@@ -586,11 +685,13 @@ def default_suite(trials: int = 1000, seed: int = 0) -> list[ExperimentConfig]:
     """The three standard experiments on cluster5: K sweep, noise sweep, time grid.
 
     The three share stream addresses: k-sweep point s, sigma-sweep point s
-    and the time grid (prefix ``(0,)``) all draw pair p of trial t from
+    and the time grid (prefix ``(0,)``) all read pair p of trial t from
     stream ``(s, t, p)`` of one seed.  So the time grid's noisy exchanges are
     bit-identical to those of the sigma sweep's first point (at the default
     K=100 and sigma_m=0.1, which is -10 dB-meters), and k-sweep point s
-    draws the leading normals of sigma-sweep point s's streams.
+    reads the leading normals of sigma-sweep point s's streams.  The shared
+    addresses are shared work too: run together, the three draw each stream
+    once, and the time grid and sigma point 0 share one fit.
     """
     base = dict(trials=trials, seed=seed)
     k_cfg = ExperimentConfig(kind="k_sweep", sweep=list(range(10, 101, 10)), **base)

@@ -229,6 +229,21 @@ class TestSolve:
         write_solution_per_cell(want, solve_relative(rm, 2, orthogonalize=orthogonalize), times)
         assert out.read_bytes() == want.read_bytes()
 
+    @pytest.mark.parametrize("times, bad", [("1e308", "1e+308"), ("0,-1e308,1", "-1e+308")])
+    def test_time_whose_positions_overflow_rejected(self, theta_csv, tmp_path, capsys, times,
+                                                    bad):
+        out = tmp_path / "solution.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under -W error: no overflow warning either
+            assert main(["solve", "--theta", str(theta_csv), f"--times={times}",
+                         "--out", str(out)]) == 2
+            assert capsys.readouterr().err == ("error: --times must be times whose propagated "
+                                               f"positions Xk are finite, got {bad}\n")
+            assert not out.exists()
+            # a large time whose positions stay finite is written
+            assert main(["solve", "--theta", str(theta_csv), "--times=1e300",
+                         "--out", str(out)]) == 0
+
     @pytest.mark.parametrize("direction_policy", ["one_way", "alternating"])
     def test_matches_per_row_parse(self, tmp_path, monkeypatch, direction_policy):
         # the array reader must hand solve exactly what a per-row parse gives

@@ -26,6 +26,7 @@ from relkin import (
 from relkin.cli import main
 from relkin.experiments import ReportRow
 from relkin.ranging import _fit_stack, build_design
+from relkin.rng import _draw_normals
 from relkin.twr import _draw_exchanges, _exchange_states
 
 import trial_oracle
@@ -193,17 +194,17 @@ class TestRunExperiment:
 
 class TestFailureAccounting:
     def test_failed_trials_counted_not_dropped_silently(self, monkeypatch):
-        real = exp_mod._trial_chunk
+        real = exp_mod._group_chunk
         embed_failure = 1 + exp_mod._TRIAL_ERRORS.index(exp_mod.EmbeddingFailureError)
 
-        def flaky(pt, trials):
+        def flaky(group, trials):
             # fail two of the trials as a failed spectral embedding would
-            res = real(pt, trials)
+            ((res,),) = real(group, trials)  # one point, one outer chunk
             cause = res.cause.copy()
             cause[np.isin(np.asarray(trials), (1, 3))] = embed_failure
-            return res._replace(cause=cause)
+            return [[res._replace(cause=cause)]]
 
-        monkeypatch.setattr(exp_mod, "_trial_chunk", flaky)
+        monkeypatch.setattr(exp_mod, "_group_chunk", flaky)
         cfg = ExperimentConfig(kind="k_sweep", sweep=[12], trials=6, seed=0)
         report = run_experiment(cfg)
         for row in report.rows:
@@ -327,20 +328,23 @@ class TestOnePass:
     @pytest.mark.parametrize("sigma_m", [0.0, 0.1], ids=["noiseless", "noisy"])
     @pytest.mark.parametrize("K", [4, 10, 100], ids=["K=L", "K=10", "K=100"])
     @pytest.mark.parametrize("kind", ["k_sweep", "time_grid"])
-    def test_bits_equal_draw_design_fit(self, monkeypatch, kind, K, sigma_m, delay_model):
+    def test_bits_equal_draw_design_fit(self, kind, K, sigma_m, delay_model):
         sweep = [K] if kind == "k_sweep" else [-3.0, 0.0, 2.0]
         cfg = ExperimentConfig(kind=kind, sweep=sweep, K=K, sigma_m=sigma_m, L=4, trials=7,
                                seed=11, delay_model=delay_model)
         traj = exp_mod.load_trajectory(cfg.fixture)
         pt = exp_mod._sweep_point(traj, cfg, 2, K) if kind == "k_sweep" else \
             exp_mod._time_grid_point(traj, cfg)
-        # sub-chunks of 3 trials: 3, 3 and a ragged 1
-        monkeypatch.setattr(exp_mod, "_CHUNK_DOUBLES", 3 * pt.clean.n_pairs * K * (cfg.L + 1))
-        trials = range(2, 9)
-        theta, rank_bad, snap_tau = exp_mod._fit_trials(pt, trials)
+        trials, n_pairs = range(2, 9), pt.clean.n_pairs
+        states = _exchange_states(cfg.seed, [pt.stream + (t,) for t in trials], n_pairs)
+        # drawn longer, as in a stream group whose largest K is K + 25: the fit
+        # reads the first 2K normals of each row; the stack lies at the front
+        # of a larger scratch
+        q = _draw_normals(states.reshape(-1, 4), (2 * (K + 25),)).reshape(7, n_pairs, -1)
+        scratch = np.full(7 * n_pairs * (K + 25) * (cfg.L + 1), np.nan)
+        theta, rank_bad, (snap_tau,) = exp_mod._fit_draw([pt], q, scratch)
 
         noise = exp_mod._point_model(cfg, K if kind == "k_sweep" else None)[1]
-        states = _exchange_states(cfg.seed, [pt.stream + (t,) for t in trials], pt.clean.n_pairs)
         assert snap_tau.shape == (7, 10, len(pt.markers))
         for t in range(len(trials)):
             design = build_design(_draw_exchanges(pt.clean, noise, states[t]), cfg.L, noise=noise)
@@ -367,25 +371,26 @@ class TestChunking:
     def test_outer_chunk_spans_ragged_sub_chunks(self, monkeypatch):
         cfg = ExperimentConfig(kind="k_sweep", sweep=[10, 30], trials=23, seed=5)
         outer, inner = [], []
-        real_chunk, real_draw = exp_mod._trial_chunk, exp_mod._draw_and_fit
+        real_chunk, real_fit = exp_mod._chunk_table, exp_mod._fit_draw
 
-        def chunk(pt, trials):
-            outer.append(len(trials))
-            return real_chunk(pt, trials)
+        def chunk(pt, theta, rank_bad, snap_tau):
+            outer.append(len(theta))
+            return real_chunk(pt, theta, rank_bad, snap_tau)
 
-        def draw(pt, states, rows):
-            inner.append(len(states))
-            return real_draw(pt, states, rows)
+        def fit(pts, q, scratch):
+            inner.append(len(q))
+            return real_fit(pts, q, scratch)
 
-        monkeypatch.setattr(exp_mod, "_trial_chunk", chunk)
-        monkeypatch.setattr(exp_mod, "_draw_and_fit", draw)
+        monkeypatch.setattr(exp_mod, "_chunk_table", chunk)
+        monkeypatch.setattr(exp_mod, "_fit_draw", fit)
         monkeypatch.setattr(exp_mod, "_CHUNK_DOUBLES", 2**12)
         monkeypatch.setattr(exp_mod, "_cpus", lambda: 1)  # the calls are recorded here
         middle = run_experiment(cfg).rows
         # each sweep point is one outer chunk; its draw and fit run in
-        # sub-chunks of 2**12 // (Nbar K (L + 1)) trials: 8 at K=10, 2 at K=30
+        # sub-chunks of 2**12 // (Nbar K (L + 1)) trials: 8 at K=10, 2 at K=30,
+        # the heavier point's task first
         assert outer == [23, 23]
-        assert inner == [8, 8, 7] + [2] * 11 + [1]
+        assert inner == [2] * 11 + [1] + [8, 8, 7]
         for doubles in (1, 2**40):  # one trial per chunk, every trial in one chunk
             monkeypatch.setattr(exp_mod, "_CHUNK_DOUBLES", doubles)
             assert run_experiment(cfg).rows == middle
@@ -413,6 +418,36 @@ class TestChunking:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 2**20
+
+
+class TestStreamGroups:
+    """Sweep points that read the same noise streams draw them once per run."""
+
+    def test_default_suite_draws_each_stream_once(self, monkeypatch):
+        drawn, fits = [], []
+        real_draw, real_fit = exp_mod._draw_normals, exp_mod._fit_draw
+
+        def draw(states, shape):
+            drawn.append(np.array(states))
+            return real_draw(states, shape)
+
+        def fit(pts, q, scratch):
+            fits.append(tuple(pt.cfg.kind for pt in pts))
+            return real_fit(pts, q, scratch)
+
+        monkeypatch.setattr(exp_mod, "_draw_normals", draw)
+        monkeypatch.setattr(exp_mod, "_fit_draw", fit)
+        monkeypatch.setattr(exp_mod, "_cpus", lambda: 1)  # the calls are recorded here
+        trials = 7
+        exp_mod._run_experiments(default_suite(trials=trials))
+        states = np.concatenate(drawn)
+        # 10 stream prefixes, 7 trials and 10 pairs: each (s, t, p) once, not
+        # once per point that reads it (170 per trial)
+        assert len(states) == 100 * trials
+        assert len(np.unique(states, axis=0)) == len(states)
+        # the time grid's exchanges are sigma point 0's: one fit serves both
+        assert ("sigma_sweep", "time_grid") in fits
+        assert ("time_grid",) not in fits
 
 
 FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -457,13 +492,32 @@ class TestPool:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_shared_run_matches_separate_runs(self, monkeypatch, cpus):
-        monkeypatch.setattr(exp_mod, "_CHUNK_DOUBLES", 2**10)  # 13 trials an outer chunk
+        # outer chunks of 13 trials at a k/sigma point and of 4 on the time
+        # grid of 9 report times, so the time grid's chunks are cut where a
+        # span of its stream group ends
+        monkeypatch.setattr(exp_mod, "_CHUNK_DOUBLES", 2**10)
         monkeypatch.setattr(exp_mod, "_cpus", lambda: cpus)
-        cfgs = [ExperimentConfig(kind="k_sweep", sweep=[10, 30], trials=10, seed=5),
-                ExperimentConfig(**dict(TIME_GRID_FAILING, trials=30))]  # three outer chunks
+        # one seed: k point s, sigma point s and the time grid read stream
+        # (s, t, p).  Sigma point 0 (10 dB-meters, K=10) and the time grid
+        # share their noisy exchanges, so one fit, and both read the leading
+        # normals of k point 0's K=30 draw; every config has its own trial count
+        cfgs = [ExperimentConfig(kind="k_sweep", sweep=[30, 10], trials=10, seed=4),
+                ExperimentConfig(kind="sigma_sweep", sweep=[10.0, 0.0], K=10, trials=20, seed=4),
+                ExperimentConfig(**dict(TIME_GRID_FAILING, sweep=list(np.linspace(-3, 3, 9)),
+                                        trials=30))]
+        fits = []
+        real_fit = exp_mod._fit_draw
+
+        def fit(pts, q, scratch):
+            fits.append(tuple((pt.cfg.kind, pt.stream) for pt in pts))
+            return real_fit(pts, q, scratch)
+
+        monkeypatch.setattr(exp_mod, "_fit_draw", fit)
         shared = exp_mod._run_experiments(cfgs)
+        if cpus == 1:  # the fits are recorded here; past trial 20 the time grid fits alone
+            assert (("sigma_sweep", (0,)), ("time_grid", (0,))) in fits
         assert [r.rows for r in shared] == [run_experiment(cfg).rows for cfg in cfgs]
-        assert [r.workers for r in shared] == [2 if FORK and cpus == 2 else 1] * 2
+        assert [r.workers for r in shared] == [2 if FORK and cpus == 2 else 1] * 3
 
     @needs_fork
     def test_cli_run_starts_one_pool(self, monkeypatch, tmp_path):
@@ -489,16 +543,16 @@ class TestPool:
 
     @needs_fork
     def test_worker_error_reaches_caller(self, monkeypatch, tmp_path, capsys):
-        real, parent = exp_mod._trial_chunk, os.getpid()
+        real, parent = exp_mod._group_chunk, os.getpid()
         message = "pair (0, 1) lost rank in the chunk of sweep point 1"
 
-        def failing(pt, trials):
+        def failing(group, trials):
             # raises only in a worker, so a serial run would pass
-            if pt.stream == (1,) and os.getpid() != parent:
+            if group[0].stream == (1,) and os.getpid() != parent:
                 raise RankDeficiencyError(message)
-            return real(pt, trials)
+            return real(group, trials)
 
-        monkeypatch.setattr(exp_mod, "_trial_chunk", failing)
+        monkeypatch.setattr(exp_mod, "_group_chunk", failing)
         monkeypatch.setattr(exp_mod, "_cpus", lambda: 2)
         cfg = ExperimentConfig(kind="k_sweep", sweep=[10, 20, 30], trials=4)
         with pytest.raises(RankDeficiencyError) as info:
@@ -530,14 +584,14 @@ class TestPool:
             import relkin.experiments as exp_mod
             from relkin import ExperimentConfig, run_experiment
 
-            real, parent = exp_mod._trial_chunk, os.getpid()
+            real, parent = exp_mod._group_chunk, os.getpid()
 
-            def dying(pt, trials):
-                if pt.stream == (1,) and os.getpid() != parent:
+            def dying(group, trials):
+                if group[0].stream == (1,) and os.getpid() != parent:
                     os.kill(os.getpid(), signal.SIGKILL)
-                return real(pt, trials)
+                return real(group, trials)
 
-            exp_mod._trial_chunk, exp_mod._cpus = dying, lambda: 2
+            exp_mod._group_chunk, exp_mod._cpus = dying, lambda: 2
             try:
                 run_experiment(ExperimentConfig(kind="k_sweep", sweep=[10, 20, 30], trials=4))
             except Exception as exc:
