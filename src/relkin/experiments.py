@@ -17,25 +17,25 @@ with its bounds, and grouped with the points that read the same noise
 streams (equal seed, stream prefix and pair count).  Each group
 and span of its trials is one task, and the tasks, heaviest first, go to a
 fork pool of min(tasks, CPUs in the affinity mask) workers (serially when
-that is one, where fork is missing, and inside a daemonic process).  Below
-it are two levels of contiguous trial chunks (see _CHUNK_DOUBLES).  A task
-draws and fits in sub-chunks: each sub-chunk draws each of its (trial, pair)
-streams once, at the group's largest K, a point with a smaller K reading
-the leading normals of each row (bit for bit its own draw), and points whose
-noisy exchanges coincide share one fit.  So a run draws each stream address
-once.  A fit is one pass from the normals to the whitened QR stack of the
-pairs: the normals land as noisy markers and delays straight in that stack,
-with no exchange set or design system built around them, and the fit is the
-ranging module's own stack kernel, so the values are bit for bit those of
-the library path.  Every later stage runs once per outer chunk of a point,
-batched over its trials (at N=5 an outer chunk holds 436 trials at a
-k/sigma sweep point and 13 on the default time grid of 100 instants): one
-eigh for all embeddings including the time grid's classical-MDS snapshots,
-one SVD for all the rotations' least squares and one closed-form
-polar-factor call for all Procrustes alignments; no stage loops over
-trials.  A chunk returns its trial table:
-per trial and per reported estimate, the cause of its failure (the
-exception a single-trial pipeline would raise), whether its embedding
+that is one, where fork is missing, and inside a daemonic process).  A
+task's trials of each of its points are one post-fit chunk of that point,
+drawn and fitted in sub-chunks (both sized by _CHUNK_DOUBLES; a span is the
+group's smallest post-fit chunk, 436 trials at an N=5 k/sigma sweep point
+and 13 on the default time grid of 100 instants).  Each sub-chunk draws
+each of its (trial, pair) streams once, at the group's largest K, a point
+with a smaller K reading the leading normals of each row (bit for bit its
+own draw), and points whose noisy exchanges coincide share one fit.  So a
+run draws each stream address once.  A fit is one pass from the normals to
+the whitened QR stack of the pairs: the normals land as noisy markers and
+delays straight in that stack, with no exchange set or design system built
+around them, and the fit is the ranging module's own stack kernel, so the
+values are bit for bit those of the library path.  Every later stage runs
+once per post-fit chunk, batched over its trials: one eigh for all
+embeddings including the time grid's classical-MDS snapshots, one SVD for
+all the rotations' least squares and one closed-form polar-factor call for
+all Procrustes alignments; no stage loops over trials.  A chunk returns its
+trial table: per trial and per reported estimate, the cause of its failure
+(the exception a single-trial pipeline would raise), whether its embedding
 clamped a negative eigenvalue, and its squared error.  The parent joins
 each point's tables in trial order, so its one reducer sees the same
 arrays whatever the process count.
@@ -314,16 +314,16 @@ class _Trials(NamedTuple):
 
 # Bound, in doubles, on the largest array stacked over the trials of one
 # chunk (about 256 KB).  Each level of the engine sizes its own chunks by it:
-# an outer chunk by what a trial keeps after its fit (theta, the three Grams
-# and the time grid's snapshot matrices), a sub-chunk of a task by the largest
-# whitened (Nbar, K, L + 1) QR stack of its stream group, which also bounds
-# the (Nbar, 2K) draw since L >= 3.  Chunks keep the working set small
-# whatever the trial count; they do not change any result.
+# a post-fit chunk (a task's trials of one point) by what a trial keeps after
+# its fit (theta, the three Grams and the time grid's snapshot matrices); a
+# draw-and-fit sub-chunk, at four times the budget, by the largest whitened
+# (Nbar, K, L + 1) QR stack of its stream group, which also bounds the
+# (Nbar, 2K) draw since L >= 3.  The larger sub-chunk (26 trials at Nbar = 10,
+# K = 100, L = 4) spreads each fit's fixed cost; 1000 trials then trace a
+# peak of about 3.3 MB at one K = 100 point and 4.2 MB on the default time
+# grid.  Chunks keep the working set small whatever the trial count; they do
+# not change any result.
 _CHUNK_DOUBLES = 2**15
-
-
-def _trials_per_chunk(doubles_per_trial: int) -> int:
-    return max(1, _CHUNK_DOUBLES // doubles_per_trial)
 
 
 def _fit_draw(pts: list[_Point], q: np.ndarray,
@@ -363,7 +363,7 @@ def _fit_draw(pts: list[_Point], q: np.ndarray,
 
 def _chunk_table(pt: _Point, theta: np.ndarray, rank_bad: np.ndarray,
                  snap_tau: np.ndarray) -> _Trials:
-    """The trial table of one outer chunk of a point from its fit (see
+    """The trial table of one post-fit chunk of a point from its fit (see
     :func:`_fit_draw`), every stage after the fit batched over its trials.
 
     A trial fails at the first stage that would raise in the single-trial
@@ -415,17 +415,10 @@ def _chunk_table(pt: _Point, theta: np.ndarray, rank_bad: np.ndarray,
 
 
 def _outer_step(pt: _Point) -> int:
-    """The trials of one outer chunk of a point, sized by what a trial keeps after its fit."""
+    """The trials of one post-fit chunk of a point, sized by what a trial keeps after its fit."""
     n = pt.traj.N
-    return _trials_per_chunk(max(pt.clean.n_pairs * pt.cfg.L, 3 * n * n, len(pt.markers) * n * n))
-
-
-def _outer_chunks(pt: _Point, trials: range) -> list[range]:
-    """The point's outer chunks, its own trials cut in steps of `_outer_step`
-    from trial 0, cut again to the span `trials`; empty where it has none there."""
-    step, stop = _outer_step(pt), min(trials.stop, pt.cfg.trials)
-    cuts = [trials.start, *range((trials.start // step + 1) * step, stop, step), stop]
-    return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    doubles = max(pt.clean.n_pairs * pt.cfg.L, 3 * n * n, len(pt.markers) * n * n)
+    return max(1, _CHUNK_DOUBLES // doubles)
 
 
 def _same_exchanges(a: _Point, b: _Point) -> bool:
@@ -448,10 +441,10 @@ def _stream_groups(points: list[_Point]) -> list[list[int]]:
 
 
 def _group_spans(group: list[_Point]) -> list[range]:
-    """The trial spans of a stream group's tasks: steps of its points' largest
-    outer chunk, up to its largest trial count, so each point's own outer
-    chunks are cut only where a span ends."""
-    step = max(map(_outer_step, group))
+    """The trial spans of a stream group's tasks: steps of its points'
+    smallest post-fit chunk (see :func:`_outer_step`), up to its largest trial
+    count, so a span's trials of each point fit in one post-fit chunk."""
+    step = min(map(_outer_step, group))
     n = max(pt.cfg.trials for pt in group)
     return [range(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
@@ -465,18 +458,18 @@ def _task_weight(group: list[_Point], trials: range) -> int:
 
 
 def _group_chunk(pts: list[_Point], trials: range) -> list[list[_Trials]]:
-    """The trial tables of every point of a stream group over its own trials
-    in the span `trials`: per point, one table per outer chunk (see
-    :func:`_outer_chunks`), in trial order.
+    """Per point of a stream group, the trial tables of its own trials in the
+    span `trials`: one table, as they are one post-fit chunk (see
+    :func:`_group_spans`), or none where it has no trials there.
 
     The seed words of every (trial, pair) stream are derived once.  The span
-    runs in segments, cut wherever some point's outer chunk or trials end,
-    and each segment in sub-chunks sized by the group's largest
-    (Nbar, L+1, K) fit stack; a sub-chunk draws each of its streams once, at
-    the longest K of the points with trials there, and runs one
-    :func:`_fit_draw` per set of those points whose noisy exchanges
-    coincide.  The fits of a point's outer chunk go on to
-    :func:`_chunk_table` once the chunk is complete.
+    runs in draw-and-fit sub-chunks sized by four times the budget over the
+    group's largest (Nbar, L+1, K) fit stack; a sub-chunk draws each of its
+    streams once, at the longest K of the points with trials there, and
+    runs one :func:`_fit_draw` per set of those points whose noisy
+    exchanges coincide, up to the set's largest trial count.  Each point
+    keeps the fits of its own trials, which go on to :func:`_chunk_table`
+    once the span is done.
     """
     shared = []  # the indices of the points that share each fit
     for m, pt in enumerate(pts):
@@ -487,30 +480,25 @@ def _group_chunk(pts: list[_Point], trials: range) -> list[list[_Trials]]:
             fit.append(m)
     n_pairs, first = pts[0].clean.n_pairs, trials.start
     states = _exchange_states(pts[0].cfg.seed, [pts[0].stream + (t,) for t in trials], n_pairs)
-    chunks = [_outer_chunks(pt, trials) for pt in pts]
-    cuts = sorted({b for spans in chunks for span in spans for b in (span.start, span.stop)})
     stack = max(pt.clean.K * (pt.cfg.L + 1) for pt in pts)
-    step = _trials_per_chunk(n_pairs * stack)
+    step = max(1, 4 * _CHUNK_DOUBLES // (n_pairs * stack))
     scratch = np.empty(min(step, len(trials)) * n_pairs * stack)
-    fitted = [[] for _ in pts]  # per point, the fits of its open outer chunk
-    tables = [[] for _ in pts]
-    for lo, hi in zip(cuts, cuts[1:]):
+    fitted = [[] for _ in pts]  # per point, the fits of its trials in the span
+    for lo in range(trials.start, trials.stop, step):
+        hi = min(lo + step, trials.stop)
         fits = [[m for m in fit if lo < pts[m].cfg.trials] for fit in shared]
         fits = [fit for fit in fits if fit]
         K = max(pts[m].clean.K for fit in fits for m in fit)
-        for sub in range(lo, hi, step):
-            sub_states = states[sub - first:min(sub + step, hi) - first]
-            q = _draw_normals(sub_states.reshape(len(sub_states) * n_pairs, -1), (2 * K,))
-            q = q.reshape(len(sub_states), n_pairs, 2 * K)
-            for fit in fits:
-                theta, rank_bad, snap_taus = _fit_draw([pts[m] for m in fit], q, scratch)
-                for m, snap_tau in zip(fit, snap_taus):
-                    fitted[m].append((theta, rank_bad, snap_tau))
-        for m, spans in enumerate(chunks):
-            if any(span.stop == hi for span in spans):
-                tables[m].append(_chunk_table(pts[m], *map(np.concatenate, zip(*fitted[m]))))
-                fitted[m] = []
-    return tables
+        q = _draw_normals(states[lo - first:hi - first].reshape((hi - lo) * n_pairs, -1),
+                          (2 * K,)).reshape(hi - lo, n_pairs, 2 * K)
+        for fit in fits:
+            n_fit = min(hi, max(pts[m].cfg.trials for m in fit)) - lo
+            theta, rank_bad, snap_taus = _fit_draw([pts[m] for m in fit], q[:n_fit], scratch)
+            for m, snap_tau in zip(fit, snap_taus):
+                n = min(hi, pts[m].cfg.trials) - lo
+                fitted[m].append((theta[:n], rank_bad[:n], snap_tau[:n]))
+    return [[_chunk_table(pt, *map(np.concatenate, zip(*fits)))] if fits else []
+            for pt, fits in zip(pts, fitted)]
 
 
 def _cpus() -> int:
@@ -597,7 +585,7 @@ def _point_model(cfg: ExperimentConfig, value=None) -> tuple[ExchangeConfig, Noi
 
 def _new_point(traj, cfg, stream, markers, times, clean, noise, weights, hy_ref,
                rows) -> _Point:
-    """A _Point, with the constants every outer chunk of it reads: the marker
+    """A _Point, with the constants every post-fit chunk of it reads: the marker
     noise, the centered truth stack and the true range coefficients."""
     truth = np.array([traj.X, traj.Y] + [traj.position_at(t) for t in times] * 2) \
         @ centering_matrix(traj.N)

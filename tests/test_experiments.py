@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import math
 import multiprocessing
@@ -10,22 +12,39 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import relkin
 import relkin.experiments as exp_mod
 from relkin import (
+    SPEED_OF_LIGHT,
     ConfigError,
+    ExchangeConfig,
     ExperimentConfig,
+    NoiseModel,
+    RangeNoiseCovariances,
     RankDeficiencyError,
     RmseReport,
+    TrajectorySet,
+    build_design,
+    centering_matrix,
     check_report,
+    crb_theta,
     default_suite,
     emit_outputs,
+    fim_position,
+    fim_velocity,
+    procrustes_align,
+    range_matrices,
     run_experiment,
+    simulate_exchanges,
+    solve_relative,
+    wls_solve,
 )
 from relkin.cli import main
 from relkin.experiments import ReportRow
-from relkin.ranging import _fit_stack, build_design
+from relkin.ranging import _fit_stack
 from relkin.rng import _draw_normals
 from relkin.twr import _draw_exchanges, _exchange_states
 
@@ -374,11 +393,11 @@ class TestChunking:
         real_chunk, real_fit = exp_mod._chunk_table, exp_mod._fit_draw
 
         def chunk(pt, theta, rank_bad, snap_tau):
-            outer.append(len(theta))
+            outer.append((pt.clean.K, len(theta)))
             return real_chunk(pt, theta, rank_bad, snap_tau)
 
         def fit(pts, q, scratch):
-            inner.append(len(q))
+            inner.append((pts[0].clean.K, len(q)))
             return real_fit(pts, q, scratch)
 
         monkeypatch.setattr(exp_mod, "_chunk_table", chunk)
@@ -386,11 +405,18 @@ class TestChunking:
         monkeypatch.setattr(exp_mod, "_CHUNK_DOUBLES", 2**12)
         monkeypatch.setattr(exp_mod, "_cpus", lambda: 1)  # the calls are recorded here
         middle = run_experiment(cfg).rows
-        # each sweep point is one outer chunk; its draw and fit run in
-        # sub-chunks of 2**12 // (Nbar K (L + 1)) trials: 8 at K=10, 2 at K=30,
-        # the heavier point's task first
-        assert outer == [23, 23]
-        assert inner == [2] * 11 + [1] + [8, 8, 7]
+        # each sweep point is one task and one post-fit chunk of 2**12 // 75 =
+        # 54 trials at most; its draw and fit run in sub-chunks of
+        # 4 * 2**12 // (Nbar K (L + 1)) trials: 32 at K=10, 10 at K=30, the
+        # heavier point's task first
+        assert outer == [(30, 23), (10, 23)]
+        assert inner == [(30, 10), (30, 10), (30, 3), (10, 23)]
+        # at 2**10 a post-fit chunk holds 13 trials, so each point runs in
+        # two tasks, each one _chunk_table call; sub-chunks hold 2 and 8 trials
+        outer.clear()
+        monkeypatch.setattr(exp_mod, "_CHUNK_DOUBLES", 2**10)
+        assert run_experiment(cfg).rows == middle
+        assert outer == [(30, 13), (30, 10), (10, 13), (10, 10)]
         for doubles in (1, 2**40):  # one trial per chunk, every trial in one chunk
             monkeypatch.setattr(exp_mod, "_CHUNK_DOUBLES", doubles)
             assert run_experiment(cfg).rows == middle
@@ -611,6 +637,128 @@ class TestPool:
         proc = _python("import sys, relkin, relkin.cli; print('numpy.random' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+@st.composite
+def engine_runs(draw):
+    """A random planar network of 3..7 nodes and the keywords of 1..3
+    experiment configs, each on cluster5 or that network (fixture None).
+
+    The network is drawn as test_bounds' rank-law networks are, positions
+    within 500 m and velocities within 10 m/s, and kept where both span the
+    plane, else its noiseless rotation, the reference of the Hy rows, does
+    not exist.  At 3 nodes that rotation system has rank 3 < 4 whatever the
+    geometry, so only time grids (which have no Hy row) run on a 3-node
+    network.  Seeds 0 and 1 make configs share noise streams, so stream
+    groups form; a later config may repeat the first with another trial
+    count, so one group holds points that share their fit but not their
+    trial count."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 7))
+    net = TrajectorySet(X=rng.uniform(-500, 500, (2, n)), Y=rng.uniform(-10, 10, (2, n)))
+    for z in (net.X, net.Y):
+        s = np.linalg.svd(z - z.mean(axis=1, keepdims=True), compute_uv=False)
+        assume(s[1] > 1e-2 * s[0])
+    cfgs = []
+    for _ in range(draw(st.integers(1, 3))):
+        if cfgs and draw(st.booleans()):
+            cfgs.append(dict(cfgs[0], trials=draw(st.integers(1, 30))))
+            continue
+        kind = draw(st.sampled_from(sorted(exp_mod._KINDS)))
+        delay_model = draw(st.sampled_from(["exact", "taylor"]))
+        L = draw(st.integers(3, 4 if delay_model == "taylor" else 5))  # taylor keeps <= 4
+        values = {"k_sweep": st.integers(L, 60), "sigma_sweep": st.integers(-20, 10),
+                  "time_grid": st.integers(-3, 3)}[kind]
+        sweep = draw(st.lists(values, min_size=1, max_size=3))
+        sweep += draw(st.lists(st.sampled_from(sweep), max_size=1))  # maybe a repeat
+        cfgs.append(dict(kind=kind, sweep=sweep, K=draw(st.integers(L, 60)), L=L,
+                         delay_model=delay_model, sigma_m=draw(st.sampled_from([0.1, 1.0])),
+                         trials=draw(st.integers(1, 30)), seed=draw(st.integers(0, 1)),
+                         fixture=draw(st.sampled_from(["cluster5", None]))
+                         if kind == "time_grid" or n > 3 else "cluster5"))
+    return net, cfgs
+
+
+def _row_bits(rows):
+    """`rows` with each float as its hex digits, so that nan equals nan."""
+    return [tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(row))
+            for row in rows]
+
+
+# The engine's contract on generated runs: a shared run gives the rows of
+# separate runs bit for bit, whatever the process count and chunk budget,
+# and a run of at most 3 trials gives the per-trial oracle's rows.
+@settings(max_examples=20, deadline=None)
+@given(run=engine_runs())
+def test_generated_runs_match_separate_runs_and_oracle(tmp_path_factory, run):
+    net, kwargs = run
+    path = tmp_path_factory.mktemp("net") / "net.json"
+    net.save(path)
+    cfgs = [ExperimentConfig(**dict(kw, fixture=kw["fixture"] or str(path))) for kw in kwargs]
+    default = exp_mod._CHUNK_DOUBLES
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exp_mod, "_cpus", lambda: 1)
+        separate = [run_experiment(cfg).rows for cfg in cfgs]
+        for cpus, doubles in itertools.product((1, 2), (2**9, default)):
+            mp.setattr(exp_mod, "_cpus", lambda n=cpus: n)
+            mp.setattr(exp_mod, "_CHUNK_DOUBLES", doubles)
+            shared = exp_mod._run_experiments(cfgs)
+            assert [_row_bits(r.rows) for r in shared] == [_row_bits(rows) for rows in separate]
+    for cfg, rows in zip(cfgs, separate):
+        if cfg.trials <= 3:
+            want = trial_oracle.run_experiment(cfg)
+            # a row every trial failed has no RMSE on either side
+            assert [math.isnan(r.rmse) for r in rows] == [math.isnan(r.rmse) for r in want]
+            _assert_rows_match(*([dataclasses.replace(r, rmse=0.0) if math.isnan(r.rmse) else r
+                                  for r in side] for side in (rows, want)))
+
+
+class TestThreeDimensions:
+    """The pipeline, its bounds and the engine on a random 3-D network of 7 nodes."""
+
+    traj = TrajectorySet(X=np.random.default_rng(0).uniform(-500, 500, (3, 7)),
+                         Y=np.random.default_rng(1).uniform(-10, 10, (3, 7)))
+
+    def test_noiseless_taylor_pipeline_recovers_kinematics(self):
+        # the polynomial delays are exact but for the rounding of the markers:
+        # one float64 ulp at the interval edge (3 s) is a delay quantum of
+        # c * eps * 3 s, about 2e-7 m.  Ten quanta bound each aligned residual
+        # (velocities per second); this network reads 0.04, 1.8 and 2.8 quanta
+        # for Xrel, Yrel and Xk(2 s), and 40 random ones at most 0.1, 5.2 and 9
+        traj, pc = self.traj, centering_matrix(7)
+        quantum = SPEED_OF_LIGHT * np.finfo(float).eps * 3.0
+        ex = simulate_exchanges(traj, ExchangeConfig(K=100, delay_model="taylor"),
+                                NoiseModel(0.0), seed=0)
+        sol = solve_relative(wls_solve(build_design(ex, L=4)).to_range_matrices(), P=3)
+        for truth, est in ((traj.X, sol.Xrel), (traj.Y, sol.Yrel),
+                           (traj.position_at(2.0), sol.position_at(2.0))):
+            assert procrustes_align(truth @ pc, est @ pc)[2] < 10 * quantum
+
+    def test_both_fims_have_rank_3n_minus_6(self):
+        # three translations and three rotations span each null space
+        traj, pc = self.traj, centering_matrix(7)
+        ex = simulate_exchanges(traj, ExchangeConfig(K=20), NoiseModel(0.0), seed=0)
+        noise = NoiseModel.from_pair_sigma(0.1, unit="m")
+        covs = RangeNoiseCovariances.from_theta_crb(crb_theta(build_design(ex, L=4, noise=noise)))
+        for fi in (fim_position(traj.X @ pc, covs.Sigma_r),
+                   fim_velocity(traj.Y @ pc, range_matrices(traj), covs)):
+            lam = np.linalg.eigvalsh(fi.matrix)
+            assert (fi.size, fi.structural_deficiency) == (21, 6)
+            assert np.count_nonzero(lam > 1e-10 * lam[-1]) == 3 * 7 - 6
+
+    @pytest.mark.parametrize("config", [
+        dict(kind="k_sweep", sweep=[20, 100]),
+        dict(kind="sigma_sweep", sweep=[-10.0], K=30),
+        dict(kind="time_grid", sweep=[-3.0, 0.0, 2.0], K=30),
+    ], ids=["k_sweep", "sigma_sweep", "time_grid"])
+    def test_run_experiment_through_a_fixture_path(self, tmp_path, config):
+        path = tmp_path / "net3d.json"
+        self.traj.save(path)
+        report = run_experiment(ExperimentConfig(**config, fixture=str(path), trials=3))
+        assert len(report.rows) == len(config["sweep"]) * len(exp_mod._KINDS[report.kind].quantities)
+        for row in report.rows:
+            assert np.isfinite(row.rmse) and row.n_fail == 0
+            assert row.rcrb is None or np.isfinite(row.rcrb)
 
 
 def _hand_report(kind, values, rmse_rcrb):
