@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -172,16 +172,32 @@ def estimate_rotation(Xrel: np.ndarray, Yrel: np.ndarray, Bxy: np.ndarray,
     orthogonal group via the polar factor (closed form in the plane).
 
     Raises:
-        IllPosedRotationError: if G is column rank deficient (needs N >= P
-            with full-row-rank configurations).
+        IllPosedRotationError: if G is column rank deficient, as it is for
+            any centered configurations of fewer than 2P nodes (see
+            :func:`_too_few_nodes`, which the message then names).
     """
-    P = np.asarray(Xrel).shape[0]
+    P, n = np.shape(Xrel)
     H, rank = _rotation_stack(Xrel, Yrel, Bxy, orthogonalize)
     if rank < P * P:
-        raise IllPosedRotationError(
-            f"rotation system rank {rank} < {P * P}; configurations too degenerate"
-        )
+        raise IllPosedRotationError(f"rotation system rank {rank} < {P * P}; "
+                                    f"{_too_few_nodes(n, P) or 'configurations too degenerate'}")
     return H
+
+
+def _too_few_nodes(n: int, P: int) -> Optional[str]:
+    """Why n nodes in P dimensions never have a recoverable rotation, or None.
+
+    For centered Xrel and Yrel, as every embedding gives, the null space of
+    the rotation system G (see :func:`estimate_rotation`) holds the
+    antisymmetric part of W kron W, W the intersection of their row spaces.
+    Both are P-dimensional within the (N - 1)-dimensional complement of the
+    ones vector, so dim W >= 2P - N + 1, and any N < 2P leaves a null
+    direction whatever the geometry.
+    """
+    if n >= 2 * P:
+        return None
+    return (f"N={n} nodes in P={P} dimensions: the velocity rotation needs at least 2P "
+            f"nodes ({2 * P})")
 
 
 def _rotation_stack(Xrel, Yrel, Bxy, orthogonalize: bool = False) -> tuple[np.ndarray, np.ndarray]:

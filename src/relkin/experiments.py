@@ -14,31 +14,33 @@ Three experiment kinds mirror the standard evaluation of the estimator:
 One engine runs the trials, on three levels.  The top level is a pool of
 processes: every sweep point of the experiments in a run is set up first,
 with its bounds, and grouped with the points that read the same noise
-streams (equal seed, stream prefix and pair count).  Each group
-and span of its trials is one task, and the tasks, heaviest first, go to a
-fork pool of min(tasks, CPUs in the affinity mask) workers (serially when
-that is one, where fork is missing, and inside a daemonic process).  A
-task's trials of each of its points are one post-fit chunk of that point,
-drawn and fitted in sub-chunks (both sized by _CHUNK_DOUBLES; a span is the
-group's smallest post-fit chunk, 436 trials at an N=5 k/sigma sweep point
-and 13 on the default time grid of 100 instants).  Each sub-chunk draws
-each of its (trial, pair) streams once, at the group's largest K, a point
-with a smaller K reading the leading normals of each row (bit for bit its
-own draw), and points whose noisy exchanges coincide share one fit.  So a
-run draws each stream address once.  A fit is one pass from the normals to
-the whitened QR stack of the pairs: the normals land as noisy markers and
-delays straight in that stack, with no exchange set or design system built
-around them, and the fit is the ranging module's own stack kernel, so the
-values are bit for bit those of the library path.  Every later stage runs
-once per post-fit chunk, batched over its trials: one eigh for all
-embeddings including the time grid's classical-MDS snapshots, one SVD for
-all the rotations' least squares and one closed-form polar-factor call for
-all Procrustes alignments; no stage loops over trials.  A chunk returns its
-trial table: per trial and per reported estimate, the cause of its failure
-(the exception a single-trial pipeline would raise), whether its embedding
-clamped a negative eigenvalue, and its squared error.  The parent joins
-each point's tables in trial order, so its one reducer sees the same
-arrays whatever the process count.
+streams and run as many trials (equal seed, stream prefix, pair count and
+trial count).  Each group and span of its trials is one task, and the
+tasks, heaviest first, go to a fork pool of min(tasks, CPUs in the affinity
+mask) workers (serially when that is one, where fork is missing, and inside
+a daemonic process).  A task's trials of each of its points are one
+post-fit chunk of that point, drawn and fitted in sub-chunks (both sized by
+_CHUNK_DOUBLES; a span is the group's smallest post-fit chunk, 436 trials
+at an N=5 k/sigma sweep point and 13 on the default time grid of 100
+instants).  Each sub-chunk draws each of its (trial, pair) streams once, at
+the group's largest K, a point with a smaller K reading the leading normals
+of each row (bit for bit its own draw), and points whose noisy exchanges
+coincide share one fit.  So a run draws each stream address once per trial
+count that reads it: once in every run of the command line, whose configs
+share one trial count.  A fit is one pass from the normals to the whitened
+QR stack of the pairs: the normals land as noisy markers and delays
+straight in that stack, with no exchange set or design system built around
+them, and the fit is the ranging module's own stack kernel, so the values
+are bit for bit those of the library path.  Every later stage runs once per
+post-fit chunk, batched over its trials: one eigh for all embeddings
+including the time grid's classical-MDS snapshots, one SVD for all the
+rotations' least squares and one closed-form polar-factor call for all
+Procrustes alignments; no stage loops over trials.  A task returns one
+trial table per point, that of its chunk: per trial and per reported
+estimate, the cause of its failure (the exception a single-trial pipeline
+would raise), whether its embedding clamped a negative eigenvalue, and its
+squared error.  The parent joins each point's tables in trial order, so its
+one reducer sees the same arrays whatever the process count.
 
 Trials are seeded through derived streams keyed by (sweep point, trial,
 pair), so reports are reproducible bit-for-bit and do not depend on how the
@@ -67,6 +69,7 @@ from .embedding import (
     _embed,
     _mds_gram,
     _rotation_stack,
+    _too_few_nodes,
     grams_from_ranges,
     procrustes_align,
     solve_relative,
@@ -142,7 +145,9 @@ class ExperimentConfig:
     least L (else ConfigError).  The message schedule and noise values are
     validated by building the ExchangeConfig and NoiseModel of the config
     and of every k/sigma sweep point (see `_point_model`), so a bad value
-    raises their ConfigError.
+    raises their ConfigError.  A fixture of fewer than 2P nodes, whose
+    velocity rotation is never recoverable, is a ConfigError when the
+    experiment is set up, before any trial runs.
     """
 
     kind: str
@@ -432,44 +437,40 @@ def _same_exchanges(a: _Point, b: _Point) -> bool:
 
 def _stream_groups(points: list[_Point]) -> list[list[int]]:
     """The indices of `points` grouped by the noise streams they read: equal
-    seed, stream prefix and pair count, so trial t's pair p is one stream
-    for all the points of a group."""
+    seed, stream prefix, pair count and trial count, so trial t's pair p is
+    one stream for all the points of a group, and each of them runs every
+    trial of the group."""
     groups = {}
     for i, pt in enumerate(points):
-        groups.setdefault((pt.cfg.seed, pt.stream, pt.clean.n_pairs), []).append(i)
+        groups.setdefault((pt.cfg.seed, pt.stream, pt.clean.n_pairs, pt.cfg.trials), []).append(i)
     return list(groups.values())
 
 
 def _group_spans(group: list[_Point]) -> list[range]:
     """The trial spans of a stream group's tasks: steps of its points'
-    smallest post-fit chunk (see :func:`_outer_step`), up to its largest trial
-    count, so a span's trials of each point fit in one post-fit chunk."""
-    step = min(map(_outer_step, group))
-    n = max(pt.cfg.trials for pt in group)
+    smallest post-fit chunk (see :func:`_outer_step`) up to its trial count,
+    so a span's trials of each point fit in one post-fit chunk."""
+    step, n = min(map(_outer_step, group)), group[0].cfg.trials
     return [range(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def _task_weight(group: list[_Point], trials: range) -> int:
     """A rough cost of a task, to hand out the heaviest first: per trial of
     each point, the doubles of its fit's stack plus N**3 per snapshot."""
-    return sum(len(range(trials.start, min(trials.stop, pt.cfg.trials)))
-               * (pt.clean.n_pairs * pt.clean.K * (pt.cfg.L + 1) + len(pt.markers) * pt.traj.N ** 3)
-               for pt in group)
+    return len(trials) * sum(pt.clean.n_pairs * pt.clean.K * (pt.cfg.L + 1)
+                             + len(pt.markers) * pt.traj.N ** 3 for pt in group)
 
 
-def _group_chunk(pts: list[_Point], trials: range) -> list[list[_Trials]]:
-    """Per point of a stream group, the trial tables of its own trials in the
-    span `trials`: one table, as they are one post-fit chunk (see
-    :func:`_group_spans`), or none where it has no trials there.
+def _group_chunk(pts: list[_Point], trials: range) -> list[_Trials]:
+    """Per point of a stream group, the trial table of the span `trials`,
+    which is one post-fit chunk of it (see :func:`_group_spans`).
 
     The seed words of every (trial, pair) stream are derived once.  The span
     runs in draw-and-fit sub-chunks sized by four times the budget over the
     group's largest (Nbar, L+1, K) fit stack; a sub-chunk draws each of its
-    streams once, at the longest K of the points with trials there, and
-    runs one :func:`_fit_draw` per set of those points whose noisy
-    exchanges coincide, up to the set's largest trial count.  Each point
-    keeps the fits of its own trials, which go on to :func:`_chunk_table`
-    once the span is done.
+    streams once, at the group's largest K, and runs one :func:`_fit_draw`
+    per set of points whose noisy exchanges coincide.  Each point's fits go
+    on to :func:`_chunk_table` once the span is done.
     """
     shared = []  # the indices of the points that share each fit
     for m, pt in enumerate(pts):
@@ -478,27 +479,22 @@ def _group_chunk(pts: list[_Point], trials: range) -> list[list[_Trials]]:
             shared.append([m])
         else:
             fit.append(m)
-    n_pairs, first = pts[0].clean.n_pairs, trials.start
+    n_pairs, n = pts[0].clean.n_pairs, len(trials)
     states = _exchange_states(pts[0].cfg.seed, [pts[0].stream + (t,) for t in trials], n_pairs)
+    K = max(pt.clean.K for pt in pts)
     stack = max(pt.clean.K * (pt.cfg.L + 1) for pt in pts)
     step = max(1, 4 * _CHUNK_DOUBLES // (n_pairs * stack))
-    scratch = np.empty(min(step, len(trials)) * n_pairs * stack)
+    scratch = np.empty(min(step, n) * n_pairs * stack)
     fitted = [[] for _ in pts]  # per point, the fits of its trials in the span
-    for lo in range(trials.start, trials.stop, step):
-        hi = min(lo + step, trials.stop)
-        fits = [[m for m in fit if lo < pts[m].cfg.trials] for fit in shared]
-        fits = [fit for fit in fits if fit]
-        K = max(pts[m].clean.K for fit in fits for m in fit)
-        q = _draw_normals(states[lo - first:hi - first].reshape((hi - lo) * n_pairs, -1),
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        q = _draw_normals(states[lo:hi].reshape((hi - lo) * n_pairs, -1),
                           (2 * K,)).reshape(hi - lo, n_pairs, 2 * K)
-        for fit in fits:
-            n_fit = min(hi, max(pts[m].cfg.trials for m in fit)) - lo
-            theta, rank_bad, snap_taus = _fit_draw([pts[m] for m in fit], q[:n_fit], scratch)
+        for fit in shared:
+            theta, rank_bad, snap_taus = _fit_draw([pts[m] for m in fit], q, scratch)
             for m, snap_tau in zip(fit, snap_taus):
-                n = min(hi, pts[m].cfg.trials) - lo
-                fitted[m].append((theta[:n], rank_bad[:n], snap_tau[:n]))
-    return [[_chunk_table(pt, *map(np.concatenate, zip(*fits)))] if fits else []
-            for pt, fits in zip(pts, fitted)]
+                fitted[m].append((theta, rank_bad, snap_tau))
+    return [_chunk_table(pt, *map(np.concatenate, zip(*fits))) for pt, fits in zip(pts, fitted)]
 
 
 def _cpus() -> int:
@@ -519,13 +515,12 @@ def _adopt_tasks(tasks: list[tuple[list[_Point], range]]) -> None:
     _TASKS = tasks
 
 
-def _pooled_task(i: int) -> list[list[_Trials]]:
+def _pooled_task(i: int) -> list[_Trials]:
     # looked up at call time, so a module attribute patched before the fork holds
     return _group_chunk(*_TASKS[i])
 
 
-def _map_tasks(tasks: list[tuple[list[_Point], range]]
-               ) -> tuple[list[list[list[_Trials]]], int]:
+def _map_tasks(tasks: list[tuple[list[_Point], range]]) -> tuple[list[list[_Trials]], int]:
     """`_group_chunk` of every (stream group, trials) task, in task order, and the
     number of processes that ran them.
 
@@ -636,7 +631,8 @@ def _run_experiments(cfgs: list[ExperimentConfig]) -> list[RmseReport]:
     """One report per config, with the rows separate `run_experiment` calls give.
 
     Every sweep point of every config is set up first, with its bounds.  The
-    points are grouped by the noise streams they read (see `_stream_groups`),
+    points are grouped by the noise streams they read and the trials they
+    run (see `_stream_groups`),
     each group's trials are cut into spans (see `_group_spans`), and the
     (group, span) tasks run through one pool (see `_map_tasks`), the heaviest
     first; each point's trial tables are then joined in trial order.  So the
@@ -647,6 +643,9 @@ def _run_experiments(cfgs: list[ExperimentConfig]) -> list[RmseReport]:
     setups = []  # (config index, sweep point)
     for c, cfg in enumerate(cfgs):
         traj = load_trajectory(cfg.fixture)
+        few = _too_few_nodes(traj.N, traj.P)
+        if few:
+            raise ConfigError(few)
         points = [_time_grid_point(traj, cfg)] if cfg.kind == "time_grid" else \
             [_sweep_point(traj, cfg, s_idx, value) for s_idx, value in enumerate(cfg.sweep)]
         setups += [(c, pt) for pt in points]
@@ -659,8 +658,8 @@ def _run_experiments(cfgs: list[ExperimentConfig]) -> list[RmseReport]:
     by_task = dict(zip(order, results))
     tables = [[] for _ in setups]  # per point, its trial tables in trial order
     for t, (index, _, _) in enumerate(tasks):
-        for i, point_tables in zip(index, by_task[t]):
-            tables[i] += point_tables
+        for i, table in zip(index, by_task[t]):
+            tables[i].append(table)
     rows = [[] for _ in cfgs]
     for (c, pt), point_tables in zip(setups, tables):
         rows[c].extend(_report_rows(pt, _Trials(*map(np.concatenate, zip(*point_tables)))))

@@ -161,24 +161,27 @@ class TestFimVelocity:
             assert n_small_eigs(fy) == 3
 
 
-# The FIM rank law (arXiv:1401.5925) on random planar networks: both
-# information matrices have rank 2N - 3 when the centered positions,
-# respectively velocities, span the plane.  A nearly collinear X or Y has a
-# true but tiny fourth eigenvalue, so draws within 1% of collinear are
-# skipped.  Over 3,000 draws the others kept it above 3e-7 of the largest
-# eigenvalue, and the three structural ones stayed below 5e-16.
+# The FIM rank law (arXiv:1401.5925) on random networks in the plane and in
+# space: both information matrices have rank PN - P(P+1)/2 (P translations
+# and P(P-1)/2 rotations) when the centered positions, respectively
+# velocities, span the P dimensions.  A nearly collinear, respectively
+# coplanar, X or Y has a true but tiny further eigenvalue, so draws within
+# 1% of that are skipped.  Over 3,000 planar draws the others kept it above
+# 3e-7 of the largest eigenvalue, and the three structural ones stayed below
+# 5e-16; over 2,000 spatial draws of 4..7 nodes the six structural ones
+# stayed below 5e-16 and the smallest kept one above 1.4e-7.
 @settings(max_examples=150, deadline=None)
-@given(traj=geometries(dims=(2, 2)))
+@given(traj=geometries(dims=(2, 3)))
 def test_rank_law_on_random_geometries(traj):
-    pc = centering_matrix(traj.N)
+    P, pc = traj.P, centering_matrix(traj.N)
     xc, yc = traj.X @ pc, traj.Y @ pc
     for z in (xc, yc):
         s = np.linalg.svd(z, compute_uv=False)
-        assume(s[1] > 1e-2 * s[0])
+        assume(s[P - 1] > 1e-2 * s[0])
     covs = fixture_covariances(traj, k=20)
     for fi in (fim_position(xc, covs.Sigma_r), fim_velocity(yc, range_matrices(traj), covs)):
-        assert fi.size == 2 * traj.N
-        assert n_small_eigs(fi) == 3  # rank 2N - 3
+        assert fi.size == P * traj.N
+        assert n_small_eigs(fi) == P * (P + 1) // 2  # rank PN - P(P+1)/2
 
 
 def random_case(rng, n):

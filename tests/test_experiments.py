@@ -218,10 +218,10 @@ class TestFailureAccounting:
 
         def flaky(group, trials):
             # fail two of the trials as a failed spectral embedding would
-            ((res,),) = real(group, trials)  # one point, one outer chunk
+            (res,) = real(group, trials)  # one point, one trial table
             cause = res.cause.copy()
             cause[np.isin(np.asarray(trials), (1, 3))] = embed_failure
-            return [[res._replace(cause=cause)]]
+            return [res._replace(cause=cause)]
 
         monkeypatch.setattr(exp_mod, "_group_chunk", flaky)
         cfg = ExperimentConfig(kind="k_sweep", sweep=[12], trials=6, seed=0)
@@ -518,17 +518,16 @@ class TestPool:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_shared_run_matches_separate_runs(self, monkeypatch, cpus):
-        # outer chunks of 13 trials at a k/sigma point and of 4 on the time
-        # grid of 9 report times, so the time grid's chunks are cut where a
-        # span of its stream group ends
+        # post-fit chunks of 13 trials at a k/sigma point and of 4 on the time
+        # grid of 9 report times, so the group's spans are the time grid's
         monkeypatch.setattr(exp_mod, "_CHUNK_DOUBLES", 2**10)
         monkeypatch.setattr(exp_mod, "_cpus", lambda: cpus)
-        # one seed: k point s, sigma point s and the time grid read stream
-        # (s, t, p).  Sigma point 0 (10 dB-meters, K=10) and the time grid
-        # share their noisy exchanges, so one fit, and both read the leading
-        # normals of k point 0's K=30 draw; every config has its own trial count
-        cfgs = [ExperimentConfig(kind="k_sweep", sweep=[30, 10], trials=10, seed=4),
-                ExperimentConfig(kind="sigma_sweep", sweep=[10.0, 0.0], K=10, trials=20, seed=4),
+        # one seed and trial count: k point s, sigma point s and the time grid
+        # read stream (s, t, p).  Sigma point 0 (10 dB-meters, K=10) and the
+        # time grid share their noisy exchanges, so one fit, and both read the
+        # leading normals of k point 0's K=30 draw
+        cfgs = [ExperimentConfig(kind="k_sweep", sweep=[30, 10], trials=30, seed=4),
+                ExperimentConfig(kind="sigma_sweep", sweep=[10.0, 0.0], K=10, trials=30, seed=4),
                 ExperimentConfig(**dict(TIME_GRID_FAILING, sweep=list(np.linspace(-3, 3, 9)),
                                         trials=30))]
         fits = []
@@ -540,10 +539,32 @@ class TestPool:
 
         monkeypatch.setattr(exp_mod, "_fit_draw", fit)
         shared = exp_mod._run_experiments(cfgs)
-        if cpus == 1:  # the fits are recorded here; past trial 20 the time grid fits alone
+        if cpus == 1:  # the fits are recorded here
             assert (("sigma_sweep", (0,)), ("time_grid", (0,))) in fits
+            assert (("time_grid", (0,)),) not in fits
         assert [r.rows for r in shared] == [run_experiment(cfg).rows for cfg in cfgs]
         assert [r.workers for r in shared] == [2 if FORK and cpus == 2 else 1] * 3
+
+    def test_trial_counts_form_separate_groups(self, monkeypatch):
+        # two configs of one seed and stream prefix but different trial
+        # counts read the same streams, yet form two groups, each drawing
+        # them for its own trials, and give the rows of separate runs
+        cfgs = [ExperimentConfig(kind="k_sweep", sweep=[30, 10], trials=7, seed=4),
+                ExperimentConfig(kind="sigma_sweep", sweep=[10.0], K=10, trials=12, seed=4)]
+        spans = []
+        real = exp_mod._group_chunk
+
+        def chunk(group, trials):
+            spans.append(([pt.cfg.kind for pt in group], trials))
+            return real(group, trials)
+
+        monkeypatch.setattr(exp_mod, "_group_chunk", chunk)
+        monkeypatch.setattr(exp_mod, "_cpus", lambda: 1)  # the calls are recorded here
+        shared = exp_mod._run_experiments(cfgs)
+        # k point 0 and sigma point 0 read stream (0, t, p), but run apart
+        assert sorted(spans) == [(["k_sweep"], range(7)), (["k_sweep"], range(7)),
+                                 (["sigma_sweep"], range(12))]
+        assert [r.rows for r in shared] == [run_experiment(cfg).rows for cfg in cfgs]
 
     @needs_fork
     def test_cli_run_starts_one_pool(self, monkeypatch, tmp_path):
@@ -641,20 +662,19 @@ class TestPool:
 
 @st.composite
 def engine_runs(draw):
-    """A random planar network of 3..7 nodes and the keywords of 1..3
+    """A random planar network of 4..7 nodes and the keywords of 1..3
     experiment configs, each on cluster5 or that network (fixture None).
 
     The network is drawn as test_bounds' rank-law networks are, positions
     within 500 m and velocities within 10 m/s, and kept where both span the
     plane, else its noiseless rotation, the reference of the Hy rows, does
-    not exist.  At 3 nodes that rotation system has rank 3 < 4 whatever the
-    geometry, so only time grids (which have no Hy row) run on a 3-node
-    network.  Seeds 0 and 1 make configs share noise streams, so stream
-    groups form; a later config may repeat the first with another trial
-    count, so one group holds points that share their fit but not their
-    trial count."""
+    not exist.  Fewer than 2P = 4 nodes never carry that rotation, and setup
+    rejects them (see TestNodeCount).  Seeds 0 and 1 make configs share
+    noise streams, so stream groups form; a later config may repeat the
+    first with another trial count, so points that share their streams and
+    noisy exchanges run in two groups."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(3, 7))
+    n = draw(st.integers(4, 7))
     net = TrajectorySet(X=rng.uniform(-500, 500, (2, n)), Y=rng.uniform(-10, 10, (2, n)))
     for z in (net.X, net.Y):
         s = np.linalg.svd(z - z.mean(axis=1, keepdims=True), compute_uv=False)
@@ -674,8 +694,7 @@ def engine_runs(draw):
         cfgs.append(dict(kind=kind, sweep=sweep, K=draw(st.integers(L, 60)), L=L,
                          delay_model=delay_model, sigma_m=draw(st.sampled_from([0.1, 1.0])),
                          trials=draw(st.integers(1, 30)), seed=draw(st.integers(0, 1)),
-                         fixture=draw(st.sampled_from(["cluster5", None]))
-                         if kind == "time_grid" or n > 3 else "cluster5"))
+                         fixture=draw(st.sampled_from(["cluster5", None]))))
     return net, cfgs
 
 
@@ -759,6 +778,68 @@ class TestThreeDimensions:
         for row in report.rows:
             assert np.isfinite(row.rmse) and row.n_fail == 0
             assert row.rcrb is None or np.isfinite(row.rcrb)
+
+
+class TestNodeCount:
+    """Fewer than 2P nodes never carry a velocity rotation: an experiment's
+    setup rejects them, and `relkin solve` names the rule when it fails."""
+
+    @staticmethod
+    def network(P, n):
+        rng = np.random.default_rng(n)
+        return TrajectorySet(X=rng.uniform(-500, 500, (P, n)), Y=rng.uniform(-10, 10, (P, n)))
+
+    @staticmethod
+    def solve(tmp_path, traj):
+        """`relkin solve --dim P` of the network's noiseless fit; its exit status."""
+        ex = simulate_exchanges(traj, ExchangeConfig(K=20, delay_model="taylor"),
+                                NoiseModel(0.0), seed=0)
+        ex.to_csv(tmp_path / "exchanges.csv")
+        assert main(["estimate", "--exchanges", str(tmp_path / "exchanges.csv"),
+                     "--sigma-meters", "0.1", "--out", str(tmp_path / "theta.csv")]) == 0
+        return main(["solve", "--theta", str(tmp_path / "theta.csv"), "--dim", str(traj.P),
+                     "--out", str(tmp_path / "solution.csv")])
+
+    @staticmethod
+    def rule(P, n):
+        return f"N={n} nodes in P={P} dimensions: the velocity rotation needs at least 2P nodes "
+
+    @pytest.mark.parametrize("P, n", [(2, 3), (3, 5)])
+    @pytest.mark.parametrize("config", [
+        dict(kind="sigma_sweep", sweep=[-10.0], K=20),
+        dict(kind="time_grid", sweep=[0.0], K=20),
+    ], ids=["sigma_sweep", "time_grid"])
+    def test_experiment_exits_2_before_any_trial(self, tmp_path, capsys, monkeypatch,
+                                                 P, n, config):
+        monkeypatch.setattr(exp_mod, "_map_tasks", None)  # no trial may run
+        self.network(P, n).save(tmp_path / "net.json")
+        cfg = ExperimentConfig(**config, fixture=str(tmp_path / "net.json"), trials=3)
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg.to_dict()))
+        capsys.readouterr()
+        assert main(["experiment", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == f"error: {self.rule(P, n)}({2 * P})\n"
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("P, n", [(2, 3), (3, 5)])
+    def test_solve_exits_2_naming_the_rule(self, tmp_path, capsys, P, n):
+        capsys.readouterr()
+        assert self.solve(tmp_path, self.network(P, n)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: rotation system rank ")
+        assert err.endswith(f"; {self.rule(P, n)}({2 * P})\n")
+        assert not (tmp_path / "solution.csv").exists()
+
+    @pytest.mark.parametrize("P, n", [(2, 4), (3, 6)])
+    def test_two_p_nodes_run(self, tmp_path, P, n):
+        traj = self.network(P, n)
+        traj.save(tmp_path / "net.json")
+        for config in (dict(kind="sigma_sweep", sweep=[-10.0], K=20),
+                       dict(kind="time_grid", sweep=[0.0], K=20)):
+            cfg = ExperimentConfig(**config, fixture=str(tmp_path / "net.json"), trials=3)
+            assert all(row.n_fail == 0 and np.isfinite(row.rmse)
+                       for row in run_experiment(cfg).rows)
+        assert self.solve(tmp_path, traj) == 0
 
 
 def _hand_report(kind, values, rmse_rcrb):
