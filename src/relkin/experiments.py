@@ -13,34 +13,35 @@ Three experiment kinds mirror the standard evaluation of the estimator:
 
 One engine runs the trials, on three levels.  The top level is a pool of
 processes: every sweep point of the experiments in a run is set up first,
-with its bounds, and grouped with the points that read the same noise
-streams and run as many trials (equal seed, stream prefix, pair count and
-trial count).  Each group and span of its trials is one task, and the
-tasks, heaviest first, go to a fork pool of min(tasks, CPUs in the affinity
-mask) workers (serially when that is one, where fork is missing, and inside
-a daemonic process).  A task's trials of each of its points are one
-post-fit chunk of that point, drawn and fitted in sub-chunks (both sized by
-_CHUNK_DOUBLES; a span is the group's smallest post-fit chunk, 436 trials
-at an N=5 k/sigma sweep point and 13 on the default time grid of 100
-instants).  Each sub-chunk draws each of its (trial, pair) streams once, at
-the group's largest K, a point with a smaller K reading the leading normals
-of each row (bit for bit its own draw), and points whose noisy exchanges
-coincide share one fit.  So a run draws each stream address once per trial
-count that reads it: once in every run of the command line, whose configs
-share one trial count.  A fit is one pass from the normals to the whitened
-QR stack of the pairs: the normals land as noisy markers and delays
-straight in that stack, with no exchange set or design system built around
-them, and the fit is the ranging module's own stack kernel, so the values
-are bit for bit those of the library path.  Every later stage runs once per
-post-fit chunk, batched over its trials: one eigh for all embeddings
-including the time grid's classical-MDS snapshots, one SVD for all the
-rotations' least squares and one closed-form polar-factor call for all
-Procrustes alignments; no stage loops over trials.  A task returns one
-trial table per point, that of its chunk: per trial and per reported
-estimate, the cause of its failure (the exception a single-trial pipeline
-would raise), whether its embedding clamped a negative eigenvalue, and its
-squared error.  The parent joins each point's tables in trial order, so its
-one reducer sees the same arrays whatever the process count.
+by one builder whatever its kind, with its bounds, and grouped with the
+points that read the same noise streams and run as many trials (equal seed,
+stream prefix, pair count and trial count).  Each group and span of its
+trials is one task, and the tasks, heaviest first, go to a fork pool of
+min(tasks, CPUs in the affinity mask) workers (serially when that is one,
+where fork is missing, and inside a daemonic process).  A task's trials of
+each of its points are one post-fit chunk of that point, drawn and fitted
+in sub-chunks (both sized by _CHUNK_DOUBLES; a span is the group's smallest
+post-fit chunk, 436 trials at an N=5 k/sigma sweep point and 13 on the
+default time grid of 100 instants).  Each sub-chunk draws each of its
+(trial, pair) streams once, at the group's largest K, a point with a
+smaller K reading the leading normals of each row (bit for bit its own
+draw), and points whose noisy exchanges coincide share one fit.  So a run
+draws each stream address once per trial count that reads it: once in every
+run of the command line, whose configs share one trial count.  A fit is one
+pass from the normals to the whitened QR stack of the pairs: the normals
+land as noisy markers and delays straight in that stack, with no exchange
+set or design system built around them, and the fit is the ranging module's
+own stack kernel, so the values are bit for bit those of the library path.
+Every later stage runs once per post-fit chunk, batched over its trials:
+one eigh for all embeddings including the time grid's classical-MDS
+snapshots, one SVD for all the rotations' least squares and one closed-form
+polar-factor call for all Procrustes alignments; no stage loops over
+trials.  A task returns one trial table per point, that of its chunk: per
+trial and per reported estimate, the cause of its failure (the exception a
+single-trial pipeline would raise), whether its embedding clamped a
+negative eigenvalue, and its squared error.  The parent joins each point's
+tables in trial order, so its one reducer sees the same arrays whatever the
+process count.
 
 Trials are seeded through derived streams keyed by (sweep point, trial,
 pair), so reports are reproducible bit-for-bit and do not depend on how the
@@ -95,14 +96,12 @@ from .rng import _draw_normals
 from .twr import (
     ExchangeConfig,
     NoiseModel,
-    SPEED_OF_LIGHT,
     TimestampExchangeSet,
     _clean_exchanges,
     _exchange_states,
     _is_finite,
     _pair_std,
     _write_columns,
-    generate_timestamps,
 )
 
 __all__ = [
@@ -159,7 +158,6 @@ class ExperimentConfig:
     L: int = 4
     trials: int = 1000
     seed: int = 0
-    c: float = SPEED_OF_LIGHT
     delay_model: str = "exact"
     orthogonalize: bool = False
 
@@ -182,7 +180,7 @@ class ExperimentConfig:
         if not _is_finite(self.sigma_m):
             raise ConfigError(f"sigma_m must be a finite number >= 0, got {self.sigma_m!r}")
         exch, _ = _point_model(self)
-        self.K, self.L, self.interval, self.c = exch.K, exch.model_order, exch.interval, exch.c
+        self.K, self.L, self.interval = exch.K, exch.model_order, exch.interval
         for value in self.sweep:
             if not _is_finite(value):
                 raise ConfigError(f"{self.kind} values must be finite numbers, got {value!r}")
@@ -377,9 +375,9 @@ def _chunk_table(pt: _Point, theta: np.ndarray, rank_bad: np.ndarray,
     masked out.
     """
     cfg, n, P = pt.cfg, pt.traj.N, pt.traj.P
-    coeffs = RangeCoefficients(scaled=theta, n_nodes=n, c=cfg.c)
+    coeffs = RangeCoefficients(scaled=theta, n_nodes=n, c=pt.clean.c)
     grams = grams_from_ranges(coeffs.to_range_matrices())
-    snaps = _symmetric(n, cfg.c * snap_tau.swapaxes(-1, -2))
+    snaps = _symmetric(n, pt.clean.c * snap_tau.swapaxes(-1, -2))
     emb = _embed(np.concatenate([grams.Bxx[:, None], grams.Byy[:, None], _mds_gram(snaps)],
                                 axis=1), P)
     xrel, yrel = emb.config[:, 0], emb.config[:, 1]
@@ -573,53 +571,44 @@ def _point_model(cfg: ExperimentConfig, value=None) -> tuple[ExchangeConfig, Noi
             sigma_m = 10.0 ** (float(value) / 10.0)
         except OverflowError:  # inf, which NoiseModel rejects
             sigma_m = math.inf
-    return (ExchangeConfig(K=K, interval=cfg.interval, c=cfg.c, delay_model=cfg.delay_model,
+    return (ExchangeConfig(K=K, interval=cfg.interval, delay_model=cfg.delay_model,
                            model_order=cfg.L),
             NoiseModel.from_pair_sigma(sigma_m, unit="m"))
 
 
-def _new_point(traj, cfg, stream, markers, times, clean, noise, weights, hy_ref,
-               rows) -> _Point:
-    """A _Point, with the constants every post-fit chunk of it reads: the marker
-    noise, the centered truth stack and the true range coefficients."""
-    truth = np.array([traj.X, traj.Y] + [traj.position_at(t) for t in times] * 2) \
-        @ centering_matrix(traj.N)
-    return _Point(traj, cfg, stream, markers=markers, times=times, clean=clean,
-                  sigma=_pair_std(noise, traj.N, clean.c)[..., None], weights=weights,
-                  hy_ref=hy_ref, truth=truth, coeff_true=_pair_kinematics(traj.X, traj.Y),
-                  rows=rows)
-
-
-def _sweep_point(traj, cfg, s_idx, value) -> _Point:
-    """A k/sigma sweep point, with its bounds."""
+def _new_point(traj, cfg, s_idx, value=None) -> _Point:
+    """Sweep point `s_idx` of `cfg` at `value`, or a time grid's one point (no
+    value), with the constants every post-fit chunk of it reads.  A time grid
+    snaps its report times to transmit markers, has no bounds and takes its
+    Hy error against zero; a k/sigma point has its bounds where it is noisy
+    and the noiseless rotation as its Hy reference."""
     exch_cfg, noise = _point_model(cfg, value)
     clean = _clean_exchanges(traj, exch_cfg)
-    rcrbs = dict.fromkeys(_SWEEP_QUANTITIES)
     design = build_design(clean, cfg.L, noise=noise)
-    if design.pair_variances is not None:  # noisy: the bounds exist
-        theta_crb, rcrbs["Xrel"], rcrbs["Yrel"] = _root_crbs(traj, design)
-        rcrbs.update(r=theta_crb.rcrb(0), rdot=theta_crb.rcrb(1), rddot=theta_crb.rcrb(2))
-    # the noiseless solution fixes the reference frame for the rotation
-    hy_ref = solve_relative(wls_solve(build_design(clean, cfg.L)).to_range_matrices(), traj.P,
-                            orthogonalize=cfg.orthogonalize).Hy
-    rows = [(col, float(value), q, rcrbs[q]) for col, q in enumerate(_SWEEP_QUANTITIES)]
-    return _new_point(traj, cfg, (s_idx,), np.zeros(0, np.intp), np.zeros(0), clean, noise,
-                      design.weights, hy_ref, rows)
-
-
-def _time_grid_point(traj, cfg) -> _Point:
-    """The one point of a time grid: its report times, snapped to transmit markers."""
-    exch_cfg, noise = _point_model(cfg)
-    grid = generate_timestamps(exch_cfg, 1)[0]
-    idxs = np.array([int(np.argmin(np.abs(grid - float(t)))) for t in cfg.sweep], np.intp)
-    times = grid[idxs]
-    dyn, snap = len(_SWEEP_QUANTITIES), len(_SWEEP_QUANTITIES) + len(times)
-    rows = [row for m, t in enumerate(times.tolist())
-            for row in ((dyn + m, t, "Xk_dynamic", None), (snap + m, t, "Xk_cmds", None))]
-    clean = _clean_exchanges(traj, exch_cfg)
-    return _new_point(traj, cfg, (0,), idxs, times, clean, noise,
-                      build_design(clean, cfg.L, noise=noise).weights,
-                      np.zeros((traj.P, traj.P)), rows)
+    if value is None:
+        grid = clean.t_i[0]
+        markers = np.array([int(np.argmin(np.abs(grid - float(t)))) for t in cfg.sweep], np.intp)
+        times = grid[markers]
+        dyn, snap = len(_SWEEP_QUANTITIES), len(_SWEEP_QUANTITIES) + len(times)
+        rows = [row for m, t in enumerate(times.tolist())
+                for row in ((dyn + m, t, "Xk_dynamic", None), (snap + m, t, "Xk_cmds", None))]
+        hy_ref = np.zeros((traj.P, traj.P))
+    else:
+        markers, times = np.zeros(0, np.intp), np.zeros(0)
+        rcrbs = dict.fromkeys(_SWEEP_QUANTITIES)
+        if design.pair_variances is not None:  # noisy: the bounds exist
+            theta_crb, rcrbs["Xrel"], rcrbs["Yrel"] = _root_crbs(traj, design)
+            rcrbs.update(r=theta_crb.rcrb(0), rdot=theta_crb.rcrb(1), rddot=theta_crb.rcrb(2))
+        rows = [(col, float(value), q, rcrbs[q]) for col, q in enumerate(_SWEEP_QUANTITIES)]
+        # the noiseless solution fixes the reference frame for the rotation
+        hy_ref = solve_relative(wls_solve(build_design(clean, cfg.L)).to_range_matrices(),
+                                traj.P, orthogonalize=cfg.orthogonalize).Hy
+    truth = np.array([traj.X, traj.Y] + [traj.position_at(t) for t in times] * 2) \
+        @ centering_matrix(traj.N)
+    return _Point(traj, cfg, (s_idx,), markers=markers, times=times, clean=clean,
+                  sigma=_pair_std(noise, traj.N, clean.c)[..., None], weights=design.weights,
+                  hy_ref=hy_ref, truth=truth, coeff_true=_pair_kinematics(traj.X, traj.Y),
+                  rows=rows)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RmseReport:
@@ -646,8 +635,8 @@ def _run_experiments(cfgs: list[ExperimentConfig]) -> list[RmseReport]:
         few = _too_few_nodes(traj.N, traj.P)
         if few:
             raise ConfigError(few)
-        points = [_time_grid_point(traj, cfg)] if cfg.kind == "time_grid" else \
-            [_sweep_point(traj, cfg, s_idx, value) for s_idx, value in enumerate(cfg.sweep)]
+        points = [_new_point(traj, cfg, 0)] if cfg.kind == "time_grid" else \
+            [_new_point(traj, cfg, s_idx, value) for s_idx, value in enumerate(cfg.sweep)]
         setups += [(c, pt) for pt in points]
     tasks = []  # (indices into setups, group, span)
     for index in _stream_groups([pt for _, pt in setups]):

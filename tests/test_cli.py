@@ -603,6 +603,17 @@ class TestExperiment:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "r").exists()
 
+    def test_config_naming_c_is_unknown_key(self, tmp_path, capsys):
+        # the experiment schema has no propagation speed: every output is in
+        # meters, where c cancels, so the key is unknown, whatever its value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": {"K": [10]}, "trials": 2, "c": 3e8}))
+        rc = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "unknown config keys ['c']" in err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("config", [
         {"sweep": {"K": [3, 10]}},
         {"sweep": {"sigma_db_m": [-10]}, "K": 3},

@@ -336,12 +336,12 @@ def test_translation_invariance_of_range_matrices():
 
 
 @st.composite
-def geometries(draw, dims=(1, 3)):
-    """A trajectory set of 2..7 nodes in dims[0]..dims[1] dimensions on a
-    1 mm position grid within 1 km and a 1 mm/s velocity grid within 20 m/s,
-    with no two nodes coinciding."""
+def geometries(draw, dims=(1, 3), min_nodes=2):
+    """A trajectory set of min_nodes..7 nodes (at least P) in dims[0]..dims[1]
+    dimensions on a 1 mm position grid within 1 km and a 1 mm/s velocity
+    grid within 20 m/s, with no two nodes coinciding."""
     p = draw(st.integers(*dims))
-    n = draw(st.integers(max(p, 2), 7))
+    n = draw(st.integers(max(p, min_nodes), 7))
     coords = lambda bound: st.lists(st.integers(-bound, bound), min_size=p * n, max_size=p * n)
     X = np.array(draw(coords(10**6)), float).reshape(p, n) / 1e3
     Y = np.array(draw(coords(20_000)), float).reshape(p, n) / 1e3

@@ -25,6 +25,7 @@ from relkin import (
     NoiseModel,
     RangeNoiseCovariances,
     RankDeficiencyError,
+    SPEED_OF_LIGHT,
     build_design,
     centering_matrix,
     classical_mds,
@@ -122,7 +123,7 @@ def sweep_point(traj, cfg, s_idx, value):
         K, sigma_m = int(value), cfg.sigma_m
     else:
         K, sigma_m = cfg.K, 10.0 ** (float(value) / 10.0)
-    exch_cfg = ExchangeConfig(K=K, interval=cfg.interval, c=cfg.c,
+    exch_cfg = ExchangeConfig(K=K, interval=cfg.interval, c=SPEED_OF_LIGHT,
                               delay_model=cfg.delay_model, model_order=cfg.L)
     noise = NoiseModel.from_pair_sigma(sigma_m, unit="m")
     pc = centering_matrix(traj.N)
@@ -158,7 +159,7 @@ def sweep_point(traj, cfg, s_idx, value):
 
 
 def time_grid(traj, cfg):
-    exch_cfg = ExchangeConfig(K=cfg.K, interval=cfg.interval, c=cfg.c,
+    exch_cfg = ExchangeConfig(K=cfg.K, interval=cfg.interval, c=SPEED_OF_LIGHT,
                               delay_model=cfg.delay_model, model_order=cfg.L)
     noise = NoiseModel.from_pair_sigma(cfg.sigma_m, unit="m")
     pc = centering_matrix(traj.N)
@@ -184,7 +185,7 @@ def time_grid(traj, cfg):
         for m, (idx, t) in enumerate(zip(idxs, times)):
             dr_sq[m].append(_aligned_sq_error(truth_c[m], sol.position_at(t), pc))
             d_snap = np.zeros((traj.N, traj.N))
-            d_snap[np.triu_indices(traj.N, k=1)] = cfg.c * tau[:, idx]
+            d_snap[np.triu_indices(traj.N, k=1)] = SPEED_OF_LIGHT * tau[:, idx]
             d_snap = d_snap + d_snap.T
             xk, err, warned = _guarded(classical_mds, d_snap, traj.P)
             cmds_clamped[m] += warned
