@@ -171,6 +171,12 @@ def estimate_rotation(Xrel: np.ndarray, Yrel: np.ndarray, Bxy: np.ndarray,
     roundoff level.  Pass orthogonalize=True to project onto the
     orthogonal group via the polar factor (closed form in the plane).
 
+    Known limit: G's rank is read with lstsq's rcond cut, which misses a
+    system rank deficient only up to the error (rounding included) of fitted
+    Grams.  So velocities that are a linear map of the positions (Y = B X)
+    can return a wrong H with no error: from noiseless fits of three 3-D
+    networks of 7 nodes, the position at 2 s came out 0.20 to 0.44 m off.
+
     Raises:
         IllPosedRotationError: if G is column rank deficient, as it is for
             any centered configurations of fewer than 2P nodes (see

@@ -25,13 +25,13 @@ post-fit chunk, 436 trials at an N=5 k/sigma sweep point and 13 on the
 default time grid of 100 instants).  Each sub-chunk draws each of its
 (trial, pair) streams once, at the group's largest K, a point with a
 smaller K reading the leading normals of each row (bit for bit its own
-draw), and points whose noisy exchanges coincide share one fit.  So a run
-draws each stream address once per trial count that reads it: once in every
-run of the command line, whose configs share one trial count.  A fit is one
-pass from the normals to the whitened QR stack of the pairs: the normals
-land as noisy markers and delays straight in that stack, with no exchange
-set or design system built around them, and the fit is the ranging module's
-own stack kernel, so the values are bit for bit those of the library path.
+draw), and fits each point from them.  So a run draws each stream address
+once per trial count that reads it: once in every run of the command line,
+whose configs share one trial count.  A fit is one pass from the normals to
+the whitened QR stack of the pairs: the normals land as noisy markers and
+delays straight in that stack, with no exchange set or design system built
+around them, and the fit is the ranging module's own stack kernel, so the
+values are bit for bit those of the library path.
 Every later stage runs once per post-fit chunk, batched over its trials:
 one eigh for all embeddings including the time grid's classical-MDS
 snapshots, one SVD for all the rotations' least squares and one closed-form
@@ -321,7 +321,8 @@ class _Trials(NamedTuple):
 # its fit (theta, the three Grams and the time grid's snapshot matrices); a
 # draw-and-fit sub-chunk, at four times the budget, by the largest whitened
 # (Nbar, K, L + 1) QR stack of its stream group, which also bounds the
-# (Nbar, 2K) draw since L >= 3.  The larger sub-chunk (26 trials at Nbar = 10,
+# (Nbar, 2K) draw since L >= 3 (the stack is strided, see _fit_draw, and qr
+# copies it before LAPACK).  The larger sub-chunk (26 trials at Nbar = 10,
 # K = 100, L = 4) spreads each fit's fixed cost; 1000 trials then trace a
 # peak of about 3.3 MB at one K = 100 point and 4.2 MB on the default time
 # grid.  Chunks keep the working set small whatever the trial count; they do
@@ -329,28 +330,28 @@ class _Trials(NamedTuple):
 _CHUNK_DOUBLES = 2**15
 
 
-def _fit_draw(pts: list[_Point], q: np.ndarray,
-              scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Theta (T, Nbar, L), rank flags (T,) and, per point of `pts`, snapshot
-    delays (T, Nbar, M) of the T trials whose normals are `q`.
+def _fit_draw(pt: _Point, q: np.ndarray,
+              scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Theta (T, Nbar, L), rank flags (T,) and snapshot delays (T, Nbar, M)
+    of the point's T trials whose normals are `q`.
 
-    The points share their noisy exchanges (see :func:`_same_exchanges`), so
-    one fit serves them all.  `q` is a (T, Nbar, 2 K') draw of the pairs'
-    noise streams with K' >= K; a pair's (2, K) draw is the first 2K normals
-    of its row, bit for bit what a draw of (2, K) gives.  The noisy markers
-    t_i = clean t_i + sigma_i q_0 and delays tau = clean t_j + sigma_j q_1 -
-    t_i are written straight into rows 1 and L of a (T, Nbar, L+1, K) stack
-    laid over the front of the flat `scratch`, which is overwritten, and the
-    stack is filled with the powers and factored by :func:`ranging._fit_stack`.
+    `q` is a (T, Nbar, 2 K') draw of the pairs' noise streams with K' >= K;
+    a pair's (2, K) draw is the first 2K normals of its row, bit for bit
+    what a draw of (2, K) gives.  The noisy markers t_i = clean t_i +
+    sigma_i q_0 and delays tau = clean t_j + sigma_j q_1 - t_i are written
+    straight into rows 1 and L of a (T, Nbar, L+1, K) view of a
+    coefficient-major (L+1, T, Nbar, K) stack at the front of the flat
+    `scratch` (overwritten), so each row is one contiguous slab.  The stack
+    is filled with the powers and factored by :func:`ranging._fit_stack`.
     The exchanges are one-way (`_point_model` sets no direction policy), so
     tau skips the library's flags e, all +1.  Trial t's values are
     bit-identical to ``_fit_stack`` of the rows and weights of
     ``build_design(_draw_exchanges(pt.clean, noise, states[t]), L, noise)``.
     """
-    pt = pts[0]
     n_trials, n_pairs = q.shape[:2]
     L, K = pt.cfg.L, pt.clean.K
-    rows = scratch[:n_trials * n_pairs * (L + 1) * K].reshape(n_trials, n_pairs, L + 1, K)
+    rows = scratch[:(L + 1) * n_trials * n_pairs * K].reshape(
+        L + 1, n_trials, n_pairs, K).transpose(1, 2, 0, 3)
     q = q[..., :2 * K].reshape(n_trials, n_pairs, 2, K)
     t_i, tau = rows[..., 1, :], rows[..., L, :]
     np.multiply(pt.sigma[0], q[:, :, 0], out=t_i)
@@ -358,10 +359,10 @@ def _fit_draw(pts: list[_Point], q: np.ndarray,
     np.multiply(pt.sigma[1], q[:, :, 1], out=tau)
     tau += pt.clean.t_j
     tau -= t_i
-    snap_taus = [tau[..., p.markers] for p in pts]
+    snap_tau = tau[..., pt.markers]
     _fill_powers(rows)
     fit = _fit_stack(rows, pt.weights)
-    return fit.theta, fit.bad.any(axis=-1), snap_taus
+    return fit.theta, fit.bad.any(axis=-1), snap_tau
 
 
 def _chunk_table(pt: _Point, theta: np.ndarray, rank_bad: np.ndarray,
@@ -424,15 +425,6 @@ def _outer_step(pt: _Point) -> int:
     return max(1, _CHUNK_DOUBLES // doubles)
 
 
-def _same_exchanges(a: _Point, b: _Point) -> bool:
-    """Whether two points that read the same noise streams simulate the same
-    noisy exchanges and fit them alike: equal noise-free markers, marker
-    noise, whitening weights and coefficient count."""
-    return (a.cfg.L == b.cfg.L and np.array_equal(a.clean.t_i, b.clean.t_i)
-            and np.array_equal(a.clean.t_j, b.clean.t_j) and np.array_equal(a.sigma, b.sigma)
-            and np.array_equal(a.weights, b.weights))
-
-
 def _stream_groups(points: list[_Point]) -> list[list[int]]:
     """The indices of `points` grouped by the noise streams they read: equal
     seed, stream prefix, pair count and trial count, so trial t's pair p is
@@ -467,16 +459,9 @@ def _group_chunk(pts: list[_Point], trials: range) -> list[_Trials]:
     runs in draw-and-fit sub-chunks sized by four times the budget over the
     group's largest (Nbar, L+1, K) fit stack; a sub-chunk draws each of its
     streams once, at the group's largest K, and runs one :func:`_fit_draw`
-    per set of points whose noisy exchanges coincide.  Each point's fits go
-    on to :func:`_chunk_table` once the span is done.
+    per point.  Each point's fits go on to :func:`_chunk_table` once the
+    span is done.
     """
-    shared = []  # the indices of the points that share each fit
-    for m, pt in enumerate(pts):
-        fit = next((f for f in shared if _same_exchanges(pts[f[0]], pt)), None)
-        if fit is None:
-            shared.append([m])
-        else:
-            fit.append(m)
     n_pairs, n = pts[0].clean.n_pairs, len(trials)
     states = _exchange_states(pts[0].cfg.seed, [pts[0].stream + (t,) for t in trials], n_pairs)
     K = max(pt.clean.K for pt in pts)
@@ -488,10 +473,8 @@ def _group_chunk(pts: list[_Point], trials: range) -> list[_Trials]:
         hi = min(lo + step, n)
         q = _draw_normals(states[lo:hi].reshape((hi - lo) * n_pairs, -1),
                           (2 * K,)).reshape(hi - lo, n_pairs, 2 * K)
-        for fit in shared:
-            theta, rank_bad, snap_taus = _fit_draw([pts[m] for m in fit], q, scratch)
-            for m, snap_tau in zip(fit, snap_taus):
-                fitted[m].append((theta, rank_bad, snap_tau))
+        for pt, fits in zip(pts, fitted):
+            fits.append(_fit_draw(pt, q, scratch))
     return [_chunk_table(pt, *map(np.concatenate, zip(*fits))) for pt, fits in zip(pts, fitted)]
 
 
@@ -621,12 +604,12 @@ def _run_experiments(cfgs: list[ExperimentConfig]) -> list[RmseReport]:
 
     Every sweep point of every config is set up first, with its bounds.  The
     points are grouped by the noise streams they read and the trials they
-    run (see `_stream_groups`),
-    each group's trials are cut into spans (see `_group_spans`), and the
-    (group, span) tasks run through one pool (see `_map_tasks`), the heaviest
-    first; each point's trial tables are then joined in trial order.  So the
-    reports share one measurement: `wall_seconds` is the whole run's wall
-    time, `workers` its pool's size.
+    run (see `_stream_groups`), each group's trials are cut into spans (see
+    `_group_spans`), and the (group, span) tasks, sorted heaviest first, run
+    through one pool (see `_map_tasks`).  The sort is stable and only a
+    group's last span may be lighter, so each point's trial tables come back
+    in trial order.  So the reports share one measurement: `wall_seconds` is
+    the whole run's wall time, `workers` its pool's size.
     """
     start = time.perf_counter()
     setups = []  # (config index, sweep point)
@@ -642,12 +625,11 @@ def _run_experiments(cfgs: list[ExperimentConfig]) -> list[RmseReport]:
     for index in _stream_groups([pt for _, pt in setups]):
         group = [setups[i][1] for i in index]
         tasks += [(index, group, span) for span in _group_spans(group)]
-    order = sorted(range(len(tasks)), key=lambda i: -_task_weight(*tasks[i][1:]))
-    results, workers = _map_tasks([tasks[i][1:] for i in order])
-    by_task = dict(zip(order, results))
+    tasks.sort(key=lambda task: -_task_weight(*task[1:]))
+    results, workers = _map_tasks([task[1:] for task in tasks])
     tables = [[] for _ in setups]  # per point, its trial tables in trial order
-    for t, (index, _, _) in enumerate(tasks):
-        for i, table in zip(index, by_task[t]):
+    for (index, _, _), result in zip(tasks, results):
+        for i, table in zip(index, result):
             tables[i].append(table)
     rows = [[] for _ in cfgs]
     for (c, pt), point_tables in zip(setups, tables):
@@ -667,7 +649,7 @@ def default_suite(trials: int = 1000, seed: int = 0) -> list[ExperimentConfig]:
     K=100 and sigma_m=0.1, which is -10 dB-meters), and k-sweep point s
     reads the leading normals of sigma-sweep point s's streams.  The shared
     addresses are shared work too: run together, the three draw each stream
-    once, and the time grid and sigma point 0 share one fit.
+    once.
     """
     base = dict(trials=trials, seed=seed)
     k_cfg = ExperimentConfig(kind="k_sweep", sweep=list(range(10, 101, 10)), **base)

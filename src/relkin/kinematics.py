@@ -198,10 +198,15 @@ def builtin_trajectory(name: str) -> TrajectorySet:
 
 
 def load_trajectory(name_or_path) -> TrajectorySet:
-    """Resolve a built-in fixture name, or load a JSON fixture file."""
+    """Resolve a built-in fixture name, or load a JSON fixture file; neither
+    is an InputError naming the built-ins."""
     if isinstance(name_or_path, str) and name_or_path in BUILTIN_FIXTURES:
         return builtin_trajectory(name_or_path)
-    return TrajectorySet.load(name_or_path)
+    try:
+        return TrajectorySet.load(name_or_path)
+    except FileNotFoundError:
+        raise InputError(f"unknown fixture {str(name_or_path)!r}: neither a built-in "
+                         f"({', '.join(sorted(BUILTIN_FIXTURES))}) nor a fixture file") from None
 
 
 class RangeDerivatives(NamedTuple):

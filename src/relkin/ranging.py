@@ -206,16 +206,18 @@ class _PairFit(NamedTuple):
 def _fit_stack(rows: np.ndarray, weights: Optional[np.ndarray]) -> _PairFit:
     """Whitened least squares of every pair from its rows [1, t, ..., t^(L-1), tau].
 
-    `rows` is a contiguous (..., Nbar, L+1, K) stack (see
-    :meth:`DesignSystem._rows`); it is whitened in place by the (Nbar,)
-    `weights` 1/sigma_p, unless those are None.  One batched QR factors the
-    whole (..., Nbar, K, L+1) stack [V_p | tau_p] / sigma_p, read column-major
-    as LAPACK reads it.  Its last column carries Q^T tau above the diagonal
-    and the residual below, so Q is never formed, and neither are the normal
-    equations.  This is the package's one rank test: a pair whose block loses
-    column rank (repeated markers, fewer than L messages, or a block of
-    zeros) is flagged in `bad` and solved against an identity R instead, so
-    its theta and cov are finite but meaningless.
+    `rows` is a (..., Nbar, L+1, K) stack (see :meth:`DesignSystem._rows`),
+    contiguous or strided (the experiment engine's is coefficient-major); it
+    is whitened in place by the (Nbar,) `weights` 1/sigma_p, unless those are
+    None.  One batched QR factors the whole (..., Nbar, K, L+1) stack
+    [V_p | tau_p] / sigma_p; numpy's qr copies it, whatever its strides, into
+    the column-major blocks LAPACK reads, so the layout changes no bit.  Its
+    last column carries Q^T tau above the diagonal and the residual below,
+    so Q is never formed, and neither are the normal equations.  This is the
+    package's one rank test: a pair whose block loses column rank (repeated
+    markers, fewer than L messages, or a block of zeros) is flagged in `bad`
+    and solved against an identity R instead, so its theta and cov are
+    finite but meaningless.
     """
     L, K = rows.shape[-2] - 1, rows.shape[-1]
     if weights is not None:

@@ -465,6 +465,22 @@ class TestCrb:
         assert err.startswith("error: ") and cause in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["crb", "experiment"])
+    def test_unknown_fixture_names_the_built_ins(self, tmp_path, capsys, command):
+        # before, a missing file's OSError read "[Errno 2] No such file ..."
+        out = tmp_path / "out"
+        if command == "crb":
+            argv = ["crb", "--fixture", "nope", "--messages", "20", "--out", str(out)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"sweep": {"K": [20]}, "fixture": "nope", "trials": 2}))
+            argv = ["experiment", "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown fixture 'nope'") and "cluster5" in err
+        assert "Errno" not in err
+        assert not out.exists()
+
 
 class TestExperiment:
     def test_config_run_and_check(self, tmp_path):

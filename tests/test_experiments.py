@@ -363,7 +363,7 @@ class TestOnePass:
         # of a larger scratch
         q = _draw_normals(states.reshape(-1, 4), (2 * (K + 25),)).reshape(7, n_pairs, -1)
         scratch = np.full(7 * n_pairs * (K + 25) * (cfg.L + 1), np.nan)
-        theta, rank_bad, (snap_tau,) = exp_mod._fit_draw([pt], q, scratch)
+        theta, rank_bad, snap_tau = exp_mod._fit_draw(pt, q, scratch)
 
         noise = exp_mod._point_model(cfg, K if kind == "k_sweep" else None)[1]
         assert snap_tau.shape == (7, 10, len(pt.markers))
@@ -398,9 +398,9 @@ class TestChunking:
             outer.append((pt.clean.K, len(theta)))
             return real_chunk(pt, theta, rank_bad, snap_tau)
 
-        def fit(pts, q, scratch):
-            inner.append((pts[0].clean.K, len(q)))
-            return real_fit(pts, q, scratch)
+        def fit(pt, q, scratch):
+            inner.append((pt.clean.K, len(q)))
+            return real_fit(pt, q, scratch)
 
         monkeypatch.setattr(exp_mod, "_chunk_table", chunk)
         monkeypatch.setattr(exp_mod, "_fit_draw", fit)
@@ -452,19 +452,14 @@ class TestStreamGroups:
     """Sweep points that read the same noise streams draw them once per run."""
 
     def test_default_suite_draws_each_stream_once(self, monkeypatch):
-        drawn, fits = [], []
-        real_draw, real_fit = exp_mod._draw_normals, exp_mod._fit_draw
+        drawn = []
+        real_draw = exp_mod._draw_normals
 
         def draw(states, shape):
             drawn.append(np.array(states))
             return real_draw(states, shape)
 
-        def fit(pts, q, scratch):
-            fits.append(tuple(pt.cfg.kind for pt in pts))
-            return real_fit(pts, q, scratch)
-
         monkeypatch.setattr(exp_mod, "_draw_normals", draw)
-        monkeypatch.setattr(exp_mod, "_fit_draw", fit)
         monkeypatch.setattr(exp_mod, "_cpus", lambda: 1)  # the calls are recorded here
         trials = 7
         exp_mod._run_experiments(default_suite(trials=trials))
@@ -473,9 +468,6 @@ class TestStreamGroups:
         # once per point that reads it (170 per trial)
         assert len(states) == 100 * trials
         assert len(np.unique(states, axis=0)) == len(states)
-        # the time grid's exchanges are sigma point 0's: one fit serves both
-        assert ("sigma_sweep", "time_grid") in fits
-        assert ("time_grid",) not in fits
 
 
 FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -526,24 +518,13 @@ class TestPool:
         monkeypatch.setattr(exp_mod, "_cpus", lambda: cpus)
         # one seed and trial count: k point s, sigma point s and the time grid
         # read stream (s, t, p).  Sigma point 0 (10 dB-meters, K=10) and the
-        # time grid share their noisy exchanges, so one fit, and both read the
+        # time grid simulate the same noisy exchanges, and both read the
         # leading normals of k point 0's K=30 draw
         cfgs = [ExperimentConfig(kind="k_sweep", sweep=[30, 10], trials=30, seed=4),
                 ExperimentConfig(kind="sigma_sweep", sweep=[10.0, 0.0], K=10, trials=30, seed=4),
                 ExperimentConfig(**dict(TIME_GRID_FAILING, sweep=list(np.linspace(-3, 3, 9)),
                                         trials=30))]
-        fits = []
-        real_fit = exp_mod._fit_draw
-
-        def fit(pts, q, scratch):
-            fits.append(tuple((pt.cfg.kind, pt.stream) for pt in pts))
-            return real_fit(pts, q, scratch)
-
-        monkeypatch.setattr(exp_mod, "_fit_draw", fit)
         shared = exp_mod._run_experiments(cfgs)
-        if cpus == 1:  # the fits are recorded here
-            assert (("sigma_sweep", (0,)), ("time_grid", (0,))) in fits
-            assert (("time_grid", (0,)),) not in fits
         assert [r.rows for r in shared] == [run_experiment(cfg).rows for cfg in cfgs]
         assert [r.workers for r in shared] == [2 if FORK and cpus == 2 else 1] * 3
 
@@ -664,23 +645,34 @@ class TestPool:
 
 @st.composite
 def engine_runs(draw):
-    """A random planar network of 4..7 nodes and the keywords of 1..3
-    experiment configs, each on cluster5 or that network (fixture None).
+    """A random network, planar of 4..7 nodes or 3-D of 6 or 7, and the
+    keywords of 1..3 experiment configs, each on cluster5 or that network
+    (fixture None).
 
     The network is drawn as test_bounds' rank-law networks are, positions
-    within 500 m and velocities within 10 m/s, and kept where both span the
-    plane, else its noiseless rotation, the reference of the Hy rows, does
-    not exist.  Fewer than 2P = 4 nodes never carry that rotation, and setup
-    rejects them (see TestNodeCount).  Seeds 0 and 1 make configs share
-    noise streams, so stream groups form; a later config may repeat the
-    first with another trial count, so points that share their streams and
-    noisy exchanges run in two groups."""
+    within 500 m and velocities within 10 m/s, and kept where its noiseless
+    rotation, the reference of the Hy rows, exists: in the plane where both
+    span it, in space where both span it (see `_spans_space`) and the
+    rotation system is more than 1 % from rank deficient, as in
+    test_noiseless_taylor_exactness_on_random_3d_geometries.  Fewer than 2P
+    nodes never carry that rotation, and setup rejects them (see
+    TestNodeCount).  Seeds 0 and 1 make configs share noise streams, so
+    stream groups form; a later config may repeat the first with another
+    trial count, so points that share their streams and noisy exchanges run
+    in two groups."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(4, 7))
-    net = TrajectorySet(X=rng.uniform(-500, 500, (2, n)), Y=rng.uniform(-10, 10, (2, n)))
-    for z in (net.X, net.Y):
-        s = np.linalg.svd(z - z.mean(axis=1, keepdims=True), compute_uv=False)
-        assume(s[1] > 1e-2 * s[0])
+    P = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2 * P, 7))
+    net = TrajectorySet(X=rng.uniform(-500, 500, (P, n)), Y=rng.uniform(-10, 10, (P, n)))
+    xc, yc = (z - z.mean(axis=1, keepdims=True) for z in (net.X, net.Y))
+    if P == 2:
+        for zc in (xc, yc):
+            s = np.linalg.svd(zc, compute_uv=False)
+            assume(s[1] > 1e-2 * s[0])
+    else:
+        assume(_spans_space(xc) and _spans_space(yc))
+        sv = np.linalg.svd(dense_oracle.rotation_system(xc, yc), compute_uv=False)
+        assume(sv[-1] > 0.01 * sv[0])
     cfgs = []
     for _ in range(draw(st.integers(1, 3))):
         if cfgs and draw(st.booleans()):
