@@ -115,7 +115,7 @@ def _cmd_solve(args) -> int:
         times = [math.nan]  # rejected just below
     _require(all(map(math.isfinite, times)), "--times", "comma-separated finite numbers",
              repr(args.times))
-    sol = solve_relative(rm, args.dim, orthogonalize=args.orthogonalize)
+    sol = solve_relative(rm, args.dim)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected just below
         positions = [sol.position_at(t) for t in times]
     for t, xk in zip(times, positions):
@@ -219,8 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sol.add_argument("--dim", type=int, default=2, help="embedding dimension P")
     p_sol.add_argument("--times", default="-3,-2,-1,0,1,2,3",
                        help="comma-separated times (s) at which to write Xk; default %(default)s")
-    p_sol.add_argument("--orthogonalize", action="store_true",
-                       help="project the rotation estimate onto the orthogonal group")
     p_sol.add_argument("--nodes", type=int, default=None,
                        help="expected node count N; a file naming another N is an error")
     p_sol.add_argument("--out", required=True)

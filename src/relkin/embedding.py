@@ -155,8 +155,7 @@ def rotation_model(Xrel: np.ndarray, Yrel: np.ndarray, H: np.ndarray) -> np.ndar
     return Xrel.T @ H @ Yrel + Yrel.T @ H.T @ Xrel
 
 
-def estimate_rotation(Xrel: np.ndarray, Yrel: np.ndarray, Bxy: np.ndarray,
-                      orthogonalize: bool = False) -> np.ndarray:
+def estimate_rotation(Xrel: np.ndarray, Yrel: np.ndarray, Bxy: np.ndarray) -> np.ndarray:
     """Rotation relating the velocity frame to the position frame.
 
     Vectorizing the bilinear model gives
@@ -168,8 +167,7 @@ def estimate_rotation(Xrel: np.ndarray, Yrel: np.ndarray, Bxy: np.ndarray,
     (N, N, P^2), J K swaps the first two axes, which gives the dense G bit
     for bit in O(N^2 P^2).  The unconstrained solution does not enforce
     orthogonality; with exact inputs its orthogonality defect is at
-    roundoff level.  Pass orthogonalize=True to project onto the
-    orthogonal group via the polar factor (closed form in the plane).
+    roundoff level.
 
     Known limit: G's rank is read with lstsq's rcond cut, which misses a
     system rank deficient only up to the error (rounding included) of fitted
@@ -183,7 +181,7 @@ def estimate_rotation(Xrel: np.ndarray, Yrel: np.ndarray, Bxy: np.ndarray,
             :func:`_too_few_nodes`, which the message then names).
     """
     P, n = np.shape(Xrel)
-    H, rank = _rotation_stack(Xrel, Yrel, Bxy, orthogonalize)
+    H, rank = _rotation_stack(Xrel, Yrel, Bxy)
     if rank < P * P:
         raise IllPosedRotationError(f"rotation system rank {rank} < {P * P}; "
                                     f"{_too_few_nodes(n, P) or 'configurations too degenerate'}")
@@ -206,14 +204,12 @@ def _too_few_nodes(n: int, P: int) -> Optional[str]:
             f"nodes ({2 * P})")
 
 
-def _rotation_stack(Xrel, Yrel, Bxy, orthogonalize: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _rotation_stack(Xrel, Yrel, Bxy) -> tuple[np.ndarray, np.ndarray]:
     """Rotations of a (..., P, N) batch from one stacked SVD (numpy has no stacked lstsq).
 
     Singular values s <= eps max(N^2, P^2) s_max count as zero, as under
     lstsq's rcond=None.  Returns the (..., P, P) rotations and the (...,)
-    rank of each system; a solution is valid only at full rank P^2.  With
-    orthogonalize, every H is replaced by its orthogonal polar factor
-    (`_polar`: closed form in the plane, so no second SVD).
+    rank of each system; a solution is valid only at full rank P^2.
     """
     Xrel, Yrel, Bxy = (np.asarray(m, float) for m in (Xrel, Yrel, Bxy))
     P, n = Xrel.shape[-2:]
@@ -227,7 +223,7 @@ def _rotation_stack(Xrel, Yrel, Bxy, orthogonalize: bool = False) -> tuple[np.nd
     c = np.divide(u.swapaxes(-1, -2) @ b, s[..., None], out=np.zeros(s.shape + (1,)),
                   where=keep[..., None])
     H = (vt.swapaxes(-1, -2) @ c).reshape(batch + (P, P)).swapaxes(-1, -2)
-    return (_polar(H) if orthogonalize else H), np.count_nonzero(keep, axis=-1)
+    return H, np.count_nonzero(keep, axis=-1)
 
 
 def _polar(A: np.ndarray) -> np.ndarray:
@@ -279,12 +275,12 @@ class RelativeSolution:
         return self.Xrel + dt * (self.Hy @ self.Yrel)
 
 
-def solve_relative(rm: RangeMatrices, P: int, orthogonalize: bool = False) -> RelativeSolution:
+def solve_relative(rm: RangeMatrices, P: int) -> RelativeSolution:
     """Full relative-kinematics solve from range matrices."""
     grams = grams_from_ranges(rm)
     emb = _embed(np.stack([grams.Bxx, grams.Byy]), P)  # one eigh for both, each as spectral_embed
     xrel, yrel = (_checked(_Embedding(emb.config[k], emb.top[k])) for k in range(2))
-    hy = estimate_rotation(xrel, yrel, grams.Bxy, orthogonalize=orthogonalize)
+    hy = estimate_rotation(xrel, yrel, grams.Bxy)
     return RelativeSolution(Xrel=xrel, Yrel=yrel, Hy=hy)
 
 

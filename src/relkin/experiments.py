@@ -159,7 +159,6 @@ class ExperimentConfig:
     trials: int = 1000
     seed: int = 0
     delay_model: str = "exact"
-    orthogonalize: bool = False
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -175,8 +174,6 @@ class ExperimentConfig:
         if not _is_int(self.L) or self.L < 3:
             raise ConfigError(f"L must be an integer >= 3 (r, rdot and rddot), got {self.L!r}")
         self.trials, self.seed = int(self.trials), int(self.seed)
-        if not isinstance(self.orthogonalize, (bool, np.bool_)):
-            raise ConfigError(f"orthogonalize must be true or false, got {self.orthogonalize!r}")
         if not _is_finite(self.sigma_m):
             raise ConfigError(f"sigma_m must be a finite number >= 0, got {self.sigma_m!r}")
         exch, _ = _point_model(self)
@@ -387,7 +384,7 @@ def _chunk_table(pt: _Point, theta: np.ndarray, rank_bad: np.ndarray,
     clamped = (emb.n_clamped > 0) & ~failed
     embed_bad = failed[:, 0] | failed[:, 1]
     ok = ~rank_bad & ~embed_bad
-    hy, rank = _rotation_stack(xrel, yrel, grams.Bxy, cfg.orthogonalize)
+    hy, rank = _rotation_stack(xrel, yrel, grams.Bxy)
     dynamic = xrel[:, None] + pt.times[:, None, None] * (hy @ yrel)[:, None]
     estimates = np.concatenate([emb.config[:, :2], dynamic, emb.config[:, 2:]], axis=1) \
         @ centering_matrix(n)
@@ -585,7 +582,7 @@ def _new_point(traj, cfg, s_idx, value=None) -> _Point:
         rows = [(col, float(value), q, rcrbs[q]) for col, q in enumerate(_SWEEP_QUANTITIES)]
         # the noiseless solution fixes the reference frame for the rotation
         hy_ref = solve_relative(wls_solve(build_design(clean, cfg.L)).to_range_matrices(),
-                                traj.P, orthogonalize=cfg.orthogonalize).Hy
+                                traj.P).Hy
     truth = np.array([traj.X, traj.Y] + [traj.position_at(t) for t in times] * 2) \
         @ centering_matrix(traj.N)
     return _Point(traj, cfg, (s_idx,), markers=markers, times=times, clean=clean,

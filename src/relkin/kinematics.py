@@ -189,11 +189,13 @@ BUILTIN_FIXTURES = {
 
 
 def builtin_trajectory(name: str) -> TrajectorySet:
-    """One of the named built-in fixtures (see BUILTIN_FIXTURES)."""
+    """One of the named built-in fixtures (see BUILTIN_FIXTURES); any other
+    name is an InputError naming the built-ins."""
     try:
         entry = BUILTIN_FIXTURES[name]
     except KeyError:
-        raise KeyError(f"unknown fixture {name!r}; built-ins: {sorted(BUILTIN_FIXTURES)}")
+        raise InputError(f"unknown fixture {name!r}; built-ins: "
+                         f"{', '.join(sorted(BUILTIN_FIXTURES))}") from None
     return TrajectorySet(X=np.asarray(entry["X"]), Y=np.asarray(entry["Y"]))
 
 

@@ -214,19 +214,17 @@ class TestSolve:
         assert times == {"-1.0", "0.0", "1.0"}
 
 
-    @pytest.mark.parametrize("flags, times, orthogonalize", [
-        (["--times=-1.0,0,2.5,2.5"], [-1.0, 0.0, 2.5, 2.5], False),
-        ([], np.linspace(-3.0, 3.0, 7), False),
-        (["--times=-1.0,0.0,1.0,2.0,3.0,4.0", "--orthogonalize"], np.linspace(-1.0, 4.0, 6),
-         True),
-    ], ids=["times", "default-grid", "grid-orthogonalize"])
-    def test_matches_per_cell_writer(self, theta_csv, tmp_path, flags, times, orthogonalize):
+    @pytest.mark.parametrize("flags, times", [
+        (["--times=-1.0,0,2.5,2.5"], [-1.0, 0.0, 2.5, 2.5]),
+        ([], np.linspace(-3.0, 3.0, 7)),
+    ], ids=["times", "default-grid"])
+    def test_matches_per_cell_writer(self, theta_csv, tmp_path, flags, times):
         # the column writer must give the bytes of one repr per matrix entry
         out = tmp_path / "solution.csv"
         assert main(["solve", "--theta", str(theta_csv), *flags, "--out", str(out)]) == 0
         _, rm = read_theta_per_row(theta_csv)
         want = tmp_path / "want.csv"
-        write_solution_per_cell(want, solve_relative(rm, 2, orthogonalize=orthogonalize), times)
+        write_solution_per_cell(want, solve_relative(rm, 2), times)
         assert out.read_bytes() == want.read_bytes()
 
     @pytest.mark.parametrize("times, bad", [("1e308", "1e+308"), ("0,-1e308,1", "-1e+308")])
@@ -328,16 +326,16 @@ class TestParserCache:
     def test_flags_do_not_carry_over(self, theta_csv, tmp_path, monkeypatch):
         seen = []
 
-        def spy(rm, P, orthogonalize=False):
-            seen.append(orthogonalize)
-            return solve_relative(rm, P, orthogonalize=orthogonalize)
+        def spy(rm, P):
+            seen.append(P)
+            return solve_relative(rm, P)
 
         monkeypatch.setattr(cli, "solve_relative", spy)
         out = tmp_path / "solution.csv"
-        assert main(["solve", "--theta", str(theta_csv), "--times=-1,1", "--orthogonalize",
+        assert main(["solve", "--theta", str(theta_csv), "--times=-1,1", "--dim", "1",
                      "--out", str(out)]) == 0
         assert main(["solve", "--theta", str(theta_csv), "--out", str(out)]) == 0
-        assert seen == [True, False]
+        assert seen == [1, 2]
         times = [r["time"] for r in read_rows(out) if r["quantity"] == "Xk"]
         assert sorted(set(times), key=float) == list(map(repr, np.linspace(-3.0, 3.0, 7).tolist()))
 
@@ -630,6 +628,17 @@ class TestExperiment:
         assert err.startswith("error: ") and "unknown config keys ['c']" in err
         assert not (tmp_path / "r").exists()
 
+    def test_config_naming_orthogonalize_is_unknown_key(self, tmp_path, capsys):
+        # Hy is the plain least-squares rotation, with no switch to project it
+        # onto the orthogonal group, so the key is unknown, whatever its value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": {"K": [10]}, "orthogonalize": False}))
+        rc = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "unknown config keys ['orthogonalize']" in err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("config", [
         {"sweep": {"K": [3, 10]}},
         {"sweep": {"sigma_db_m": [-10]}, "K": 3},
@@ -707,11 +716,13 @@ def test_unrepresentable_delay_variance_is_clean_error(exchange_csv, tmp_path, c
 
 @pytest.mark.parametrize("argv", [
     ["solve", "--grid", "-1", "4", "6"],
+    ["solve", "--orthogonalize"],
     ["crb", "--c", "343"],
-], ids=["solve-grid", "crb-c"])
+], ids=["solve-grid", "solve-orthogonalize", "crb-c"])
 def test_removed_flag_is_usage_error(exchange_csv, tmp_path, capsys, argv):
-    # solve's report times come only from --times; crb's bounds in meters do
-    # not depend on c, so neither flag is parsed
+    # solve's report times come only from --times and its Hy is the plain
+    # least-squares rotation; crb's bounds in meters do not depend on c, so
+    # none of these flags is parsed
     before = {"solve": ["--theta", str(exchange_csv)], "crb": []}[argv[0]]
     out = tmp_path / "out.csv"
     with pytest.raises(SystemExit) as exc:

@@ -336,11 +336,6 @@ class TestEngineMatchesOracle:
         assert dynamic.failures["IllPosedRotationError"] > 0
         _assert_rows_match(run_experiment(cfg).rows, want)
 
-    def test_orthogonalized_rotation_matches_oracle(self):
-        cfg = ExperimentConfig(kind="sigma_sweep", sweep=[-10.0, 0.0], K=30, trials=25,
-                               seed=7, orthogonalize=True)
-        _assert_rows_match(run_experiment(cfg).rows, trial_oracle.run_experiment(cfg))
-
 
 class TestOnePass:
     """The engine's draw-and-fit pass against the staged library path it folds."""

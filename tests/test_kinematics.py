@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import relkin
 from relkin import (
     DegenerateGeometryError,
     InputError,
@@ -309,8 +310,11 @@ class TestTrajectoryIO:
     def test_builtin_fixture_shape(self):
         traj = builtin_trajectory("cluster5")
         assert (traj.P, traj.N) == (2, 5)
-        with pytest.raises(KeyError):
-            builtin_trajectory("nope")
+
+    def test_unknown_builtin_is_input_error_naming_builtins(self):
+        with pytest.raises(InputError, match="unknown fixture 'nope'; built-ins: cluster5$") as e:
+            relkin.builtin_trajectory("nope")
+        assert isinstance(e.value, ValueError) and not isinstance(e.value, KeyError)
 
     def test_fewer_nodes_than_dimensions_rejected(self):
         with pytest.raises(ValueError):

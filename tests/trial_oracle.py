@@ -90,11 +90,11 @@ def _point_rcrbs(traj, exch_cfg, noise, L):
             "Hy": None}
 
 
-def _estimate_once(traj, exch_cfg, noise, L, seed, stream, orthogonalize):
+def _estimate_once(traj, exch_cfg, noise, L, seed, stream):
     """One pipeline pass: simulate, fit coefficients, solve relative kinematics."""
     exchanges = simulate_exchanges(traj, exch_cfg, noise, seed, stream=stream)
     coeffs = wls_solve(build_design(exchanges, L, noise=noise))
-    sol = solve_relative(coeffs.to_range_matrices(), traj.P, orthogonalize=orthogonalize)
+    sol = solve_relative(coeffs.to_range_matrices(), traj.P)
     return exchanges, coeffs, sol
 
 
@@ -133,14 +133,13 @@ def sweep_point(traj, cfg, s_idx, value):
         rcrbs = _point_rcrbs(traj, exch_cfg, noise, cfg.L)
     else:
         rcrbs = dict.fromkeys(QUANTITIES, None)
-    _, _, ref_sol = _estimate_once(traj, exch_cfg, NoiseModel(0.0), cfg.L, cfg.seed,
-                                   (s_idx, 0), cfg.orthogonalize)
+    _, _, ref_sol = _estimate_once(traj, exch_cfg, NoiseModel(0.0), cfg.L, cfg.seed, (s_idx, 0))
 
     sq = {q: [] for q in QUANTITIES}
     failures, clamped = Counter(), 0
     for trial in range(cfg.trials):
         out, err, warned = _guarded(_estimate_once, traj, exch_cfg, noise, cfg.L, cfg.seed,
-                                    (s_idx, trial), cfg.orthogonalize)
+                                    (s_idx, trial))
         clamped += warned
         if err:
             failures[err] += 1
@@ -175,7 +174,7 @@ def time_grid(traj, cfg):
     cmds_clamped = [0] * len(idxs)
     for trial in range(cfg.trials):
         out, err, warned = _guarded(_estimate_once, traj, exch_cfg, noise, cfg.L, cfg.seed,
-                                    (0, trial), cfg.orthogonalize)
+                                    (0, trial))
         dr_clamped += warned
         if err:
             dr_failures[err] += 1
