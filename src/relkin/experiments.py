@@ -340,9 +340,9 @@ def _fit_draw(pt: _Point, q: np.ndarray,
     coefficient-major (L+1, T, Nbar, K) stack at the front of the flat
     `scratch` (overwritten), so each row is one contiguous slab.  The stack
     is filled with the powers and factored by :func:`ranging._fit_stack`.
-    The exchanges are one-way (`_point_model` sets no direction policy), so
-    tau skips the library's flags e, all +1.  Trial t's values are
-    bit-identical to ``_fit_stack`` of the rows and weights of
+    Simulated exchanges are one-way, so tau skips the library's flags e,
+    all +1.  Trial t's values are bit-identical to ``_fit_stack`` of the rows
+    and weights of
     ``build_design(_draw_exchanges(pt.clean, noise, states[t]), L, noise)``.
     """
     n_trials, n_pairs = q.shape[:2]

@@ -4,8 +4,10 @@ Each node pair exchanges K messages inside a common interval.  Per message
 one node transmits and the other receives; both record a local time marker
 and the signed direction flag (+1 when the lower-indexed node transmits).
 The signed marker difference recovers the propagation delay regardless of
-direction, which is what the ranging estimator consumes.  An exchange set
-holds one network; batching trials of it is the Monte Carlo engine's.
+direction, which is what the ranging estimator consumes.  Simulated
+exchanges are one-way at the speed of light; a recorded set may carry
+either flag.  An exchange set holds one network; batching trials of it is
+the Monte Carlo engine's.
 
 Timing noise is injected on the recorded markers themselves (one i.i.d.
 Gaussian draw per marker per message), so the measured delay of a pair
@@ -46,7 +48,7 @@ __all__ = [
     "effective_noise_covariance",
 ]
 
-SPEED_OF_LIGHT = 3e8  # m/s, propagation speed used throughout unless overridden
+SPEED_OF_LIGHT = 3e8  # m/s, the propagation speed of simulated exchanges
 
 _CSV_COLUMNS = ("i", "j", "k", "E", "T_tx", "T_rx")
 
@@ -61,13 +63,14 @@ def _is_finite(x) -> bool:
 class ExchangeConfig:
     """Message schedule for every node pair.
 
+    Simulated exchanges are one-way at the speed of light: the lower-indexed
+    node of each pair transmits every message (flag e = +1).  A recorded
+    exchange file may carry -1 flags; :class:`TimestampExchangeSet` reads them.
+
     Attributes:
         K: messages per pair.
         interval: (t_start, t_end) seconds; transmit markers are linearly
             spaced over it and shared by all pairs.
-        direction_policy: "one_way" (all +1), "alternating" (+1, -1, ...),
-            or an explicit length-K vector of +/-1 flags.
-        c: propagation speed in m/s.
         delay_model: "exact" evaluates the true distance at the marker
             instant; "taylor" evaluates the truncated range polynomial of
             `model_order` coefficients instead, producing delays that are
@@ -76,15 +79,13 @@ class ExchangeConfig:
 
     Raises:
         ConfigError: unless K is an integer >= 1 whose float64 marker grid
-            numpy can size, the interval two finite, increasing numbers, c
-            finite and > 0, the delay model and direction policy known, and
-            model_order an integer >= 1 (at most 4 under "taylor").
+            numpy can size, the interval two finite, increasing numbers, the
+            delay model known, and model_order an integer >= 1 (at most 4
+            under "taylor").
     """
 
     K: int
     interval: tuple[float, float] = (-3.0, 3.0)
-    direction_policy: Union[str, Sequence[int]] = "one_way"
-    c: float = SPEED_OF_LIGHT
     delay_model: str = "exact"
     model_order: int = 4
 
@@ -101,8 +102,6 @@ class ExchangeConfig:
                 and interval[0] < interval[1]):
             raise ConfigError(f"interval must be two finite, increasing numbers, "
                               f"got {self.interval!r}")
-        if not (_is_finite(self.c) and self.c > 0):
-            raise ConfigError(f"c must be a finite number > 0, got {self.c!r}")
         if self.delay_model not in ("exact", "taylor"):
             raise ConfigError(f"delay_model must be 'exact' or 'taylor', got {self.delay_model!r}")
         if not _is_int(self.model_order) or self.model_order < 1:
@@ -111,25 +110,7 @@ class ExchangeConfig:
             raise ConfigError(f"the taylor delay model keeps at most 4 coefficients, "
                               f"got model_order={self.model_order}")
         self.K, self.model_order = int(self.K), int(self.model_order)
-        self.interval, self.c = (float(interval[0]), float(interval[1])), float(self.c)
-        if isinstance(self.direction_policy, str):
-            if self.direction_policy not in ("one_way", "alternating"):
-                raise ConfigError(f"unknown direction policy {self.direction_policy!r}")
-        else:
-            flags = np.asarray(self.direction_policy, int)
-            if flags.shape != (self.K,) or not np.all(np.abs(flags) == 1):
-                raise ConfigError("custom direction vector must hold K entries of +/-1")
-            self.direction_policy = flags
-
-    def directions(self) -> np.ndarray:
-        """Length-K vector of +/-1 direction flags."""
-        if isinstance(self.direction_policy, str):
-            if self.direction_policy == "one_way":
-                return np.ones(self.K, dtype=int)
-            e = np.ones(self.K, dtype=int)
-            e[1::2] = -1
-            return e
-        return np.asarray(self.direction_policy, int).copy()
+        self.interval = (float(interval[0]), float(interval[1]))
 
 
 @dataclass
@@ -424,9 +405,9 @@ def _clean_delays(traj: TrajectorySet, cfg: ExchangeConfig) -> np.ndarray:
     if cfg.delay_model == "exact":
         dy = (traj.Y.take(i, axis=1) - traj.Y.take(j, axis=1))[..., None]
         dx = (traj.X.take(i, axis=1) - traj.X.take(j, axis=1))[..., None] + grid * dy
-        return np.sqrt((dx**2).sum(axis=0)) / cfg.c
+        return np.sqrt((dx**2).sum(axis=0)) / SPEED_OF_LIGHT
     rd = RangeDerivatives(*(v[:, None] for v in _pair_kinematics(traj.X, traj.Y)))
-    return taylor_range(rd, grid, order=cfg.model_order) / cfg.c
+    return taylor_range(rd, grid, order=cfg.model_order) / SPEED_OF_LIGHT
 
 
 def _clean_exchanges(traj: TrajectorySet, cfg: ExchangeConfig) -> TimestampExchangeSet:
@@ -434,8 +415,8 @@ def _clean_exchanges(traj: TrajectorySet, cfg: ExchangeConfig) -> TimestampExcha
     noise (a zero draw adds only +/-0.0), with no normals drawn."""
     delays = _clean_delays(traj, cfg)
     grid = generate_timestamps(cfg, len(delays))
-    e = np.tile(cfg.directions(), (len(delays), 1))
-    return TimestampExchangeSet(n_nodes=traj.N, t_i=grid, t_j=grid + e * delays, e=e, c=cfg.c)
+    e = np.ones(delays.shape, int)
+    return TimestampExchangeSet(n_nodes=traj.N, t_i=grid, t_j=grid + delays, e=e)
 
 
 def _exchange_states(seed, streams, n_pairs: int) -> np.ndarray:
@@ -477,12 +458,12 @@ def simulate_exchanges(traj: TrajectorySet, cfg: ExchangeConfig, noise: NoiseMod
                        seed, stream: tuple[int, ...] = ()) -> TimestampExchangeSet:
     """Simulate the timestamp exchanges of every node pair.
 
-    The lower-indexed node's marker sits on the shared transmit grid and the
-    peer marker is offset by the signed propagation delay, with the distance
-    evaluated at the grid instant.  Over one propagation time the nodes move
-    by a fraction v/c (~1e-8 here) of the distance change per second, so the
-    implicit light-time equation is not solved; this also makes the measured
-    delays identical across direction policies, as the data model requires.
+    The exchanges are one-way: the lower-indexed node transmits every message
+    (e = +1) at its marker on the shared transmit grid, and the peer marker
+    is offset by the propagation delay at the speed of light, with the
+    distance evaluated at the grid instant.  Over one propagation time the
+    nodes move by a fraction v/c (~1e-8 here) of the distance change per
+    second, so the implicit light-time equation is not solved.
 
     Noise adds one Gaussian draw per recorded marker.  Given the same
     (trajectory, config, noise, seed, stream) the output is bit-identical;

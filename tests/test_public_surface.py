@@ -1,15 +1,18 @@
-"""The names the benchmark reaches in relkin must exist, and take its arguments.
+"""The names the benchmark and README reach in relkin must exist, and take
+their arguments.
 
 The benchmark under bench/ imports from relkin, calls what it imports and
-traces functions by dotted name.  It is read here with ast, never imported
-or edited, so a name or keyword removed from relkin by mistake fails this
-suite instead of a benchmark run.
+traces functions by dotted name; README's library quick start imports and
+calls it too.  Both are read here with ast, never imported, run or edited,
+so a name or keyword removed from relkin by mistake fails this suite instead
+of a benchmark run or the README walk-through.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import re
 from functools import reduce
 from pathlib import Path
 
@@ -17,23 +20,30 @@ import pytest
 
 import relkin
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
-def relkin_imports(path):
-    """Names of every `from relkin import ...` statement in a source file."""
-    tree = ast.parse(path.read_text())
+def readme_quick_start():
+    """The source of README's ```python blocks: its library quick start."""
+    text = (ROOT / "README.md").read_text()
+    return "".join(re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S))
+
+
+def relkin_imports(source):
+    """Names of every `from relkin import ...` statement in Python source."""
+    tree = ast.parse(source)
     return [alias.name for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom) and node.module == "relkin"
             for alias in node.names]
 
 
-def relkin_calls(path):
-    """(dotted relkin name, ast.Call) of every call in a source file whose
+def relkin_calls(source):
+    """(dotted relkin name, ast.Call) of every call in Python source whose
     callee is a name imported from relkin, or an attribute chain on one
     (``NoiseModel.from_pair_sigma``, ``cli.main``)."""
-    imported = set(relkin_imports(path))
-    for node in ast.walk(ast.parse(path.read_text())):
+    imported = set(relkin_imports(source))
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             attrs, func = [], node.func
             while isinstance(func, ast.Attribute):
@@ -51,6 +61,27 @@ def resolve(dotted):
     return reduce(getattr, attrs, root)
 
 
+def unbound_calls(source, label):
+    """`label:line name: reason` of every relkin call in `source` whose
+    positional count and keywords do not bind to the callee's signature;
+    with a *args or **kwargs argument only the named keywords are checked."""
+    calls = list(relkin_calls(source))
+    assert calls, f"{label} calls nothing from relkin"
+    unbound = []
+    for name, call in calls:
+        sig = inspect.signature(resolve(name))
+        keywords = dict.fromkeys(kw.arg for kw in call.keywords if kw.arg is not None)
+        try:
+            if any(isinstance(a, ast.Starred) for a in call.args) \
+                    or len(keywords) < len(call.keywords):
+                sig.bind_partial(**keywords)
+            else:
+                sig.bind(*[None] * len(call.args), **keywords)
+        except TypeError as exc:
+            unbound.append(f"{label}:{call.lineno} {name}: {exc}")
+    return unbound
+
+
 def traced_names():
     """`module.attr[.attr]` of every entry of bench/tracer.py's TRACED mapping."""
     tree = ast.parse((BENCH / "tracer.py").read_text())
@@ -64,7 +95,7 @@ def traced_names():
 
 @pytest.mark.parametrize("script", ["netgen.py", "workloads.py"])
 def test_bench_imports_resolve(script):
-    names = relkin_imports(BENCH / script)
+    names = relkin_imports((BENCH / script).read_text())
     assert names, f"bench/{script} imports nothing from relkin"
     # `from relkin import cli` names a submodule rather than an attribute
     missing = [name for name in names if not hasattr(relkin, name)
@@ -74,24 +105,15 @@ def test_bench_imports_resolve(script):
 
 @pytest.mark.parametrize("script", ["netgen.py", "workloads.py"])
 def test_bench_calls_bind(script):
-    # each call's positional count and keywords must bind to the callee's
-    # signature; with a *args or **kwargs argument only the named keywords
-    # are checked
-    calls = list(relkin_calls(BENCH / script))
-    assert calls, f"bench/{script} calls nothing from relkin"
-    unbound = []
-    for name, call in calls:
-        sig = inspect.signature(resolve(name))
-        keywords = dict.fromkeys(kw.arg for kw in call.keywords if kw.arg is not None)
-        try:
-            if any(isinstance(a, ast.Starred) for a in call.args) \
-                    or len(keywords) < len(call.keywords):
-                sig.bind_partial(**keywords)
-            else:
-                sig.bind(*[None] * len(call.args), **keywords)
-        except TypeError as exc:
-            unbound.append(f"bench/{script}:{call.lineno} {name}: {exc}")
-    assert unbound == []
+    assert unbound_calls((BENCH / script).read_text(), f"bench/{script}") == []
+
+
+def test_readme_quick_start_calls_bind():
+    # line numbers count from the first line of the quick start's code
+    source = readme_quick_start()
+    names = relkin_imports(source)
+    assert names and all(hasattr(relkin, name) for name in names)
+    assert unbound_calls(source, "README.md quick start") == []
 
 
 def test_traced_functions_resolve():

@@ -26,6 +26,7 @@ from relkin.kinematics import TrajectorySet, _pair_kinematics, canonical_pairs
 from relkin.ranging import _fit_stack, scale_factors
 
 import dense_oracle
+import two_way
 from test_kinematics import geometries
 
 C = 3e8
@@ -218,9 +219,9 @@ def test_noiseless_taylor_recovery_on_random_geometries(traj):
 @given(traj=geometries(dims=(2, 2)), K=st.integers(4, 40))
 def test_direction_invariance_on_random_geometries(traj, K):
     fits, stamps = [], []
-    for policy in ("one_way", "alternating"):
-        cfg = ExchangeConfig(K=K, direction_policy=policy, delay_model="taylor")
-        ex = simulate_exchanges(traj, cfg, NoiseModel(0.0), seed=0)
+    cfg = ExchangeConfig(K=K, delay_model="taylor")
+    for ex in (simulate_exchanges(traj, cfg, NoiseModel(0.0), seed=0),
+               two_way.exchanges(traj, cfg, two_way.alternating(K))):
         fits.append(wls_solve(build_design(ex, L=4)).physical)
         stamps += [ex.t_i, ex.t_j]
     delta = C * np.finfo(float).eps * max(np.abs(t).max() for t in stamps)
@@ -420,9 +421,8 @@ class TestCrbTheta:
         # flags live in the measurements
         traj = builtin_trajectory("cluster5")
         noise = NoiseModel.from_pair_sigma(0.1, unit="m")
-        covs = {}
-        for policy in ("one_way", "alternating"):
-            cfg = ExchangeConfig(K=16, direction_policy=policy)
-            ex = simulate_exchanges(traj, cfg, NoiseModel(0.0), seed=0)
-            covs[policy] = crb_theta(build_design(ex, L=4, noise=noise)).cov
-        assert np.array_equal(covs["one_way"], covs["alternating"])
+        cfg = ExchangeConfig(K=16)
+        one_way = simulate_exchanges(traj, cfg, NoiseModel(0.0), seed=0)
+        alternating = two_way.exchanges(traj, cfg, two_way.alternating(16))
+        covs = [crb_theta(build_design(ex, L=4, noise=noise)).cov for ex in (one_way, alternating)]
+        assert np.array_equal(*covs)

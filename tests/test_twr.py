@@ -24,6 +24,7 @@ from relkin.kinematics import TrajectorySet, taylor_range
 from relkin.twr import _clean_exchanges, _draw_exchanges, _exchange_states, _write_columns
 
 import dense_oracle
+import two_way
 from trial_oracle import derive_rng
 
 C = 3e8
@@ -66,27 +67,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExchangeConfig(K=1, interval=(2.0, 2.0))
 
-    def test_direction_policies(self):
-        assert np.all(ExchangeConfig(K=4).directions() == [1, 1, 1, 1])
-        alt = ExchangeConfig(K=4, direction_policy="alternating").directions()
-        assert np.all(alt == [1, -1, 1, -1])
-        custom = ExchangeConfig(K=3, direction_policy=[-1, 1, -1]).directions()
-        assert np.all(custom == [-1, 1, -1])
-        with pytest.raises(ValueError):
-            ExchangeConfig(K=3, direction_policy=[1, 2, 1])
-        with pytest.raises(ValueError):
-            ExchangeConfig(K=3, direction_policy=[1, 1])
-
 
 @pytest.mark.parametrize("make", [
-    lambda: ExchangeConfig(K=10, c=float("nan")),
     lambda: ExchangeConfig(K=10, interval=(0, float("inf"))),
     lambda: ExchangeConfig(K=2.5),
     lambda: ExchangeConfig(K=True),
     lambda: ExchangeConfig(K=10, delay_model="taylor", model_order=5),
     lambda: NoiseModel(sigma=float("nan")),
     lambda: NoiseModel(sigma=float("inf")),
-], ids=["nan-c", "infinite-interval", "float-K", "bool-K", "taylor-order-5", "nan-sigma",
+], ids=["infinite-interval", "float-K", "bool-K", "taylor-order-5", "nan-sigma",
         "inf-sigma"])
 def test_bad_schedule_or_noise_value_rejected(make):
     with pytest.raises(ConfigError) as info:
@@ -182,33 +171,42 @@ class TestSimulation:
             assert np.array_equal(ex.t_i[p], grid + noise.sigma[i] * q[0])
             assert np.array_equal(ex.t_j[p], clean.t_j[p] + noise.sigma[j] * q[1])
 
-    @pytest.mark.parametrize("cfg", [ExchangeConfig(K=7, direction_policy="alternating"),
-                                     ExchangeConfig(K=7, delay_model="taylor", model_order=3)],
-                             ids=["exact", "taylor"])
-    def test_batched_draws_equal_per_stream_simulations(self, cfg):
-        # row b of one batched seeding draws what simulating stream b alone draws
+    @pytest.mark.parametrize("cfg, flags", [
+        (ExchangeConfig(K=7), two_way.alternating(7)),
+        (ExchangeConfig(K=7, delay_model="taylor", model_order=3), None),
+    ], ids=["exact", "taylor"])
+    def test_batched_draws_equal_per_stream_simulations(self, cfg, flags):
+        # row b of one batched seeding draws what simulating stream b alone
+        # draws, for one-way and for alternating exchanges
         traj = builtin_trajectory("cluster5")
         noise = NoiseModel.from_pair_sigma(0.3, unit="m")
         streams = [(2, t) for t in range(4)]
-        clean = _clean_exchanges(traj, cfg)
+        clean = _clean_exchanges(traj, cfg) if flags is None \
+            else two_way.exchanges(traj, cfg, flags)
         states = _exchange_states(11, streams, 10)
         assert states.shape == (4, 10, 4)
         for b, stream in enumerate(streams):
             drawn = _draw_exchanges(clean, noise, states[b])
-            one = simulate_exchanges(traj, cfg, noise, 11, stream=stream)
+            one = simulate_exchanges(traj, cfg, noise, 11, stream=stream) if flags is None \
+                else two_way.exchanges(traj, cfg, flags, noise, 11, stream)
             assert drawn.t_i.shape == (10, 7) and (drawn.n_pairs, drawn.K) == (10, 7)
             for name in ("t_i", "t_j", "e"):
                 assert np.array_equal(getattr(drawn, name), getattr(one, name))
             assert np.array_equal(drawn.tau(), one.tau())
 
-    @pytest.mark.parametrize("cfg", [ExchangeConfig(K=9, direction_policy="alternating"),
-                                     ExchangeConfig(K=9, delay_model="taylor", model_order=3)],
-                             ids=["exact", "taylor"])
-    def test_clean_set_equals_zero_noise_simulation(self, cfg):
+    @pytest.mark.parametrize("cfg, flags", [
+        (ExchangeConfig(K=9), two_way.alternating(9)),
+        (ExchangeConfig(K=9, delay_model="taylor", model_order=3), None),
+    ], ids=["exact", "taylor"])
+    def test_clean_set_equals_zero_noise_simulation(self, cfg, flags):
         # a zero draw adds only +/-0.0, so no normals are needed for the clean set
         traj = builtin_trajectory("cluster5")
-        clean = _clean_exchanges(traj, cfg)
-        sim = simulate_exchanges(traj, cfg, NoiseModel(0.0), seed=5, stream=(1, 2))
+        if flags is None:
+            clean = _clean_exchanges(traj, cfg)
+            sim = simulate_exchanges(traj, cfg, NoiseModel(0.0), seed=5, stream=(1, 2))
+        else:
+            clean = two_way.exchanges(traj, cfg, flags)
+            sim = two_way.exchanges(traj, cfg, flags, NoiseModel(0.0), seed=5, stream=(1, 2))
         for name in ("t_i", "t_j", "e"):
             got, want = getattr(clean, name), getattr(sim, name)
             assert got.dtype == want.dtype and got.shape == want.shape
@@ -222,9 +220,7 @@ class TestSimulation:
     def test_direction_flip_keeps_delays_and_markers(self):
         traj = builtin_trajectory("cluster5")
         one = simulate_exchanges(traj, ExchangeConfig(K=6), NoiseModel(0.0), seed=0)
-        alt = simulate_exchanges(
-            traj, ExchangeConfig(K=6, direction_policy="alternating"), NoiseModel(0.0), seed=0
-        )
+        alt = two_way.exchanges(traj, ExchangeConfig(K=6), two_way.alternating(6))
         assert np.array_equal(one.t_i, alt.t_i)
         assert np.allclose(one.tau(), alt.tau())
         # receiver marker really moves to the other side of the grid instant
@@ -262,8 +258,8 @@ class TestSimulation:
 
     def test_csv_round_trip_exact(self, tmp_path):
         traj = builtin_trajectory("cluster5")
-        cfg = ExchangeConfig(K=7, direction_policy="alternating")
-        ex = simulate_exchanges(traj, cfg, NoiseModel.from_pair_sigma(0.1), seed=9)
+        ex = two_way.exchanges(traj, ExchangeConfig(K=7), two_way.alternating(7),
+                               NoiseModel.from_pair_sigma(0.1), seed=9)
         path = tmp_path / "exchanges.csv"
         ex.to_csv(path)
         back = TimestampExchangeSet.from_csv(path)
@@ -272,11 +268,12 @@ class TestSimulation:
         assert np.array_equal(back.t_j, ex.t_j)
         assert np.array_equal(back.e, ex.e)
 
-    @pytest.mark.parametrize("direction_policy", ["alternating", [1, -1, -1, 1, -1, 1, 1]])
-    def test_csv_bytes_match_per_row_writer(self, tmp_path, direction_policy):
+    @pytest.mark.parametrize("flags", [two_way.alternating(7), [1, -1, -1, 1, -1, 1, 1]],
+                             ids=["alternating", "direction_policy1"])
+    def test_csv_bytes_match_per_row_writer(self, tmp_path, flags):
         traj = builtin_trajectory("cluster5")
-        cfg = ExchangeConfig(K=7, direction_policy=direction_policy)
-        ex = simulate_exchanges(traj, cfg, NoiseModel.from_pair_sigma(0.1), seed=5)
+        ex = two_way.exchanges(traj, ExchangeConfig(K=7), flags,
+                               NoiseModel.from_pair_sigma(0.1), seed=5)
         ex.to_csv(tmp_path / "got.csv")
         write_csv_per_row(ex, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

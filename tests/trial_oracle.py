@@ -79,7 +79,7 @@ def _point_rcrbs(traj, exch_cfg, noise, L):
     """Root-CRBs at one sweep point, from the clean marker grid.  The FIMs read
     only pair differences, so X and Y go in as they are."""
     clean = simulate_exchanges(traj, exch_cfg, NoiseModel(0.0), seed=0)
-    var = effective_noise_covariance(noise, traj.N, exch_cfg.c)
+    var = effective_noise_covariance(noise, traj.N, clean.c)
     theta_crb = crb_theta(DesignSystem(markers=clean.t_i, tau=clean.tau(), L=L, n_nodes=traj.N,
                                        c=clean.c, pair_variances=var))
     covs = RangeNoiseCovariances.from_theta_crb(theta_crb)
@@ -123,8 +123,8 @@ def sweep_point(traj, cfg, s_idx, value):
         K, sigma_m = int(value), cfg.sigma_m
     else:
         K, sigma_m = cfg.K, 10.0 ** (float(value) / 10.0)
-    exch_cfg = ExchangeConfig(K=K, interval=cfg.interval, c=SPEED_OF_LIGHT,
-                              delay_model=cfg.delay_model, model_order=cfg.L)
+    exch_cfg = ExchangeConfig(K=K, interval=cfg.interval, delay_model=cfg.delay_model,
+                              model_order=cfg.L)
     noise = NoiseModel.from_pair_sigma(sigma_m, unit="m")
     pc = centering_matrix(traj.N)
     r_true, rdot_true, rddot_true = range_matrices(traj).pair_vectors()
@@ -158,8 +158,8 @@ def sweep_point(traj, cfg, s_idx, value):
 
 
 def time_grid(traj, cfg):
-    exch_cfg = ExchangeConfig(K=cfg.K, interval=cfg.interval, c=SPEED_OF_LIGHT,
-                              delay_model=cfg.delay_model, model_order=cfg.L)
+    exch_cfg = ExchangeConfig(K=cfg.K, interval=cfg.interval, delay_model=cfg.delay_model,
+                              model_order=cfg.L)
     noise = NoiseModel.from_pair_sigma(cfg.sigma_m, unit="m")
     pc = centering_matrix(traj.N)
     markers = generate_timestamps(exch_cfg, 1)[0]
