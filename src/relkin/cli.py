@@ -13,7 +13,6 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -157,9 +156,6 @@ def _cmd_crb(args) -> int:
     return 0
 
 
-_CI_TRIALS = 200
-
-
 def _cmd_experiment(args) -> int:
     overrides = {}
     if args.trials is not None:
@@ -170,8 +166,6 @@ def _cmd_experiment(args) -> int:
         configs = [ExperimentConfig.from_json(args.config, **overrides)]
     else:
         configs = default_suite(**overrides)
-    if args.ci:
-        configs = [replace(cfg, trials=min(cfg.trials, _CI_TRIALS)) for cfg in configs]
     reports = _run_experiments(configs)
     written = emit_outputs(reports, args.out)
     for path in written:
@@ -235,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--config", help="experiment JSON; omit to run the default suite")
     p_exp.add_argument("--trials", type=int, default=None,
                        help="override the trial count (config or 1000 otherwise)")
-    p_exp.add_argument("--ci", action="store_true",
-                       help=f"fast mode: at most {_CI_TRIALS} trials per experiment")
     p_exp.add_argument("--seed", type=int, default=None)
     p_exp.add_argument("--out", default="results", help="output directory")
     p_exp.add_argument("--check", action="store_true",

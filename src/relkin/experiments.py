@@ -677,10 +677,11 @@ def check_report(report: RmseReport) -> list[str]:
     grid.
 
     Known limit: the band does not widen as the trial count falls.  At 200
-    trials (``--ci``) one ratio spreads by about 1.6% (1/sqrt(2 Nbar T) with
-    Nbar = 10 pairs), which puts 0.97 about two deviations below 1, so a
-    correct estimator fails on some seeds: seed 17 gives 0.9695 for rdot in
-    the K sweep, seed 29 gives 0.9584 for rdot in the sigma sweep.
+    trials (``--trials 200``) one ratio spreads by about 1.6%
+    (1/sqrt(2 Nbar T) with Nbar = 10 pairs), which puts 0.97 about two
+    deviations below 1, so a correct estimator fails on some seeds: seed 17
+    gives 0.9695 for rdot in the K sweep, seed 29 gives 0.9584 for rdot in
+    the sigma sweep.
     """
     failures = []
     if report.kind in ("k_sweep", "sigma_sweep"):

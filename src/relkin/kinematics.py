@@ -153,8 +153,15 @@ class TrajectorySet:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrajectorySet":
-        """The set of a :meth:`to_dict` dict; a declared P or N must be X's integer one."""
-        traj = cls(X=np.asarray(data["X"], float), Y=np.asarray(data["Y"], float))
+        """The set of a :meth:`to_dict` dict; a declared P or N must be X's integer one.
+
+        A key other than P, N, X and Y, or an X or Y entry that is not a JSON
+        number (a string or a bool), raises ValueError naming it.
+        """
+        traj = cls(X=_json_numbers(data, "X"), Y=_json_numbers(data, "Y"))
+        unknown = [key for key in data if key not in ("P", "N", "X", "Y")]
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r}; a fixture holds only P, N, X and Y")
         for key, size in (("P", traj.P), ("N", traj.N)):
             if key in data and not (_is_int(data[key]) and data[key] == size):
                 raise ValueError(f"declared {key}={data[key]!r} is not the integer {size} X gives")
@@ -168,7 +175,8 @@ class TrajectorySet:
         """Read a fixture JSON file as written by :meth:`save`.
 
         Raises:
-            InputError: if the file is not JSON, lacks X or Y, holds arrays
+            InputError: if the file is not JSON, lacks X or Y, carries
+                another key, holds an entry that is not a number or arrays
                 that do not form a finite P x N trajectory (null is not
                 finite), or declares a P or N other than X's integer one.
         """
@@ -176,6 +184,22 @@ class TrajectorySet:
             return cls.from_dict(json.loads(Path(path).read_text()))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"{path} is not a trajectory fixture: {exc!r}") from None
+
+
+def _json_numbers(data: dict, name: str) -> np.ndarray:
+    """Entry `name` of a fixture dict as floats.
+
+    A string or a bool, which float() would take ("3" as 3.0, true as 1.0),
+    raises ValueError naming its node.  null passes as NaN for the
+    non-finite check to name, and a list passes because a ragged array's
+    entries are lists, which the float conversion rejects.
+    """
+    value = data[name]
+    for index, v in np.ndenumerate(np.atleast_2d(np.asarray(value, dtype=object))):
+        if isinstance(v, bool) or not isinstance(v, (int, float, list, type(None))):
+            raise ValueError(f"{name} of node {index[-1]} holds {v!r}; "
+                             "entries must be JSON numbers")
+    return np.asarray(value, float)
 
 
 # Built-in 5-node planar fixture used by the demo experiments: arbitrary

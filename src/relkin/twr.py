@@ -315,6 +315,7 @@ def _read_pair_table(path, columns: Sequence[str], n_int: int,
     Every pair 0 <= i < j < N, with N one more than the largest j (and equal
     to `expected_n` when given), needs at least one row, and no (i, j, key)
     may repeat; the header may order the columns freely and carry others.
+    Every data row has the header's field count; empty lines are skipped.
 
     Returns:
         (rows, N, p): the (rows, len(columns)) values of the named columns,
@@ -322,9 +323,10 @@ def _read_pair_table(path, columns: Sequence[str], n_int: int,
 
     Raises:
         InputError: if the file is not text, is empty, lacks a column, holds
-            a value that is not a number, a non-integer where `n_int` asks
-            for one, a pair outside 0 <= i < j, a negative or repeated key,
-            names another node count than `expected_n`, or misses a pair.
+            a row of another field count than the header's, a value that is
+            not a number, a non-integer where `n_int` asks for one, a pair
+            outside 0 <= i < j, a negative or repeated key, names another
+            node count than `expected_n`, or misses a pair.
     """
     try:
         with open(path, newline="") as fh:
@@ -339,6 +341,9 @@ def _read_pair_table(path, columns: Sequence[str], n_int: int,
         raise InputError(f"{path} lacks the columns {absent}")
     if not any(line.strip() for line in lines):
         raise InputError(f"no rows found in {path}")
+    commas = list(map(str.count, lines, itertools.repeat(",")))
+    if commas.count(len(header) - 1) < len(lines):  # a ragged row, or an empty line
+        _reject_ragged(path, lines, commas, len(header))
     try:
         data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
                           usecols=[header.index(name) for name in columns])
@@ -366,6 +371,18 @@ def _read_pair_table(path, columns: Sequence[str], n_int: int,
     repeat[order[1:][(np.diff(p[order]) == 0) & (np.diff(key[order]) == 0)]] = True
     _reject_rows(path, data, repeat, f"duplicate (i, j, {columns[2]}) row")
     return data, n_nodes, p
+
+
+def _reject_ragged(path, lines: list[str], commas: list[int], fields: int) -> None:
+    """Raise InputError naming the first data row whose comma count is not
+    the header's; empty lines, which np.loadtxt skips, are not data rows."""
+    row = 0
+    for line, n in zip(lines, commas):
+        if line.rstrip("\r\n"):
+            row += 1
+            if n != fields - 1:
+                raise InputError(f"{path}: data row {row} has {n + 1} fields, "
+                                 f"the header {fields}")
 
 
 def _reject_rows(path, data: np.ndarray, bad: np.ndarray, reason: str) -> None:

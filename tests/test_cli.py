@@ -156,6 +156,25 @@ class TestEstimate:
         assert rc == 2
         assert not out.exists()
 
+    def test_ragged_row_is_clean_error(self, exchange_csv, tmp_path, capsys):
+        # np.loadtxt reads only the named columns, so before, a seventh
+        # field went unseen and the file fitted
+        lines = exchange_csv.read_text().splitlines()
+        out = tmp_path / "theta.csv"
+        argv = ["estimate", "--exchanges", str(exchange_csv), "--sigma-meters", "0.1",
+                "--out", str(out)]
+        # an empty line is skipped, and is not counted as a data row
+        exchange_csv.write_text("".join(line + "\n" for line in lines[:2] + [""] + lines[2:]))
+        assert main(argv) == 0
+        out.unlink()
+        lines[3] += ",0.5"
+        exchange_csv.write_text("".join(line + "\n" for line in lines[:2] + [""] + lines[2:]))
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {exchange_csv}: data row 3 has 7 fields, the header 6\n")
+        assert not out.exists()
+
     def test_truncated_file_against_node_count(self, exchange_csv, tmp_path, capsys):
         out = tmp_path / "theta.csv"
         argv = ["estimate", "--exchanges", str(exchange_csv), "--sigma-meters", "0.1",
@@ -291,6 +310,22 @@ class TestSolve:
         out = tmp_path / "solution.csv"
         rc = main(["solve", "--theta", str(theta), "--out", str(out)])
         assert rc == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, fields", [("extra_field", 6), ("no_rcrb_field", 4)])
+    def test_ragged_row_is_clean_error(self, theta_csv, tmp_path, capsys, edit, fields):
+        # np.loadtxt reads only i, j, order and theta, so before, a sixth
+        # field or a missing rcrb field went unseen and the file solved
+        lines = theta_csv.read_text().splitlines()
+        if edit == "extra_field":
+            lines[2] += ",0.5"
+        else:
+            lines[2] = lines[2].rsplit(",", 1)[0]
+        theta_csv.write_text("".join(line + "\n" for line in lines))
+        out = tmp_path / "solution.csv"
+        assert main(["solve", "--theta", str(theta_csv), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {theta_csv}: data row 2 has {fields} fields, the header 5\n")
         assert not out.exists()
 
     def test_truncated_file_against_node_count(self, theta_csv, tmp_path, capsys):
@@ -454,9 +489,16 @@ class TestCrb:
         ('{"X": [[0, 10, null], [0, 0, 5]], "Y": [[1, 0, 0], [0, 1, 0]]}', "X of node 2"),
         ('{"P": 2.7, "X": [[0, 10, 3], [0, 0, 5]], "Y": [[1, 0, 0], [0, 1, 0]]}',
          "declared P=2.7 is not the integer 2 X gives"),
-    ], ids=["nan", "inf", "null", "P=2.7"])
+        ('{"X": [[0, 10, 3], [0, 0, "5"]], "Y": [[1, 0, 0], [0, 1, 0]]}',
+         "X of node 2 holds '5'"),
+        ('{"X": [[0, 10, 3], [0, 0, 5]], "Y": [[1, 0, 0], [0, true, 0]]}',
+         "Y of node 1 holds True"),
+        ('{"X": [[0, 10, 3], [0, 0, 5]], "Y": [[1, 0, 0], [0, 1, 0]], "Z": 1}',
+         "unknown key 'Z'"),
+    ], ids=["nan", "inf", "null", "P=2.7", "string", "bool", "unknown-key"])
     def test_unusable_fixture_values_are_clean_errors(self, tmp_path, capsys, text, cause):
-        # before, NaN/null surfaced as a zero-range pair and P=2.7 was read as 2
+        # before, NaN/null surfaced as a zero-range pair, P=2.7 was read as 2,
+        # "5" as 5.0 and true as 1.0, and an unknown key was ignored
         path = tmp_path / "fixture.json"
         path.write_text(text)
         out = tmp_path / "crb.csv"
@@ -549,7 +591,7 @@ class TestExperiment:
 
 
     @pytest.mark.parametrize("argv, config", [
-        (["--ci", "--seed", "-1"], {}),
+        (["--seed", "-1"], {}),
         ([], {"seed": 1.5}),
         ([], {"seed": "7"}),
         ([], {"seed": True}),
@@ -649,15 +691,14 @@ class TestExperiment:
         assert capsys.readouterr().err.startswith("error: K=3 is below L=4")
         assert not (tmp_path / "r").exists()
 
-    @pytest.mark.parametrize("argv, config_trials, expected", [
-        (["--ci"], 50, 50),
-        (["--ci", "--trials", "30"], 50, 30),
-        (["--ci", "--trials", "300"], 50, 200),
-        (["--ci"], 300, 200),
-    ])
-    def test_ci_caps_trials(self, tmp_path, argv, config_trials, expected):
+    @pytest.mark.parametrize("argv, expected", [
+        ([], 50),
+        (["--trials", "30"], 30),
+        (["--trials", "300"], 300),
+    ], ids=["no-flag", "fewer", "more"])
+    def test_trials_flag_overrides_config(self, tmp_path, argv, expected):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"sweep": {"K": [10]}, "K": 10, "trials": config_trials}))
+        cfg.write_text(json.dumps({"sweep": {"K": [10]}, "K": 10, "trials": 50}))
         out = tmp_path / "r"
         assert main(["experiment", "--config", str(cfg), "--out", str(out), *argv]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
@@ -715,12 +756,14 @@ def test_unrepresentable_delay_variance_is_clean_error(exchange_csv, tmp_path, c
     ["solve", "--grid", "-1", "4", "6"],
     ["solve", "--orthogonalize"],
     ["crb", "--c", "343"],
-], ids=["solve-grid", "solve-orthogonalize", "crb-c"])
+    ["experiment", "--ci"],
+], ids=["solve-grid", "solve-orthogonalize", "crb-c", "experiment-ci"])
 def test_removed_flag_is_usage_error(exchange_csv, tmp_path, capsys, argv):
     # solve's report times come only from --times and its Hy is the plain
-    # least-squares rotation; crb's bounds in meters do not depend on c, so
+    # least-squares rotation; crb's bounds in meters do not depend on c; an
+    # experiment's trial count comes only from --trials or its config; so
     # none of these flags is parsed
-    before = {"solve": ["--theta", str(exchange_csv)], "crb": []}[argv[0]]
+    before = {"solve": ["--theta", str(exchange_csv)], "crb": [], "experiment": []}[argv[0]]
     out = tmp_path / "out.csv"
     with pytest.raises(SystemExit) as exc:
         main([argv[0], *before, *argv[1:], "--out", str(out)])
