@@ -178,7 +178,9 @@ def estimate_rotation(Xrel: np.ndarray, Yrel: np.ndarray, Bxy: np.ndarray) -> np
     Raises:
         IllPosedRotationError: if G is column rank deficient, as it is for
             any centered configurations of fewer than 2P nodes (see
-            :func:`_too_few_nodes`, which the message then names).
+            :func:`_too_few_nodes`, which the message then names).  Rounding
+            in fitted Grams can hide that deficiency from the rank cut, so
+            :func:`solve_relative` refuses fewer than 2P nodes before solving.
     """
     P, n = np.shape(Xrel)
     H, rank = _rotation_stack(Xrel, Yrel, Bxy)
@@ -276,7 +278,17 @@ class RelativeSolution:
 
 
 def solve_relative(rm: RangeMatrices, P: int) -> RelativeSolution:
-    """Full relative-kinematics solve from range matrices."""
+    """Full relative-kinematics solve from range matrices.
+
+    Raises:
+        IllPosedRotationError: before any solve, naming the rule, for fewer
+            than 2P nodes, whose centered embeddings never carry a
+            recoverable rotation (see :func:`_too_few_nodes`); otherwise as
+            :func:`estimate_rotation` does.
+    """
+    few = _too_few_nodes(rm.n, P)
+    if few:
+        raise IllPosedRotationError(few)
     grams = grams_from_ranges(rm)
     emb = _embed(np.stack([grams.Bxx, grams.Byy]), P)  # one eigh for both, each as spectral_embed
     xrel, yrel = (_checked(_Embedding(emb.config[k], emb.top[k])) for k in range(2))

@@ -144,9 +144,12 @@ class ExperimentConfig:
     least L (else ConfigError).  The message schedule and noise values are
     validated by building the ExchangeConfig and NoiseModel of the config
     and of every k/sigma sweep point (see `_point_model`), so a bad value
-    raises their ConfigError.  A fixture of fewer than 2P nodes, whose
-    velocity rotation is never recoverable, is a ConfigError when the
-    experiment is set up, before any trial runs.
+    raises their ConfigError.  The "taylor" delay model simulates the cubic
+    Taylor polynomial of each range, which any L >= 4 fits exactly.  The
+    fixture is a built-in name or a fixture file path, stored as a str (a
+    path object is converted, anything else is a ConfigError); a fixture of
+    fewer than 2P nodes, whose velocity rotation is never recoverable, is a
+    ConfigError when the experiment is set up, before any trial runs.
     """
 
     kind: str
@@ -167,17 +170,22 @@ class ExperimentConfig:
         if not isinstance(sweep, (list, tuple)) or not sweep:
             raise ConfigError(f"sweep must be a nonempty list, got {self.sweep!r}")
         self.sweep = list(sweep)
+        fixture = os.fspath(self.fixture) if isinstance(self.fixture, (str, os.PathLike)) else None
+        if not isinstance(fixture, str):
+            raise ConfigError(f"fixture must be a built-in name or a fixture file path, "
+                              f"got {self.fixture!r}")
+        self.fixture = fixture
         if not _is_int(self.trials) or self.trials < 1:
             raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not _is_int(self.L) or self.L < 3:
             raise ConfigError(f"L must be an integer >= 3 (r, rdot and rddot), got {self.L!r}")
-        self.trials, self.seed = int(self.trials), int(self.seed)
+        self.trials, self.seed, self.L = int(self.trials), int(self.seed), int(self.L)
         if not _is_finite(self.sigma_m):
             raise ConfigError(f"sigma_m must be a finite number >= 0, got {self.sigma_m!r}")
         exch, _ = _point_model(self)
-        self.K, self.L, self.interval = exch.K, exch.model_order, exch.interval
+        self.K, self.interval = exch.K, exch.interval
         for value in self.sweep:
             if not _is_finite(value):
                 raise ConfigError(f"{self.kind} values must be finite numbers, got {value!r}")
@@ -551,8 +559,7 @@ def _point_model(cfg: ExperimentConfig, value=None) -> tuple[ExchangeConfig, Noi
             sigma_m = 10.0 ** (float(value) / 10.0)
         except OverflowError:  # inf, which NoiseModel rejects
             sigma_m = math.inf
-    return (ExchangeConfig(K=K, interval=cfg.interval, delay_model=cfg.delay_model,
-                           model_order=cfg.L),
+    return (ExchangeConfig(K=K, interval=cfg.interval, delay_model=cfg.delay_model),
             NoiseModel.from_pair_sigma(sigma_m, unit="m"))
 
 

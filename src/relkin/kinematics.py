@@ -175,13 +175,17 @@ class TrajectorySet:
         """Read a fixture JSON file as written by :meth:`save`.
 
         Raises:
-            InputError: if the file is not JSON, lacks X or Y, carries
-                another key, holds an entry that is not a number or arrays
-                that do not form a finite P x N trajectory (null is not
-                finite), or declares a P or N other than X's integer one.
+            InputError: if the file is not JSON, holds something other than
+                one JSON object, lacks X or Y, carries another key, holds an
+                entry that is not a number or arrays that do not form a
+                finite P x N trajectory (null is not finite), or declares a
+                P or N other than X's integer one.
         """
         try:
-            return cls.from_dict(json.loads(Path(path).read_text()))
+            data = json.loads(Path(path).read_text())
+            if not isinstance(data, dict):
+                raise ValueError(f"a fixture file holds one JSON object, got {data!r}")
+            return cls.from_dict(data)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"{path} is not a trajectory fixture: {exc!r}") from None
 
@@ -280,20 +284,16 @@ def _pair_kinematics(X: np.ndarray, Y: np.ndarray) -> RangeDerivatives:
     return RangeDerivatives(r, rdot, rddot, -3.0 * rdot * rddot / r)
 
 
-def taylor_range(rd: RangeDerivatives, t, order: int = 4) -> np.ndarray:
-    """Truncated Taylor expansion of the pairwise distance around t0 = 0.
-
-    `order` counts the retained coefficients (order=4 keeps r, rdot,
-    rddot, rdddot).  Only the first four derivatives are available in
-    closed form here.
+def taylor_range(rd: RangeDerivatives, t) -> np.ndarray:
+    """Cubic Taylor expansion r + rdot t + rddot t^2/2 + rdddot t^3/6 of the
+    pairwise distance around t0 = 0: the four derivatives known in closed
+    form here, so a range fit of L >= 4 coefficients recovers it exactly.
     """
-    if not 1 <= order <= 4:
-        raise ValueError(f"order must be in 1..4, got {order}")
     t = np.asarray(t, float)
-    coeffs = [rd.r, rd.rdot, rd.rddot / 2.0, rd.rdddot / 6.0][:order]
+    coeffs = [rd.r, rd.rdot, rd.rddot / 2.0, rd.rdddot / 6.0]
     out = np.zeros_like(t, dtype=float)
-    for ell in reversed(range(order)):
-        out = out * t + coeffs[ell]
+    for c in reversed(coeffs):
+        out = out * t + c
     return out
 
 

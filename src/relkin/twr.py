@@ -72,22 +72,19 @@ class ExchangeConfig:
         interval: (t_start, t_end) seconds; transmit markers are linearly
             spaced over it and shared by all pairs.
         delay_model: "exact" evaluates the true distance at the marker
-            instant; "taylor" evaluates the truncated range polynomial of
-            `model_order` coefficients instead, producing delays that are
-            exactly consistent with the estimator's model class.
-        model_order: coefficients kept by the "taylor" delay model (<= 4).
+            instant; "taylor" evaluates the cubic Taylor polynomial of the
+            range (see :func:`taylor_range`) instead, so a fit of L >= 4
+            coefficients recovers its delays exactly.
 
     Raises:
         ConfigError: unless K is an integer >= 1 whose float64 marker grid
-            numpy can size, the interval two finite, increasing numbers, the
-            delay model known, and model_order an integer >= 1 (at most 4
-            under "taylor").
+            numpy can size, the interval two finite, increasing numbers, and
+            the delay model known.
     """
 
     K: int
     interval: tuple[float, float] = (-3.0, 3.0)
     delay_model: str = "exact"
-    model_order: int = 4
 
     def __post_init__(self):
         if not _is_int(self.K) or self.K < 1:
@@ -104,12 +101,7 @@ class ExchangeConfig:
                               f"got {self.interval!r}")
         if self.delay_model not in ("exact", "taylor"):
             raise ConfigError(f"delay_model must be 'exact' or 'taylor', got {self.delay_model!r}")
-        if not _is_int(self.model_order) or self.model_order < 1:
-            raise ConfigError(f"model_order must be an integer >= 1, got {self.model_order!r}")
-        if self.delay_model == "taylor" and self.model_order > 4:
-            raise ConfigError(f"the taylor delay model keeps at most 4 coefficients, "
-                              f"got model_order={self.model_order}")
-        self.K, self.model_order = int(self.K), int(self.model_order)
+        self.K = int(self.K)
         self.interval = (float(interval[0]), float(interval[1]))
 
 
@@ -424,7 +416,7 @@ def _clean_delays(traj: TrajectorySet, cfg: ExchangeConfig) -> np.ndarray:
         dx = (traj.X.take(i, axis=1) - traj.X.take(j, axis=1))[..., None] + grid * dy
         return np.sqrt((dx**2).sum(axis=0)) / SPEED_OF_LIGHT
     rd = RangeDerivatives(*(v[:, None] for v in _pair_kinematics(traj.X, traj.Y)))
-    return taylor_range(rd, grid, order=cfg.model_order) / SPEED_OF_LIGHT
+    return taylor_range(rd, grid) / SPEED_OF_LIGHT
 
 
 def _clean_exchanges(traj: TrajectorySet, cfg: ExchangeConfig) -> TimestampExchangeSet:

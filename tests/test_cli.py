@@ -495,10 +495,14 @@ class TestCrb:
          "Y of node 1 holds True"),
         ('{"X": [[0, 10, 3], [0, 0, 5]], "Y": [[1, 0, 0], [0, 1, 0]], "Z": 1}',
          "unknown key 'Z'"),
-    ], ids=["nan", "inf", "null", "P=2.7", "string", "bool", "unknown-key"])
+        ("[1, 2]", "a fixture file holds one JSON object, got [1, 2]"),
+        ('"abc"', "a fixture file holds one JSON object, got 'abc'"),
+    ], ids=["nan", "inf", "null", "P=2.7", "string", "bool", "unknown-key", "list-top-level",
+            "string-top-level"])
     def test_unusable_fixture_values_are_clean_errors(self, tmp_path, capsys, text, cause):
         # before, NaN/null surfaced as a zero-range pair, P=2.7 was read as 2,
-        # "5" as 5.0 and true as 1.0, and an unknown key was ignored
+        # "5" as 5.0 and true as 1.0, an unknown key was ignored, and a top
+        # level other than an object failed with Python's indexing message
         path = tmp_path / "fixture.json"
         path.write_text(text)
         out = tmp_path / "crb.csv"
@@ -629,7 +633,6 @@ class TestExperiment:
         {"interval": [1]},
         {"interval": 3},
         {"delay_model": "bogus"},
-        {"delay_model": "taylor", "L": 5},
         {"L": 2},
         {"L": 2, "sigma_m": 0},
         {"sweep": {"time_grid": [0.0]}, "L": 1},
@@ -644,7 +647,7 @@ class TestExperiment:
             "two-sigmas", "per-node-sigmas", "inf-sigma-sweep",
             "overflowing-sigma-sweep", "string-time-grid", "reversed-interval",
             "infinite-interval", "short-interval", "scalar-interval", "bogus-delay-model",
-            "taylor-beyond-order-4", "L-2", "L-2-noiseless", "time-grid-L-1",
+            "L-2", "L-2-noiseless", "time-grid-L-1",
             "underflowing-pair-variance", "overflowing-pair-variance",
             "underflowing-sigma-sweep-variance", "overflowing-sigma-sweep-variance",
             "time-grid-outside-interval", "time-grid-outside-custom-interval"])
@@ -654,6 +657,17 @@ class TestExperiment:
         rc = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "r").exists()
+
+    def test_non_path_fixture_is_clean_error(self, tmp_path, capsys):
+        # a number is rejected with the config, not by the fixture loader's
+        # os.fspath message
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": {"K": [10]}, "trials": 2, "fixture": 5}))
+        rc = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "error: fixture must be a built-in name or a fixture file path, got 5\n"
         assert not (tmp_path / "r").exists()
 
     def test_config_naming_c_is_unknown_key(self, tmp_path, capsys):

@@ -22,12 +22,14 @@ from relkin import (
     ConfigError,
     ExchangeConfig,
     ExperimentConfig,
+    IllPosedRotationError,
     NoiseModel,
     RangeNoiseCovariances,
     RankDeficiencyError,
     RmseReport,
     TrajectorySet,
     build_design,
+    builtin_trajectory,
     centering_matrix,
     check_report,
     crb_theta,
@@ -170,13 +172,16 @@ class TestConfig:
 class TestRunExperiment:
     def test_noiseless_single_trial_sanity(self):
         # polynomial delay model: the whole pipeline is exact and every RMSE
-        # collapses to numerical noise
-        cfg = ExperimentConfig(kind="k_sweep", sweep=[10], sigma_m=0.0, trials=1,
-                               seed=0, delay_model="taylor")
-        report = run_experiment(cfg)
-        for row in report.rows:
-            assert row.rmse < 1e-6
-            assert row.n_fail == 0
+        # collapses to numerical noise, at L = 4 and at L = 5, whose fifth
+        # coefficient fits zero (every RMSE <= 7.4e-7 at K = 100, 1.6e-6 at
+        # K = 10)
+        for K, L, bound in ((10, 4, 1e-6), (100, 5, 1e-5)):
+            cfg = ExperimentConfig(kind="k_sweep", sweep=[K], sigma_m=0.0, trials=1,
+                                   seed=0, L=L, delay_model="taylor")
+            report = run_experiment(cfg)
+            for row in report.rows:
+                assert row.rmse < bound
+                assert row.n_fail == 0
 
     def test_k_sweep_rmse_decreases_and_tracks_rcrb(self):
         cfg = ExperimentConfig(kind="k_sweep", sweep=[10, 60], trials=60, seed=2)
@@ -675,7 +680,7 @@ def engine_runs(draw):
             continue
         kind = draw(st.sampled_from(sorted(exp_mod._KINDS)))
         delay_model = draw(st.sampled_from(["exact", "taylor"]))
-        L = draw(st.integers(3, 4 if delay_model == "taylor" else 5))  # taylor keeps <= 4
+        L = draw(st.integers(3, 5))
         values = {"k_sweep": st.integers(L, 60), "sigma_sweep": st.integers(-20, 10),
                   "time_grid": st.integers(-3, 3)}[kind]
         sweep = draw(st.lists(values, min_size=1, max_size=3))
@@ -807,7 +812,8 @@ def test_noiseless_taylor_exactness_on_random_3d_geometries(traj):
 
 class TestNodeCount:
     """Fewer than 2P nodes never carry a velocity rotation: an experiment's
-    setup rejects them, and `relkin solve` names the rule when it fails."""
+    setup rejects them, and `relkin solve` refuses them, naming the rule,
+    before it solves the rotation."""
 
     @staticmethod
     def network(P, n):
@@ -815,15 +821,16 @@ class TestNodeCount:
         return TrajectorySet(X=rng.uniform(-500, 500, (P, n)), Y=rng.uniform(-10, 10, (P, n)))
 
     @staticmethod
-    def solve(tmp_path, traj):
-        """`relkin solve --dim P` of the network's noiseless fit; its exit status."""
-        ex = simulate_exchanges(traj, ExchangeConfig(K=20, delay_model="taylor"),
-                                NoiseModel(0.0), seed=0)
+    def solve(tmp_path, traj, exch=ExchangeConfig(K=20, delay_model="taylor"),
+              noise=NoiseModel(0.0), seed=0, P=None):
+        """`relkin solve --dim P` (default the network's) of the network's fit
+        to exchanges simulated at `seed`; its exit status."""
+        ex = simulate_exchanges(traj, exch, noise, seed=seed)
         ex.to_csv(tmp_path / "exchanges.csv")
         assert main(["estimate", "--exchanges", str(tmp_path / "exchanges.csv"),
                      "--sigma-meters", "0.1", "--out", str(tmp_path / "theta.csv")]) == 0
-        return main(["solve", "--theta", str(tmp_path / "theta.csv"), "--dim", str(traj.P),
-                     "--out", str(tmp_path / "solution.csv")])
+        return main(["solve", "--theta", str(tmp_path / "theta.csv"),
+                     "--dim", str(P or traj.P), "--out", str(tmp_path / "solution.csv")])
 
     @staticmethod
     def rule(P, n):
@@ -851,8 +858,25 @@ class TestNodeCount:
         capsys.readouterr()
         assert self.solve(tmp_path, self.network(P, n)) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: rotation system rank ")
-        assert err.endswith(f"; {self.rule(P, n)}({2 * P})\n")
+        assert err.startswith(f"error: N={n} nodes ")
+        assert err.endswith(f"{self.rule(P, n)}({2 * P})\n")
+        assert not (tmp_path / "solution.csv").exists()
+
+    def test_noisy_fit_of_too_few_nodes_is_refused(self, tmp_path, capsys):
+        # cluster5's 5 nodes in P = 3: a noisy fit's Byy can lift the rotation
+        # system's null direction above the rank cut (11 of these 40 seeds;
+        # Hy entries up to 1.1e6 at seed 8), so the 2P rule comes before any solve
+        traj, exch = builtin_trajectory("cluster5"), ExchangeConfig(K=100)
+        noise = NoiseModel.from_pair_sigma(0.1, unit="m")
+        rule = f"^{self.rule(3, 5)}\\(6\\)$"
+        for seed in range(40):
+            coeffs = wls_solve(build_design(simulate_exchanges(traj, exch, noise, seed=seed),
+                                            4, noise=noise))
+            with pytest.raises(IllPosedRotationError, match=rule):
+                solve_relative(coeffs.to_range_matrices(), 3)
+        capsys.readouterr()
+        assert self.solve(tmp_path, traj, exch, noise, seed=8, P=3) == 2
+        assert capsys.readouterr().err == f"error: {self.rule(3, 5)}(6)\n"
         assert not (tmp_path / "solution.csv").exists()
 
     @pytest.mark.parametrize("P, n", [(2, 4), (3, 6)])
@@ -958,6 +982,17 @@ class TestEmit:
         env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
         assert env["numpy"] == np.__version__
         assert env["python"] and env["platform"]
+
+    def test_path_fixture_run_writes_its_manifest(self, tmp_path):
+        # manifest.json, written after every trial and CSV, holds the fixture
+        # as JSON, which has no path type
+        builtin_trajectory("cluster5").save(tmp_path / "net.json")
+        cfg = ExperimentConfig(kind="k_sweep", sweep=[10], trials=2,
+                               fixture=tmp_path / "net.json")
+        assert cfg.fixture == str(tmp_path / "net.json")
+        emit_outputs(run_experiment(cfg), tmp_path / "out")
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["experiments"][0]["fixture"] == str(tmp_path / "net.json")
 
     def test_manifest_records_processes(self, tmp_path):
         reports = [run_experiment(ExperimentConfig(kind="k_sweep", sweep=[10, 20], trials=2)),

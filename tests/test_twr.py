@@ -72,15 +72,23 @@ class TestConfig:
     lambda: ExchangeConfig(K=10, interval=(0, float("inf"))),
     lambda: ExchangeConfig(K=2.5),
     lambda: ExchangeConfig(K=True),
-    lambda: ExchangeConfig(K=10, delay_model="taylor", model_order=5),
     lambda: NoiseModel(sigma=float("nan")),
     lambda: NoiseModel(sigma=float("inf")),
-], ids=["infinite-interval", "float-K", "bool-K", "taylor-order-5", "nan-sigma",
-        "inf-sigma"])
+], ids=["infinite-interval", "float-K", "bool-K", "nan-sigma", "inf-sigma"])
 def test_bad_schedule_or_noise_value_rejected(make):
     with pytest.raises(ConfigError) as info:
         make()
     assert isinstance(info.value, ValueError)
+
+
+def test_taylor_delay_model_has_no_order():
+    # the taylor model always keeps the four closed-form terms, so the fit
+    # order L steers the fit alone: no schedule field or parameter sets it
+    with pytest.raises(TypeError, match="model_order"):
+        ExchangeConfig(K=10, model_order=4)
+    assert list(ExchangeConfig.__dataclass_fields__) == ["K", "interval", "delay_model"]
+    with pytest.raises(TypeError, match="order"):
+        taylor_range(range_derivatives(*np.eye(2), np.zeros(2), np.zeros(2)), 0.0, order=4)
 
 
 class TestNoiseModel:
@@ -127,7 +135,7 @@ class TestSimulation:
         worst = 0.0
         for p, (i, j) in enumerate(canonical_pairs(traj.N)):
             rd = range_derivatives(traj.X[:, i], traj.X[:, j], traj.Y[:, i], traj.Y[:, j])
-            series = taylor_range(rd, grid, order=4) / C
+            series = taylor_range(rd, grid) / C
             rel = np.max(np.abs(ex.tau()[p] - series) / series)
             worst = max(worst, rel)
         assert worst < 5e-5
@@ -138,12 +146,12 @@ class TestSimulation:
         # delay from their difference quantizes at the float64 resolution of
         # the marker (~7e-16 s); the polynomial model is exact to that floor
         traj = builtin_trajectory("cluster5")
-        cfg = ExchangeConfig(K=50, delay_model="taylor", model_order=4)
+        cfg = ExchangeConfig(K=50, delay_model="taylor")
         ex = simulate_exchanges(traj, cfg, NoiseModel(0.0), seed=0)
         grid = generate_timestamps(cfg)[0]
         for p, (i, j) in enumerate(canonical_pairs(traj.N)):
             rd = range_derivatives(traj.X[:, i], traj.X[:, j], traj.Y[:, i], traj.Y[:, j])
-            series = taylor_range(rd, grid, order=4) / C
+            series = taylor_range(rd, grid) / C
             assert np.allclose(ex.tau()[p], series, rtol=0, atol=2e-15)
 
     def test_same_seed_bit_identical(self):
@@ -173,7 +181,7 @@ class TestSimulation:
 
     @pytest.mark.parametrize("cfg, flags", [
         (ExchangeConfig(K=7), two_way.alternating(7)),
-        (ExchangeConfig(K=7, delay_model="taylor", model_order=3), None),
+        (ExchangeConfig(K=7, delay_model="taylor"), None),
     ], ids=["exact", "taylor"])
     def test_batched_draws_equal_per_stream_simulations(self, cfg, flags):
         # row b of one batched seeding draws what simulating stream b alone
@@ -196,7 +204,7 @@ class TestSimulation:
 
     @pytest.mark.parametrize("cfg, flags", [
         (ExchangeConfig(K=9), two_way.alternating(9)),
-        (ExchangeConfig(K=9, delay_model="taylor", model_order=3), None),
+        (ExchangeConfig(K=9, delay_model="taylor"), None),
     ], ids=["exact", "taylor"])
     def test_clean_set_equals_zero_noise_simulation(self, cfg, flags):
         # a zero draw adds only +/-0.0, so no normals are needed for the clean set

@@ -123,8 +123,7 @@ def sweep_point(traj, cfg, s_idx, value):
         K, sigma_m = int(value), cfg.sigma_m
     else:
         K, sigma_m = cfg.K, 10.0 ** (float(value) / 10.0)
-    exch_cfg = ExchangeConfig(K=K, interval=cfg.interval, delay_model=cfg.delay_model,
-                              model_order=cfg.L)
+    exch_cfg = ExchangeConfig(K=K, interval=cfg.interval, delay_model=cfg.delay_model)
     noise = NoiseModel.from_pair_sigma(sigma_m, unit="m")
     pc = centering_matrix(traj.N)
     r_true, rdot_true, rddot_true = range_matrices(traj).pair_vectors()
@@ -158,8 +157,7 @@ def sweep_point(traj, cfg, s_idx, value):
 
 
 def time_grid(traj, cfg):
-    exch_cfg = ExchangeConfig(K=cfg.K, interval=cfg.interval, delay_model=cfg.delay_model,
-                              model_order=cfg.L)
+    exch_cfg = ExchangeConfig(K=cfg.K, interval=cfg.interval, delay_model=cfg.delay_model)
     noise = NoiseModel.from_pair_sigma(cfg.sigma_m, unit="m")
     pc = centering_matrix(traj.N)
     markers = generate_timestamps(exch_cfg, 1)[0]
