@@ -94,12 +94,15 @@ class _Embedding(NamedTuple):
 
 def _embed(B: np.ndarray, P: int) -> _Embedding:
     """Rank-P spectral embedding of every matrix in a (..., N, N) stack by one
-    batched eigh; failures and clamps are reported, not raised or warned."""
+    batched eigh; failures and clamps are reported, not raised or warned.  A
+    matrix with a non-finite entry fails: its top eigenvalues read -inf."""
     B = np.asarray(B, float)
     n = B.shape[-1]
     if not 1 <= P <= n:
         raise ValueError(f"need 1 <= P <= N, got P={P}, N={n}")
-    lam, vec = np.linalg.eigh(B)
+    finite = np.isfinite(B).all(axis=(-2, -1))
+    lam, vec = np.linalg.eigh(B if finite.all() else np.where(finite[..., None, None], B, 0.0))
+    lam[~finite] = -np.inf
     top = lam[..., ::-1][..., :P]
     rows = vec[..., ::-1][..., :P].swapaxes(-1, -2)
     config = np.sqrt(np.where(top < 0.0, 0.0, top))[..., None] * rows
@@ -119,24 +122,24 @@ def spectral_embed(B: np.ndarray, P: int) -> np.ndarray:
     output is deterministic across eigensolver sign choices.
 
     Raises:
-        EmbeddingFailureError: if no positive eigenvalue exists, i.e. the
-            matrix admits no nonzero embedding.
+        EmbeddingFailureError: if B has a non-finite entry or no positive
+            eigenvalue, i.e. it admits no nonzero embedding.
     """
-    return _checked(_embed(B, P))
+    return _checked(_embed(B, P), "B")
 
 
-def _checked(emb: _Embedding) -> np.ndarray:
-    """The configuration of one embedding, as :func:`spectral_embed` returns it."""
+def _checked(emb: _Embedding, name: str) -> np.ndarray:
+    """The configuration of one embedding of `name`, as :func:`spectral_embed` returns it."""
     P = emb.top.shape[-1]
     if emb.failed:
-        raise EmbeddingFailureError(
-            f"no positive eigenvalue (largest {emb.top[0]:.3e}); cannot embed in {P} dimensions"
-        )
+        why = (f"{name} has a non-finite entry" if emb.top[0] == -np.inf
+               else f"no positive eigenvalue (largest {emb.top[0]:.3e})")
+        raise EmbeddingFailureError(f"{why}; cannot embed in {P} dimensions")
     if emb.n_clamped:
         warnings.warn(
             f"clamped {emb.n_clamped} negative eigenvalue(s) in a rank-{P} embedding",
             EmbeddingClampWarning,
-            stacklevel=3,
+            stacklevel=3,  # the line that called the public function calling this one
         )
     return emb.config
 
@@ -147,7 +150,7 @@ def classical_mds(D: np.ndarray, P: int) -> np.ndarray:
     The result is a valid configuration up to an arbitrary rotation,
     reflection and translation.
     """
-    return spectral_embed(_mds_gram(D), P)
+    return _checked(_embed(_mds_gram(D), P), "the Gram of D")
 
 
 def rotation_model(Xrel: np.ndarray, Yrel: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -277,23 +280,50 @@ class RelativeSolution:
         return self.Xrel + dt * (self.Hy @ self.Yrel)
 
 
+# What solve_relative raises after its node count, in the order it checks its stages
+_SOLVE_ERRORS = (EmbeddingFailureError, IllPosedRotationError)
+
+
+class _Solve(NamedTuple):
+    emb: _Embedding     # (..., 2, P, N) embeddings of Bxx, then Byy
+    hy: np.ndarray      # (..., P, P) rotations, in _rotation_stack's memory layout
+    cause: np.ndarray   # (...,) 0 if solve_relative returns, else 1 + the _SOLVE_ERRORS index
+    clamps: np.ndarray  # (...,) EmbeddingClampWarnings it warns first (0, 1 or 2)
+
+
+def _solve_stack(grams: KinematicGrams, P: int) -> _Solve:
+    """:func:`solve_relative` on a (..., N, N) stack of Grams of N >= 2P nodes
+    by one eigh and one SVD, with what it would raise and warn coded per network."""
+    emb = _embed(np.stack([grams.Bxx, grams.Byy], axis=-3), P)
+    hy, rank = _rotation_stack(emb.config[..., 0, :, :], emb.config[..., 1, :, :], grams.Bxy)
+    # solve_relative warns for an embedding only if it and those before it succeeded
+    passed = ~np.logical_or.accumulate(emb.failed, axis=-1)
+    cause = np.select([~passed[..., -1], rank < P * P], [1, 2], 0)
+    return _Solve(emb, hy, cause, np.count_nonzero((emb.n_clamped > 0) & passed, axis=-1))
+
+
 def solve_relative(rm: RangeMatrices, P: int) -> RelativeSolution:
-    """Full relative-kinematics solve from range matrices.
+    """Full relative-kinematics solve from range matrices (:func:`_solve_stack` of one).
 
     Raises:
         IllPosedRotationError: before any solve, naming the rule, for fewer
             than 2P nodes, whose centered embeddings never carry a
             recoverable rotation (see :func:`_too_few_nodes`); otherwise as
             :func:`estimate_rotation` does.
+        EmbeddingFailureError: as :func:`spectral_embed` does for Bxx, then
+            Byy, or naming the one of them whose entries overflowed.
     """
     few = _too_few_nodes(rm.n, P)
     if few:
         raise IllPosedRotationError(few)
-    grams = grams_from_ranges(rm)
-    emb = _embed(np.stack([grams.Bxx, grams.Byy]), P)  # one eigh for both, each as spectral_embed
-    xrel, yrel = (_checked(_Embedding(emb.config[k], emb.top[k])) for k in range(2))
-    hy = estimate_rotation(xrel, yrel, grams.Bxy)
-    return RelativeSolution(Xrel=xrel, Yrel=yrel, Hy=hy)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Gram fails its embedding
+        grams = grams_from_ranges(rm)
+    sol = _solve_stack(grams, P)
+    xrel = _checked(_Embedding(sol.emb.config[0], sol.emb.top[0]), "Bxx")
+    yrel = _checked(_Embedding(sol.emb.config[1], sol.emb.top[1]), "Byy")
+    if sol.cause:  # an ill-posed rotation: estimate_rotation raises on the same system
+        estimate_rotation(xrel, yrel, grams.Bxy)
+    return RelativeSolution(Xrel=xrel, Yrel=yrel, Hy=sol.hy)
 
 
 def procrustes_align(Z: np.ndarray, Zhat: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:

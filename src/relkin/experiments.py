@@ -33,10 +33,11 @@ delays straight in that stack, with no exchange set or design system built
 around them, and the fit is the ranging module's own stack kernel, so the
 values are bit for bit those of the library path.
 Every later stage runs once per post-fit chunk, batched over its trials:
-one eigh for all embeddings including the time grid's classical-MDS
-snapshots, one SVD for all the rotations' least squares and one closed-form
-polar-factor call for all Procrustes alignments; no stage loops over
-trials.  A task returns one trial table per point, that of its chunk: per
+the solve kernel that relkin.embedding.solve_relative runs on one network
+(one eigh for the Bxx and Byy embeddings, one SVD for the rotations' least
+squares), one eigh for the time grid's classical-MDS snapshots and one
+closed-form polar-factor call for all Procrustes alignments; no stage loops
+over trials.  A task returns one trial table per point, that of its chunk: per
 trial and per reported estimate, the cause of its failure (the exception a
 single-trial pipeline would raise), whether its embedding clamped a
 negative eigenvalue, and its squared error.  The parent joins each point's
@@ -67,9 +68,10 @@ import numpy as np
 from . import __version__ as _version
 from .bounds import RangeNoiseCovariances, crb_trace, fim_position, fim_velocity
 from .embedding import (
+    _SOLVE_ERRORS,
     _embed,
     _mds_gram,
-    _rotation_stack,
+    _solve_stack,
     _too_few_nodes,
     grams_from_ranges,
     procrustes_align,
@@ -78,7 +80,6 @@ from .embedding import (
 from .exceptions import (
     ConfigError,
     EmbeddingFailureError,
-    IllPosedRotationError,
     RankDeficiencyError,
 )
 from .kinematics import (
@@ -114,9 +115,9 @@ __all__ = [
     "emit_outputs",
 ]
 
-# What ends a trial, in pipeline order: the ranging fit, the spectral
-# embeddings, the rotation solve.
-_TRIAL_ERRORS = (RankDeficiencyError, EmbeddingFailureError, IllPosedRotationError)
+# What ends a trial, in pipeline order: the ranging fit, then the solve's
+# stages (the spectral embeddings, the rotation).
+_TRIAL_ERRORS = (RankDeficiencyError, *_SOLVE_ERRORS)
 
 
 class _Kind(NamedTuple):
@@ -373,51 +374,45 @@ def _fit_draw(pt: _Point, q: np.ndarray,
 def _chunk_table(pt: _Point, theta: np.ndarray, rank_bad: np.ndarray,
                  snap_tau: np.ndarray) -> _Trials:
     """The trial table of one post-fit chunk of a point from its fit (see
-    :func:`_fit_draw`), every stage after the fit batched over its trials.
+    :func:`_fit_draw`), every stage after the fit batched over its trials:
+    the solve kernel of :func:`~relkin.embedding.solve_relative`, then one
+    eigh for the time grid's classical-MDS snapshots.
 
     A trial fails at the first stage that would raise in the single-trial
-    pipeline (the ranging fit, either spectral embedding, the rotation); the
+    pipeline (the ranging fit, then the solve's first failing stage); the
     stages after it still run on its finite placeholder values and are
     masked out.
     """
-    cfg, n, P = pt.cfg, pt.traj.N, pt.traj.P
+    n, P = pt.traj.N, pt.traj.P
     coeffs = RangeCoefficients(scaled=theta, n_nodes=n, c=pt.clean.c)
-    grams = grams_from_ranges(coeffs.to_range_matrices())
-    snaps = _symmetric(n, pt.clean.c * snap_tau.swapaxes(-1, -2))
-    emb = _embed(np.concatenate([grams.Bxx[:, None], grams.Byy[:, None], _mds_gram(snaps)],
-                                axis=1), P)
-    xrel, yrel = emb.config[:, 0], emb.config[:, 1]
-    # as in spectral_embed, an embedding that failed has not clamped
-    failed = emb.failed
-    clamped = (emb.n_clamped > 0) & ~failed
-    embed_bad = failed[:, 0] | failed[:, 1]
-    ok = ~rank_bad & ~embed_bad
-    hy, rank = _rotation_stack(xrel, yrel, grams.Bxy)
-    dynamic = xrel[:, None] + pt.times[:, None, None] * (hy @ yrel)[:, None]
-    estimates = np.concatenate([emb.config[:, :2], dynamic, emb.config[:, 2:]], axis=1) \
+    sol = _solve_stack(grams_from_ranges(coeffs.to_range_matrices()), P)
+    snap = _embed(_mds_gram(_symmetric(n, pt.clean.c * snap_tau.swapaxes(-1, -2))), P)
+    xrel, yrel = sol.emb.config[:, 0], sol.emb.config[:, 1]
+    dynamic = xrel[:, None] + pt.times[:, None, None] * (sol.hy @ yrel)[:, None]
+    estimates = np.concatenate([sol.emb.config, dynamic, snap.config], axis=1) \
         @ centering_matrix(n)
     _, _, resid = procrustes_align(pt.truth, estimates)
     phys = coeffs.physical
     n_trial_cols = len(_SWEEP_QUANTITIES) + len(pt.times)  # the columns before the snapshots
-    # each trial's first failing stage, coded as in _Trials; a failed snapshot
-    # is an EmbeddingFailureError of its column alone
-    stages = [(rank_bad[:, None], RankDeficiencyError), (embed_bad[:, None], EmbeddingFailureError),
-              ((ok & (rank < P * P))[:, None], IllPosedRotationError),
-              (np.pad(failed[:, 2:], ((0, 0), (n_trial_cols, 0))), EmbeddingFailureError)]
-    cause = np.select([bad for bad, _ in stages],
-                      [1 + _TRIAL_ERRORS.index(err) for _, err in stages], 0).astype(np.int8)
-    trial_clamped = ~rank_bad & (clamped[:, 0] | (~failed[:, 0] & clamped[:, 1]))
+    # each trial's cause, coded as in _Trials: the fit's, else the solve's;
+    # a failed snapshot is an EmbeddingFailureError of its column alone
+    code = {err: 1 + _TRIAL_ERRORS.index(err) for err in _TRIAL_ERRORS}
+    trial = np.where(rank_bad, code[RankDeficiencyError],
+                     np.take([0] + [code[err] for err in _SOLVE_ERRORS], sol.cause))[:, None]
+    cause = np.concatenate([np.repeat(trial, n_trial_cols, axis=1), np.where(
+        trial > 0, trial, snap.failed * code[EmbeddingFailureError])], axis=1).astype(np.int8)
+    clamped = (~rank_bad & (sol.clamps > 0))[:, None]
     return _Trials(
         cause=cause,
-        clamped=np.concatenate([np.repeat(trial_clamped[:, None], n_trial_cols, axis=1),
-                                clamped[:, 2:] & (cause[:, n_trial_cols:] == 0)], axis=1),
+        clamped=np.concatenate([np.repeat(clamped, n_trial_cols, axis=1),
+                                (snap.n_clamped > 0) & (cause[:, n_trial_cols:] == 0)], axis=1),
         sq=np.concatenate([
             np.stack([np.sum((phys[..., ell] - pt.coeff_true[ell]) ** 2, axis=-1)
                       for ell in range(3)], axis=-1),
             resid[:, :2] ** 2,
             # summed here, where hy keeps the memory order its rounding follows
             # (a worker's hy would come back C-ordered)
-            np.sum((hy - pt.hy_ref) ** 2, axis=(-2, -1))[:, None],
+            np.sum((sol.hy - pt.hy_ref) ** 2, axis=(-2, -1))[:, None],
             resid[:, 2:] ** 2,
         ], axis=1),
     )

@@ -307,6 +307,8 @@ def crb_theta(sys: DesignSystem) -> RangeCrb:
     Raises:
         ValueError: if the system declares no noise covariance.
         RankDeficiencyError: if a whitened block is column rank deficient.
+        ConfigError: if a pair's bound of some order is not finite and > 0
+            (a huge noise variance overflows it), naming the order and pair.
     """
     return _solve_with_crb(sys)[1]
 
@@ -320,5 +322,8 @@ def _solve_with_crb(sys: DesignSystem) -> tuple[RangeCoefficients, RangeCrb]:
         raise ValueError("crb_theta requires pair_variances on the design system")
     fit = _full_rank_fit(sys)
     f = scale_factors(sys.L, sys.c)
-    return (RangeCoefficients(scaled=fit.theta, n_nodes=sys.n_nodes, c=sys.c),
-            RangeCrb(cov=fit.cov * np.outer(f, f)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected just below
+        cov = fit.cov * np.outer(f, f)
+    for ell in range(sys.L):
+        check_pair_variances(cov[:, ell, ell], f"order-{ell} coefficient bound")
+    return RangeCoefficients(scaled=fit.theta, n_nodes=sys.n_nodes, c=sys.c), RangeCrb(cov=cov)

@@ -283,7 +283,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("edit", ["no_rddot", "duplicate", "non_numeric", "no_theta_column",
                                       "nan_theta", "negative_order", "fractional_order",
-                                      "swapped_pair"])
+                                      "swapped_pair", "overflowing_theta"])
     def test_malformed_theta_is_clean_error(self, exchange_csv, tmp_path, edit):
         theta = tmp_path / "theta.csv"
         main(["estimate", "--exchanges", str(exchange_csv), "--sigma-meters", "0.1",
@@ -304,6 +304,8 @@ class TestSolve:
             lines[1] = ",".join(fields[:2] + ["-1"] + fields[3:])
         elif edit == "fractional_order":
             lines[1] = ",".join(fields[:2] + ["1.5"] + fields[3:])
+        elif edit == "overflowing_theta":  # finite, but its square overflows Bxx
+            lines[1] = ",".join(fields[:3] + ["1e200"] + fields[4:])
         else:
             lines[1] = ",".join([fields[1], fields[0]] + fields[2:])
         theta.write_text("".join(line + "\n" for line in lines))
@@ -731,9 +733,12 @@ class TestExperiment:
     ["estimate", "--c", "nan"],
     ["estimate", "--nodes", "1"],
     ["solve", "--nodes", "1"],
+    ["estimate", "--sigma-meters", "1e156"],
+    ["crb", "--sigma-meters", "1e156"],
 ], ids=["crb-zero-messages", "crb-order-2", "crb-reversed-interval",
         "solve-zero-dim", "solve-dim-above-n", "solve-nonnumeric-times", "solve-empty-times",
-        "estimate-zero-order", "estimate-nan-c", "estimate-one-node", "solve-one-node"])
+        "estimate-zero-order", "estimate-nan-c", "estimate-one-node", "solve-one-node",
+        "estimate-overflowing-bound", "crb-overflowing-bound"])
 def test_bad_flag_value_is_clean_error(exchange_csv, tmp_path, capsys, argv):
     theta = tmp_path / "theta.csv"
     assert main(["estimate", "--exchanges", str(exchange_csv), "--sigma-meters", "0.1",
@@ -744,7 +749,10 @@ def test_bad_flag_value_is_clean_error(exchange_csv, tmp_path, capsys, argv):
     capsys.readouterr()
     assert main([argv[0], *before, *argv[1:], "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {argv[1].partition('=')[0]} must be ")
+    if argv[-1] == "1e156":  # a sigma in range whose coefficient bounds overflow
+        assert err.startswith("error: order-0 coefficient bound of pair (0, 1) is inf; ")
+    else:
+        assert err.startswith(f"error: {argv[1].partition('=')[0]} must be ")
     assert not out.exists()
 
 

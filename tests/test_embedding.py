@@ -8,6 +8,7 @@ from relkin import (
     EmbeddingClampWarning,
     EmbeddingFailureError,
     IllPosedRotationError,
+    KinematicGrams,
     RangeMatrices,
     builtin_trajectory,
     centering_matrix,
@@ -19,7 +20,9 @@ from relkin import (
     solve_relative,
     spectral_embed,
 )
-from relkin.embedding import _embed, _mds_gram, _polar, _rotation_stack, rotation_model
+from relkin import embedding
+from relkin.embedding import (_SOLVE_ERRORS, _embed, _mds_gram, _polar, _rotation_stack,
+                              _solve_stack, rotation_model)
 from relkin.kinematics import TrajectorySet
 
 import dense_oracle
@@ -141,6 +144,12 @@ class TestSpectralEmbed:
         with pytest.raises(EmbeddingFailureError):
             spectral_embed(-np.eye(3), P=2)
 
+    def test_non_finite_entry_fails_naming_the_matrix(self):
+        b = np.eye(3)
+        b[0, 1] = np.inf
+        with pytest.raises(EmbeddingFailureError, match="^B has a non-finite entry"):
+            spectral_embed(b, P=2)
+
     def test_sign_canonicalization_deterministic(self):
         traj = builtin_trajectory("cluster5")
         g = grams_from_ranges(range_matrices(traj))
@@ -149,6 +158,24 @@ class TestSpectralEmbed:
         assert np.array_equal(a, b)
         rows = np.arange(2)
         assert np.all(a[rows, np.argmax(np.abs(a), axis=1)] > 0)
+
+
+def test_clamp_warnings_point_at_the_caller(monkeypatch):
+    # each public entry point warns at the line that called it, so filters by
+    # module and the default once-per-location display see the caller
+    rm = range_matrices(builtin_trajectory("cluster5"))
+    clamps = np.diag([4.0, -1.0, -2.0, -0.5, -3.0])
+    d = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])  # not Euclidean
+    monkeypatch.setattr(embedding, "grams_from_ranges",
+                        lambda _: KinematicGrams(Bxx=clamps, Bxy=np.zeros((5, 5)), Byy=-np.eye(5)))
+    for call in (lambda: spectral_embed(clamps, P=2), lambda: classical_mds(d, P=3),
+                 lambda: solve_relative(rm, 2)):
+        with pytest.warns(EmbeddingClampWarning) as caught:
+            try:
+                call()
+            except EmbeddingFailureError:  # solve_relative's Byy, after Bxx warned
+                pass
+        assert [w.filename for w in caught] == [__file__]
 
 
 class TestClassicalMds:
@@ -481,6 +508,45 @@ class TestBatchedKernels:
             assert not emb.failed[b]
             assert np.array_equal(emb.config[b], config)
             assert len(caught) == int(emb.n_clamped[b] > 0)
+
+    def test_solve_stack_codes_what_solve_relative_raises_and_warns(self, monkeypatch):
+        rm = range_matrices(builtin_trajectory("cluster5"))
+        clean = grams_from_ranges(rm)
+        noisy = grams_from_ranges(noisy_range_stack(1, 0))
+        with np.errstate(over="ignore", invalid="ignore"):  # theta 1e200 read from a file
+            huge = grams_from_ranges(RangeMatrices(np.where(rm.R == rm.R[0, 1], 1e200, rm.R),
+                                                   rm.Rdot, rm.Rddot))
+        bad, clamps = -np.eye(5), np.diag([4.0, -1.0, -2.0, -0.5, -3.0])
+        embed_failure = (EmbeddingFailureError, r"no positive eigenvalue \(largest -1.000e\+00\)")
+        ill_posed = (IllPosedRotationError, "rotation system rank [0-3] < 4; configurations")
+        cases = [  # (Bxx, Bxy, Byy), what solve_relative raises, its clamp warnings
+            ((clean.Bxx, clean.Bxy, clean.Byy), None, 0),
+            ((noisy.Bxx[0], noisy.Bxy[0], noisy.Byy[0]), None, 0),
+            ((bad, clean.Bxy, clean.Byy), embed_failure, 0),
+            ((clamps, clean.Bxy, bad), embed_failure, 1),
+            ((clean.Bxx, clean.Bxy, clamps), ill_posed, 1),
+            ((clean.Bxx, clean.Bxy, clean.Bxx), ill_posed, 0),  # Yrel = Xrel: H + H^T alone
+            ((huge.Bxx, huge.Bxy, huge.Byy),
+             (EmbeddingFailureError, "^Bxx has a non-finite entry; cannot embed in 2"), 0),
+        ]
+        sol = _solve_stack(KinematicGrams(*(np.stack(m) for m in zip(*(c[0] for c in cases)))), 2)
+        for b, (grams, raised, warned) in enumerate(cases):
+            monkeypatch.setattr(embedding, "grams_from_ranges",
+                                lambda _, g=KinematicGrams(*grams): g)
+            assert sol.clamps[b] == warned
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", EmbeddingClampWarning)
+                if raised:
+                    assert _SOLVE_ERRORS[sol.cause[b] - 1] is raised[0]
+                    with pytest.raises(raised[0], match=raised[1]):
+                        solve_relative(rm, 2)
+                else:
+                    assert sol.cause[b] == 0
+                    one = solve_relative(rm, 2)
+                    assert np.array_equal(one.Xrel, sol.emb.config[b, 0])
+                    assert np.array_equal(one.Yrel, sol.emb.config[b, 1])
+                    assert np.array_equal(one.Hy, sol.hy[b])
+            assert [w.category for w in caught] == [EmbeddingClampWarning] * warned
 
     def test_mds_stack_equals_classical_mds(self):
         traj = builtin_trajectory("cluster5")

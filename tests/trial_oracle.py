@@ -4,6 +4,9 @@ Each trial runs the public single-trial pipeline (simulate_exchanges,
 build_design, wls_solve, solve_relative, classical_mds, procrustes_align)
 and is counted as failed by the exception it raises, in pipeline order.
 A trial counts as clamped when the pipeline warned EmbeddingClampWarning.
+solve_relative is the engine's solve kernel run on one network and raised
+for stage by stage, so the comparison checks the kernel's coded outcomes
+against its raised ones, and the engine's own stages around it.
 The rows carry the same fields as `run_experiment`'s, so the tests compare
 the engine against this direct route row by row.  The engine's aligned
 RMSE goes through procrustes_align inline; `rmse_vector` and
