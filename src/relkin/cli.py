@@ -31,7 +31,6 @@ from .ranging import _solve_with_crb, build_design
 from .twr import (
     ExchangeConfig,
     NoiseModel,
-    SPEED_OF_LIGHT,
     TimestampExchangeSet,
     _clean_exchanges,
     _read_pair_table,
@@ -61,8 +60,7 @@ def _cmd_estimate(args) -> int:
     noise = _pair_noise(args.sigma_meters)
     _require(args.order >= 1, "--order", "at least 1", args.order)
     _require(args.nodes is None or args.nodes >= 2, "--nodes", "at least 2", args.nodes)
-    _positive("--c", args.c)
-    exchanges = TimestampExchangeSet.from_csv(args.exchanges, c=args.c, expected_n=args.nodes)
+    exchanges = TimestampExchangeSet.from_csv(args.exchanges, expected_n=args.nodes)
     L = args.order
     _require(L <= exchanges.K, "--order",
              f"at most the file's messages per pair ({exchanges.K})", L)
@@ -202,8 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--order", type=int, default=4, help="polynomial coefficient count L")
     p_est.add_argument("--sigma-meters", type=float, required=True,
                        help="per-pair delay noise std in meters (known covariance)")
-    p_est.add_argument("--c", type=float, default=SPEED_OF_LIGHT,
-                       help="propagation speed in m/s that turns the file's seconds into meters")
     p_est.add_argument("--nodes", type=int, default=None,
                        help="expected node count N; a file naming another N is an error")
     p_est.add_argument("--out", required=True)

@@ -73,8 +73,11 @@ def grams_from_ranges(rm: RangeMatrices) -> KinematicGrams:
 
 
 def _mds_gram(D: np.ndarray) -> np.ndarray:
-    """Gram -0.5 P D^o2 P of (..., N, N) Euclidean distance matrices."""
-    return _centered(np.asarray(D, float) ** 2, -0.5)
+    """Gram -0.5 P D^o2 P of (..., N, N) Euclidean distance matrices.  An
+    entry that overflows comes back non-finite, without a warning, and fails
+    its embedding."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _centered(np.asarray(D, float) ** 2, -0.5)
 
 
 class _Embedding(NamedTuple):

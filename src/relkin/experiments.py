@@ -95,6 +95,7 @@ from .ranging import (DesignSystem, RangeCoefficients, RangeCrb, _fill_powers, _
                       build_design, crb_theta, wls_solve)
 from .rng import _draw_normals
 from .twr import (
+    SPEED_OF_LIGHT,
     ExchangeConfig,
     NoiseModel,
     TimestampExchangeSet,
@@ -145,7 +146,9 @@ class ExperimentConfig:
     least L (else ConfigError).  The message schedule and noise values are
     validated by building the ExchangeConfig and NoiseModel of the config
     and of every k/sigma sweep point (see `_point_model`), so a bad value
-    raises their ConfigError.  The "taylor" delay model simulates the cubic
+    raises their ConfigError, as does a noise level whose per-node marker
+    std (sigma_m / sqrt(2) / SPEED_OF_LIGHT seconds) is at or above the
+    interval's length.  The "taylor" delay model simulates the cubic
     Taylor polynomial of each range, which any L >= 4 fits exactly.  The
     fixture is a built-in name or a fixture file path, stored as a str (a
     path object is converted, anything else is a ConfigError); a fixture of
@@ -384,9 +387,9 @@ def _chunk_table(pt: _Point, theta: np.ndarray, rank_bad: np.ndarray,
     masked out.
     """
     n, P = pt.traj.N, pt.traj.P
-    coeffs = RangeCoefficients(scaled=theta, n_nodes=n, c=pt.clean.c)
+    coeffs = RangeCoefficients(scaled=theta, n_nodes=n)
     sol = _solve_stack(grams_from_ranges(coeffs.to_range_matrices()), P)
-    snap = _embed(_mds_gram(_symmetric(n, pt.clean.c * snap_tau.swapaxes(-1, -2))), P)
+    snap = _embed(_mds_gram(_symmetric(n, SPEED_OF_LIGHT * snap_tau.swapaxes(-1, -2))), P)
     xrel, yrel = sol.emb.config[:, 0], sol.emb.config[:, 1]
     dynamic = xrel[:, None] + pt.times[:, None, None] * (sol.hy @ yrel)[:, None]
     estimates = np.concatenate([sol.emb.config, dynamic, snap.config], axis=1) \
@@ -545,17 +548,26 @@ def _point_model(cfg: ExperimentConfig, value=None) -> tuple[ExchangeConfig, Noi
     """The message schedule and noise model of the sweep point at `value`: a
     k_sweep value is its K, a sigma_sweep value its noise in dB-meters, and
     the config's K and sigma_m hold otherwise.  A bad value raises the
-    ConfigError of ExchangeConfig or NoiseModel; none is rounded."""
-    K, sigma_m = cfg.K, cfg.sigma_m
+    ConfigError of ExchangeConfig or NoiseModel; none is rounded.  So does a
+    noise whose per-node marker std, in seconds, is at or above the length
+    of the interval, naming its field and value: that noise swamps the
+    schedule, and the powers of its noisy markers overflow the fit."""
+    K, sigma_m, field = cfg.K, cfg.sigma_m, f"sigma_m={cfg.sigma_m!r}"
     if value is not None and cfg.kind == "k_sweep":
         K = value
     elif value is not None and cfg.kind == "sigma_sweep":
+        field = f"sigma_db_m value {value!r}"
         try:
             sigma_m = 10.0 ** (float(value) / 10.0)
         except OverflowError:  # inf, which NoiseModel rejects
             sigma_m = math.inf
-    return (ExchangeConfig(K=K, interval=cfg.interval, delay_model=cfg.delay_model),
-            NoiseModel.from_pair_sigma(sigma_m, unit="m"))
+    exch = ExchangeConfig(K=K, interval=cfg.interval, delay_model=cfg.delay_model)
+    noise = NoiseModel.from_pair_sigma(sigma_m, unit="m")
+    node_std, span = noise.node_std_seconds(1)[0], exch.interval[1] - exch.interval[0]
+    if node_std >= span:
+        raise ConfigError(f"{field} puts a per-node marker std of {node_std:.3g} s at or above "
+                          f"the interval's length {span!r} s")
+    return exch, noise
 
 
 def _new_point(traj, cfg, s_idx, value=None) -> _Point:
@@ -588,7 +600,7 @@ def _new_point(traj, cfg, s_idx, value=None) -> _Point:
     truth = np.array([traj.X, traj.Y] + [traj.position_at(t) for t in times] * 2) \
         @ centering_matrix(traj.N)
     return _Point(traj, cfg, (s_idx,), markers=markers, times=times, clean=clean,
-                  sigma=_pair_std(noise, traj.N, clean.c)[..., None], weights=design.weights,
+                  sigma=_pair_std(noise, traj.N)[..., None], weights=design.weights,
                   hy_ref=hy_ref, truth=truth, coeff_true=_pair_kinematics(traj.X, traj.Y),
                   rows=rows)
 

@@ -11,7 +11,7 @@ the Monte Carlo engine stacks its trials' rows into the same kernel.  A diagonal
 converts the scaled coefficients to the physical range derivatives (meters,
 m/s, m/s^2, ...):
 
-    theta_ell = c * ell! * theta_scaled_ell
+    theta_ell = SPEED_OF_LIGHT * ell! * theta_scaled_ell
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .exceptions import RankDeficiencyError
 from .kinematics import RangeMatrices, canonical_pairs, check_pair_variances, pair_count
-from .twr import NoiseModel, TimestampExchangeSet, effective_noise_covariance
+from .twr import SPEED_OF_LIGHT, NoiseModel, TimestampExchangeSet, effective_noise_covariance
 
 __all__ = [
     "RangeCoefficients",
@@ -38,9 +38,9 @@ __all__ = [
 ]
 
 
-def scale_factors(L: int, c: float) -> np.ndarray:
-    """Diagonal factors f mapping scaled to physical coefficients: f_ell = c * ell!."""
-    return c * np.array([math.factorial(ell) for ell in range(L)], dtype=float)
+def scale_factors(L: int) -> np.ndarray:
+    """Diagonal factors f_ell = SPEED_OF_LIGHT * ell! mapping scaled to physical coefficients."""
+    return SPEED_OF_LIGHT * np.array([math.factorial(ell) for ell in range(L)], dtype=float)
 
 
 @dataclass
@@ -51,12 +51,10 @@ class RangeCoefficients:
         scaled: (Nbar, L) scaled coefficients (seconds-domain polynomial),
             or (..., Nbar, L) for a batch of networks.
         n_nodes: number of nodes (pairs follow canonical order).
-        c: propagation speed used for rescaling.
     """
 
     scaled: np.ndarray
     n_nodes: int
-    c: float
 
     def __post_init__(self):
         self.scaled = np.atleast_2d(np.asarray(self.scaled, float))
@@ -75,7 +73,7 @@ class RangeCoefficients:
     @property
     def physical(self) -> np.ndarray:
         """(..., Nbar, L) physical coefficients: r (m), rdot (m/s), rddot (m/s^2), ..."""
-        return self.scaled * scale_factors(self.L, self.c)
+        return self.scaled * scale_factors(self.L)
 
     def to_range_matrices(self) -> RangeMatrices:
         """Symmetric N x N range matrices from the orders r, rdot and rddot (L >= 3)."""
@@ -92,7 +90,6 @@ class DesignSystem:
         tau: (Nbar, K) measured delays.
         L: number of polynomial coefficients per pair.
         n_nodes: node count.
-        c: propagation speed.
         pair_variances: (Nbar,) delay variances (seconds^2), each finite
             and > 0, or None for unit weights.  Block-diagonal covariance
             bdiag(var_p I_K) is the only structure supported.
@@ -108,7 +105,6 @@ class DesignSystem:
     tau: np.ndarray
     L: int
     n_nodes: int
-    c: float
     pair_variances: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -179,9 +175,7 @@ def build_design(exchanges: TimestampExchangeSet, L: int,
         tau=exchanges.tau(),
         L=L,
         n_nodes=exchanges.n_nodes,
-        c=exchanges.c,
-        pair_variances=effective_noise_covariance(noise, exchanges.n_nodes, exchanges.c)
-        if noisy else None,
+        pair_variances=effective_noise_covariance(noise, exchanges.n_nodes) if noisy else None,
     )
 
 
@@ -264,7 +258,7 @@ def wls_solve(sys: DesignSystem) -> RangeCoefficients:
         RankDeficiencyError: naming the offending pair(s) when a block
             loses column rank.
     """
-    return RangeCoefficients(scaled=_full_rank_fit(sys).theta, n_nodes=sys.n_nodes, c=sys.c)
+    return RangeCoefficients(scaled=_full_rank_fit(sys).theta, n_nodes=sys.n_nodes)
 
 
 pairwise_solve = wls_solve
@@ -321,9 +315,9 @@ def _solve_with_crb(sys: DesignSystem) -> tuple[RangeCoefficients, RangeCrb]:
     if sys.pair_variances is None:
         raise ValueError("crb_theta requires pair_variances on the design system")
     fit = _full_rank_fit(sys)
-    f = scale_factors(sys.L, sys.c)
+    f = scale_factors(sys.L)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected just below
         cov = fit.cov * np.outer(f, f)
     for ell in range(sys.L):
         check_pair_variances(cov[:, ell, ell], f"order-{ell} coefficient bound")
-    return RangeCoefficients(scaled=fit.theta, n_nodes=sys.n_nodes, c=sys.c), RangeCrb(cov=cov)
+    return RangeCoefficients(scaled=fit.theta, n_nodes=sys.n_nodes), RangeCrb(cov=cov)

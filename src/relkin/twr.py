@@ -6,8 +6,9 @@ and the signed direction flag (+1 when the lower-indexed node transmits).
 The signed marker difference recovers the propagation delay regardless of
 direction, which is what the ranging estimator consumes.  Simulated
 exchanges are one-way at the speed of light; a recorded set may carry
-either flag.  An exchange set holds one network; batching trials of it is
-the Monte Carlo engine's.
+either flag.  Simulated or recorded, every delay converts to meters at the
+one SPEED_OF_LIGHT, 3e8 m/s exactly.  An exchange set holds one network;
+batching trials of it is the Monte Carlo engine's.
 
 Timing noise is injected on the recorded markers themselves (one i.i.d.
 Gaussian draw per marker per message), so the measured delay of a pair
@@ -48,7 +49,7 @@ __all__ = [
     "effective_noise_covariance",
 ]
 
-SPEED_OF_LIGHT = 3e8  # m/s, the propagation speed of simulated exchanges
+SPEED_OF_LIGHT = 3e8  # m/s, exactly: the one propagation speed, of simulated and read exchanges
 
 _CSV_COLUMNS = ("i", "j", "k", "E", "T_tx", "T_rx")
 
@@ -113,7 +114,7 @@ class NoiseModel:
         sigma: per-node marker standard deviation; scalar applies to every
             node, or an array gives one value per node.
         unit: "s" for seconds, or "m" for the distance-equivalent (divided
-            by the propagation speed at simulation time).
+            by SPEED_OF_LIGHT).
 
     Markers of different nodes are independent, so the links are too.
 
@@ -142,16 +143,23 @@ class NoiseModel:
         `sigma_pair` as the constructor validates sigma."""
         return cls(sigma=cls(sigma_pair, unit).sigma / np.sqrt(2.0), unit=unit)
 
-    def node_std_seconds(self, n_nodes: int, c: float) -> np.ndarray:
-        """Per-node marker standard deviation in seconds, length n_nodes."""
-        sig = np.broadcast_to(np.asarray(self.sigma, float), (n_nodes,)).copy()
+    def node_std_seconds(self, n_nodes: int) -> np.ndarray:
+        """Per-node marker standard deviation in seconds, length n_nodes.
+
+        Raises:
+            ConfigError: if sigma is an array whose shape is not (n_nodes,).
+        """
+        sig = np.asarray(self.sigma, float)
+        if sig.ndim and sig.shape != (n_nodes,):
+            raise ConfigError(f"per-node sigma must have shape ({n_nodes},) for {n_nodes} nodes, "
+                              f"got shape {sig.shape}")
+        sig = np.broadcast_to(sig, (n_nodes,)).copy()
         if self.unit == "m":
-            sig = sig / c
+            sig = sig / SPEED_OF_LIGHT
         return sig
 
 
-def effective_noise_covariance(noise: NoiseModel, n_nodes: int,
-                               c: float = SPEED_OF_LIGHT) -> np.ndarray:
+def effective_noise_covariance(noise: NoiseModel, n_nodes: int) -> np.ndarray:
     """(Nbar,) delay variances (seconds squared) of the pairs, in canonical order.
 
     Links are independent and each delay mixes one marker from each
@@ -160,15 +168,15 @@ def effective_noise_covariance(noise: NoiseModel, n_nodes: int,
     that overflows comes back as inf, without a warning.
     """
     with np.errstate(over="ignore"):
-        var = _pair_std(noise, n_nodes, c) ** 2
+        var = _pair_std(noise, n_nodes) ** 2
         return var[0] + var[1]
 
 
-def _pair_std(noise: NoiseModel, n_nodes: int, c: float) -> np.ndarray:
+def _pair_std(noise: NoiseModel, n_nodes: int) -> np.ndarray:
     """(2, Nbar) marker noise standard deviations (seconds) of the pairs, in
     canonical order: pair p's markers carry the sigma of its lower-indexed
     node (row 0) and of its higher-indexed node (row 1)."""
-    return noise.node_std_seconds(n_nodes, c)[np.stack(pair_index(n_nodes))]
+    return noise.node_std_seconds(n_nodes)[np.stack(pair_index(n_nodes))]
 
 
 @dataclass
@@ -180,7 +188,6 @@ class TimestampExchangeSet:
         t_i: (Nbar, K) markers recorded at the lower-indexed node of each pair.
         t_j: (Nbar, K) markers recorded at the higher-indexed node.
         e: (Nbar, K) direction flags, +1 when the lower-indexed node transmitted.
-        c: propagation speed (m/s).
 
     Raises:
         ValueError: unless t_i, t_j and e share one (Nbar, K) shape.
@@ -190,7 +197,6 @@ class TimestampExchangeSet:
     t_i: np.ndarray
     t_j: np.ndarray
     e: np.ndarray
-    c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
         self.t_i = np.asarray(self.t_i, float)
@@ -203,6 +209,11 @@ class TimestampExchangeSet:
     @property
     def K(self) -> int:
         return self.t_i.shape[1]
+
+    @property
+    def c(self) -> float:
+        """SPEED_OF_LIGHT, read-only: bench/workloads.py reads the speed here."""
+        return SPEED_OF_LIGHT
 
     @property
     def pairs(self) -> list[tuple[int, int]]:
@@ -227,8 +238,7 @@ class TimestampExchangeSet:
                        self.e.ravel().tolist(), tx, rx)
 
     @classmethod
-    def from_csv(cls, path, c: float = SPEED_OF_LIGHT,
-                 expected_n: int | None = None) -> "TimestampExchangeSet":
+    def from_csv(cls, path, expected_n: int | None = None) -> "TimestampExchangeSet":
         """Read rows (i, j, k, E, T_tx, T_rx) as written by :meth:`to_csv`.
 
         Every pair 0 <= i < j < N must appear with one common message count
@@ -270,7 +280,7 @@ class TimestampExchangeSet:
         e[slot] = flag
         shape = (nbar, K)
         return cls(n_nodes=n_nodes, t_i=t_i.reshape(shape), t_j=t_j.reshape(shape),
-                   e=e.reshape(shape), c=c)
+                   e=e.reshape(shape))
 
 
 def _write_columns(path, header: Sequence[str], *columns) -> None:
@@ -454,13 +464,13 @@ def _draw_exchanges(clean: TimestampExchangeSet, noise: NoiseModel,
     node's markers, row 1 the higher node's, each scaled by that node's sigma
     (see :func:`_pair_std`).
     """
-    sig = _pair_std(noise, clean.n_nodes, clean.c)
+    sig = _pair_std(noise, clean.n_nodes)
     q = _draw_normals(states, (2, clean.K))
     t_i = clean.t_i + sig[0, :, None] * q[:, 0]
     t_j = clean.t_j + sig[1, :, None] * q[:, 1]
     # a copy: with a view of clean.e the large_n48 benchmark peaked at 105 MB, not 92 MB
     e = clean.e.copy()
-    return TimestampExchangeSet(n_nodes=clean.n_nodes, t_i=t_i, t_j=t_j, e=e, c=clean.c)
+    return TimestampExchangeSet(n_nodes=clean.n_nodes, t_i=t_i, t_j=t_j, e=e)
 
 
 def simulate_exchanges(traj: TrajectorySet, cfg: ExchangeConfig, noise: NoiseModel,

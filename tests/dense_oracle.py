@@ -55,7 +55,7 @@ def crb(sys) -> np.ndarray:
     """(Nbar L) x (Nbar L) physical-coefficient bound inv(A^T S^-1 A), conjugated by f."""
     A = global_matrix(sys)
     fim = A.T @ np.linalg.inv(noise_covariance(sys.pair_variances, sys.K)) @ A
-    f = np.repeat(scale_factors(sys.L, sys.c), sys.n_pairs)
+    f = np.repeat(scale_factors(sys.L), sys.n_pairs)
     return np.linalg.inv(fim) * np.outer(f, f)
 
 

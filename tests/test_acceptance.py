@@ -81,7 +81,7 @@ def exact_measurement_system(traj, K=10, L=4, interval=(-3.0, 3.0)):
         rd = range_derivatives(traj.X[:, i], traj.X[:, j], traj.Y[:, i], traj.Y[:, j])
         tau[p] = taylor_range(rd, grid) / C
     return DesignSystem(markers=np.tile(grid, (len(pairs), 1)), tau=tau, L=L,
-                        n_nodes=traj.N, c=C)
+                        n_nodes=traj.N)
 
 
 def test_criterion_1_noiseless_end_to_end_exactness():

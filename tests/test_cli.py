@@ -730,14 +730,13 @@ class TestExperiment:
     ["solve", "--times=a"],
     ["solve", "--times="],
     ["estimate", "--order", "0"],
-    ["estimate", "--c", "nan"],
     ["estimate", "--nodes", "1"],
     ["solve", "--nodes", "1"],
     ["estimate", "--sigma-meters", "1e156"],
     ["crb", "--sigma-meters", "1e156"],
 ], ids=["crb-zero-messages", "crb-order-2", "crb-reversed-interval",
         "solve-zero-dim", "solve-dim-above-n", "solve-nonnumeric-times", "solve-empty-times",
-        "estimate-zero-order", "estimate-nan-c", "estimate-one-node", "solve-one-node",
+        "estimate-zero-order", "estimate-one-node", "solve-one-node",
         "estimate-overflowing-bound", "crb-overflowing-bound"])
 def test_bad_flag_value_is_clean_error(exchange_csv, tmp_path, capsys, argv):
     theta = tmp_path / "theta.csv"
@@ -760,7 +759,7 @@ def test_bad_flag_value_is_clean_error(exchange_csv, tmp_path, capsys, argv):
     ["crb", "--sigma-meters", "1e-300"],
     ["crb", "--sigma-meters", "1e300"],
     ["estimate", "--sigma-meters", "1e-300"],
-    ["estimate", "--sigma-meters", "0.1", "--c", "1e-300"],
+    ["estimate", "--sigma-meters", "1e300"],
 ], ids=["crb-underflowing-variance", "crb-overflowing-variance",
         "estimate-underflowing-variance", "estimate-overflowing-variance"])
 def test_unrepresentable_delay_variance_is_clean_error(exchange_csv, tmp_path, capsys, argv):
@@ -778,14 +777,17 @@ def test_unrepresentable_delay_variance_is_clean_error(exchange_csv, tmp_path, c
     ["solve", "--grid", "-1", "4", "6"],
     ["solve", "--orthogonalize"],
     ["crb", "--c", "343"],
+    ["estimate", "--c", "343"],
     ["experiment", "--ci"],
-], ids=["solve-grid", "solve-orthogonalize", "crb-c", "experiment-ci"])
+], ids=["solve-grid", "solve-orthogonalize", "crb-c", "estimate-c", "experiment-ci"])
 def test_removed_flag_is_usage_error(exchange_csv, tmp_path, capsys, argv):
     # solve's report times come only from --times and its Hy is the plain
-    # least-squares rotation; crb's bounds in meters do not depend on c; an
-    # experiment's trial count comes only from --trials or its config; so
-    # none of these flags is parsed
-    before = {"solve": ["--theta", str(exchange_csv)], "crb": [], "experiment": []}[argv[0]]
+    # least-squares rotation; crb's bounds in meters do not depend on c, and
+    # estimate reads every exchange file at SPEED_OF_LIGHT; an experiment's
+    # trial count comes only from --trials or its config; so none of these
+    # flags is parsed
+    before = {"solve": ["--theta", str(exchange_csv)], "crb": [], "experiment": [],
+              "estimate": ["--exchanges", str(exchange_csv), "--sigma-meters", "0.1"]}[argv[0]]
     out = tmp_path / "out.csv"
     with pytest.raises(SystemExit) as exc:
         main([argv[0], *before, *argv[1:], "--out", str(out)])

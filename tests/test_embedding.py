@@ -201,6 +201,13 @@ class TestClassicalMds:
         b = classical_mds(2.5 * d, P=2)
         assert np.allclose(b, 2.5 * a, rtol=1e-9, atol=1e-12)
 
+    def test_overflowing_distance_fails_without_warning(self):
+        # 1e200 squared overflows the Gram; the failure is the clean error
+        # alone, with no RuntimeWarning (which this suite raises as an error)
+        d = np.array([[0.0, 1.0, 1e200], [1.0, 0.0, 1.0], [1e200, 1.0, 0.0]])
+        with pytest.raises(EmbeddingFailureError, match="^the Gram of D has a non-finite entry"):
+            classical_mds(d, P=2)
+
 
 class TestRotation:
     def test_commutation_matrix_transposes_vec(self):

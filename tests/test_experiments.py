@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -161,6 +162,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"^time_grid values must lie in interval "
                                               rf"\[{interval[0]}, {interval[1]}\], got {bad}$"):
             ExperimentConfig(kind="time_grid", sweep=sweep, interval=interval)
+
+    @pytest.mark.parametrize("config, named", [
+        (dict(kind="sigma_sweep", sweep=[-10, 1500]), "sigma_db_m value 1500"),
+        (dict(kind="time_grid", sweep=[0, 1], sigma_m=1e150), "sigma_m=1e+150"),
+        (dict(kind="k_sweep", sweep=[10], sigma_m=1e110), "sigma_m=1e+110"),
+        (dict(kind="k_sweep", sweep=[10], sigma_m=4.3e8, interval=(0, 1)), "sigma_m=430000000.0"),
+    ], ids=["sigma-sweep", "time-grid", "k-sweep", "custom-interval"])
+    def test_noise_at_interval_length_rejected(self, config, named):
+        # a per-node marker std (sigma_m / sqrt(2) / c seconds) at or above the
+        # interval's length swamps the schedule; at 1e150 m the powers of the
+        # noisy markers overflow the fit, at 1e110 m every trial is rank deficient
+        with pytest.raises(ConfigError, match=rf"^{re.escape(named)} puts a per-node marker std of \S+ s "
+                                              r"at or above the interval's length"):
+            ExperimentConfig(**config)
+
+    def test_noise_below_interval_length_accepted(self):
+        # 4e8 m is a per-node marker std of 0.94 s, inside a 1 s interval
+        assert ExperimentConfig(kind="k_sweep", sweep=[10], sigma_m=4e8, interval=(0, 1)).sigma_m \
+            == 4e8
 
     def test_time_grid_inside_interval_snaps_to_markers(self):
         # K = 7 markers on [-3, 3] are one second apart; the edges are inside

@@ -10,6 +10,7 @@ from relkin import (
     NoiseModel,
     RankDeficiencyError,
     RangeCoefficients,
+    SPEED_OF_LIGHT,
     TimestampExchangeSet,
     build_design,
     builtin_trajectory,
@@ -38,7 +39,6 @@ def single_pair_system(markers, tau, L, var=None):
         tau=np.asarray(tau, float)[None, :],
         L=L,
         n_nodes=2,
-        c=C,
         pair_variances=None if var is None else np.array([var]),
     )
 
@@ -55,12 +55,12 @@ class TestDesign:
     def test_global_first_block_is_kron_identity_ones(self):
         markers = np.zeros((3, 2))
         markers[:] = [0.0, 1.0]
-        sys = DesignSystem(markers=markers, tau=np.zeros((3, 2)), L=1, n_nodes=3, c=C)
+        sys = DesignSystem(markers=markers, tau=np.zeros((3, 2)), L=1, n_nodes=3)
         assert np.array_equal(dense_oracle.global_matrix(sys), np.kron(np.eye(3), np.ones((2, 1))))
 
     def test_repeated_markers_rejected_with_pair_name(self):
         markers = np.array([[0.0, 1.0, 2.0], [1.0, 1.0, 1.0], [0.0, 1.0, 2.0]])
-        sys = DesignSystem(markers=markers, tau=np.zeros((3, 3)), L=2, n_nodes=3, c=C,
+        sys = DesignSystem(markers=markers, tau=np.zeros((3, 3)), L=2, n_nodes=3,
                            pair_variances=np.ones(3))
         for solve in (wls_solve, crb_theta):
             with pytest.raises(RankDeficiencyError, match=r"offending pairs \[\(0, 2\)\]"):
@@ -69,7 +69,7 @@ class TestDesign:
     def test_fewer_messages_than_coefficients_rejected(self):
         # K < L leaves R with only K rows: every pair is rank deficient
         markers = np.tile([0.0, 1.0], (3, 1))
-        sys = DesignSystem(markers=markers, tau=np.zeros((3, 2)), L=3, n_nodes=3, c=C,
+        sys = DesignSystem(markers=markers, tau=np.zeros((3, 2)), L=3, n_nodes=3,
                            pair_variances=np.ones(3))
         for solve in (wls_solve, crb_theta):
             with pytest.raises(RankDeficiencyError,
@@ -104,7 +104,7 @@ class TestDesign:
         with pytest.raises(ConfigError, match=rf"^delay variance of pair \(1, 2\) is {bad!r}; "
                                               r"a pair variance must be finite and > 0$"):
             DesignSystem(markers=np.tile([0.0, 1.0, 2.0], (3, 1)), tau=np.zeros((3, 3)), L=2,
-                         n_nodes=3, c=C, pair_variances=var)
+                         n_nodes=3, pair_variances=var)
 
 
 class TestWls:
@@ -142,7 +142,7 @@ class TestWls:
         ex = simulate_exchanges(traj, ExchangeConfig(K=12),
                                 NoiseModel.from_pair_sigma(0.2, unit="m"), seed=3)
         var = np.full(10, 1e-18)
-        design = lambda v: DesignSystem(markers=ex.t_i, tau=ex.tau(), L=3, n_nodes=5, c=ex.c,
+        design = lambda v: DesignSystem(markers=ex.t_i, tau=ex.tau(), L=3, n_nodes=5,
                                         pair_variances=v)
         a = wls_solve(design(var))
         b = wls_solve(design(7.5 * var))
@@ -157,7 +157,7 @@ class TestWls:
         # ulp apart leave the (0,2) block numerically rank 3 of 4
         markers = np.array([[0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 1.0 + 2**-52, 2.0],
                             [0.0, 1.0, 2.0, 3.0]])
-        sys = DesignSystem(markers=markers, tau=np.zeros((3, 4)), L=4, n_nodes=3, c=C,
+        sys = DesignSystem(markers=markers, tau=np.zeros((3, 4)), L=4, n_nodes=3,
                            pair_variances=np.ones(3))
         for solver in (wls_solve, crb_theta):
             with pytest.raises(RankDeficiencyError, match=r"offending pairs \[\(0, 2\)\]"):
@@ -239,7 +239,7 @@ class TestBatchedFit:
                    for t in range(3)]
         fit = _fit_stack(np.stack([d._rows() for d in singles]), singles[0].weights)
         assert fit.theta.shape == (3, 10, 4) and not fit.bad.any()
-        f = scale_factors(4, C)
+        f = scale_factors(4)
         for t, single in enumerate(singles):
             assert np.array_equal(fit.theta[t], wls_solve(single).scaled)
             assert np.array_equal(fit.cov[t] * np.outer(f, f), crb_theta(single).cov)
@@ -251,7 +251,7 @@ class TestBatchedFit:
         near[1] = [0.0, 1.0, 1.0 + 2**-52, 2.0]  # pair (0,2): numerically rank 3 of 4
         tau = np.random.default_rng(0).normal(size=(2, 3, 4))
         design = lambda markers, tau: DesignSystem(markers=markers, tau=tau, L=4, n_nodes=3,
-                                                   c=C, pair_variances=np.ones(3))
+                                                   pair_variances=np.ones(3))
         fit = _fit_stack(np.stack([design(good, tau[0])._rows(), design(near, tau[1])._rows()]),
                          np.ones(3))
         assert fit.bad.tolist() == [[False, False, False], [False, True, False]]
@@ -269,7 +269,7 @@ class TestBatchedFit:
         # zeros: its largest diagonal entry is 0, so only `diag <= tol * max` flags it
         markers = np.tile([0.0, 1.0, 2.0, 3.0, 5.0], (3, 1))
         tau = np.random.default_rng(1).normal(size=(3, 5))
-        rows = DesignSystem(markers=markers, tau=tau, L=3, n_nodes=3, c=C)._rows()
+        rows = DesignSystem(markers=markers, tau=tau, L=3, n_nodes=3)._rows()
         want = _fit_stack(rows.copy(), np.ones(3))
         fit = _fit_stack(rows, np.array([1.0, 0.0, 1.0]))
         assert not rows[1].any()
@@ -281,7 +281,7 @@ class TestBatchedFit:
 @pytest.mark.parametrize("n_nodes, shape", [(5, (3, 10, 7)), (2, (7,))], ids=["3-D", "1-D"])
 @pytest.mark.parametrize("make", [
     lambda n, m: TimestampExchangeSet(n_nodes=n, t_i=m, t_j=m, e=np.ones(m.shape, int)),
-    lambda n, m: DesignSystem(markers=m, tau=m, L=3, n_nodes=n, c=C),
+    lambda n, m: DesignSystem(markers=m, tau=m, L=3, n_nodes=n),
 ], ids=["exchange-set", "design"])
 def test_one_network_per_object(make, n_nodes, shape):
     # both types hold one network's (Nbar, K) arrays; trial batching is the engine's
@@ -347,16 +347,16 @@ class TestDistributedEquivalence:
 
 
 class TestRescale:
-    def test_identity_speed(self):
-        coeffs = RangeCoefficients(scaled=np.array([[7.0]]), n_nodes=2, c=1.0)
-        assert coeffs.physical[0] == pytest.approx([7.0])
+    def test_order_zero_scales_by_speed_of_light(self):
+        coeffs = RangeCoefficients(scaled=np.array([[7.0]]), n_nodes=2)
+        assert coeffs.physical[0] == pytest.approx([7.0 * SPEED_OF_LIGHT])
 
     def test_factorial_diagonal_map(self):
-        coeffs = RangeCoefficients(scaled=np.array([[1e-6, 1e-9, 1e-12]]), n_nodes=2, c=3e8)
+        coeffs = RangeCoefficients(scaled=np.array([[1e-6, 1e-9, 1e-12]]), n_nodes=2)
         assert coeffs.physical[0] == pytest.approx([300.0, 0.3, 6e-4], rel=1e-15)
 
     def test_coefficients_physical_property(self):
-        coeffs = RangeCoefficients(scaled=np.array([[1e-6, 2e-9, 3e-12]]), n_nodes=2, c=C)
+        coeffs = RangeCoefficients(scaled=np.array([[1e-6, 2e-9, 3e-12]]), n_nodes=2)
         assert coeffs.physical[0] == pytest.approx([300.0, 0.6, 1.8e-3])
         rm = coeffs.to_range_matrices()
         assert rm.R[0, 1] == pytest.approx(300.0)

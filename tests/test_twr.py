@@ -7,12 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relkin import (
+    SPEED_OF_LIGHT,
     ConfigError,
+    DesignSystem,
     ExchangeConfig,
     InputError,
     NoiseModel,
+    RangeCoefficients,
     RelkinError,
     TimestampExchangeSet,
+    build_design,
     builtin_trajectory,
     canonical_pairs,
     effective_noise_covariance,
@@ -81,6 +85,29 @@ def test_bad_schedule_or_noise_value_rejected(make):
     assert isinstance(info.value, ValueError)
 
 
+def test_exchange_sets_read_at_speed_of_light(tmp_path):
+    # simulated or read from a file, a set converts at the one speed, which
+    # bench/workloads.py reads as ex.c
+    traj = builtin_trajectory("cluster5")
+    ex = simulate_exchanges(traj, ExchangeConfig(K=4), NoiseModel(0.0), seed=0)
+    ex.to_csv(tmp_path / "exchanges.csv")
+    back = TimestampExchangeSet.from_csv(tmp_path / "exchanges.csv")
+    assert ex.c == back.c == SPEED_OF_LIGHT == 3e8
+
+
+@pytest.mark.parametrize("make", [
+    lambda ex, path: TimestampExchangeSet(n_nodes=2, t_i=ex.t_i, t_j=ex.t_j, e=ex.e, c=343.0),
+    lambda ex, path: TimestampExchangeSet.from_csv(path, c=343.0),
+    lambda ex, path: DesignSystem(markers=ex.t_i, tau=ex.tau(), L=1, n_nodes=2, c=343.0),
+    lambda ex, path: RangeCoefficients(scaled=ex.t_i, n_nodes=2, c=343.0),
+], ids=["exchange-set", "from-csv", "design", "coefficients"])
+def test_propagation_speed_is_not_settable(tmp_path, make):
+    ex = TimestampExchangeSet(n_nodes=2, t_i=[[0.0]], t_j=[[1e-9]], e=[[1]])
+    ex.to_csv(tmp_path / "exchanges.csv")
+    with pytest.raises(TypeError, match="'c'"):
+        make(ex, tmp_path / "exchanges.csv")
+
+
 def test_taylor_delay_model_has_no_order():
     # the taylor model always keeps the four closed-form terms, so the fit
     # order L steers the fit alone: no schedule field or parameter sets it
@@ -93,12 +120,12 @@ def test_taylor_delay_model_has_no_order():
 
 class TestNoiseModel:
     def test_pair_variances_sum_node_variances(self):
-        var = effective_noise_covariance(NoiseModel(sigma=np.array([1.0, np.sqrt(3.0)])), 2, c=C)
+        var = effective_noise_covariance(NoiseModel(sigma=np.array([1.0, np.sqrt(3.0)])), 2)
         assert var == pytest.approx([4.0])
 
     def test_equal_nodes_blocks(self):
         s = 0.5
-        var = effective_noise_covariance(NoiseModel(sigma=np.sqrt(s)), 3, c=C)
+        var = effective_noise_covariance(NoiseModel(sigma=np.sqrt(s)), 3)
         assert var == pytest.approx([2 * s, 2 * s, 2 * s])
         full = dense_oracle.noise_covariance(var, 2)
         assert full.shape == (6, 6)
@@ -106,13 +133,25 @@ class TestNoiseModel:
 
     def test_pair_sigma_constructor(self):
         noise = NoiseModel.from_pair_sigma(0.1, unit="m")
-        var = effective_noise_covariance(noise, 5, c=C)
+        var = effective_noise_covariance(noise, 5)
         # per-pair delay std equals 0.1 m / c for every pair
         assert np.allclose(np.sqrt(var), 0.1 / C)
 
     def test_meter_unit_scaling(self):
-        assert NoiseModel(sigma=3.0, unit="m").node_std_seconds(2, c=C) == pytest.approx([1e-8, 1e-8])
-        assert NoiseModel(sigma=2e-9, unit="s").node_std_seconds(1, c=C) == pytest.approx([2e-9])
+        assert NoiseModel(sigma=3.0, unit="m").node_std_seconds(2) == pytest.approx([1e-8, 1e-8])
+        assert NoiseModel(sigma=2e-9, unit="s").node_std_seconds(1) == pytest.approx([2e-9])
+
+    @pytest.mark.parametrize("use", [
+        lambda traj, noise: simulate_exchanges(traj, ExchangeConfig(K=4), noise, seed=0),
+        lambda traj, noise: build_design(_clean_exchanges(traj, ExchangeConfig(K=4)), 3, noise),
+        lambda traj, noise: effective_noise_covariance(noise, traj.N),
+    ], ids=["simulate", "design", "covariance"])
+    def test_per_node_sigma_of_another_length_is_config_error(self, use):
+        # three sigmas for five nodes: named, rather than a numpy broadcast error
+        traj = builtin_trajectory("cluster5")
+        with pytest.raises(ConfigError, match=r"^per-node sigma must have shape \(5,\) for 5 "
+                                              r"nodes, got shape \(3,\)$"):
+            use(traj, NoiseModel(sigma=[1e-9, 2e-9, 3e-9]))
 
 
 class TestSimulation:
@@ -252,7 +291,7 @@ class TestSimulation:
         noise = NoiseModel.from_pair_sigma(0.1, unit="m")
         full = simulate_exchanges(traj, cfg, noise, seed=5)
         clean = simulate_exchanges(traj, cfg, NoiseModel(0.0), seed=5)
-        sig = noise.node_std_seconds(traj.N, C)
+        sig = noise.node_std_seconds(traj.N)
         diffs = []
         retained = []
         for p, (i, j) in enumerate(canonical_pairs(traj.N)):

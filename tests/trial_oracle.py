@@ -82,9 +82,9 @@ def _point_rcrbs(traj, exch_cfg, noise, L):
     """Root-CRBs at one sweep point, from the clean marker grid.  The FIMs read
     only pair differences, so X and Y go in as they are."""
     clean = simulate_exchanges(traj, exch_cfg, NoiseModel(0.0), seed=0)
-    var = effective_noise_covariance(noise, traj.N, clean.c)
+    var = effective_noise_covariance(noise, traj.N)
     theta_crb = crb_theta(DesignSystem(markers=clean.t_i, tau=clean.tau(), L=L, n_nodes=traj.N,
-                                       c=clean.c, pair_variances=var))
+                                       pair_variances=var))
     covs = RangeNoiseCovariances.from_theta_crb(theta_crb)
     fx = fim_position(traj.X, covs.Sigma_r)
     fy = fim_velocity(traj.Y, range_matrices(traj), covs)
